@@ -252,6 +252,8 @@ def parse_knowledge(source: str) -> DomainKnowledge:
             if name is not None:
                 raise RecipeSyntaxError("second knowledge header", lineno)
             name = _expect(tokens, 1, "string", "a quoted name", lineno)
+            if len(tokens) > 2:
+                raise RecipeSyntaxError("trailing tokens after name", lineno)
 
         elif head in ("anchor", "remove"):
             target = _expect_id(tokens, 1, "an id", lineno)
@@ -309,6 +311,8 @@ def parse_knowledge(source: str) -> DomainKnowledge:
             a = _expect_id(tokens, 1, "an id", lineno)
             braces = _expect(tokens, 2, "braces", "a relation set", lineno)
             b = _expect_id(tokens, 3, "an id", lineno)
+            if len(tokens) > 4:
+                raise RecipeSyntaxError("trailing tokens after rel", lineno)
             try:
                 rel = Relation.parse(braces)
             except ValueError as exc:

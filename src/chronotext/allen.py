@@ -11,12 +11,16 @@ path around it.
 The composition table below was generated from exhaustive enumeration of
 endpoint weak orders and is embedded as a constant; the test suite
 re-derives it independently.
+
+The calculus value, the network base class and the path-consistency
+routine defined here serve the INDU algebra as well.
 """
 
 from __future__ import annotations
 
 import enum
 import re
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -92,30 +96,47 @@ COMPOSITION = (
     (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096),
 )
 
-def _converse_mask(mask: int) -> int:
-    out = 0
-    for atom in BaseRelation:
-        if mask & (1 << atom):
-            out |= 1 << atom.converse
-    return out
+
+@dataclass(frozen=True)
+class Calculus:
+    """A qualitative calculus over bitmask relations: the composition row
+    of each atom, the converse atom of each atom, and the identity and
+    full masks.  Its `compose` and `converse` lift the atom tables to
+    arbitrary masks."""
+
+    rows: tuple[tuple[int, ...], ...]
+    conv: tuple[int, ...]
+    identity: int
+    full: int
+
+    def compose(self, m1: int, m2: int) -> int:
+        out = 0
+        rows, full = self.rows, self.full
+        while m1:
+            low = m1 & -m1
+            m1 ^= low
+            row = rows[low.bit_length() - 1]
+            rest = m2
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                out |= row[bit.bit_length() - 1]
+            if out == full:
+                break
+        return out
+
+    def converse(self, mask: int) -> int:
+        out = 0
+        conv = self.conv
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            out |= 1 << conv[low.bit_length() - 1]
+        return out
 
 
-_CONV_TABLE = tuple(_converse_mask(1 << i) for i in range(N_ATOMS))
-
-
-def _compose_mask(m1: int, m2: int) -> int:
-    out = 0
-    i = 0
-    while m1 >> i:
-        if m1 & (1 << i):
-            row = COMPOSITION[i]
-            j = 0
-            while m2 >> j:
-                if m2 & (1 << j):
-                    out |= row[j]
-                j += 1
-        i += 1
-    return out
+ALLEN = Calculus(COMPOSITION, tuple(int(a.converse) for a in BaseRelation),
+                 1 << BaseRelation.e, FULL_MASK)
 
 
 @dataclass(frozen=True, order=False)
@@ -183,14 +204,10 @@ class Relation:
         return self.mask & ~other.mask == 0
 
     def converse(self) -> "Relation":
-        out = 0
-        for i in range(N_ATOMS):
-            if self.mask & (1 << i):
-                out |= _CONV_TABLE[i]
-        return Relation(out)
+        return Relation(ALLEN.converse(self.mask))
 
     def compose(self, other: "Relation") -> "Relation":
-        return Relation(_compose_mask(self.mask, other.mask))
+        return Relation(ALLEN.compose(self.mask, other.mask))
 
     def __str__(self) -> str:
         return "{" + ",".join(a.name for a in self.atoms) + "}"
@@ -239,44 +256,54 @@ def base_relation_of(x: Endpoints, y: Endpoints) -> BaseRelation:
     return BaseRelation.o if xs < ys else BaseRelation.oi
 
 
-class QCN:
-    """A qualitative constraint network over named intervals.
+class Network:
+    """A constraint network over named intervals for one calculus.
 
-    The constraint matrix is converse-symmetric with {e} on the diagonal;
-    cells are Relations.  Instances are immutable; tightening operations
-    return new networks.
+    The matrix is converse-symmetric with the identity on the diagonal;
+    cells are masks, read back as the subclass's relation type.
+    Instances are immutable; tightening operations return new networks.
     """
 
     __slots__ = ("intervals", "_index", "_matrix")
+    calculus: Calculus
+    relation: type
 
     def __init__(self, intervals: Sequence[str], matrix: Sequence[Sequence[int]] | None = None):
         intervals = tuple(intervals)
         if len(set(intervals)) != len(intervals):
             raise ValueError("duplicate interval ids")
+        calc = self.calculus
         n = len(intervals)
         if matrix is None:
-            matrix = [[FULL_MASK] * n for _ in range(n)]
+            matrix = [[calc.full] * n for _ in range(n)]
             for i in range(n):
-                matrix[i][i] = 1 << BaseRelation.e
+                matrix[i][i] = calc.identity
         rows = tuple(tuple(row) for row in matrix)
         for i in range(n):
-            if rows[i][i] != 1 << BaseRelation.e:
-                raise ValueError("diagonal cells must be {e}")
+            if rows[i][i] != calc.identity:
+                raise ValueError(f"diagonal cells must be {self.relation(calc.identity)}")
             for j in range(n):
-                if rows[j][i] != _converse_mask(rows[i][j]):
+                if rows[j][i] != calc.converse(rows[i][j]):
                     raise ValueError("constraint matrix must be converse-symmetric")
+        self._init(intervals, rows)
+
+    def _init(self, intervals, rows) -> None:
         object.__setattr__(self, "intervals", intervals)
         object.__setattr__(self, "_index", {name: i for i, name in enumerate(intervals)})
         object.__setattr__(self, "_matrix", rows)
 
     def __setattr__(self, name, value):
-        raise AttributeError("QCN is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
-    def build(cls, intervals: Sequence[str],
-              constraints: Sequence[tuple[str, Relation, str]] = ()) -> "QCN":
-        """Construct a network, intersecting repeated constraints on a pair."""
+    def build(cls, intervals: Sequence[str], constraints=()):
+        """Construct a network, intersecting repeated constraints on a pair.
+
+        A self-constraint that excludes the identity is an error; one that
+        admits it says nothing and is dropped.
+        """
         net = cls(intervals)
+        converse = cls.calculus.converse
         m = [list(row) for row in net._matrix]
         idx = net._index
         for a, rel, b in constraints:
@@ -285,31 +312,30 @@ class QCN:
                 raise KeyError(f"unknown interval {missing!r}")
             i, j = idx[a], idx[b]
             if i == j:
-                if BaseRelation.e not in rel:
+                if not rel.mask & cls.calculus.identity:
                     raise ValueError(f"self-constraint on {a!r} excludes equality")
                 continue
             m[i][j] &= rel.mask
-            m[j][i] = _converse_mask(m[i][j])
+            m[j][i] = converse(m[i][j])
         return cls(intervals, m)
 
-    def cell(self, a: str, b: str) -> Relation:
-        return Relation(self._matrix[self._index[a]][self._index[b]])
+    def cell(self, a: str, b: str):
+        return self.relation(self._matrix[self._index[a]][self._index[b]])
 
-    def with_cell(self, a: str, b: str, rel: Relation) -> "QCN":
+    def with_cell(self, a: str, b: str, rel):
         i, j = self._index[a], self._index[b]
         if i == j:
             raise ValueError("cannot replace a diagonal cell")
         m = [list(row) for row in self._matrix]
         m[i][j] = rel.mask
-        m[j][i] = _converse_mask(rel.mask)
-        return QCN(self.intervals, m)
+        m[j][i] = self.calculus.converse(rel.mask)
+        return type(self)(self.intervals, m)
 
-    def restricted(self, keep: Sequence[str]) -> "QCN":
+    def restricted(self, keep: Sequence[str]):
         """The induced subnetwork on the given intervals (order preserved)."""
         keep = tuple(keep)
         idx = [self._index[k] for k in keep]
-        m = [[self._matrix[i][j] for j in idx] for i in idx]
-        return QCN(keep, m)
+        return type(self)(keep, [[self._matrix[i][j] for j in idx] for i in idx])
 
     @property
     def inconsistent(self) -> bool:
@@ -319,24 +345,74 @@ class QCN:
         return len(self.intervals)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, QCN) and self.intervals == other.intervals
+        return (type(other) is type(self) and self.intervals == other.intervals
                 and self._matrix == other._matrix)
 
     def __hash__(self) -> int:
         return hash((self.intervals, self._matrix))
 
     def __repr__(self) -> str:
-        return f"QCN({list(self.intervals)!r}, <{len(self)}x{len(self)}>)"
+        return f"{type(self).__name__}({list(self.intervals)!r}, <{len(self)}x{len(self)}>)"
 
     @classmethod
-    def _raw(cls, intervals, matrix) -> "QCN":
+    def _raw(cls, intervals, matrix):
         # bypass invariant checks for matrices produced by trusted internal code
         self = object.__new__(cls)
-        rows = tuple(tuple(row) for row in matrix)
-        object.__setattr__(self, "intervals", tuple(intervals))
-        object.__setattr__(self, "_index", {name: i for i, name in enumerate(intervals)})
-        object.__setattr__(self, "_matrix", rows)
+        self._init(tuple(intervals), tuple(tuple(row) for row in matrix))
         return self
+
+
+class QCN(Network):
+    """A qualitative constraint network over named intervals with Allen
+    relations in its cells."""
+
+    __slots__ = ()
+    calculus = ALLEN
+    relation = Relation
+
+
+def path_consistency(net: Network) -> Network:
+    """Queue-driven path consistency (PC-2) over the network's calculus.
+
+    Every pair i < j starts on a FIFO queue.  Popping (i, j) revises
+    (i, k) with C[i][j] C[j][k] and (k, j) with C[k][i] C[i][j] for every
+    other k; a pair whose cell shrinks is queued again unless it is
+    already waiting.  Stops at the first empty cell.
+    """
+    calc = net.calculus
+    compose, converse = calc.compose, calc.converse
+    n = len(net.intervals)
+    m = [list(row) for row in net._matrix]
+    queue = deque((i, j) for i in range(n) for j in range(i + 1, n))
+    waiting = [[j > i for j in range(n)] for i in range(n)]
+
+    def revise(a: int, b: int, bound: int) -> bool:
+        """C[a][b] &= bound; False when the cell empties."""
+        cur = m[a][b]
+        new = cur & bound
+        if new == cur:
+            return True
+        m[a][b] = new
+        m[b][a] = converse(new)
+        if a > b:
+            a, b = b, a
+        if not waiting[a][b]:
+            waiting[a][b] = True
+            queue.append((a, b))
+        return new != 0
+
+    while queue:
+        i, j = queue.popleft()
+        waiting[i][j] = False
+        rel = m[i][j]
+        mj = m[j]
+        for k in range(n):
+            if k == i or k == j:
+                continue
+            if not (revise(i, k, compose(rel, mj[k]))
+                    and revise(k, j, compose(m[k][i], rel))):
+                return net._raw(net.intervals, m)
+    return net._raw(net.intervals, m)
 
 
 def close(net: QCN) -> QCN:
@@ -345,34 +421,10 @@ def close(net: QCN) -> QCN:
 
     Output cells are subsets of input cells and the operation is
     idempotent.  An empty cell marks the network inconsistent; closure
-    stops there and returns the partially tightened network.
+    stops there, so the other cells of an inconsistent result are only
+    partially tightened and depend on the revision order.
     """
-    n = len(net.intervals)
-    m = [list(row) for row in net._matrix]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            mi_ = m[i]
-            for j in range(n):
-                if i == j:
-                    continue
-                cur = mi_[j]
-                for k in range(n):
-                    if k == i or k == j:
-                        continue
-                    tightened = cur & _compose_mask(mi_[k], m[k][j])
-                    if tightened != cur:
-                        cur = tightened
-                        if cur == 0:
-                            mi_[j] = 0
-                            m[j][i] = 0
-                            return QCN._raw(net.intervals, m)
-                if cur != mi_[j]:
-                    mi_[j] = cur
-                    m[j][i] = _converse_mask(cur)
-                    changed = True
-    return QCN._raw(net.intervals, m)
+    return path_consistency(net)
 
 
 def atomic_consistent(net: QCN) -> tuple[bool, Optional[QCN]]:
@@ -406,7 +458,7 @@ def atomic_consistent(net: QCN) -> tuple[bool, Optional[QCN]]:
                 continue
             m = [list(row) for row in current._matrix]
             m[i][j] = bit
-            m[j][i] = _CONV_TABLE[a]
+            m[j][i] = ALLEN.converse(bit)
             tightened = close(QCN._raw(current.intervals, m))
             if tightened.inconsistent:
                 continue

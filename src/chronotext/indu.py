@@ -12,10 +12,11 @@ rule.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple
 
 from .allen import (
-    COMPOSITION, FULL_MASK as ALLEN_FULL, N_ATOMS, QCN, BaseRelation, Relation,
+    COMPOSITION, N_ATOMS, QCN, BaseRelation, Calculus, Network, Relation,
+    path_consistency,
 )
 
 SIGNS = ("<", "=", ">")
@@ -72,13 +73,6 @@ def valid_atoms() -> tuple[INDUAtom, ...]:
     return tuple(a for a in _ALL_ATOMS if a.valid)
 
 
-def _conv_slot(idx: int) -> int:
-    return _ALL_ATOMS[idx].converse.index
-
-
-_CONV_TABLE = tuple(_conv_slot(i) for i in range(N_SLOTS))
-
-
 def _compose_slots(i: int, j: int) -> int:
     a1, s1 = _ALL_ATOMS[i]
     a2, s2 = _ALL_ATOMS[j]
@@ -92,8 +86,11 @@ def _compose_slots(i: int, j: int) -> int:
     return out & VALID_MASK
 
 
-_COMPOSE_TABLE = tuple(
-    tuple(_compose_slots(i, j) for j in range(N_SLOTS)) for i in range(N_SLOTS)
+INDU = Calculus(
+    tuple(tuple(_compose_slots(i, j) for j in range(N_SLOTS)) for i in range(N_SLOTS)),
+    tuple(a.converse.index for a in _ALL_ATOMS),
+    1 << INDUAtom(BaseRelation.e, "=").index,
+    VALID_MASK,
 )
 
 
@@ -195,169 +192,46 @@ class INDURelation:
         return f"INDURelation.parse({str(self)!r})"
 
 
-INDU_IDENTITY = INDURelation.of((BaseRelation.e, "="))
+INDU_IDENTITY = INDURelation(INDU.identity)
 INDU_TAUTOLOGY = INDURelation(VALID_MASK)
 
 
 def indu_converse(rel: INDURelation) -> INDURelation:
-    out = 0
-    for i in range(N_SLOTS):
-        if rel.mask & (1 << i):
-            out |= 1 << _CONV_TABLE[i]
-    return INDURelation(out)
+    return INDURelation(INDU.converse(rel.mask))
 
 
 def indu_compose(r1: INDURelation, r2: INDURelation) -> INDURelation:
-    out = 0
-    m1 = r1.mask
-    i = 0
-    while m1 >> i:
-        if m1 & (1 << i):
-            row = _COMPOSE_TABLE[i]
-            m2 = r2.mask
-            j = 0
-            while m2 >> j:
-                if m2 & (1 << j):
-                    out |= row[j]
-                j += 1
-        i += 1
-    return INDURelation(out)
+    return INDURelation(INDU.compose(r1.mask, r2.mask))
 
 
-class INDUNetwork:
+class INDUNetwork(Network):
     """Interval network with INDU cells; same shape contract as QCN
     (diagonal identity, converse symmetry, immutable)."""
 
-    __slots__ = ("intervals", "_index", "_matrix")
-
-    def __init__(self, intervals: Sequence[str], matrix=None):
-        intervals = tuple(intervals)
-        if len(set(intervals)) != len(intervals):
-            raise ValueError("duplicate interval ids")
-        n = len(intervals)
-        ident = INDU_IDENTITY.mask
-        if matrix is None:
-            matrix = [[VALID_MASK] * n for _ in range(n)]
-            for i in range(n):
-                matrix[i][i] = ident
-        rows = tuple(tuple(row) for row in matrix)
-        for i in range(n):
-            if rows[i][i] != ident:
-                raise ValueError("diagonal cells must be {e^=}")
-            for j in range(n):
-                if rows[j][i] != indu_converse(INDURelation(rows[i][j])).mask:
-                    raise ValueError("constraint matrix must be converse-symmetric")
-        object.__setattr__(self, "intervals", intervals)
-        object.__setattr__(self, "_index", {name: i for i, name in enumerate(intervals)})
-        object.__setattr__(self, "_matrix", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("INDUNetwork is immutable")
-
-    @classmethod
-    def build(cls, intervals: Sequence[str],
-              constraints: Sequence[tuple[str, INDURelation, str]] = ()) -> "INDUNetwork":
-        net = cls(intervals)
-        m = [list(row) for row in net._matrix]
-        idx = net._index
-        for a, rel, b in constraints:
-            if a not in idx or b not in idx:
-                missing = a if a not in idx else b
-                raise KeyError(f"unknown interval {missing!r}")
-            i, j = idx[a], idx[b]
-            if i == j:
-                continue
-            m[i][j] &= rel.mask
-            m[j][i] = indu_converse(INDURelation(m[i][j])).mask
-        return cls(intervals, m)
-
-    @classmethod
-    def _raw(cls, intervals, matrix) -> "INDUNetwork":
-        self = object.__new__(cls)
-        object.__setattr__(self, "intervals", tuple(intervals))
-        object.__setattr__(self, "_index", {name: i for i, name in enumerate(intervals)})
-        object.__setattr__(self, "_matrix", tuple(tuple(row) for row in matrix))
-        return self
-
-    def cell(self, a: str, b: str) -> INDURelation:
-        return INDURelation(self._matrix[self._index[a]][self._index[b]])
-
-    @property
-    def inconsistent(self) -> bool:
-        return any(0 in row for row in self._matrix)
-
-    def __len__(self) -> int:
-        return len(self.intervals)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, INDUNetwork) and self.intervals == other.intervals
-                and self._matrix == other._matrix)
-
-    def __hash__(self) -> int:
-        return hash((self.intervals, self._matrix))
+    __slots__ = ()
+    calculus = INDU
+    relation = INDURelation
 
 
 def indu_close(net: INDUNetwork) -> INDUNetwork:
     """Triangle fixpoint with INDU composition; cells only shrink, the
-    result is idempotent, and an empty cell flags inconsistency."""
-    n = len(net.intervals)
-    m = [list(row) for row in net._matrix]
+    result is idempotent, and an empty cell flags inconsistency (the
+    other cells of an inconsistent result are only partially tightened)."""
+    return path_consistency(net)
 
-    def compose_masks(m1: int, m2: int) -> int:
-        out = 0
-        i = 0
-        while m1 >> i:
-            if m1 & (1 << i):
-                row = _COMPOSE_TABLE[i]
-                j = 0
-                while m2 >> j:
-                    if m2 & (1 << j):
-                        out |= row[j]
-                    j += 1
-            i += 1
-        return out
 
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                cur = m[i][j]
-                for k in range(n):
-                    if k == i or k == j:
-                        continue
-                    cur &= compose_masks(m[i][k], m[k][j])
-                    if cur == 0:
-                        m[i][j] = 0
-                        m[j][i] = 0
-                        return INDUNetwork._raw(net.intervals, m)
-                if cur != m[i][j]:
-                    m[i][j] = cur
-                    m[j][i] = indu_converse(INDURelation(cur)).mask
-                    changed = True
-    return INDUNetwork._raw(net.intervals, m)
+def _allen_part(mask: int) -> int:
+    out = 0
+    for slot in range(N_SLOTS):
+        if mask & (1 << slot):
+            out |= 1 << (slot // 3)
+    return out
 
 
 def project_allen(net: INDUNetwork) -> QCN:
     """Drop the duration signs, keeping the union of Allen parts per cell."""
-    n = len(net.intervals)
-    m = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            allen_mask = 0
-            cell = net._matrix[i][j]
-            for slot in range(N_SLOTS):
-                if cell & (1 << slot):
-                    allen_mask |= 1 << (slot // 3)
-            m[i][j] = allen_mask
-    return QCN(net.intervals, m)
+    return QCN(net.intervals, [[_allen_part(c) for c in row] for row in net._matrix])
 
 
 def project_relation(rel: INDURelation) -> Relation:
-    mask = 0
-    for slot in range(N_SLOTS):
-        if rel.mask & (1 << slot):
-            mask |= 1 << (slot // 3)
-    return Relation(mask)
+    return Relation(_allen_part(rel.mask))

@@ -272,15 +272,13 @@ class STP:
         return f"STP(<{len(self.points)} points>{flag})"
 
 
-def stp_close(s: STP) -> STP:
-    """All-pairs shortest paths over the distance graph.
+def _shortest_paths(u: list[list[Bound]]) -> bool:
+    """Floyd-Warshall over a bound matrix, in place.
 
-    Returns the minimal network: every pair carries its tightest implied
-    window.  A cycle of negative total weight, or zero weight with a
-    strict leg, flags the result inconsistent.
+    False when the distance graph has a cycle of negative total weight,
+    or of zero weight with a strict leg.
     """
-    n = len(s.points)
-    u = [list(row) for row in s._u]
+    n = len(u)
     for k in range(n):
         uk = u[k]
         for i in range(n):
@@ -293,7 +291,20 @@ def stp_close(s: STP) -> STP:
     for i in range(n):
         v, strict = u[i][i]
         if v is not None and (v < 0 or (v == 0 and strict)):
-            return STP(s.points, u, inconsistent=True)
+            return False
+    return True
+
+
+def stp_close(s: STP) -> STP:
+    """All-pairs shortest paths over the distance graph.
+
+    Returns the minimal network: every pair carries its tightest implied
+    window.  A cycle of negative total weight, or zero weight with a
+    strict leg, flags the result inconsistent.
+    """
+    u = [list(row) for row in s._u]
+    if not _shortest_paths(u):
+        return STP(s.points, u, inconsistent=True)
     return STP(s.points, u, minimal=True)
 
 
@@ -421,20 +432,11 @@ def _endpoint_submatrix(s: STP, pts: Sequence[str]):
 def _consistent_overlay(sub, extra) -> bool:
     """Overlay extra (i, j, Bound-forward, Bound-backward) constraints on a
     small bound matrix and test for a negative cycle."""
-    n = len(sub)
     u = [row[:] for row in sub]
     for i, j, fwd, bwd in extra:
         u[i][j] = _btighter(u[i][j], fwd)
         u[j][i] = _btighter(u[j][i], bwd)
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                u[i][j] = _btighter(u[i][j], _badd(u[i][k], u[k][j]))
-    for i in range(n):
-        v, strict = u[i][i]
-        if v is not None and (v < 0 or (v == 0 and strict)):
-            return False
-    return True
+    return _shortest_paths(u)
 
 
 def metric_to_allen(s: STP, x: str, y: str) -> Relation:

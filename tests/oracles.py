@@ -164,3 +164,39 @@ def stp_minimal_by_paths(points, upper):
                     b = tighter(b, w)
             best[(points[i], points[j])] = b
     return best
+
+
+def sweep_closure(matrix, table, conv):
+    """Path consistency by plain sweeps over raw masks: tighten every cell
+    with every two-leg path until a whole sweep changes nothing.
+
+    `table[a][b]` is the composition mask of atoms a and b, `conv[a]` the
+    converse atom of a.  Returns the closed matrix, or None as soon as a
+    cell empties.
+    """
+    n, atoms = len(matrix), range(len(table))
+
+    def compose(m1, m2):
+        out = 0
+        for a in atoms:
+            if m1 >> a & 1:
+                for b in atoms:
+                    if m2 >> b & 1:
+                        out |= table[a][b]
+        return out
+
+    m = [list(row) for row in matrix]
+    changed = True
+    while changed:
+        changed = False
+        for i, j, k in product(range(n), repeat=3):
+            if len({i, j, k}) < 3:
+                continue
+            cur = m[i][j] & compose(m[i][k], m[k][j])
+            if cur != m[i][j]:
+                if not cur:
+                    return None
+                m[i][j] = cur
+                m[j][i] = sum(1 << conv[a] for a in atoms if cur >> a & 1)
+                changed = True
+    return m

@@ -146,6 +146,19 @@ class TestParseKnowledge:
         with pytest.raises(ValueError, match="unknown id 'ghost'"):
             parse_knowledge('knowledge "k"\nstep s "stir"\nrel s {b} ghost\n')
 
+    def test_trailing_tokens_after_rel(self):
+        text = ('knowledge "k"\nstep cook_lentils "cook lentils"\n'
+                'step drain_lentils "drain lentils"\n'
+                'rel cook_lentils {b,m} drain_lentils junk\n')
+        with pytest.raises(RecipeSyntaxError, match="trailing tokens after rel") as err:
+            parse_knowledge(text)
+        assert err.value.line == 4
+
+    def test_trailing_tokens_after_header(self):
+        with pytest.raises(RecipeSyntaxError, match="trailing tokens after name") as err:
+            parse_knowledge('knowledge "k" extra\nanchor combine\n')
+        assert err.value.line == 1
+
     def test_anchor_only_relation_rejected(self):
         with pytest.raises(ValueError, match="touches no knowledge node"):
             DomainKnowledge("k", anchors=("a", "b"),

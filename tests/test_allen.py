@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from chronotext.allen import (
-    FULL, FULL_MASK, EMPTY, BaseRelation, QCN, Relation,
+    ALLEN, FULL, FULL_MASK, EMPTY, BaseRelation, QCN, Relation,
     atomic_consistent, base_relation_of, close, format_qcn, parse_qcn,
     realize_small,
 )
-from oracles import composition_by_enumeration, realizable_atom_triples
+from oracles import composition_by_enumeration, realizable_atom_triples, sweep_closure
 
 relations = st.builds(Relation, st.integers(min_value=0, max_value=FULL_MASK))
 
@@ -177,6 +177,29 @@ class TestClose:
                     induced = base_relation_of(witness[a], witness[b_])
                     if induced in net.cell(a, b_):
                         assert induced in closed.cell(a, b_)
+
+
+class TestCloseAgainstSweep:
+    def test_random_networks(self):
+        # same verdict as the plain sweep, and the same matrix when consistent
+        rng = random.Random(2011)
+        verdicts = []
+        for _ in range(120):
+            n = rng.randint(3, 7)
+            names = [f"v{i}" for i in range(n)]
+            density = rng.uniform(0.3, 1.0)
+            cons = [(names[i], Relation.of(*rng.sample(list(BaseRelation), rng.randint(1, 5))),
+                     names[j])
+                    for i in range(n) for j in range(i + 1, n) if rng.random() < density]
+            net = QCN.build(names, cons)
+            closed = close(net)
+            matrix = [[net.cell(a, b).mask for b in names] for a in names]
+            expected = sweep_closure(matrix, ALLEN.rows, ALLEN.conv)
+            assert closed.inconsistent == (expected is None)
+            if expected is not None:
+                assert closed == QCN(names, expected)
+            verdicts.append(closed.inconsistent)
+        assert 10 <= sum(verdicts) <= 110
 
 
 class TestAtomicConsistent:

@@ -1,9 +1,13 @@
 """Command-line behaviour: outputs, exit codes, stream separation."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import chronotext
 from chronotext.cli import run
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -193,3 +197,27 @@ class TestUsage:
             run(["frobnicate", LUTHERAN])
         assert err.value.code == 2
         capsys.readouterr()
+
+
+class TestModuleEntryPoints:
+    """`python -m chronotext.cli` and `python -m chronotext` run the CLI."""
+
+    @staticmethod
+    def _run_module(module, *args):
+        src = str(Path(chronotext.__file__).resolve().parent.parent)
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        return subprocess.run([sys.executable, "-m", module, *args], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    @pytest.mark.parametrize("module", ["chronotext.cli", "chronotext"])
+    def test_check_consistent(self, module):
+        done = self._run_module(module, "check", LUTHERAN)
+        assert done.returncode == 0
+        assert done.stdout == "scenario base: consistent\n"
+
+    @pytest.mark.parametrize("module", ["chronotext.cli", "chronotext"])
+    def test_check_inconsistent(self, module):
+        done = self._run_module(module, "check", CYCLIC)
+        assert done.returncode == 1
+        assert done.stdout == "scenario base: inconsistent\n"

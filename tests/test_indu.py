@@ -4,11 +4,13 @@ import pytest
 
 from chronotext.allen import BaseRelation, Relation, close
 from chronotext.indu import (
-    INDU_IDENTITY, INDU_TAUTOLOGY, VALID_MASK, INDUAtom, INDUNetwork,
+    INDU, INDU_IDENTITY, INDU_TAUTOLOGY, VALID_MASK, INDUAtom, INDUNetwork,
     INDURelation, indu_close, indu_compose, indu_converse, project_allen,
     project_relation, valid_atoms,
 )
-from oracles import indu_pairs_by_enumeration, indu_triples_by_enumeration
+from oracles import (
+    indu_pairs_by_enumeration, indu_triples_by_enumeration, sweep_closure,
+)
 
 
 def A(name, sign):
@@ -132,6 +134,37 @@ class TestClose:
                  ("x", INDURelation.of(p3), "z")],
             )
             assert not indu_close(net).inconsistent, (p1, p2, p3)
+
+
+    def test_agrees_with_sweep(self):
+        # same verdict as the plain sweep, and the same matrix when consistent
+        rng = random.Random(2011)
+        verdicts = []
+        for _ in range(60):
+            n = rng.randint(3, 6)
+            names = [f"v{i}" for i in range(n)]
+            density = rng.uniform(0.3, 1.0)
+            cons = [(names[i], INDURelation.of(*rng.sample(valid_atoms(), rng.randint(1, 8))),
+                     names[j])
+                    for i in range(n) for j in range(i + 1, n) if rng.random() < density]
+            net = INDUNetwork.build(names, cons)
+            closed = indu_close(net)
+            matrix = [[net.cell(a, b).mask for b in names] for a in names]
+            expected = sweep_closure(matrix, INDU.rows, INDU.conv)
+            assert closed.inconsistent == (expected is None)
+            if expected is not None:
+                assert closed == INDUNetwork(names, expected)
+            verdicts.append(closed.inconsistent)
+        assert 5 <= sum(verdicts) <= 55
+
+
+class TestBuild:
+    def test_self_constraint_must_admit_identity(self):
+        # the rule QCN.build applies: a self-constraint without e^= is an error
+        with pytest.raises(ValueError, match="excludes equality"):
+            INDUNetwork.build(["x"], [("x", INDURelation.of(("b", "<")), "x")])
+        loose = INDU_IDENTITY | INDURelation.of(("b", "<"))
+        assert INDUNetwork.build(["x", "y"], [("x", loose, "x")]) == INDUNetwork(["x", "y"])
 
 
 class TestProjection:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .allen import FULL, Relation
-from .annotation import RecipeSyntaxError, _expect, _expect_id, _tokenize
+from .annotation import parse_dsl
 from .hybrid import HybridNetwork, hybrid_atomic_consistent
 from .metric import (
     BoundWindow,
@@ -30,7 +30,6 @@ from .recipe import (
     Recipe,
     StateNode,
     TimerNode,
-    encode_duration,
     encode_recipe,
 )
 
@@ -224,118 +223,21 @@ class DomainKnowledge:
 
 def parse_knowledge(source: str) -> DomainKnowledge:
     """Parse the knowledge file format: a `knowledge "<name>"` header,
-    then `anchor`, `remove`, `step`, `timer` and `rel` lines with the
-    recipe DSL's syntax.  Knowledge steps are not chained: only the
-    stated relations hold."""
-    name = None
-    removals: list[str] = []
-    anchors: list[str] = []
-    steps: list[ActionNode] = []
-    states: list[StateNode] = []
-    timers: list[TimerNode] = []
-    relations: list[tuple[str, Relation, str]] = []
-    durations: list[tuple[str, BoundWindow]] = []
-    until_links: list[tuple[str, str]] = []
-    declared: set[str] = set()
-
-    for lineno, line in enumerate(source.split("\n"), start=1):
-        tokens = _tokenize(line, lineno)
-        if not tokens:
-            continue
-        kind, head = tokens[0]
-        if kind != "word":
-            raise RecipeSyntaxError(f"unexpected {tokens[0][1]!r}", lineno)
-        if name is None and head != "knowledge":
-            raise RecipeSyntaxError("no knowledge header", lineno)
-
-        if head == "knowledge":
-            if name is not None:
-                raise RecipeSyntaxError("second knowledge header", lineno)
-            name = _expect(tokens, 1, "string", "a quoted name", lineno)
-            if len(tokens) > 2:
-                raise RecipeSyntaxError("trailing tokens after name", lineno)
-
-        elif head in ("anchor", "remove"):
-            target = _expect_id(tokens, 1, "an id", lineno)
-            if len(tokens) > 2:
-                raise RecipeSyntaxError(f"trailing tokens after {head}", lineno)
-            (anchors if head == "anchor" else removals).append(target)
-
-        elif head == "step":
-            id_ = _expect_id(tokens, 1, "an id", lineno)
-            text = _expect(tokens, 2, "string", "quoted text", lineno)
-            if id_ in declared:
-                raise RecipeSyntaxError(f"duplicate id {id_!r}", lineno)
-            declared.add(id_)
-            words = text.split()
-            if not words:
-                raise RecipeSyntaxError("empty step text", lineno)
-            steps.append(ActionNode(id_, words[0], tuple(words[1:])))
-            idx = 3
-            while idx < len(tokens):
-                word = _expect(tokens, idx, "word", "a step clause", lineno)
-                if word == "for":
-                    idx += 1
-                    parts = []
-                    while idx < len(tokens) and tokens[idx][0] == "word" \
-                            and tokens[idx][1] != "until":
-                        parts.append(tokens[idx][1])
-                        idx += 1
-                    try:
-                        durations.append((id_, encode_duration(" ".join(parts))))
-                    except ValueError as exc:
-                        raise RecipeSyntaxError(str(exc), lineno) from None
-                elif word == "until":
-                    predicate = _expect(tokens, idx + 1, "string",
-                                        "a quoted state after 'until'", lineno)
-                    idx += 2
-                    states.append(StateNode(f"{id_}.until", predicate))
-                    until_links.append((id_, f"{id_}.until"))
-                else:
-                    raise RecipeSyntaxError(f"unknown step clause {word!r}", lineno)
-
-        elif head == "timer":
-            id_ = _expect_id(tokens, 1, "an id", lineno)
-            parts = [v for k, v in tokens[2:] if k == "word"]
-            if len(parts) != len(tokens) - 2 or not parts:
-                raise RecipeSyntaxError("'timer <id> <duration>' expected", lineno)
-            if id_ in declared:
-                raise RecipeSyntaxError(f"duplicate id {id_!r}", lineno)
-            declared.add(id_)
-            try:
-                timers.append(TimerNode(id_, encode_duration(" ".join(parts))))
-            except ValueError as exc:
-                raise RecipeSyntaxError(str(exc), lineno) from None
-
-        elif head == "rel":
-            a = _expect_id(tokens, 1, "an id", lineno)
-            braces = _expect(tokens, 2, "braces", "a relation set", lineno)
-            b = _expect_id(tokens, 3, "an id", lineno)
-            if len(tokens) > 4:
-                raise RecipeSyntaxError("trailing tokens after rel", lineno)
-            try:
-                rel = Relation.parse(braces)
-            except ValueError as exc:
-                raise RecipeSyntaxError(str(exc), lineno) from None
-            if rel.is_empty:
-                raise RecipeSyntaxError("empty relation set", lineno)
-            relations.append((a, rel, b))
-
-        else:
-            raise RecipeSyntaxError(f"unknown directive {head!r}", lineno)
-
-    if name is None:
-        raise RecipeSyntaxError("no knowledge header")
+    then `anchor`, `remove`, `step`, `timer` and `rel` lines in the
+    recipe DSL's line grammar (`parse_dsl`), steps taking only `for` and
+    `until` clauses.  Knowledge steps are not chained: only the stated
+    relations hold."""
+    name, f = parse_dsl(source, "knowledge")
     return DomainKnowledge(
         name=name,
-        removals=tuple(removals),
-        anchors=tuple(anchors),
-        steps=tuple(steps),
-        states=tuple(states),
-        timers=tuple(timers),
-        relations=tuple(relations),
-        durations=tuple(durations),
-        until_links=tuple(until_links),
+        removals=f["removals"],
+        anchors=f["anchors"],
+        steps=f["steps"],
+        states=f["states"],
+        timers=f["timers"],
+        relations=f["relations"],
+        durations=f["durations"],
+        until_links=f["until_links"],
     )
 
 

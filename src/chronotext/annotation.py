@@ -1,6 +1,7 @@
 """Front-end parsers: a TimeML-subset markup reader and the plain-text
-recipe DSL, both carrying text spans back to the source so edits can be
-mapped onto it.
+line DSL shared by `.rcp` recipes and `.know` domain-knowledge files,
+both carrying text spans back to the source so edits can be mapped onto
+it.
 """
 
 from __future__ import annotations
@@ -322,21 +323,37 @@ def _action_from_text(id_, text, span, kind, meanwhile, lineno):
     return ActionNode(id_, words[0], tuple(words[1:]), span, kind, meanwhile)
 
 
-def parse_recipe_dsl(source: str) -> Recipe:
-    """Parse the line-oriented recipe DSL; see the README for the
-    grammar.  Spans on actions are the character ranges of their lines."""
-    title = None
-    prelims: list[ActionNode] = []
-    steps: list[ActionNode] = []
-    states: list[StateNode] = []
-    timers: list[TimerNode] = []
-    relations: list[tuple[str, Relation, str]] = []
-    markers: list[RepetitionMarker] = []
-    branches: list[AlternativeBranch] = []
-    durations: list[tuple[str, BoundWindow]] = []
-    until_links: list[tuple[str, str]] = []
-    last_links: list[tuple[str, str, str]] = []
+# Everything that differs between the two line formats: per header word,
+# the noun for its quoted string, the directives and the step clauses.
+_GRAMMARS = {
+    "recipe": ("title",
+               ("prelim", "step", "timer", "rel", "sporadic", "alternate",
+                "alt", "}"),
+               ("meanwhile", "for", "until", "last")),
+    "knowledge": ("name",
+                  ("anchor", "remove", "step", "timer", "rel"),
+                  ("for", "until")),
+}
+
+_FIELDS = ("preliminaries", "steps", "states", "timers", "relations",
+           "markers", "branches", "durations", "until_links", "last_links",
+           "anchors", "removals")
+
+
+def parse_dsl(source: str, header: str) -> tuple[str, dict[str, tuple]]:
+    """Parse the line DSL shared by `.rcp` recipes (header word "recipe")
+    and `.know` domain knowledge ("knowledge"); see the README for the
+    grammar.  Returns the header's quoted string and the parsed fields,
+    keyed by their `Recipe`/`DomainKnowledge` field names, plus
+    "anchors" and "removals".  Spans on actions and states are the
+    character ranges of their lines.  An id may be referenced before
+    the line that declares it; an id no line declares (anchors count as
+    declared) is an error at the referencing line."""
+    noun, directives, clauses = _GRAMMARS[header]
+    name = None
+    out: dict[str, list] = {key: [] for key in _FIELDS}
     declared: set[str] = set()
+    refs: list[tuple[str, int]] = []  # (id, line) to resolve after the loop
 
     branch: Optional[tuple[str, str, list[str], int]] = None  # id, guard, members, line
 
@@ -355,15 +372,24 @@ def parse_recipe_dsl(source: str) -> Recipe:
         kind, head = tokens[0]
         if kind != "word":
             raise RecipeSyntaxError(f"unexpected {tokens[0][1]!r}", lineno)
-        if title is None and head != "recipe":
-            raise RecipeSyntaxError("no recipe header", lineno)
+        if name is None and head != header:
+            raise RecipeSyntaxError(f"no {header} header", lineno)
 
-        if head == "recipe":
-            if title is not None:
-                raise RecipeSyntaxError("second recipe header", lineno)
-            title = _expect(tokens, 1, "string", "a quoted title", lineno)
+        if head == header:
+            if name is not None:
+                raise RecipeSyntaxError(f"second {header} header", lineno)
+            name = _expect(tokens, 1, "string", f"a quoted {noun}", lineno)
             if len(tokens) > 2:
-                raise RecipeSyntaxError("trailing tokens after title", lineno)
+                raise RecipeSyntaxError(f"trailing tokens after {noun}", lineno)
+
+        elif head not in directives:
+            raise RecipeSyntaxError(f"unknown directive {head!r}", lineno)
+
+        elif head in ("anchor", "remove"):
+            target = _expect_id(tokens, 1, "an id", lineno)
+            if len(tokens) > 2:
+                raise RecipeSyntaxError(f"trailing tokens after {head}", lineno)
+            out["anchors" if head == "anchor" else "removals"].append(target)
 
         elif head == "prelim":
             if branch is not None:
@@ -373,8 +399,8 @@ def parse_recipe_dsl(source: str) -> Recipe:
             if len(tokens) > 3:
                 raise RecipeSyntaxError("trailing tokens after prelim", lineno)
             declare(id_, lineno)
-            prelims.append(_action_from_text(id_, text, span, "preliminary",
-                                             False, lineno))
+            out["preliminaries"].append(_action_from_text(
+                id_, text, span, "preliminary", False, lineno))
 
         elif head == "step":
             id_ = _expect_id(tokens, 1, "an id", lineno)
@@ -387,6 +413,8 @@ def parse_recipe_dsl(source: str) -> Recipe:
             idx = 3
             while idx < len(tokens):
                 word = _expect(tokens, idx, "word", "a step clause", lineno)
+                if word not in clauses:
+                    raise RecipeSyntaxError(f"unknown step clause {word!r}", lineno)
                 if word == "meanwhile":
                     meanwhile = True
                     idx += 1
@@ -404,7 +432,7 @@ def parse_recipe_dsl(source: str) -> Recipe:
                     until_text = _expect(tokens, idx + 1, "string",
                                          "a quoted state after 'until'", lineno)
                     idx += 2
-                elif word == "last":
+                else:  # last
                     idx += 1
                     parts = []
                     while idx < len(tokens) and tokens[idx][0] == "word" \
@@ -417,25 +445,26 @@ def parse_recipe_dsl(source: str) -> Recipe:
                         raise RecipeSyntaxError("'last <dur> of <id>' expected", lineno)
                     last_phrase = " ".join(parts)
                     last_ref = _expect_id(tokens, idx + 1, "a reference id", lineno)
+                    refs.append((last_ref, lineno))
                     idx += 2
-                else:
-                    raise RecipeSyntaxError(f"unknown step clause {word!r}", lineno)
-            if meanwhile and not steps:
+            if meanwhile and not out["steps"]:
                 raise RecipeSyntaxError("first step cannot be 'meanwhile'", lineno)
             declare(id_, lineno)
-            steps.append(_action_from_text(id_, text, span, "step", meanwhile, lineno))
+            out["steps"].append(_action_from_text(id_, text, span, "step",
+                                                  meanwhile, lineno))
             if branch is not None:
                 branch[2].append(id_)
             try:
                 if for_phrase is not None and until_text is not None:
-                    durations.append((id_, BoundWindow.at_most(duration_cap(for_phrase))))
+                    out["durations"].append(
+                        (id_, BoundWindow.at_most(duration_cap(for_phrase))))
                 elif for_phrase is not None:
-                    durations.append((id_, encode_duration(for_phrase)))
+                    out["durations"].append((id_, encode_duration(for_phrase)))
                 if last_phrase is not None:
                     timer_id = f"{id_}.timer"
                     declare(timer_id, lineno)
-                    timers.append(TimerNode(timer_id, encode_duration(last_phrase)))
-                    last_links.append((id_, timer_id, last_ref))
+                    out["timers"].append(TimerNode(timer_id, encode_duration(last_phrase)))
+                    out["last_links"].append((id_, timer_id, last_ref))
             except ValueError as exc:
                 if isinstance(exc, RecipeSyntaxError):
                     raise
@@ -443,8 +472,8 @@ def parse_recipe_dsl(source: str) -> Recipe:
             if until_text is not None:
                 state_id = f"{id_}.until"
                 declare(state_id, lineno)
-                states.append(StateNode(state_id, until_text, span))
-                until_links.append((id_, state_id))
+                out["states"].append(StateNode(state_id, until_text, span))
+                out["until_links"].append((id_, state_id))
 
         elif head == "timer":
             id_ = _expect_id(tokens, 1, "an id", lineno)
@@ -453,7 +482,7 @@ def parse_recipe_dsl(source: str) -> Recipe:
                 raise RecipeSyntaxError("'timer <id> <duration>' expected", lineno)
             declare(id_, lineno)
             try:
-                timers.append(TimerNode(id_, encode_duration(" ".join(parts))))
+                out["timers"].append(TimerNode(id_, encode_duration(" ".join(parts))))
             except ValueError as exc:
                 raise RecipeSyntaxError(str(exc), lineno) from None
 
@@ -469,21 +498,20 @@ def parse_recipe_dsl(source: str) -> Recipe:
                 raise RecipeSyntaxError(str(exc), lineno) from None
             if rel.is_empty:
                 raise RecipeSyntaxError("empty relation set", lineno)
-            relations.append((a, rel, b))
+            out["relations"].append((a, rel, b))
+            refs += [(a, lineno), (b, lineno)]
 
-        elif head == "sporadic":
+        elif head in ("sporadic", "alternate"):
+            link, mode = (("in", "sporadic") if head == "sporadic"
+                          else ("with", "alternation"))
             target = _expect_id(tokens, 1, "an id", lineno)
-            if _expect(tokens, 2, "word", "'in'", lineno) != "in":
-                raise RecipeSyntaxError("'sporadic <id> in <id>' expected", lineno)
-            container = _expect_id(tokens, 3, "an id", lineno)
-            markers.append(RepetitionMarker(target, "sporadic", ref=container))
-
-        elif head == "alternate":
-            target = _expect_id(tokens, 1, "an id", lineno)
-            if _expect(tokens, 2, "word", "'with'", lineno) != "with":
-                raise RecipeSyntaxError("'alternate <id> with <id>' expected", lineno)
-            partner = _expect_id(tokens, 3, "an id", lineno)
-            markers.append(RepetitionMarker(target, "alternation", ref=partner))
+            if _expect(tokens, 2, "word", f"'{link}'", lineno) != link:
+                raise RecipeSyntaxError(f"'{head} <id> {link} <id>' expected", lineno)
+            ref = _expect_id(tokens, 3, "an id", lineno)
+            if len(tokens) > 4:
+                raise RecipeSyntaxError(f"trailing tokens after {head}", lineno)
+            out["markers"].append(RepetitionMarker(target, mode, ref=ref))
+            refs += [(target, lineno), (ref, lineno)]
 
         elif head == "alt":
             if branch is not None:
@@ -498,33 +526,42 @@ def parse_recipe_dsl(source: str) -> Recipe:
                 raise RecipeSyntaxError("alt block must open with '{'", lineno)
             branch = (bid, guard, [], lineno)
 
-        elif head == "}":
+        else:  # "}"
             if branch is None:
                 raise RecipeSyntaxError("'}' without open alt block", lineno)
+            if len(tokens) > 1:
+                raise RecipeSyntaxError("trailing tokens after '}'", lineno)
             bid, guard, members, _ = branch
-            branches.append(AlternativeBranch(bid, tuple(members), guard))
+            out["branches"].append(AlternativeBranch(bid, tuple(members), guard))
             branch = None
 
-        else:
-            raise RecipeSyntaxError(f"unknown directive {head!r}", lineno)
-
-    if title is None:
-        raise RecipeSyntaxError("no recipe header")
+    if name is None:
+        raise RecipeSyntaxError(f"no {header} header")
     if branch is not None:
         raise RecipeSyntaxError(f"unclosed alt block {branch[0]!r}", branch[3])
+    known = declared | set(out["anchors"])
+    for id_, lineno in refs:
+        if id_ not in known:
+            raise RecipeSyntaxError(f"unknown id {id_!r}", lineno)
+    return name, {key: tuple(items) for key, items in out.items()}
 
+
+def parse_recipe_dsl(source: str) -> Recipe:
+    """Parse the line-oriented recipe DSL (`parse_dsl` with the "recipe"
+    header).  Spans on actions are the character ranges of their lines."""
+    title, f = parse_dsl(source, "recipe")
     return Recipe(
         title=title,
-        preliminaries=tuple(prelims),
-        steps=tuple(steps),
-        states=tuple(states),
-        timers=tuple(timers),
-        relations=tuple(relations),
-        markers=tuple(markers),
-        branches=tuple(branches),
-        durations=tuple(durations),
-        until_links=tuple(until_links),
-        last_links=tuple(last_links),
+        preliminaries=f["preliminaries"],
+        steps=f["steps"],
+        states=f["states"],
+        timers=f["timers"],
+        relations=f["relations"],
+        markers=f["markers"],
+        branches=f["branches"],
+        durations=f["durations"],
+        until_links=f["until_links"],
+        last_links=f["last_links"],
     )
 
 

@@ -201,36 +201,25 @@ class STP:
               constraints: Iterable[tuple[str, str, BoundWindow]] = ()) -> "STP":
         """Construct from (from, to, window) triples; repeated windows on
         a pair conjoin by intersection."""
-        points = tuple(points)
-        index = {p: i for i, p in enumerate(points)}
+        return cls((), ()).with_constraints(constraints, points)
+
+    def with_constraints(self, constraints: Iterable[tuple[str, str, BoundWindow]],
+                         new_points: Sequence[str] = ()) -> "STP":
+        """This network on its points plus `new_points`, with the
+        (from, to, window) triples conjoined in."""
+        points = self.points + tuple(p for p in new_points if p not in self._index)
         n = len(points)
-        u = [[_INF] * n for _ in range(n)]
-        for i in range(n):
+        old = len(self.points)
+        u = [list(row) + [_INF] * (n - old) for row in self._u]
+        u += [[_INF] * n for _ in range(old, n)]
+        for i in range(old, n):
             u[i][i] = _ZERO
+        index = {p: i for i, p in enumerate(points)}
         for frm, to, w in constraints:
             if frm not in index:
                 raise KeyError(f"unknown point {frm!r}")
             if to not in index:
                 raise KeyError(f"unknown point {to!r}")
-            i, j = index[frm], index[to]
-            fwd, bwd = _window_to_bounds(w)
-            u[i][j] = _btighter(u[i][j], fwd)
-            u[j][i] = _btighter(u[j][i], bwd)
-        return cls(points, u)
-
-    def with_constraints(self, constraints: Iterable[tuple[str, str, BoundWindow]],
-                         new_points: Sequence[str] = ()) -> "STP":
-        points = self.points + tuple(p for p in new_points if p not in self._index)
-        n = len(points)
-        u = [[_INF] * n for _ in range(n)]
-        for i in range(n):
-            u[i][i] = _ZERO
-        old = len(self.points)
-        for i in range(old):
-            for j in range(old):
-                u[i][j] = self._u[i][j]
-        index = {p: i for i, p in enumerate(points)}
-        for frm, to, w in constraints:
             i, j = index[frm], index[to]
             fwd, bwd = _window_to_bounds(w)
             u[i][j] = _btighter(u[i][j], fwd)

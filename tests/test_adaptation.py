@@ -159,6 +159,22 @@ class TestParseKnowledge:
             parse_knowledge('knowledge "k" extra\nanchor combine\n')
         assert err.value.line == 1
 
+    @pytest.mark.parametrize("line", ["rel k0 {b} zz", "rel k0 {b} gone"])
+    def test_undeclared_id_reports_line(self, line):
+        # a removed recipe id is not declared by the knowledge either
+        text = ('knowledge "k"\nremove gone\nanchor combine\n'
+                f'step k0 "stir"\n{line}\n')
+        with pytest.raises(RecipeSyntaxError, match="unknown id") as err:
+            parse_knowledge(text)
+        assert err.value.line == 5
+
+    def test_anchors_and_forward_references_resolve(self):
+        k = parse_knowledge('knowledge "k"\nrel k0 {b} k1\n'
+                            'rel k1 {b} combine\nanchor combine\n'
+                            'step k0 "soak"\nstep k1 "cook"\n')
+        assert k.relations == (("k0", R("{b}"), "k1"),
+                               ("k1", R("{b}"), "combine"))
+
     def test_anchor_only_relation_rejected(self):
         with pytest.raises(ValueError, match="touches no knowledge node"):
             DomainKnowledge("k", anchors=("a", "b"),

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from chronotext.adaptation import parse_knowledge
 from chronotext.allen import FULL, Relation, close
 from chronotext.annotation import (
     AnnotationError,
@@ -298,6 +299,71 @@ class TestParseRecipeDsl:
     def test_second_header(self):
         with pytest.raises(RecipeSyntaxError, match="second recipe header"):
             parse_recipe_dsl('recipe "T"\nrecipe "U"\n')
+
+    @pytest.mark.parametrize("line", [
+        "rel s1 {b} zz",
+        "sporadic zz in s1",
+        "alternate s1 with zz",
+        'step s2 "fold" last 5 min of zz',
+    ])
+    def test_undeclared_id_reports_line(self, line):
+        with pytest.raises(RecipeSyntaxError, match="unknown id 'zz'") as err:
+            parse_recipe_dsl(f'recipe "T"\nstep s1 "stir"\n{line}\nstep s3 "rest"\n')
+        assert err.value.line == 3
+
+    def test_forward_references(self):
+        r = parse_recipe_dsl('recipe "T"\nstep s1 "stir"\n'
+                             'rel s1 {b} s2\nsporadic s1 in s2\n'
+                             'step s2 "simmer"\n')
+        assert r.relations == (("s1", Relation.parse("{b}"), "s2"),)
+
+    @pytest.mark.parametrize("line, what", [
+        ("sporadic s1 in s2 extra", "sporadic"),
+        ("alternate s1 with s2 extra", "alternate"),
+        ("} extra", "'}'"),
+    ])
+    def test_trailing_tokens_after_marker_or_closer(self, line, what):
+        source = ('recipe "T"\nstep s1 "stir"\nalt h {\nstep s2 "simmer"\n'
+                  f'{line}\n}}\n')
+        with pytest.raises(RecipeSyntaxError,
+                           match=f"trailing tokens after {what}") as err:
+            parse_recipe_dsl(source)
+        assert err.value.line == 5
+
+
+class TestSharedLineGrammar:
+    """`.rcp` and `.know` share one line grammar: the same step, timer
+    and rel lines mean the same under either header."""
+
+    BODY = ('step a "stir the pot" for 10 min until "thick"\n'
+            'step b "simmer" for 2-3 hours\n'
+            'step c "rest the dough" for about 10 min\n'
+            'timer t 90 min\n'
+            'rel a {b,m} b\n'
+            'rel c {bi} t\n')
+
+    def test_same_lines_parse_alike(self):
+        r = strip_spans(parse_recipe_dsl('recipe "k"\n' + self.BODY))
+        k = parse_knowledge('knowledge "k"\n' + self.BODY)
+        from_k = strip_spans(Recipe(k.name, steps=k.steps, states=k.states,
+                                    timers=k.timers, relations=k.relations,
+                                    durations=k.durations,
+                                    until_links=k.until_links))
+        for field in ("steps", "states", "timers", "relations", "durations",
+                      "until_links"):
+            assert getattr(from_k, field) == getattr(r, field), field
+        # R6: `for ... until` caps the duration in both formats
+        assert dict(k.durations)["a"] == BoundWindow.at_most(Fraction(10))
+
+    @pytest.mark.parametrize("parse, header", [
+        (parse_recipe_dsl, 'recipe "k"'),
+        (parse_knowledge, 'knowledge "k"'),
+    ])
+    def test_derived_until_id_clash_reports_line(self, parse, header):
+        source = f'{header}\ntimer a.until 5 min\n' + self.BODY
+        with pytest.raises(RecipeSyntaxError, match="duplicate id 'a.until'") as err:
+            parse(source)
+        assert err.value.line == 3
 
 
 class TestSerializeRecipeDsl:

@@ -58,6 +58,15 @@ class TestCheck:
         assert run(["check", str(bad)]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["rel x {b} zz", "sporadic x in y extra"])
+    def test_undeclared_id_or_trailing_tokens(self, capsys, tmp_path, line):
+        bad = tmp_path / "bad.rcp"
+        bad.write_text(f'recipe "r"\nstep x "stir"\nstep y "simmer"\n{line}\n')
+        assert run(["check", str(bad)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "line 4" in out.err
+
 
 class TestQuery:
     def test_closed_relation_and_window(self, capsys):
@@ -138,6 +147,12 @@ class TestAdapt:
                         'rel z {bi} s25\nrel z {b} s00\n')
         assert run(["adapt", str(recipe), str(know)]) == 3
         assert "error" in capsys.readouterr().err
+
+    def test_undeclared_id_exit_code(self, capsys, tmp_path):
+        know = tmp_path / "ghost.know"
+        know.write_text('knowledge "k"\nstep x "stir"\nrel x {b} zz\n')
+        assert run(["adapt", LUTHERAN, str(know)]) == 2
+        assert "line 3: unknown id 'zz'" in capsys.readouterr().err
 
     def test_hard_contradiction_exit_code(self, capsys, tmp_path):
         recipe = tmp_path / "tiny.rcp"

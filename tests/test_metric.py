@@ -106,6 +106,21 @@ class TestSTPBuild:
         with pytest.raises(ValueError):
             STP.build(["x", "x"])
 
+    def test_with_constraints_names_unknown_point(self):
+        with pytest.raises(KeyError, match="unknown point 'z'"):
+            STP.build(["x"]).with_constraints([("x", "z", BoundWindow.exact(0))])
+
+    def test_with_constraints_matches_build(self):
+        cons = [("x", "y", BoundWindow.closed(1, 5)),
+                ("y", "z", BoundWindow.closed(0, 2)),
+                ("x", "y", BoundWindow.closed(2, 9))]
+        grown = STP.build(["x", "y"], cons[:1]).with_constraints(cons[1:], ["y", "z"])
+        built = STP.build(["x", "y", "z"], cons)
+        assert grown.points == built.points
+        for a in built.points:
+            for b in built.points:
+                assert grown.window(a, b) == built.window(a, b)
+
 
 def simmer_stp():
     i = "simmer"

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .allen import FULL, Relation
-from .annotation import parse_dsl
+from .annotation import RecipeSyntaxError, parse_dsl
 from .hybrid import HybridNetwork, hybrid_atomic_consistent
 from .metric import (
     BoundWindow,
@@ -189,7 +189,8 @@ def remove_entities(h: HybridNetwork, ids: Iterable[str]) -> HybridNetwork:
 class DomainKnowledge:
     """A named sub-network to graft onto a recipe: new nodes, hard
     constraints among them and toward anchors, plus the entities the
-    substitution removes."""
+    substitution removes.  `lines` maps each node id to the `.know` line
+    declaring it, when the knowledge was parsed from text."""
 
     name: str
     removals: tuple[str, ...] = ()
@@ -200,6 +201,7 @@ class DomainKnowledge:
     relations: tuple[tuple[str, Relation, str], ...] = ()
     durations: tuple[tuple[str, BoundWindow], ...] = ()
     until_links: tuple[tuple[str, str], ...] = ()
+    lines: tuple[tuple[str, int], ...] = ()
 
     def __post_init__(self):
         new = [n.id for n in self.steps + self.states + self.timers]
@@ -238,6 +240,7 @@ def parse_knowledge(source: str) -> DomainKnowledge:
         relations=f["relations"],
         durations=f["durations"],
         until_links=f["until_links"],
+        lines=f["lines"],
     )
 
 
@@ -252,7 +255,9 @@ def inject(h: HybridNetwork, k: DomainKnowledge) -> TaggedNetwork:
     new_ids = k.new_ids()
     clash = existing & set(new_ids)
     if clash:
-        raise ValueError(f"knowledge node {min(clash)!r} already in network")
+        nid = min(clash)
+        raise RecipeSyntaxError(f"knowledge node {nid!r} already in network",
+                                dict(k.lines).get(nid))
 
     constraints = tag_soft(h)
     for a, rel, b in k.relations:

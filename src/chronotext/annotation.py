@@ -345,22 +345,24 @@ def parse_dsl(source: str, header: str) -> tuple[str, dict[str, tuple]]:
     and `.know` domain knowledge ("knowledge"); see the README for the
     grammar.  Returns the header's quoted string and the parsed fields,
     keyed by their `Recipe`/`DomainKnowledge` field names, plus
-    "anchors" and "removals".  Spans on actions and states are the
-    character ranges of their lines.  An id may be referenced before
-    the line that declares it; an id no line declares (anchors count as
-    declared) is an error at the referencing line."""
+    "anchors", "removals" and "lines", the (id, line) of every declared
+    id.  Spans on actions and states are the character ranges of their
+    lines.  An id may be referenced before the line that declares it; an
+    id no line declares (anchors count as declared) is an error at the
+    referencing line, and so is a `rel` between two undeclared ids."""
     noun, directives, clauses = _GRAMMARS[header]
     name = None
     out: dict[str, list] = {key: [] for key in _FIELDS}
-    declared: set[str] = set()
+    declared: dict[str, int] = {}  # id -> line
     refs: list[tuple[str, int]] = []  # (id, line) to resolve after the loop
+    rels: list[tuple[str, str, int]] = []
 
     branch: Optional[tuple[str, str, list[str], int]] = None  # id, guard, members, line
 
     def declare(id_, lineno):
         if id_ in declared:
             raise RecipeSyntaxError(f"duplicate id {id_!r}", lineno)
-        declared.add(id_)
+        declared[id_] = lineno
 
     offset = 0
     for lineno, line in enumerate(source.split("\n"), start=1):
@@ -500,6 +502,7 @@ def parse_dsl(source: str, header: str) -> tuple[str, dict[str, tuple]]:
                 raise RecipeSyntaxError("empty relation set", lineno)
             out["relations"].append((a, rel, b))
             refs += [(a, lineno), (b, lineno)]
+            rels.append((a, b, lineno))
 
         elif head in ("sporadic", "alternate"):
             link, mode = (("in", "sporadic") if head == "sporadic"
@@ -539,11 +542,17 @@ def parse_dsl(source: str, header: str) -> tuple[str, dict[str, tuple]]:
         raise RecipeSyntaxError(f"no {header} header")
     if branch is not None:
         raise RecipeSyntaxError(f"unclosed alt block {branch[0]!r}", branch[3])
-    known = declared | set(out["anchors"])
+    known = declared.keys() | set(out["anchors"])
     for id_, lineno in refs:
         if id_ not in known:
             raise RecipeSyntaxError(f"unknown id {id_!r}", lineno)
-    return name, {key: tuple(items) for key, items in out.items()}
+    for a, b, lineno in rels:
+        if a not in declared and b not in declared:
+            raise RecipeSyntaxError(
+                f"relation {a!r}/{b!r} touches no {header} node", lineno)
+    fields = {key: tuple(items) for key, items in out.items()}
+    fields["lines"] = tuple(declared.items())
+    return name, fields
 
 
 def parse_recipe_dsl(source: str) -> Recipe:

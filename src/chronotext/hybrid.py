@@ -130,13 +130,16 @@ def hybrid_close(h: HybridNetwork) -> HybridNetwork:
         if stp.inconsistent:
             return HybridNetwork(qcn, stp, h.anon_points)
 
+        # atomic cells were exported above, so the metric layer cannot
+        # tighten them; the others keep only the atoms it still admits
         changed = False
         ids = qcn.intervals
         for ai, a in enumerate(ids):
             for b in ids[ai + 1:]:
-                implied = metric_to_allen(stp, a, b)
                 cell = qcn.cell(a, b)
-                refined = cell & implied
+                if cell.is_atomic:
+                    continue
+                refined = metric_to_allen(stp, a, b, cell)
                 if refined != cell:
                     qcn = qcn.with_cell(a, b, refined)
                     changed = True

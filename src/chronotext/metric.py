@@ -3,18 +3,21 @@ problems (STP), their disjunctive extension (TCSP), and the two
 translations that connect interval relations to endpoint constraints.
 
 All quantities are exact rationals in canonical units of minutes.
-Strict inequalities are carried as explicit flags and propagated with
-lexicographic (value, strictness) arithmetic in the shortest-path
-computation; there are no epsilon approximations.
+Strict inequalities are carried as explicit flags.  The one
+shortest-path routine runs on an exact integer encoding of the
+(value, strictness) bounds, with strictness a -1 offset below a
+multiplier larger than the number of points; there are no epsilon
+approximations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
-from .allen import BaseRelation, Relation
+from .allen import FULL_MASK, BaseRelation, Relation
 
 
 class ScaleBoundExceeded(ValueError):
@@ -148,12 +151,6 @@ _INF: Bound = (None, True)
 _ZERO: Bound = (Fraction(0), False)
 
 
-def _badd(a: Bound, b: Bound) -> Bound:
-    if a[0] is None or b[0] is None:
-        return _INF
-    return (a[0] + b[0], a[1] or b[1])
-
-
 def _btighter(a: Bound, b: Bound) -> Bound:
     """The stronger of two upper bounds; at equal values strict wins."""
     if a[0] is None:
@@ -261,26 +258,61 @@ class STP:
         return f"STP(<{len(self.points)} points>{flag})"
 
 
+def _scaled(u: list[list[Bound]]) -> tuple[list[list[Optional[int]]], int, int]:
+    """Encode a bound matrix as integers, with the scale factors D and M.
+
+    A bound (v, strict) becomes v*D*M - strict, where D is the least
+    common multiple of the finite values' denominators and M = n + 1;
+    +infinity becomes None.  A simple path has at most n - 1 strict legs,
+    fewer than M, so integer sums order paths exactly as the
+    lexicographic (value, strict) arithmetic does.
+    """
+    m = len(u) + 1
+    d = 1
+    for row in u:
+        for v, _ in row:
+            if v is not None and d % v.denominator:
+                d = lcm(d, v.denominator)
+    dm = d * m
+    enc = [[None if v is None else v.numerator * (dm // v.denominator) - strict
+            for v, strict in row] for row in u]
+    return enc, d, m
+
+
+def _int_shortest_paths(e: list[list[Optional[int]]]) -> bool:
+    """Floyd-Warshall over an integer distance matrix (None is +infinity),
+    in place.  False when some cycle has negative total weight, in which
+    case the matrix is left partly tightened."""
+    for k, ek in enumerate(e):
+        legs = [(j, w) for j, w in enumerate(ek) if w is not None]
+        for ei in e:
+            eik = ei[k]
+            if eik is None:
+                continue
+            for j, w in legs:
+                c = eik + w
+                eij = ei[j]
+                if eij is None or c < eij:
+                    ei[j] = c
+    return all(row[i] is None or row[i] >= 0 for i, row in enumerate(e))
+
+
 def _shortest_paths(u: list[list[Bound]]) -> bool:
-    """Floyd-Warshall over a bound matrix, in place.
+    """All-pairs shortest paths over a bound matrix, in place, computed
+    on its integer encoding (`_scaled`).
 
     False when the distance graph has a cycle of negative total weight,
-    or of zero weight with a strict leg.
+    or of zero weight with a strict leg; `u` is then left unchanged.
     """
-    n = len(u)
-    for k in range(n):
-        uk = u[k]
-        for i in range(n):
-            uik = u[i][k]
-            if uik[0] is None:
-                continue
-            ui = u[i]
-            for j in range(n):
-                ui[j] = _btighter(ui[j], _badd(uik, uk[j]))
-    for i in range(n):
-        v, strict = u[i][i]
-        if v is not None and (v < 0 or (v == 0 and strict)):
-            return False
+    e, d, m = _scaled(u)
+    start = [row[:] for row in e]
+    if not _int_shortest_paths(e):
+        return False
+    for ui, ei, si in zip(u, e, start):
+        for j, v in enumerate(ei):
+            if v != si[j]:
+                q = -(-v // m)  # ceil(v / m)
+                ui[j] = (Fraction(q, d), q * m != v)
     return True
 
 
@@ -413,44 +445,56 @@ def allen_atom_to_points(atom: BaseRelation, x: str, y: str) -> tuple[tuple[str,
     return tuple(table[atom])
 
 
-def _endpoint_submatrix(s: STP, pts: Sequence[str]):
-    idx = [s._index[p] for p in pts]
-    return [[s._u[i][j] for j in idx] for i in idx]
+def _atom_edges() -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """Per atom, its endpoint constraints as encoded (i, j, bound) edges
+    over the local points 0-3 (x.start, x.end, y.start, y.end).  Every
+    finite atom bound has value 0, so it encodes as 0, or -1 when strict,
+    whatever the scale."""
+    local = {p: i for i, p in enumerate(
+        (start_of("x"), end_of("x"), start_of("y"), end_of("y")))}
+    table = []
+    for atom in BaseRelation:
+        edges = []
+        for frm, to, w in allen_atom_to_points(atom, "x", "y"):
+            i, j = local[frm], local[to]
+            for a, b, (v, strict) in zip((i, j), (j, i), _window_to_bounds(w)):
+                if v is not None:
+                    edges.append((a, b, -strict))
+        table.append(tuple(edges))
+    return tuple(table)
 
 
-def _consistent_overlay(sub, extra) -> bool:
-    """Overlay extra (i, j, Bound-forward, Bound-backward) constraints on a
-    small bound matrix and test for a negative cycle."""
-    u = [row[:] for row in sub]
-    for i, j, fwd, bwd in extra:
-        u[i][j] = _btighter(u[i][j], fwd)
-        u[j][i] = _btighter(u[j][i], bwd)
-    return _shortest_paths(u)
+_ATOM_EDGES = _atom_edges()
 
 
-def metric_to_allen(s: STP, x: str, y: str) -> Relation:
-    """The atoms compatible with a minimal STP's implied windows.
+def metric_to_allen(s: STP, x: str, y: str, within: Optional[Relation] = None) -> Relation:
+    """The atoms of `within` (default: all 13) compatible with a minimal
+    STP's implied windows.
 
     A minimal simple temporal network is globally consistent, so joint
     satisfiability of an atom's endpoint constraints can be decided on
-    the four-point projection alone.
+    the four-point projection alone: each atom's edges are added to the
+    integer-encoded 4x4 sub-matrix and tested for a negative cycle.
     """
     if not s.minimal or s.inconsistent:
         raise ValueError("metric_to_allen requires a minimal consistent network")
-    pts = (start_of(x), end_of(x), start_of(y), end_of(y))
-    for p in pts:
+    idx = []
+    for p in (start_of(x), end_of(x), start_of(y), end_of(y)):
         if not s.has_point(p):
             raise KeyError(f"interval endpoint {p!r} not in network")
-    sub = _endpoint_submatrix(s, pts)
-    local = {p: i for i, p in enumerate(pts)}
+        idx.append(s._index[p])
+    sub, _, _ = _scaled([[s._u[i][j] for j in idx] for i in idx])
+    candidates = FULL_MASK if within is None else within.mask
     mask = 0
-    for atom in BaseRelation:
-        extra = []
-        for frm, to, w in allen_atom_to_points(atom, x, y):
-            fwd, bwd = _window_to_bounds(w)
-            extra.append((local[frm], local[to], fwd, bwd))
-        if _consistent_overlay(sub, extra):
-            mask |= 1 << atom
+    while candidates:
+        low = candidates & -candidates
+        candidates ^= low
+        e = [row[:] for row in sub]
+        for i, j, w in _ATOM_EDGES[low.bit_length() - 1]:
+            if e[i][j] is None or w < e[i][j]:
+                e[i][j] = w
+        if _int_shortest_paths(e):
+            mask |= low
     return Relation(mask)
 
 

@@ -2,11 +2,24 @@
 
 Everything here is deliberately written against the raw endpoint
 semantics, not against the package's own tables or enumeration code, so
-that the two can check each other.
+that the two can check each other.  The exceptions are the reference
+versions of the metric layer's earlier algorithms (the tuple
+Floyd-Warshall and the 13-overlay read-back), which reuse the package's
+network types and atom-to-endpoint table to check its fast paths.
 """
 
 from fractions import Fraction
 from itertools import product
+
+from chronotext.allen import BaseRelation, Relation, close
+from chronotext.hybrid import HybridNetwork
+from chronotext.metric import (
+    STP,
+    BoundWindow,
+    allen_atom_to_points,
+    end_of,
+    start_of,
+)
 
 ATOM_NAMES = ("b", "bi", "m", "mi", "o", "oi", "d", "di", "s", "si", "f", "fi", "e")
 
@@ -109,6 +122,131 @@ def _sign(a, b):
     return "<" if a < b else (">" if a > b else "=")
 
 
+# (value, strict) upper bounds on t_to - t_from; None is +infinity
+_INF = (None, True)
+
+
+def _badd(a, b):
+    if a[0] is None or b[0] is None:
+        return _INF
+    return (a[0] + b[0], a[1] or b[1])
+
+
+def _btighter(a, b):
+    """The stronger of two upper bounds; at equal values strict wins."""
+    if a[0] is None:
+        return b
+    if b[0] is None:
+        return a
+    if a[0] != b[0]:
+        return a if a[0] < b[0] else b
+    return a if a[1] else b
+
+
+def tuple_shortest_paths(u):
+    """Floyd-Warshall over a matrix of (value, strict) bounds, in place,
+    with lexicographic tuple arithmetic.  False when some cycle has
+    negative weight, or zero weight with a strict leg."""
+    n = len(u)
+    for k in range(n):
+        uk = u[k]
+        for i in range(n):
+            uik = u[i][k]
+            if uik[0] is None:
+                continue
+            ui = u[i]
+            for j in range(n):
+                ui[j] = _btighter(ui[j], _badd(uik, uk[j]))
+    for i in range(n):
+        v, strict = u[i][i]
+        if v is not None and (v < 0 or (v == 0 and strict)):
+            return False
+    return True
+
+
+def overlay_metric_to_allen(s, x, y):
+    """The atoms whose endpoint constraints, laid over the 4x4 endpoint
+    projection of a minimal STP, leave it free of negative cycles: one
+    tuple Floyd-Warshall per atom."""
+    pts = (start_of(x), end_of(x), start_of(y), end_of(y))
+    sub = [[_INF] * 4 for _ in range(4)]
+    for i, p in enumerate(pts):
+        for j, q in enumerate(pts):
+            w = s.window(p, q)
+            if w.hi is not None:
+                sub[i][j] = _btighter(sub[i][j], (w.hi, w.hi_strict))
+            if w.lo is not None:
+                sub[j][i] = _btighter(sub[j][i], (-w.lo, w.lo_strict))
+    local = {p: i for i, p in enumerate(pts)}
+    mask = 0
+    for atom in BaseRelation:
+        u = [row[:] for row in sub]
+        for frm, to, w in allen_atom_to_points(atom, x, y):
+            i, j = local[frm], local[to]
+            if w.hi is not None:
+                u[i][j] = _btighter(u[i][j], (w.hi, w.hi_strict))
+            if w.lo is not None:
+                u[j][i] = _btighter(u[j][i], (-w.lo, w.lo_strict))
+        if tuple_shortest_paths(u):
+            mask |= 1 << atom
+    return Relation(mask)
+
+
+def random_window(rng, span=12):
+    """A seeded window for the differential tests: bounds drawn from
+    -span..span over denominators 1, 2, 3, 5 and 7, each side unbounded
+    with probability 0.3 and strict with probability 0.5."""
+    def value():
+        return Fraction(rng.randint(-span, span), rng.choice((1, 2, 3, 5, 7)))
+
+    lo = value() if rng.random() < 0.7 else None
+    hi = value() if rng.random() < 0.7 else None
+    if lo is not None and hi is not None:
+        if lo > hi:
+            lo, hi = hi, lo
+        if lo == hi:
+            return BoundWindow(lo, hi)
+    return BoundWindow(lo, hi, rng.random() < 0.5, rng.random() < 0.5)
+
+
+def tuple_stp_close(s):
+    """`stp_close` on the tuple Floyd-Warshall."""
+    u = [list(row) for row in s._u]
+    if not tuple_shortest_paths(u):
+        return STP(s.points, u, inconsistent=True)
+    return STP(s.points, u, minimal=True)
+
+
+def overlay_hybrid_close(h):
+    """`hybrid_close` as a plain alternation: qualitative closure, export
+    of every atomic cell, `tuple_stp_close`, and `overlay_metric_to_allen`
+    read back on every pair, until nothing changes."""
+    qcn, stp = h.qcn, h.stp
+    while True:
+        qcn = close(qcn)
+        if qcn.inconsistent:
+            return HybridNetwork(qcn, stp, h.anon_points)
+        ids = qcn.intervals
+        pairs = [(a, b) for ai, a in enumerate(ids) for b in ids[ai + 1:]]
+        forced = []
+        for a, b in pairs:
+            cell = qcn.cell(a, b)
+            if cell.is_atomic:
+                forced.extend(allen_atom_to_points(cell.atoms[0], a, b))
+        stp = tuple_stp_close(stp.with_constraints(forced))
+        if stp.inconsistent:
+            return HybridNetwork(qcn, stp, h.anon_points)
+        changed = False
+        for a, b in pairs:
+            cell = qcn.cell(a, b)
+            refined = cell & overlay_metric_to_allen(stp, a, b)
+            if refined != cell:
+                qcn = qcn.with_cell(a, b, refined)
+                changed = True
+        if qcn.inconsistent or not changed:
+            return HybridNetwork(qcn, stp, h.anon_points)
+
+
 def stp_minimal_by_paths(points, upper):
     """Minimal upper bounds for a small STP by exhaustive simple-path
     enumeration over the distance graph.
@@ -119,21 +257,8 @@ def stp_minimal_by_paths(points, upper):
     below zero, or zero with a strict leg).
     """
     n = len(points)
-    inf = (None, True)
-
-    def add(a, b):
-        if a[0] is None or b[0] is None:
-            return inf
-        return (a[0] + b[0], a[1] or b[1])
-
-    def tighter(a, b):
-        if a[0] is None:
-            return b
-        if b[0] is None:
-            return a
-        if a[0] != b[0]:
-            return a if a[0] < b[0] else b
-        return a if a[1] else b
+    inf = _INF
+    add, tighter = _badd, _btighter
 
     def edge(i, j):
         return upper.get((points[i], points[j]), inf)

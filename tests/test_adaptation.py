@@ -180,6 +180,18 @@ class TestParseKnowledge:
             DomainKnowledge("k", anchors=("a", "b"),
                             relations=(("a", R("{b}"), "b"),))
 
+    def test_anchor_only_relation_reports_line(self):
+        text = ('knowledge "k"\nanchor combine\nanchor bake\n'
+                'rel combine {b} bake\n')
+        with pytest.raises(RecipeSyntaxError,
+                           match="touches no knowledge node") as err:
+            parse_knowledge(text)
+        assert err.value.line == 4
+
+    def test_node_lines_recorded(self):
+        k = lentil_knowledge()
+        assert k.lines == (("cook_lentils", 4), ("drain_lentils", 5))
+
 
 class TestInject:
     def test_lentil_injection(self):
@@ -214,6 +226,13 @@ class TestInject:
             "k", steps=(recipes.lutheran().steps[0],), anchors=())
         with pytest.raises(ValueError, match="already in network"):
             inject(lutheran_network(), k)
+
+    def test_node_clash_names_knowledge_line(self):
+        k = parse_knowledge('knowledge "k"\nanchor combine\n'
+                            'step bake "bake it"\nrel bake {b} combine\n')
+        with pytest.raises(RecipeSyntaxError, match="'bake' already in network") as err:
+            inject(lutheran_network(), k)
+        assert err.value.line == 3
 
 
 def exhaustive_best(intervals, hard_cs, soft_cs):

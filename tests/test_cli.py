@@ -154,6 +154,18 @@ class TestAdapt:
         assert run(["adapt", LUTHERAN, str(know)]) == 2
         assert "line 3: unknown id 'zz'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("body, message", [
+        ('anchor combine\nanchor bake\nrel combine {b} bake\n',
+         "line 4: relation 'combine'/'bake' touches no knowledge node"),
+        ('anchor combine\nstep bake "bake it"\nrel bake {b} combine\n',
+         "line 3: knowledge node 'bake' already in network"),
+    ])
+    def test_malformed_knowledge_exit_code(self, capsys, tmp_path, body, message):
+        know = tmp_path / "bad.know"
+        know.write_text('knowledge "k"\n' + body)
+        assert run(["adapt", LUTHERAN, str(know)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_hard_contradiction_exit_code(self, capsys, tmp_path):
         recipe = tmp_path / "tiny.rcp"
         recipe.write_text('recipe "tiny"\nstep a "stir"\n')

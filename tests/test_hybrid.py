@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,8 +12,15 @@ from chronotext.allen import (
     atomic_consistent,
     close,
 )
-from chronotext.hybrid import HybridNetwork, hybrid_atomic_consistent, hybrid_close
-from chronotext.metric import STP, BoundWindow, POSITIVE
+from chronotext.hybrid import (
+    HybridNetwork,
+    format_hybrid,
+    hybrid_atomic_consistent,
+    hybrid_close,
+)
+from chronotext.metric import STP, BoundWindow, POSITIVE, end_of, start_of
+
+from oracles import overlay_hybrid_close, random_window
 
 
 F = Fraction
@@ -195,3 +203,31 @@ class TestRestriction:
         assert cut.relation("a", "c") == FULL
         closed = hybrid_close(cut)
         assert closed.point_window("a.end", "c.start") == BoundWindow(None, None)
+
+
+def random_hybrid(rng):
+    ids = [f"i{k}" for k in range(rng.randint(2, 5))]
+    allen = [(a, Relation(rng.randint(1, FULL_MASK)), b)
+             for ai, a in enumerate(ids) for b in ids[ai + 1:]
+             if rng.random() < 0.5]
+    points = [p for i in ids for p in (start_of(i), end_of(i))]
+    metric = [(*rng.sample(points, 2), random_window(rng, 10))
+              for _ in range(rng.randint(0, len(ids)))]
+    return HybridNetwork.build(ids, allen, metric)
+
+
+class TestCloseAgainstOverlay:
+    def test_random_hybrids(self):
+        """The pruned integer read-back closes every network exactly as
+        the tuple Floyd-Warshall with the 13-overlay read-back on every
+        pair does."""
+        rng = random.Random(31)
+        verdicts = set()
+        for _ in range(150):
+            h = random_hybrid(rng)
+            closed, ref = hybrid_close(h), overlay_hybrid_close(h)
+            assert format_hybrid(closed) == format_hybrid(ref)
+            verdicts.add(closed.inconsistent)
+            if not closed.inconsistent:
+                assert closed == ref
+        assert verdicts == {True, False}

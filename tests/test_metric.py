@@ -24,7 +24,13 @@ from chronotext.metric import (
     stp_close,
     tcsp_consistent,
 )
-from oracles import atom_by_definition, stp_minimal_by_paths
+from oracles import (
+    atom_by_definition,
+    overlay_metric_to_allen,
+    random_window,
+    stp_minimal_by_paths,
+    tuple_stp_close,
+)
 
 
 F = Fraction
@@ -486,3 +492,117 @@ class TestSerialization:
             [("x", "y", BoundWindow.exact(1)), ("y", "x", BoundWindow.exact(1))],
         )
         assert format_stp(stp_close(s)) == "inconsistent\n"
+
+
+# ---------------------------------------------------------------------------
+# the integer shortest-path kernel against the reference tuple
+# Floyd-Warshall and 13-overlay read-back in tests/oracles.py
+
+def random_stp(rng, n):
+    points = [f"p{i}" for i in range(n)]
+    cons = [(*rng.sample(points, 2), random_window(rng))
+            for _ in range(rng.randint(1, 2 * n))]
+    return STP.build(points, cons)
+
+
+class TestIntegerShortestPaths:
+    def test_stp_close_matches_tuple_floyd_warshall(self):
+        rng = random.Random(17)
+        verdicts = set()
+        for _ in range(300):
+            s = random_stp(rng, rng.randint(2, 7))
+            closed, ref = stp_close(s), tuple_stp_close(s)
+            assert closed.inconsistent == ref.inconsistent
+            verdicts.add(closed.inconsistent)
+            if not closed.inconsistent:
+                assert closed._u == ref._u
+                assert closed.minimal
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("n", [2, 5, 12])
+    def test_strict_chain_does_not_carry_into_value(self, n):
+        # n - 1 strict legs of value 0, then of value 1/3: the strictness
+        # count must stay below the value scale
+        points = [f"p{i}" for i in range(n)]
+        for step in (F(0), F(1, 3)):
+            leg = BoundWindow(step, None, lo_strict=True)
+            s = STP.build(points, [(a, b, leg) for a, b in zip(points, points[1:])])
+            closed = stp_close(s)
+            assert closed._u == tuple_stp_close(s)._u
+            assert closed.window(points[0], points[-1]) == BoundWindow(
+                step * (n - 1), None, lo_strict=True)
+
+    def test_zero_cycle_with_one_strict_leg(self):
+        def cycle(strict):
+            return STP.build(["a", "b", "c"], [
+                ("a", "b", BoundWindow(None, F(1, 3))),
+                ("b", "c", BoundWindow(None, F(1, 6))),
+                ("c", "a", BoundWindow(None, F(-1, 2), hi_strict=strict)),
+            ])
+
+        assert stp_close(cycle(True)).inconsistent
+        closed = stp_close(cycle(False))
+        assert not closed.inconsistent
+        assert closed.window("a", "c") == BoundWindow.exact(F(1, 2))
+
+    def test_inconsistent_input_left_unchanged(self):
+        s = STP.build(["x", "y", "z"], [
+            ("x", "y", BoundWindow.closed(1, 2)),
+            ("y", "z", BoundWindow.closed(1, 2)),
+            ("z", "x", BoundWindow.closed(1, 2)),
+        ])
+        assert tuple_stp_close(s).inconsistent
+        closed = stp_close(s)
+        assert closed.inconsistent
+        assert closed._u == s._u
+
+    def test_tcsp_matches_tuple_floyd_warshall(self, monkeypatch):
+        rng = random.Random(23)
+        cases = []
+        for _ in range(60):
+            points = ("p", "q", "r", "s")[:rng.randint(2, 4)]
+            cons = tuple(
+                MetricConstraint(*rng.sample(points, 2),
+                                 tuple(random_window(rng, 6)
+                                       for _ in range(rng.randint(1, 3))))
+                for _ in range(rng.randint(1, 4)))
+            cases.append(TCSP(points, cons))
+        fast = [tcsp_consistent(t) for t in cases]
+        monkeypatch.setattr("chronotext.metric.stp_close", tuple_stp_close)
+        slow = [tcsp_consistent(t) for t in cases]
+        assert fast == slow
+        assert {ok for ok, _ in fast} == {True, False}
+
+
+def random_interval_stp(rng, names):
+    points = [p for n in names for p in (start_of(n), end_of(n))]
+    extra = [(*rng.sample(points, 2), random_window(rng, 8))
+             for _ in range(rng.randint(0, 4))]
+    return stp_close(interval_stp(names, extra))
+
+
+class TestReadBackAgainstOverlay:
+    def test_matches_overlay_with_and_without_within(self):
+        rng = random.Random(29)
+        checked = 0
+        for _ in range(150):
+            closed = random_interval_stp(rng, ["x", "y", "z"][:rng.randint(2, 3)])
+            if closed.inconsistent:
+                continue
+            names = sorted({p.rsplit(".", 1)[0] for p in closed.points})
+            for x in names:
+                for y in names:
+                    if x == y:
+                        continue
+                    overlay = overlay_metric_to_allen(closed, x, y)
+                    assert metric_to_allen(closed, x, y) == overlay
+                    within = Relation(rng.randint(0, FULL.mask))
+                    assert metric_to_allen(closed, x, y, within) == overlay & within
+                    checked += 1
+        assert checked > 200
+
+    def test_within_limits_the_atoms_tested(self):
+        closed = stp_close(interval_stp(["x", "y"]))
+        assert metric_to_allen(closed, "x", "y", Relation.parse("{b,e}")) \
+            == Relation.parse("{b,e}")
+        assert metric_to_allen(closed, "x", "y", Relation(0)) == Relation(0)

@@ -12,8 +12,9 @@ The composition table below was generated from exhaustive enumeration of
 endpoint weak orders and is embedded as a constant; the test suite
 re-derives it independently.
 
-The calculus value, the network base class and the path-consistency
-routine defined here serve the INDU algebra as well.
+The calculus value, the relation and network base classes and the
+path-consistency routine defined here serve the INDU algebra as well,
+and the scenario search serves the hybrid layer.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 
 class BaseRelation(enum.IntEnum):
@@ -99,11 +100,12 @@ COMPOSITION = (
 
 @dataclass(frozen=True)
 class Calculus:
-    """A qualitative calculus over bitmask relations: the composition row
-    of each atom, the converse atom of each atom, and the identity and
-    full masks.  Its `compose` and `converse` lift the atom tables to
-    arbitrary masks."""
+    """A qualitative calculus over bitmask relations: the atom at each bit
+    position, the composition row of each atom, the converse atom of each
+    atom, and the identity and full masks.  Its `compose` and `converse`
+    lift the atom tables to arbitrary masks."""
 
+    atoms: tuple
     rows: tuple[tuple[int, ...], ...]
     conv: tuple[int, ...]
     identity: int
@@ -135,47 +137,60 @@ class Calculus:
         return out
 
 
-ALLEN = Calculus(COMPOSITION, tuple(int(a.converse) for a in BaseRelation),
+ALLEN = Calculus(tuple(BaseRelation), COMPOSITION,
+                 tuple(int(a.converse) for a in BaseRelation),
                  1 << BaseRelation.e, FULL_MASK)
 
 
-@dataclass(frozen=True, order=False)
-class Relation:
-    """A disjunctive set of base relations between two intervals.
+class BitmaskRelation:
+    """An immutable set of atoms of one calculus, held as a bitmask over
+    the calculus's atom table; the empty set is the contradiction.
 
-    The empty set is the contradiction; the full 13-atom set carries no
-    information.  Internally a 13-bit mask indexed by canonical order.
+    Subclasses name their `calculus` and say how one atom is coerced to
+    its bit position (`_index`, which also parses a text token) and how
+    it prints (`_atom_str`).  Equality is by exact type and mask.
     """
 
-    mask: int
+    __slots__ = ("mask",)
+    calculus: Calculus
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.mask <= FULL_MASK:
-            raise ValueError(f"relation mask out of range: {self.mask}")
+    def __init__(self, mask: int):
+        if mask & ~self.calculus.full:
+            raise ValueError(f"relation mask out of range: {mask}")
+        object.__setattr__(self, "mask", mask)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
-    def of(cls, *atoms: BaseRelation | str) -> "Relation":
+    def of(cls, *atoms):
         mask = 0
         for a in atoms:
-            if isinstance(a, str):
-                a = BaseRelation.parse(a)
-            mask |= 1 << a
+            bit = 1 << cls._index(a)
+            if bit & ~cls.calculus.full:
+                raise ValueError(f"invalid {cls.__name__} atom {a}")
+            mask |= bit
         return cls(mask)
 
     @classmethod
-    def parse(cls, text: str) -> "Relation":
-        """Parse a brace-delimited atom set such as ``{b,m}`` or ``{<, eq}``."""
+    def parse(cls, text: str):
+        """Parse a brace-delimited, comma-separated atom set such as ``{b,m}``."""
         text = text.strip()
         if not (text.startswith("{") and text.endswith("}")):
             raise ValueError(f"relation must be brace-delimited: {text!r}")
         body = text[1:-1].strip()
         if not body:
-            return EMPTY
+            return cls(0)
         return cls.of(*(tok.strip() for tok in body.split(",")))
 
     @property
-    def atoms(self) -> tuple[BaseRelation, ...]:
-        return tuple(a for a in BaseRelation if self.mask & (1 << a))
+    def atoms(self) -> tuple:
+        table, mask, out = self.calculus.atoms, self.mask, []
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            out.append(table[low.bit_length() - 1])
+        return tuple(out)
 
     @property
     def is_empty(self) -> bool:
@@ -185,35 +200,58 @@ class Relation:
     def is_atomic(self) -> bool:
         return self.mask != 0 and self.mask & (self.mask - 1) == 0
 
-    def __contains__(self, atom: BaseRelation) -> bool:
-        return bool(self.mask & (1 << atom))
+    def __contains__(self, atom) -> bool:
+        return bool(self.mask >> self._index(atom) & 1)
 
-    def __iter__(self) -> Iterator[BaseRelation]:
+    def __iter__(self) -> Iterator:
         return iter(self.atoms)
 
     def __len__(self) -> int:
         return bin(self.mask).count("1")
 
-    def __or__(self, other: "Relation") -> "Relation":
-        return Relation(self.mask | other.mask)
+    def __or__(self, other):
+        return type(self)(self.mask | other.mask)
 
-    def __and__(self, other: "Relation") -> "Relation":
-        return Relation(self.mask & other.mask)
+    def __and__(self, other):
+        return type(self)(self.mask & other.mask)
 
-    def __le__(self, other: "Relation") -> bool:
+    def __le__(self, other) -> bool:
         return self.mask & ~other.mask == 0
 
-    def converse(self) -> "Relation":
-        return Relation(ALLEN.converse(self.mask))
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.mask == other.mask
 
-    def compose(self, other: "Relation") -> "Relation":
-        return Relation(ALLEN.compose(self.mask, other.mask))
+    def __hash__(self) -> int:
+        return hash(self.mask)
+
+    def converse(self):
+        return type(self)(self.calculus.converse(self.mask))
+
+    def compose(self, other):
+        return type(self)(self.calculus.compose(self.mask, other.mask))
 
     def __str__(self) -> str:
-        return "{" + ",".join(a.name for a in self.atoms) + "}"
+        return "{" + ",".join(self._atom_str(a) for a in self.atoms) + "}"
 
     def __repr__(self) -> str:
-        return f"Relation.parse({str(self)!r})"
+        return f"{type(self).__name__}.parse({str(self)!r})"
+
+
+class Relation(BitmaskRelation):
+    """A disjunctive set of Allen base relations between two intervals;
+    the full 13-atom set carries no information.  Atoms are given as
+    `BaseRelation` members or their names and aliases."""
+
+    __slots__ = ()
+    calculus = ALLEN
+
+    @staticmethod
+    def _index(atom) -> int:
+        return int(BaseRelation.parse(atom) if isinstance(atom, str) else atom)
+
+    @staticmethod
+    def _atom_str(atom) -> str:
+        return atom.name
 
 
 EMPTY = Relation(0)
@@ -265,14 +303,13 @@ class Network:
     """
 
     __slots__ = ("intervals", "_index", "_matrix")
-    calculus: Calculus
-    relation: type
+    relation: type[BitmaskRelation]
 
     def __init__(self, intervals: Sequence[str], matrix: Sequence[Sequence[int]] | None = None):
         intervals = tuple(intervals)
         if len(set(intervals)) != len(intervals):
             raise ValueError("duplicate interval ids")
-        calc = self.calculus
+        calc = self.relation.calculus
         n = len(intervals)
         if matrix is None:
             matrix = [[calc.full] * n for _ in range(n)]
@@ -303,7 +340,7 @@ class Network:
         admits it says nothing and is dropped.
         """
         net = cls(intervals)
-        converse = cls.calculus.converse
+        calc = cls.relation.calculus
         m = [list(row) for row in net._matrix]
         idx = net._index
         for a, rel, b in constraints:
@@ -312,11 +349,11 @@ class Network:
                 raise KeyError(f"unknown interval {missing!r}")
             i, j = idx[a], idx[b]
             if i == j:
-                if not rel.mask & cls.calculus.identity:
+                if not rel.mask & calc.identity:
                     raise ValueError(f"self-constraint on {a!r} excludes equality")
                 continue
             m[i][j] &= rel.mask
-            m[j][i] = converse(m[i][j])
+            m[j][i] = calc.converse(m[i][j])
         return cls(intervals, m)
 
     def cell(self, a: str, b: str):
@@ -328,7 +365,7 @@ class Network:
             raise ValueError("cannot replace a diagonal cell")
         m = [list(row) for row in self._matrix]
         m[i][j] = rel.mask
-        m[j][i] = self.calculus.converse(rel.mask)
+        m[j][i] = self.relation.calculus.converse(rel.mask)
         return type(self)(self.intervals, m)
 
     def restricted(self, keep: Sequence[str]):
@@ -367,7 +404,6 @@ class QCN(Network):
     relations in its cells."""
 
     __slots__ = ()
-    calculus = ALLEN
     relation = Relation
 
 
@@ -379,7 +415,7 @@ def path_consistency(net: Network) -> Network:
     other k; a pair whose cell shrinks is queued again unless it is
     already waiting.  Stops at the first empty cell.
     """
-    calc = net.calculus
+    calc = net.relation.calculus
     compose, converse = calc.compose, calc.converse
     n = len(net.intervals)
     m = [list(row) for row in net._matrix]
@@ -427,6 +463,44 @@ def close(net: QCN) -> QCN:
     return path_consistency(net)
 
 
+W = TypeVar("W")
+
+
+def scenario_search(start: QCN, leaf: Callable[[QCN], Optional[W]]) -> Optional[W]:
+    """Depth-first search for an atomic refinement of a closed, consistent
+    network.  The first pair (i < j) in interval order whose cell is not
+    atomic is split into its atoms in canonical order; each choice is
+    closed, and one that empties a cell is dropped.  Every closed atomic
+    network is handed to `leaf`, and the first witness it returns (not
+    None) ends the search; None when no leaf yields one.
+    """
+    n = len(start.intervals)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+    def refine(current: QCN) -> Optional[W]:
+        rows = current._matrix
+        for i, j in pairs:
+            mask = rows[i][j]
+            if mask & (mask - 1):
+                break
+        else:
+            return leaf(current)
+        while mask:
+            bit = mask & -mask
+            mask ^= bit
+            m = [list(row) for row in rows]
+            m[i][j] = bit
+            m[j][i] = ALLEN.converse(bit)
+            tightened = close(QCN._raw(current.intervals, m))
+            if not tightened.inconsistent:
+                found = refine(tightened)
+                if found is not None:
+                    return found
+        return None
+
+    return refine(start)
+
+
 def atomic_consistent(net: QCN) -> tuple[bool, Optional[QCN]]:
     """Search for an atomic refinement (one atom per cell) that survives
     closure, backtracking over atom choices in canonical order.
@@ -436,41 +510,8 @@ def atomic_consistent(net: QCN) -> tuple[bool, Optional[QCN]]:
     realizable.  Returns (True, scenario) or (False, None).
     """
     start = close(net)
-    if start.inconsistent:
-        return False, None
-    n = len(start.intervals)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-    def refine(current: QCN) -> Optional[QCN]:
-        target = None
-        for i, j in pairs:
-            mask = current._matrix[i][j]
-            if mask & (mask - 1):
-                target = (i, j)
-                break
-        if target is None:
-            return current
-        i, j = target
-        mask = current._matrix[i][j]
-        for a in range(N_ATOMS):
-            bit = 1 << a
-            if not mask & bit:
-                continue
-            m = [list(row) for row in current._matrix]
-            m[i][j] = bit
-            m[j][i] = ALLEN.converse(bit)
-            tightened = close(QCN._raw(current.intervals, m))
-            if tightened.inconsistent:
-                continue
-            found = refine(tightened)
-            if found is not None:
-                return found
-        return None
-
-    scenario = refine(start)
-    if scenario is None:
-        return False, None
-    return True, scenario
+    scenario = None if start.inconsistent else scenario_search(start, lambda qcn: qcn)
+    return scenario is not None, scenario
 
 
 REALIZE_MAX_INTERVALS = 4

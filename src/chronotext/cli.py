@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from .adaptation import (
@@ -124,7 +125,9 @@ def _cmd_timeml(args) -> int:
     return 1 if closed.inconsistent else 0
 
 
+@lru_cache(maxsize=1)
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="chronotext",
         description="Temporal reasoning over recipe texts.")

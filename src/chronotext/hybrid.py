@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from .allen import QCN, Relation, close, format_qcn
+from .allen import QCN, Relation, close, format_qcn, scenario_search
 from .metric import (
     BoundWindow,
     POSITIVE,
@@ -153,41 +153,19 @@ def hybrid_atomic_consistent(h: HybridNetwork) -> tuple[bool, Optional[HybridNet
     """Search for an atomic scenario of the qualitative layer whose forced
     endpoint constraints are jointly satisfiable with the metric layer.
 
-    Refinement follows the same deterministic order as the qualitative
-    search: first non-atomic pair in interval order, atoms in canonical
-    order; the metric check runs at every fully atomic leaf.
+    The refinement is the qualitative search's (`scenario_search`): first
+    non-atomic pair in interval order, atoms in canonical order; the
+    metric check runs at every fully atomic leaf.
     """
     start = hybrid_close(h)
     if start.inconsistent:
         return False, None
 
-    ids = start.intervals
+    def leaf(qcn: QCN) -> Optional[HybridNetwork]:
+        stp = stp_close(start.stp.with_constraints(_forced_atom_constraints(qcn)))
+        return None if stp.inconsistent else HybridNetwork(qcn, stp, h.anon_points)
 
-    def first_open(qcn: QCN):
-        for ai, a in enumerate(ids):
-            for b in ids[ai + 1:]:
-                if not qcn.cell(a, b).is_atomic:
-                    return a, b
-        return None
-
-    def descend(qcn: QCN, stp: STP):
-        qcn = close(qcn)
-        if qcn.inconsistent:
-            return None
-        pair = first_open(qcn)
-        if pair is None:
-            leaf = stp_close(stp.with_constraints(_forced_atom_constraints(qcn)))
-            if leaf.inconsistent:
-                return None
-            return HybridNetwork(qcn, leaf, h.anon_points)
-        a, b = pair
-        for atom in qcn.cell(a, b).atoms:
-            found = descend(qcn.with_cell(a, b, Relation.of(atom)), stp)
-            if found is not None:
-                return found
-        return None
-
-    witness = descend(start.qcn, start.stp)
+    witness = scenario_search(start.qcn, leaf)
     return (witness is not None), witness
 
 

@@ -8,6 +8,11 @@ equality forces =.  That leaves 25 valid atoms.  Composition works
 component-wise (Allen table for the interval part, order transitivity
 for the sign part) and filters the result through the same validity
 rule.
+
+`INDURelation`, `INDUNetwork` and `indu_close` are the one bitmask
+relation type, network class and path-consistency routine of `allen.py`;
+INDU supplies only its atom, composition and converse tables and the
+``allen^sign`` atom syntax.
 """
 
 from __future__ import annotations
@@ -15,8 +20,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .allen import (
-    COMPOSITION, N_ATOMS, QCN, BaseRelation, Calculus, Network, Relation,
-    path_consistency,
+    COMPOSITION, N_ATOMS, QCN, BaseRelation, BitmaskRelation, Calculus, Network,
+    Relation, path_consistency,
 )
 
 SIGNS = ("<", "=", ">")
@@ -87,6 +92,7 @@ def _compose_slots(i: int, j: int) -> int:
 
 
 INDU = Calculus(
+    _ALL_ATOMS,
     tuple(tuple(_compose_slots(i, j) for j in range(N_SLOTS)) for i in range(N_SLOTS)),
     tuple(a.converse.index for a in _ALL_ATOMS),
     1 << INDUAtom(BaseRelation.e, "=").index,
@@ -94,52 +100,27 @@ INDU = Calculus(
 )
 
 
-class INDURelation:
-    """A set of valid INDU atoms; the empty set is the contradiction."""
+class INDURelation(BitmaskRelation):
+    """A set of valid INDU atoms.  Atoms are given as `INDUAtom`s,
+    (allen, sign) pairs or ``allen^sign`` tokens."""
 
-    __slots__ = ("mask",)
+    __slots__ = ()
+    calculus = INDU
 
-    def __init__(self, mask: int):
-        if mask & ~VALID_MASK:
-            raise ValueError("relation contains invalid atoms")
-        object.__setattr__(self, "mask", mask)
+    @staticmethod
+    def _index(atom) -> int:
+        if isinstance(atom, str):
+            if "^" not in atom:
+                raise ValueError(f"INDU atom must be allen^sign: {atom!r}")
+            atom = atom.split("^", 1)
+        allen, dur = atom
+        if dur not in _SIGN_INDEX:
+            raise ValueError(f"unknown duration sign {dur!r}")
+        if isinstance(allen, str):
+            allen = BaseRelation.parse(allen)
+        return int(allen) * 3 + _SIGN_INDEX[dur]
 
-    def __setattr__(self, name, value):
-        raise AttributeError("INDURelation is immutable")
-
-    @classmethod
-    def of(cls, *atoms: INDUAtom | tuple) -> "INDURelation":
-        mask = 0
-        for a in atoms:
-            if not isinstance(a, INDUAtom):
-                allen, dur = a
-                if isinstance(allen, str):
-                    allen = BaseRelation.parse(allen)
-                a = INDUAtom(allen, dur)
-            if not a.valid:
-                raise ValueError(f"invalid INDU atom {a}")
-            mask |= 1 << a.index
-        return cls(mask)
-
-    @classmethod
-    def parse(cls, text: str) -> "INDURelation":
-        """Parse a brace-delimited set of ``allen^sign`` atoms."""
-        text = text.strip()
-        if not (text.startswith("{") and text.endswith("}")):
-            raise ValueError(f"INDU relation must be brace-delimited: {text!r}")
-        body = text[1:-1].strip()
-        if not body:
-            return cls(0)
-        atoms = []
-        for tok in body.split(","):
-            tok = tok.strip()
-            if "^" not in tok:
-                raise ValueError(f"INDU atom must be allen^sign: {tok!r}")
-            name, sign = tok.split("^", 1)
-            if sign not in _SIGN_INDEX:
-                raise ValueError(f"unknown duration sign {sign!r}")
-            atoms.append(INDUAtom(BaseRelation.parse(name), sign))
-        return cls.of(*atoms)
+    _atom_str = staticmethod(str)
 
     @classmethod
     def from_allen(cls, rel: Relation) -> "INDURelation":
@@ -153,55 +134,17 @@ class INDURelation:
                     mask |= 1 << atom.index
         return cls(mask)
 
-    @property
-    def atoms(self) -> tuple[INDUAtom, ...]:
-        return tuple(a for a in _ALL_ATOMS if self.mask & (1 << a.index))
-
-    @property
-    def is_empty(self) -> bool:
-        return self.mask == 0
-
-    def __contains__(self, atom: INDUAtom) -> bool:
-        return bool(self.mask & (1 << atom.index))
-
-    def __iter__(self):
-        return iter(self.atoms)
-
-    def __len__(self) -> int:
-        return bin(self.mask).count("1")
-
-    def __and__(self, other: "INDURelation") -> "INDURelation":
-        return INDURelation(self.mask & other.mask)
-
-    def __or__(self, other: "INDURelation") -> "INDURelation":
-        return INDURelation(self.mask | other.mask)
-
-    def __le__(self, other: "INDURelation") -> bool:
-        return self.mask & ~other.mask == 0
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, INDURelation) and self.mask == other.mask
-
-    def __hash__(self) -> int:
-        return hash(("indu", self.mask))
-
-    def __str__(self) -> str:
-        return "{" + ",".join(str(a) for a in self.atoms) + "}"
-
-    def __repr__(self) -> str:
-        return f"INDURelation.parse({str(self)!r})"
-
 
 INDU_IDENTITY = INDURelation(INDU.identity)
 INDU_TAUTOLOGY = INDURelation(VALID_MASK)
 
 
 def indu_converse(rel: INDURelation) -> INDURelation:
-    return INDURelation(INDU.converse(rel.mask))
+    return rel.converse()
 
 
 def indu_compose(r1: INDURelation, r2: INDURelation) -> INDURelation:
-    return INDURelation(INDU.compose(r1.mask, r2.mask))
+    return r1.compose(r2)
 
 
 class INDUNetwork(Network):
@@ -209,7 +152,6 @@ class INDUNetwork(Network):
     (diagonal identity, converse symmetry, immutable)."""
 
     __slots__ = ()
-    calculus = INDU
     relation = INDURelation
 
 

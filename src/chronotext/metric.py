@@ -92,18 +92,8 @@ class BoundWindow:
 
     def intersect(self, other: "BoundWindow") -> Optional["BoundWindow"]:
         """The common window, or None when the overlap is empty."""
-        lo, los = self.lo, self.lo_strict
-        if other.lo is not None and (lo is None or other.lo > lo
-                                     or (other.lo == lo and other.lo_strict)):
-            lo, los = other.lo, other.lo_strict
-        hi, his = self.hi, self.hi_strict
-        if other.hi is not None and (hi is None or other.hi < hi
-                                     or (other.hi == hi and other.hi_strict)):
-            hi, his = other.hi, other.hi_strict
-        if lo is not None and hi is not None:
-            if lo > hi or (lo == hi and (los or his)):
-                return None
-        return BoundWindow(lo, hi, los, his)
+        (f1, b1), (f2, b2) = _window_to_bounds(self), _window_to_bounds(other)
+        return _bounds_to_window(_btighter(f1, f2), _btighter(b1, b2))
 
     def overlaps(self, other: "BoundWindow") -> bool:
         return self.intersect(other) is not None
@@ -169,6 +159,17 @@ def _window_to_bounds(w: BoundWindow) -> tuple[Bound, Bound]:
     return fwd, bwd
 
 
+def _bounds_to_window(fwd: Bound, bwd: Bound) -> Optional[BoundWindow]:
+    """The window on t_to - t_from under the upper bound `fwd` and the
+    upper bound `bwd` on t_from - t_to, or None when no value fits."""
+    hi, hi_strict = fwd
+    lo, lo_strict = (None, True) if bwd[0] is None else (-bwd[0], bwd[1])
+    if lo is not None and hi is not None:
+        if lo > hi or (lo == hi and (lo_strict or hi_strict)):
+            return None
+    return BoundWindow(lo, hi, lo_strict, hi_strict)
+
+
 class STP:
     """A simple temporal problem: one window per ordered point pair,
     represented internally as a matrix of upper bounds on differences.
@@ -228,13 +229,10 @@ class STP:
         if self.inconsistent:
             raise ValueError("windows are undefined on an inconsistent network")
         i, j = self._index[frm], self._index[to]
-        fwd, bwd = self._u[i][j], self._u[j][i]
-        hi, hi_strict = (None, True) if fwd[0] is None else (fwd[0], fwd[1])
-        lo, lo_strict = (None, True) if bwd[0] is None else (-bwd[0], bwd[1])
-        if lo is not None and hi is not None:
-            if lo > hi or (lo == hi and (lo_strict or hi_strict)):
-                raise ValueError(f"pair {frm!r}/{to!r} admits no value; close the network")
-        return BoundWindow(lo, hi, lo_strict, hi_strict)
+        w = _bounds_to_window(self._u[i][j], self._u[j][i])
+        if w is None:
+            raise ValueError(f"pair {frm!r}/{to!r} admits no value; close the network")
+        return w
 
     def has_point(self, p: str) -> bool:
         return p in self._index
@@ -421,50 +419,40 @@ def tcsp_consistent(t: TCSP) -> tuple[bool, Optional[STP]]:
 # ---------------------------------------------------------------------------
 # Allen <-> metric translations
 
+# per atom, its defining endpoint constraints as (from, to, window) over
+# the local points 0-3: x.start, x.end, y.start, y.end
+_EQ = BoundWindow.exact(0)
+_ATOM_POINTS = (
+    ((1, 2, POSITIVE),),                                        # b
+    ((3, 0, POSITIVE),),                                        # bi
+    ((1, 2, _EQ),),                                             # m
+    ((3, 0, _EQ),),                                             # mi
+    ((0, 2, POSITIVE), (2, 1, POSITIVE), (1, 3, POSITIVE)),     # o
+    ((2, 0, POSITIVE), (0, 3, POSITIVE), (3, 1, POSITIVE)),     # oi
+    ((2, 0, POSITIVE), (1, 3, POSITIVE)),                       # d
+    ((0, 2, POSITIVE), (3, 1, POSITIVE)),                       # di
+    ((0, 2, _EQ), (1, 3, POSITIVE)),                            # s
+    ((0, 2, _EQ), (3, 1, POSITIVE)),                            # si
+    ((1, 3, _EQ), (2, 0, POSITIVE)),                            # f
+    ((1, 3, _EQ), (0, 2, POSITIVE)),                            # fi
+    ((0, 2, _EQ), (1, 3, _EQ)),                                 # e
+)
+
+
 def allen_atom_to_points(atom: BaseRelation, x: str, y: str) -> tuple[tuple[str, str, BoundWindow], ...]:
     """The defining endpoint constraints of an atom, as (from, to, window)
     triples over the canonical start/end point ids of the two intervals."""
-    xs, xe, ys, ye = start_of(x), end_of(x), start_of(y), end_of(y)
-    eq = BoundWindow.exact(0)
-    pos = POSITIVE
-    table = {
-        BaseRelation.b: [(xe, ys, pos)],
-        BaseRelation.bi: [(ye, xs, pos)],
-        BaseRelation.m: [(xe, ys, eq)],
-        BaseRelation.mi: [(ye, xs, eq)],
-        BaseRelation.o: [(xs, ys, pos), (ys, xe, pos), (xe, ye, pos)],
-        BaseRelation.oi: [(ys, xs, pos), (xs, ye, pos), (ye, xe, pos)],
-        BaseRelation.d: [(ys, xs, pos), (xe, ye, pos)],
-        BaseRelation.di: [(xs, ys, pos), (ye, xe, pos)],
-        BaseRelation.s: [(xs, ys, eq), (xe, ye, pos)],
-        BaseRelation.si: [(xs, ys, eq), (ye, xe, pos)],
-        BaseRelation.f: [(xe, ye, eq), (ys, xs, pos)],
-        BaseRelation.fi: [(xe, ye, eq), (xs, ys, pos)],
-        BaseRelation.e: [(xs, ys, eq), (xe, ye, eq)],
-    }
-    return tuple(table[atom])
+    pts = (start_of(x), end_of(x), start_of(y), end_of(y))
+    return tuple((pts[i], pts[j], w) for i, j, w in _ATOM_POINTS[atom])
 
 
-def _atom_edges() -> tuple[tuple[tuple[int, int, int], ...], ...]:
-    """Per atom, its endpoint constraints as encoded (i, j, bound) edges
-    over the local points 0-3 (x.start, x.end, y.start, y.end).  Every
-    finite atom bound has value 0, so it encodes as 0, or -1 when strict,
-    whatever the scale."""
-    local = {p: i for i, p in enumerate(
-        (start_of("x"), end_of("x"), start_of("y"), end_of("y")))}
-    table = []
-    for atom in BaseRelation:
-        edges = []
-        for frm, to, w in allen_atom_to_points(atom, "x", "y"):
-            i, j = local[frm], local[to]
-            for a, b, (v, strict) in zip((i, j), (j, i), _window_to_bounds(w)):
-                if v is not None:
-                    edges.append((a, b, -strict))
-        table.append(tuple(edges))
-    return tuple(table)
-
-
-_ATOM_EDGES = _atom_edges()
+# Per atom, its endpoint constraints as encoded (i, j, bound) edges over
+# the local points.  Every finite atom bound has value 0, so it encodes
+# as 0, or -1 when strict, whatever the scale.
+_ATOM_EDGES = tuple(
+    tuple((a, b, -strict) for i, j, w in constraints
+          for a, b, (v, strict) in zip((i, j), (j, i), _window_to_bounds(w)) if v is not None)
+    for constraints in _ATOM_POINTS)
 
 
 def metric_to_allen(s: STP, x: str, y: str, within: Optional[Relation] = None) -> Relation:

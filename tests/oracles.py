@@ -5,20 +5,22 @@ semantics, not against the package's own tables or enumeration code, so
 that the two can check each other.  The exceptions are the reference
 versions of the metric layer's earlier algorithms (the tuple
 Floyd-Warshall and the 13-overlay read-back), which reuse the package's
-network types and atom-to-endpoint table to check its fast paths.
+network types and atom-to-endpoint table to check its fast paths, and
+the earlier recursion of the hybrid scenario search.
 """
 
 from fractions import Fraction
 from itertools import product
 
 from chronotext.allen import BaseRelation, Relation, close
-from chronotext.hybrid import HybridNetwork
+from chronotext.hybrid import HybridNetwork, hybrid_close
 from chronotext.metric import (
     STP,
     BoundWindow,
     allen_atom_to_points,
     end_of,
     start_of,
+    stp_close,
 )
 
 ATOM_NAMES = ("b", "bi", "m", "mi", "o", "oi", "d", "di", "s", "si", "f", "fi", "e")
@@ -245,6 +247,46 @@ def overlay_hybrid_close(h):
                 changed = True
         if qcn.inconsistent or not changed:
             return HybridNetwork(qcn, stp, h.anon_points)
+
+
+def descend_hybrid_atomic_consistent(h):
+    """`hybrid_atomic_consistent` as its own recursion over validated
+    networks: re-close, split the first non-atomic pair in interval order
+    into its atoms in canonical order through `with_cell`, and run the
+    metric check on the forced atoms at every atomic leaf."""
+    start = hybrid_close(h)
+    if start.inconsistent:
+        return False, None
+    ids = start.intervals
+
+    def first_open(qcn):
+        for ai, a in enumerate(ids):
+            for b in ids[ai + 1:]:
+                if not qcn.cell(a, b).is_atomic:
+                    return a, b
+        return None
+
+    def descend(qcn, stp):
+        qcn = close(qcn)
+        if qcn.inconsistent:
+            return None
+        pair = first_open(qcn)
+        if pair is None:
+            forced = [c for ai, a in enumerate(ids) for b in ids[ai + 1:]
+                      for c in allen_atom_to_points(qcn.cell(a, b).atoms[0], a, b)]
+            leaf = stp_close(stp.with_constraints(forced))
+            if leaf.inconsistent:
+                return None
+            return HybridNetwork(qcn, leaf, h.anon_points)
+        a, b = pair
+        for atom in qcn.cell(a, b).atoms:
+            found = descend(qcn.with_cell(a, b, Relation.of(atom)), stp)
+            if found is not None:
+                return found
+        return None
+
+    witness = descend(start.qcn, start.stp)
+    return (witness is not None), witness
 
 
 def stp_minimal_by_paths(points, upper):

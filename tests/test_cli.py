@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import chronotext
-from chronotext.cli import run
+from chronotext.cli import _parser, run
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -225,6 +225,9 @@ class TestUsage:
         assert err.value.code == 2
         capsys.readouterr()
 
+    def test_parser_built_once(self):
+        assert _parser() is _parser()
+
 
 class TestModuleEntryPoints:
     """`python -m chronotext.cli` and `python -m chronotext` run the CLI."""
@@ -248,3 +251,21 @@ class TestModuleEntryPoints:
         done = self._run_module(module, "check", CYCLIC)
         assert done.returncode == 1
         assert done.stdout == "scenario base: inconsistent\n"
+
+
+def _golden_cases():
+    lines = (GOLDEN / "cli" / "cases.txt").read_text().splitlines()
+    for line in lines:
+        if line and not line.startswith("#"):
+            name, code, *argv = line.split()
+            yield pytest.param(name, int(code), argv, id=name)
+
+
+class TestGoldenOutputs:
+    """Recorded stdout bytes and exit codes of the commands on the fixtures."""
+
+    @pytest.mark.parametrize("name, code, argv", _golden_cases())
+    def test_stdout_and_exit_code(self, capsys, name, code, argv):
+        argv = [str(FIXTURES / a) if (FIXTURES / a).is_file() else a for a in argv]
+        assert run(argv) == code
+        assert capsys.readouterr().out.encode() == (GOLDEN / "cli" / f"{name}.out").read_bytes()

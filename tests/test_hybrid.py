@@ -20,7 +20,7 @@ from chronotext.hybrid import (
 )
 from chronotext.metric import STP, BoundWindow, POSITIVE, end_of, start_of
 
-from oracles import overlay_hybrid_close, random_window
+from oracles import descend_hybrid_atomic_consistent, overlay_hybrid_close, random_window
 
 
 F = Fraction
@@ -231,3 +231,39 @@ class TestCloseAgainstOverlay:
             if not closed.inconsistent:
                 assert closed == ref
         assert verdicts == {True, False}
+
+
+ORDERINGS = [R(t) for t in ("{b,bi}", "{b,m,bi,mi}", "{b,m,bi}", "{b,bi,o,oi}", "{b,bi,d,di}")]
+
+
+def random_schedule(rng):
+    """A small disjunctive schedule: mostly order disjunctions, bounded
+    durations, and every interval inside [0, horizon] after an anonymous
+    origin.  Pairwise read-back often leaves atoms no joint scenario
+    allows, so the search backtracks at leaves and sometimes fails."""
+    ids = [f"i{k}" for k in range(rng.randint(3, 4))]
+    allen = [(a, rng.choice(ORDERINGS) if rng.random() < 0.7
+              else Relation(rng.randint(1, FULL_MASK)), b)
+             for ai, a in enumerate(ids) for b in ids[ai + 1:] if rng.random() < 0.8]
+    horizon = rng.randint(6, 14)
+    metric = []
+    for i in ids:
+        metric += [(start_of(i), end_of(i), BoundWindow.closed(rng.randint(1, 3), rng.randint(3, 5))),
+                   ("origin", start_of(i), BoundWindow.above(0, strict=False)),
+                   ("origin", end_of(i), BoundWindow.at_most(horizon, lo_strict=False))]
+    return HybridNetwork.build(ids, allen, metric, anon_points=["origin"])
+
+
+class TestSearchAgainstRecursion:
+    def test_random_hybrids(self):
+        """The shared scenario search gives the verdict and witness of the
+        earlier hybrid recursion over validated networks."""
+        rng = random.Random(47)
+        seen = set()
+        for make in [random_hybrid] * 150 + [random_schedule] * 150:
+            h = make(rng)
+            got, ref = hybrid_atomic_consistent(h), descend_hybrid_atomic_consistent(h)
+            assert got == ref
+            seen.add((hybrid_close(h).inconsistent, got[0]))
+        # closure refutes some, the search refutes some that closure passes
+        assert seen == {(True, False), (False, False), (False, True)}

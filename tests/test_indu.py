@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from chronotext.allen import BaseRelation, Relation, close
+from chronotext.allen import FULL_MASK, BaseRelation, Relation, close
 from chronotext.indu import (
     INDU, INDU_IDENTITY, INDU_TAUTOLOGY, VALID_MASK, INDUAtom, INDUNetwork,
     INDURelation, indu_close, indu_compose, indu_converse, project_allen,
@@ -29,6 +29,73 @@ class TestValidAtoms:
         # the validity rule equals what two realized intervals can exhibit
         observed = {(a, s) for a, s in indu_pairs_by_enumeration()}
         assert {(a.allen.name, a.dur) for a in valid_atoms()} == observed
+
+
+SLOTS = tuple(INDUAtom(a, s) for a in BaseRelation for s in ("<", "=", ">"))
+
+
+def _random_relations(rng, count):
+    """Seeded masks of both relation types, the empty and full ones first."""
+    rels = [Relation(0), Relation(FULL_MASK), INDURelation(0), INDU_TAUTOLOGY]
+    for _ in range(count):
+        rels.append(Relation(rng.randrange(FULL_MASK + 1)))
+        rels.append(INDURelation(rng.getrandbits(39) & VALID_MASK))
+    return rels
+
+
+class TestSharedRelationType:
+    """`Relation` and `INDURelation` are one bitmask relation type over
+    two calculi."""
+
+    def test_single_atoms_round_trip(self):
+        rels = [Relation.of(a) for a in BaseRelation]
+        rels += [INDURelation.of(a) for a in valid_atoms()]
+        for rel in rels:
+            assert rel.is_atomic and len(rel) == 1
+            assert type(rel).parse(str(rel)) == rel
+
+    def test_random_masks_round_trip(self):
+        for rel in _random_relations(random.Random(5), 200):
+            assert type(rel).parse(str(rel)) == rel
+            assert eval(repr(rel), {"Relation": Relation, "INDURelation": INDURelation}) == rel
+
+    def test_atoms_match_table_scan(self):
+        # the scans the two types made before they shared one
+        for rel in _random_relations(random.Random(6), 200):
+            if isinstance(rel, INDURelation):
+                assert rel.atoms == tuple(a for a in SLOTS if rel.mask & (1 << a.index))
+            else:
+                assert rel.atoms == tuple(a for a in BaseRelation if rel.mask & (1 << a))
+            assert list(rel) == list(rel.atoms)
+            assert all(a in rel for a in rel.atoms)
+
+    def test_equality_is_by_type(self):
+        for mask in (0, 1, 5, 4096):
+            assert Relation(mask) != INDURelation(mask)
+            assert not Relation(mask) == INDURelation(mask)
+            assert Relation(mask) == Relation(mask)
+            assert hash(Relation(mask)) == hash(Relation(mask))
+
+    @pytest.mark.parametrize("make, mask", [
+        (Relation, FULL_MASK + 1), (Relation, -1),
+        (INDURelation, VALID_MASK + 1), (INDURelation, -1),
+        (INDURelation, 1 << A("d", ">").index),
+    ])
+    def test_out_of_calculus_mask_rejected(self, make, mask):
+        with pytest.raises(ValueError, match="out of range"):
+            make(mask)
+
+    def test_immutable(self):
+        for rel in (Relation(1), INDURelation(1)):
+            with pytest.raises(AttributeError):
+                rel.mask = 2
+
+    def test_set_operators_keep_the_type(self):
+        for a, b in ((Relation(3), Relation(6)), (INDURelation(3), INDURelation(6))):
+            for got in (a & b, a | b, a.converse(), a.compose(b)):
+                assert type(got) is type(a)
+            assert (a & b).mask == 2 and (a | b).mask == 7
+            assert a & b <= a <= a | b
 
 
 class TestConverse:

@@ -69,6 +69,22 @@ class TestBoundWindow:
         assert a.intersect(BoundWindow.closed(10, 12)) == BoundWindow.exact(10)
         assert a.intersect(BoundWindow(F(10), F(12), lo_strict=True)) is None
 
+    def test_intersect_by_membership(self):
+        """On random windows the intersection admits exactly the values
+        both windows admit, probed at every bound, every midpoint and
+        beyond both ends; None exactly when no probe fits both."""
+        rng = random.Random(19)
+        for _ in range(500):
+            a, b = random_window(rng, 4), random_window(rng, 4)
+            ends = sorted({v for w in (a, b) for v in (w.lo, w.hi) if v is not None})
+            probes = [F(-100), F(100), *ends, *((x + y) / 2 for x, y in zip(ends, ends[1:]))]
+            both = [v for v in probes if a.contains(v) and b.contains(v)]
+            got = a.intersect(b)
+            assert (got is None) == (not both)
+            if got is not None:
+                assert all(got.contains(v) == (v in both) for v in probes)
+                assert got == b.intersect(a)
+
     def test_str_markers(self):
         assert str(BoundWindow.closed(120, 180)) == "[120, 180]"
         assert str(BoundWindow.at_most(25)) == "(0, 25]"

@@ -312,16 +312,16 @@ class Network:
         calc = self.relation.calculus
         n = len(intervals)
         if matrix is None:
-            matrix = [[calc.full] * n for _ in range(n)]
+            rows = tuple(tuple(calc.identity if i == j else calc.full for j in range(n))
+                         for i in range(n))
+        else:
+            rows = tuple(tuple(row) for row in matrix)
             for i in range(n):
-                matrix[i][i] = calc.identity
-        rows = tuple(tuple(row) for row in matrix)
-        for i in range(n):
-            if rows[i][i] != calc.identity:
-                raise ValueError(f"diagonal cells must be {self.relation(calc.identity)}")
-            for j in range(n):
-                if rows[j][i] != calc.converse(rows[i][j]):
-                    raise ValueError("constraint matrix must be converse-symmetric")
+                if rows[i][i] != calc.identity:
+                    raise ValueError(f"diagonal cells must be {self.relation(calc.identity)}")
+                for j in range(n):
+                    if rows[j][i] != calc.converse(rows[i][j]):
+                        raise ValueError("constraint matrix must be converse-symmetric")
         self._init(intervals, rows)
 
     def _init(self, intervals, rows) -> None:
@@ -354,7 +354,7 @@ class Network:
                 continue
             m[i][j] &= rel.mask
             m[j][i] = calc.converse(m[i][j])
-        return cls(intervals, m)
+        return cls._raw(net.intervals, m)
 
     def cell(self, a: str, b: str):
         return self.relation(self._matrix[self._index[a]][self._index[b]])
@@ -363,10 +363,13 @@ class Network:
         i, j = self._index[a], self._index[b]
         if i == j:
             raise ValueError("cannot replace a diagonal cell")
+        calc = self.relation.calculus
+        if rel.calculus is not calc:
+            raise ValueError(f"{rel!r} is of another calculus than {self.relation.__name__}")
         m = [list(row) for row in self._matrix]
         m[i][j] = rel.mask
-        m[j][i] = self.relation.calculus.converse(rel.mask)
-        return type(self)(self.intervals, m)
+        m[j][i] = calc.converse(rel.mask)
+        return self._raw(self.intervals, m)
 
     def restricted(self, keep: Sequence[str]):
         """The induced subnetwork on the given intervals (order preserved)."""
@@ -407,20 +410,27 @@ class QCN(Network):
     relation = Relation
 
 
-def path_consistency(net: Network) -> Network:
+def path_consistency(net: Network, changed: Optional[Sequence[tuple[int, int]]] = None) -> Network:
     """Queue-driven path consistency (PC-2) over the network's calculus.
 
-    Every pair i < j starts on a FIFO queue.  Popping (i, j) revises
-    (i, k) with C[i][j] C[j][k] and (k, j) with C[k][i] C[i][j] for every
-    other k; a pair whose cell shrinks is queued again unless it is
-    already waiting.  Stops at the first empty cell.
+    The pairs (i, j), i < j, of `changed` start on a FIFO queue, or every
+    pair when it is None.  Popping (i, j) revises (i, k) with
+    C[i][j] C[j][k] and (k, j) with C[k][i] C[i][j] for every other k; a
+    pair whose cell shrinks is queued again unless it is already waiting.
+    Stops at the first empty cell.  Starting from `changed` alone is
+    exact only when the network was closed before those cells were
+    tightened: every cell outside `changed` must already be closed.
     """
     calc = net.relation.calculus
     compose, converse = calc.compose, calc.converse
     n = len(net.intervals)
     m = [list(row) for row in net._matrix]
-    queue = deque((i, j) for i in range(n) for j in range(i + 1, n))
-    waiting = [[j > i for j in range(n)] for i in range(n)]
+    if changed is None:
+        changed = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    queue = deque(changed)
+    waiting = [[False] * n for _ in range(n)]
+    for i, j in changed:
+        waiting[i][j] = True
 
     def revise(a: int, b: int, bound: int) -> bool:
         """C[a][b] &= bound; False when the cell empties."""
@@ -451,16 +461,18 @@ def path_consistency(net: Network) -> Network:
     return net._raw(net.intervals, m)
 
 
-def close(net: QCN) -> QCN:
+def close(net: QCN, *, changed: Optional[Sequence[tuple[int, int]]] = None) -> QCN:
     """Path-consistency closure: the largest fixpoint of
     C[i][j] <- C[i][j] & compose(C[i][k], C[k][j]) over all triples.
 
     Output cells are subsets of input cells and the operation is
     idempotent.  An empty cell marks the network inconsistent; closure
     stops there, so the other cells of an inconsistent result are only
-    partially tightened and depend on the revision order.
+    partially tightened and depend on the revision order.  Given
+    `changed`, propagation starts from its pairs (i, j), i < j, alone,
+    which requires every cell outside them to be closed already.
     """
-    return path_consistency(net)
+    return path_consistency(net, changed)
 
 
 W = TypeVar("W")
@@ -470,9 +482,10 @@ def scenario_search(start: QCN, leaf: Callable[[QCN], Optional[W]]) -> Optional[
     """Depth-first search for an atomic refinement of a closed, consistent
     network.  The first pair (i < j) in interval order whose cell is not
     atomic is split into its atoms in canonical order; each choice is
-    closed, and one that empties a cell is dropped.  Every closed atomic
-    network is handed to `leaf`, and the first witness it returns (not
-    None) ends the search; None when no leaf yields one.
+    closed by propagating from that pair alone, and one that empties a
+    cell is dropped.  Every closed atomic network is handed to `leaf`,
+    and the first witness it returns (not None) ends the search; None
+    when no leaf yields one.
     """
     n = len(start.intervals)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -491,7 +504,7 @@ def scenario_search(start: QCN, leaf: Callable[[QCN], Optional[W]]) -> Optional[
             m = [list(row) for row in rows]
             m[i][j] = bit
             m[j][i] = ALLEN.converse(bit)
-            tightened = close(QCN._raw(current.intervals, m))
+            tightened = close(QCN._raw(current.intervals, m), changed=[(i, j)])
             if not tightened.inconsistent:
                 found = refine(tightened)
                 if found is not None:

@@ -118,11 +118,14 @@ def hybrid_close(h: HybridNetwork) -> HybridNetwork:
     minimization and point-to-atom import until a fixpoint.
 
     Inconsistency in either layer is reported as a value: the returned
-    network has the offending layer flagged.
+    network has the offending layer flagged.  After the first round,
+    qualitative closure propagates only from the cells the metric layer
+    tightened.
     """
     qcn, stp = h.qcn, h.stp
+    changed = None
     while True:
-        qcn = close(qcn)
+        qcn = close(qcn, changed=changed)
         if qcn.inconsistent:
             return HybridNetwork(qcn, stp, h.anon_points)
 
@@ -132,17 +135,17 @@ def hybrid_close(h: HybridNetwork) -> HybridNetwork:
 
         # atomic cells were exported above, so the metric layer cannot
         # tighten them; the others keep only the atoms it still admits
-        changed = False
+        changed = []
         ids = qcn.intervals
         for ai, a in enumerate(ids):
-            for b in ids[ai + 1:]:
+            for bi, b in enumerate(ids[ai + 1:], ai + 1):
                 cell = qcn.cell(a, b)
                 if cell.is_atomic:
                     continue
                 refined = metric_to_allen(stp, a, b, cell)
                 if refined != cell:
                     qcn = qcn.with_cell(a, b, refined)
-                    changed = True
+                    changed.append((ai, bi))
         if qcn.inconsistent:
             return HybridNetwork(qcn, stp, h.anon_points)
         if not changed:

@@ -24,9 +24,6 @@ class ScaleBoundExceeded(ValueError):
     """An instance is larger than the supported desk-scale search bound."""
 
 
-Rational = Fraction
-
-
 def _frac(v) -> Fraction:
     return v if isinstance(v, Fraction) else Fraction(v)
 

@@ -5,20 +5,22 @@ semantics, not against the package's own tables or enumeration code, so
 that the two can check each other.  The exceptions are the reference
 versions of the metric layer's earlier algorithms (the tuple
 Floyd-Warshall and the 13-overlay read-back), which reuse the package's
-network types and atom-to-endpoint table to check its fast paths, and
-the earlier recursion of the hybrid scenario search.
+network types and atom-to-endpoint table to check its fast paths, the
+earlier recursion of the hybrid scenario search, and the scenario search
+that re-closes every pair at every node.
 """
 
 from fractions import Fraction
 from itertools import product
 
-from chronotext.allen import BaseRelation, Relation, close
-from chronotext.hybrid import HybridNetwork, hybrid_close
+from chronotext.allen import QCN, BaseRelation, Relation, close
+from chronotext.hybrid import HybridNetwork, _forced_atom_constraints, hybrid_close
 from chronotext.metric import (
     STP,
     BoundWindow,
     allen_atom_to_points,
     end_of,
+    metric_to_allen,
     start_of,
     stp_close,
 )
@@ -287,6 +289,80 @@ def descend_hybrid_atomic_consistent(h):
 
     witness = descend(start.qcn, start.stp)
     return (witness is not None), witness
+
+
+def full_queue_scenario_search(start, leaf):
+    """`scenario_search` with every pair queued at every node: split the
+    first non-atomic pair in interval order into its atoms in canonical
+    order, fix the atom in a validated network and close it from scratch."""
+    n = len(start.intervals)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+    def refine(current):
+        rows = current._matrix
+        open_pair = next(((i, j) for i, j in pairs if not Relation(rows[i][j]).is_atomic), None)
+        if open_pair is None:
+            return leaf(current)
+        i, j = open_pair
+        for atom in Relation(rows[i][j]).atoms:
+            m = [list(row) for row in rows]
+            m[i][j] = Relation.of(atom).mask
+            m[j][i] = Relation.of(atom.converse).mask
+            tightened = close(QCN(current.intervals, m))
+            if not tightened.inconsistent:
+                found = refine(tightened)
+                if found is not None:
+                    return found
+        return None
+
+    return refine(start)
+
+
+def full_queue_atomic_consistent(net):
+    """`atomic_consistent` over `full_queue_scenario_search`."""
+    start = close(net)
+    scenario = None if start.inconsistent else full_queue_scenario_search(start, lambda q: q)
+    return scenario is not None, scenario
+
+
+def full_queue_hybrid_close(h):
+    """`hybrid_close` with every pair queued in every round: qualitative
+    closure, export of the atomic cells, `stp_close`, and `metric_to_allen`
+    read back on the other cells, until nothing changes."""
+    qcn, stp = h.qcn, h.stp
+    while True:
+        qcn = close(qcn)
+        if qcn.inconsistent:
+            return HybridNetwork(qcn, stp, h.anon_points)
+        stp = stp_close(stp.with_constraints(_forced_atom_constraints(qcn)))
+        if stp.inconsistent:
+            return HybridNetwork(qcn, stp, h.anon_points)
+        ids = qcn.intervals
+        changed = False
+        for a, b in [(a, b) for ai, a in enumerate(ids) for b in ids[ai + 1:]]:
+            cell = qcn.cell(a, b)
+            if not cell.is_atomic:
+                refined = metric_to_allen(stp, a, b, cell)
+                if refined != cell:
+                    qcn = qcn.with_cell(a, b, refined)
+                    changed = True
+        if qcn.inconsistent or not changed:
+            return HybridNetwork(qcn, stp, h.anon_points)
+
+
+def full_queue_hybrid_atomic_consistent(h):
+    """`hybrid_atomic_consistent` over `full_queue_hybrid_close` and
+    `full_queue_scenario_search`, with the metric check at every leaf."""
+    start = full_queue_hybrid_close(h)
+    if start.inconsistent:
+        return False, None
+
+    def leaf(qcn):
+        stp = stp_close(start.stp.with_constraints(_forced_atom_constraints(qcn)))
+        return None if stp.inconsistent else HybridNetwork(qcn, stp, h.anon_points)
+
+    witness = full_queue_scenario_search(start.qcn, leaf)
+    return witness is not None, witness
 
 
 def stp_minimal_by_paths(points, upper):

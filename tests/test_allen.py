@@ -4,12 +4,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from chronotext import allen
 from chronotext.allen import (
     ALLEN, FULL, FULL_MASK, EMPTY, BaseRelation, QCN, Relation,
     atomic_consistent, base_relation_of, close, format_qcn, parse_qcn,
     realize_small,
 )
-from oracles import composition_by_enumeration, realizable_atom_triples, sweep_closure
+from oracles import (
+    composition_by_enumeration,
+    full_queue_atomic_consistent,
+    realizable_atom_triples,
+    sweep_closure,
+)
 
 relations = st.builds(Relation, st.integers(min_value=0, max_value=FULL_MASK))
 
@@ -200,6 +206,73 @@ class TestCloseAgainstSweep:
                 assert closed == QCN(names, expected)
             verdicts.append(closed.inconsistent)
         assert 10 <= sum(verdicts) <= 110
+
+
+def random_network(rng, n, size):
+    """A complete network on n intervals, each cell `size` random atoms."""
+    names = [f"v{i}" for i in range(n)]
+    return QCN.build(names, [(names[i], Relation.of(*rng.sample(list(BaseRelation), size)),
+                              names[j]) for i in range(n) for j in range(i + 1, n)])
+
+
+class TestIncrementalClose:
+    def test_one_tightened_cell(self):
+        """Closing from the one cell tightened in a closed network gives
+        the verdict of closing from every pair, and the same network when
+        consistent (an inconsistent one stops at its first empty cell)."""
+        rng = random.Random(61)
+        verdicts = set()
+        for _ in range(150):
+            n = rng.randint(3, 9)
+            closed = close(random_network(rng, n, rng.randint(5, 9)))
+            if closed.inconsistent:
+                continue
+            i, j = sorted(rng.sample(range(n), 2))
+            a, b = closed.intervals[i], closed.intervals[j]
+            atoms = closed.cell(a, b).atoms
+            if len(atoms) < 2:
+                continue
+            keep = rng.sample(atoms, rng.randint(1, len(atoms) - 1))
+            tightened = closed.with_cell(a, b, Relation.of(*keep))
+            full, incremental = close(tightened), close(tightened, changed=[(i, j)])
+            assert incremental.inconsistent == full.inconsistent
+            if not full.inconsistent:
+                assert incremental == full
+            verdicts.add(full.inconsistent)
+        assert verdicts == {True, False}
+
+    def test_changed_none_queues_every_pair(self):
+        net = worked_network()
+        assert close(net, changed=None) == close(net)
+        assert close(net, changed=[]) == net
+
+
+class TestSearchAgainstFullQueue:
+    def test_random_networks(self):
+        """The search that closes each child from its fixed cell alone gives
+        the verdict and witness of the search that re-closes every pair."""
+        rng = random.Random(83)
+        seen = set()
+        for _ in range(160):
+            net = random_network(rng, rng.randint(4, 10), rng.choice((3, 6, 6, 7)))
+            got = atomic_consistent(net)
+            assert got == full_queue_atomic_consistent(net)
+            seen.add((close(net).inconsistent, got[0]))
+        # closure refutes some, the search refutes some that closure passes
+        assert seen == {(True, False), (False, False), (False, True)}
+
+
+class TestWorkCounts:
+    def test_close_calls_per_search(self, monkeypatch):
+        """`atomic_consistent` closes once at the root and once per search
+        node, each through `allen.close`; benchmark node counts read these
+        calls, so their number on a fixed network is pinned."""
+        calls = []
+        real = allen.close
+        monkeypatch.setattr(allen, "close", lambda net, **kw: calls.append(kw) or real(net, **kw))
+        ok, scenario = allen.atomic_consistent(random_network(random.Random(7), 8, 6))
+        assert ok and scenario is not None
+        assert len(calls) == 14
 
 
 class TestAtomicConsistent:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chronotext import allen, hybrid
 from chronotext.allen import (
     FULL,
     FULL_MASK,
@@ -20,7 +21,13 @@ from chronotext.hybrid import (
 )
 from chronotext.metric import STP, BoundWindow, POSITIVE, end_of, start_of
 
-from oracles import descend_hybrid_atomic_consistent, overlay_hybrid_close, random_window
+from oracles import (
+    descend_hybrid_atomic_consistent,
+    full_queue_hybrid_atomic_consistent,
+    full_queue_hybrid_close,
+    overlay_hybrid_close,
+    random_window,
+)
 
 
 F = Fraction
@@ -267,3 +274,47 @@ class TestSearchAgainstRecursion:
             seen.add((hybrid_close(h).inconsistent, got[0]))
         # closure refutes some, the search refutes some that closure passes
         assert seen == {(True, False), (False, False), (False, True)}
+
+
+def count_closes(monkeypatch, module):
+    """Route `module.close` through a counter; returns the list of calls."""
+    calls = []
+    real = module.close
+    monkeypatch.setattr(module, "close", lambda net, **kw: calls.append(kw) or real(net, **kw))
+    return calls
+
+
+class TestIncrementalAgainstFullQueue:
+    def test_random_hybrids(self, monkeypatch):
+        """Closure rounds after the first propagate from the cells the
+        metric layer tightened, and search nodes from the cell they fix;
+        both agree with closing every pair each time."""
+        rounds = count_closes(monkeypatch, hybrid)
+        rng = random.Random(53)
+        seen, later_rounds = set(), 0
+        for make in [random_hybrid] * 150 + [random_schedule] * 150:
+            h = make(rng)
+            rounds.clear()
+            closed = hybrid_close(h)
+            later_rounds += sum(1 for kw in rounds if kw["changed"])
+            ref = full_queue_hybrid_close(h)
+            assert format_hybrid(closed) == format_hybrid(ref)
+            if not closed.inconsistent:
+                assert closed == ref
+            got = hybrid_atomic_consistent(h)
+            assert got == full_queue_hybrid_atomic_consistent(h)
+            seen.add((closed.inconsistent, got[0]))
+        assert seen == {(True, False), (False, False), (False, True)}
+        assert later_rounds >= 100
+
+
+class TestWorkCounts:
+    def test_close_calls_per_search(self, monkeypatch):
+        """`hybrid_close` calls `close` once per round and the scenario
+        search once per node; benchmark round and node counts read these
+        calls, so their number on a fixed network is pinned."""
+        rounds = count_closes(monkeypatch, hybrid)
+        nodes = count_closes(monkeypatch, allen)
+        ok, witness = hybrid_atomic_consistent(random_schedule(random.Random(0)))
+        assert ok and witness is not None
+        assert (len(rounds), len(nodes)) == (2, 89)

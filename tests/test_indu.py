@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from chronotext.allen import FULL_MASK, BaseRelation, Relation, close
+from chronotext.allen import FULL_MASK, QCN, BaseRelation, Relation, close
 from chronotext.indu import (
     INDU, INDU_IDENTITY, INDU_TAUTOLOGY, VALID_MASK, INDUAtom, INDUNetwork,
     INDURelation, indu_close, indu_compose, indu_converse, project_allen,
@@ -232,6 +232,34 @@ class TestBuild:
             INDUNetwork.build(["x"], [("x", INDURelation.of(("b", "<")), "x")])
         loose = INDU_IDENTITY | INDURelation.of(("b", "<"))
         assert INDUNetwork.build(["x", "y"], [("x", loose, "x")]) == INDUNetwork(["x", "y"])
+
+    def test_results_pass_the_public_validation(self):
+        rng = random.Random(19)
+        for _ in range(20):
+            names = ["w", "x", "y", "z"]
+            def rel():
+                return INDURelation(rng.randrange(INDU.full + 1) & VALID_MASK)
+            net = INDUNetwork.build(names, [(a, rel(), b) for a in names for b in names
+                                            if a != b and rng.random() < 0.4])
+            net = net.with_cell(*rng.sample(names, 2), rel())
+            assert INDUNetwork(net.intervals, net._matrix) == net
+
+    def test_with_cell_rejects_diagonal_and_other_calculus(self):
+        net = INDUNetwork(["x", "y"])
+        with pytest.raises(ValueError, match="diagonal"):
+            net.with_cell("x", "x", INDU_IDENTITY)
+        with pytest.raises(ValueError, match="another calculus than INDURelation"):
+            net.with_cell("x", "y", Relation.of("b"))
+        with pytest.raises(ValueError, match="another calculus than Relation"):
+            QCN(["x", "y"]).with_cell("x", "y", INDURelation.of(("b", "<")))
+
+    def test_public_constructor_validates(self):
+        ident, before = INDU_IDENTITY.mask, INDURelation.of(("b", "<")).mask
+        after = indu_converse(INDURelation(before)).mask
+        with pytest.raises(ValueError, match="converse-symmetric"):
+            INDUNetwork(["x", "y"], [[ident, before], [before, ident]])
+        with pytest.raises(ValueError, match="diagonal"):
+            INDUNetwork(["x", "y"], [[before, before], [after, ident]])
 
 
 class TestProjection:

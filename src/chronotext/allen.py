@@ -420,9 +420,17 @@ def path_consistency(net: Network, changed: Optional[Sequence[tuple[int, int]]] 
     Stops at the first empty cell.  Starting from `changed` alone is
     exact only when the network was closed before those cells were
     tightened: every cell outside `changed` must already be closed.
+
+    Composing a nonempty relation with the full one gives the full one,
+    so a revision whose bound would be composed from a full cell cannot
+    change anything and is skipped without composing: a popped pair with
+    a full cell, the (i, k) revision when C[j][k] is full and the (k, j)
+    revision when C[k][i] is full.  The other revisions run in the same
+    order, so closed and inconsistent results are those of revising
+    every triple.
     """
     calc = net.relation.calculus
-    compose, converse = calc.compose, calc.converse
+    compose, converse, full = calc.compose, calc.converse, calc.full
     n = len(net.intervals)
     m = [list(row) for row in net._matrix]
     if changed is None:
@@ -451,12 +459,17 @@ def path_consistency(net: Network, changed: Optional[Sequence[tuple[int, int]]] 
         i, j = queue.popleft()
         waiting[i][j] = False
         rel = m[i][j]
+        if rel == full:
+            continue
         mj = m[j]
         for k in range(n):
             if k == i or k == j:
                 continue
-            if not (revise(i, k, compose(rel, mj[k]))
-                    and revise(k, j, compose(m[k][i], rel))):
+            jk = mj[k]
+            if jk != full and not revise(i, k, compose(rel, jk)):
+                return net._raw(net.intervals, m)
+            ki = m[k][i]
+            if ki != full and not revise(k, j, compose(ki, rel)):
                 return net._raw(net.intervals, m)
     return net._raw(net.intervals, m)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
@@ -452,14 +453,74 @@ _ATOM_EDGES = tuple(
     for constraints in _ATOM_POINTS)
 
 
+def _cycle_splits() -> tuple[tuple[tuple[int, ...], tuple[tuple[int, int], ...]], ...]:
+    """Every simple directed cycle on the 4 local points (6 of two legs,
+    8 of three, 6 of four), with every split of its legs into D legs, as
+    sorted flat indices 4*i + j, and atom legs, as (i, j) pairs: at least
+    one of each kind and no two D legs cyclically adjacent."""
+    out = []
+    for size in (2, 3, 4):
+        every = (1 << size) - 1
+        for cycle in permutations(range(4), size):
+            if cycle[0] != min(cycle):
+                continue
+            legs = tuple(zip(cycle, cycle[1:] + cycle[:1]))
+            for split in range(1, every):
+                if split & ((split << 1 | split >> (size - 1)) & every):
+                    continue
+                out.append((tuple(sorted(4 * a + b for n, (a, b) in enumerate(legs) if split >> n & 1)),
+                            tuple(leg for n, leg in enumerate(legs) if not split >> n & 1)))
+    return tuple(out)
+
+
+_CYCLE_SPLITS = _cycle_splits()
+
+
+def _cycle_tests(edges) -> tuple[tuple[int, Optional[int], int], ...]:
+    """The negative-cycle tests that decide one atom, given its encoded
+    edges, against the integer-encoded 4x4 sub-matrix D of a minimal STP.
+
+    Each test (p, q, k) reads D by flat index and excludes the atom when
+    D[p] (+ D[q], unless q is None) < k, both entries finite: one per
+    split of `_CYCLE_SPLITS` whose atom legs are all edges of the atom,
+    each D-leg set with its largest k (the negated sum of its atom legs);
+    one-leg tests come first.
+    """
+    atom = {(a, b): w for a, b, w in edges}
+    best: dict[tuple[int, ...], int] = {}
+    for d_legs, atom_legs in _CYCLE_SPLITS:
+        k = 0
+        for leg in atom_legs:
+            w = atom.get(leg)
+            if w is None:
+                break
+            k -= w
+        else:
+            if best.get(d_legs, -1) < k:
+                best[d_legs] = k
+    return tuple((key[0], key[1] if len(key) > 1 else None, k)
+                 for key, k in sorted(best.items(), key=lambda item: (len(item[0]), item[0])))
+
+
+_ATOM_TESTS = tuple(_cycle_tests(edges) for edges in _ATOM_EDGES)
+
+
 def metric_to_allen(s: STP, x: str, y: str, within: Optional[Relation] = None) -> Relation:
     """The atoms of `within` (default: all 13) compatible with a minimal
     STP's implied windows.
 
     A minimal simple temporal network is globally consistent, so joint
     satisfiability of an atom's endpoint constraints can be decided on
-    the four-point projection alone: each atom's edges are added to the
-    integer-encoded 4x4 sub-matrix and tested for a negative cycle.
+    the four-point projection alone: the atom is compatible when adding
+    its edges to the integer-encoded 4x4 sub-matrix D closes no negative
+    cycle.  Each atom is decided by its precomputed cycle tests
+    (`_cycle_tests`, generated from the atom endpoint table).  They are
+    exact: the bounds of a minimal network are closed, so a run of D legs
+    in a negative cycle can be replaced by its one closing D leg, which is
+    no weaker; D alone and an atom's edges alone have no negative cycle;
+    and a cycle on four points has at most four strict legs, fewer than
+    the scale M = 5, so its integer sum is negative exactly when the
+    cycle is.
     """
     if not s.minimal or s.inconsistent:
         raise ValueError("metric_to_allen requires a minimal consistent network")
@@ -469,16 +530,24 @@ def metric_to_allen(s: STP, x: str, y: str, within: Optional[Relation] = None) -
             raise KeyError(f"interval endpoint {p!r} not in network")
         idx.append(s._index[p])
     sub, _, _ = _scaled([[s._u[i][j] for j in idx] for i in idx])
+    d = sub[0] + sub[1] + sub[2] + sub[3]
     candidates = FULL_MASK if within is None else within.mask
     mask = 0
     while candidates:
         low = candidates & -candidates
         candidates ^= low
-        e = [row[:] for row in sub]
-        for i, j, w in _ATOM_EDGES[low.bit_length() - 1]:
-            if e[i][j] is None or w < e[i][j]:
-                e[i][j] = w
-        if _int_shortest_paths(e):
+        for p, q, k in _ATOM_TESTS[low.bit_length() - 1]:
+            v = d[p]
+            if v is None:
+                continue
+            if q is not None:
+                w = d[q]
+                if w is None:
+                    continue
+                v += w
+            if v < k:
+                break
+        else:
             mask |= low
     return Relation(mask)
 

@@ -4,20 +4,26 @@ Everything here is deliberately written against the raw endpoint
 semantics, not against the package's own tables or enumeration code, so
 that the two can check each other.  The exceptions are the reference
 versions of the metric layer's earlier algorithms (the tuple
-Floyd-Warshall and the 13-overlay read-back), which reuse the package's
-network types and atom-to-endpoint table to check its fast paths, the
-earlier recursion of the hybrid scenario search, and the scenario search
-that re-closes every pair at every node.
+Floyd-Warshall, the 13-overlay read-back and the read-back by one
+integer Floyd-Warshall per atom), which reuse the package's network
+types, integer encoding and atom-to-endpoint table to check its fast
+paths, the earlier recursion of the hybrid scenario search, the scenario
+search that re-closes every pair at every node, and the path consistency
+that composes on every revision.
 """
 
+from collections import deque
 from fractions import Fraction
 from itertools import product
 
-from chronotext.allen import QCN, BaseRelation, Relation, close
+from chronotext.allen import FULL_MASK, QCN, BaseRelation, Relation, close
 from chronotext.hybrid import HybridNetwork, _forced_atom_constraints, hybrid_close
 from chronotext.metric import (
+    _ATOM_EDGES,
     STP,
     BoundWindow,
+    _int_shortest_paths,
+    _scaled,
     allen_atom_to_points,
     end_of,
     metric_to_allen,
@@ -192,6 +198,26 @@ def overlay_metric_to_allen(s, x, y):
             if w.lo is not None:
                 u[j][i] = _btighter(u[j][i], (-w.lo, w.lo_strict))
         if tuple_shortest_paths(u):
+            mask |= 1 << atom
+    return Relation(mask)
+
+
+def fw_metric_to_allen(s, x, y, within=None):
+    """`metric_to_allen` by one integer Floyd-Warshall per candidate atom:
+    the atom's encoded edges laid over a copy of the encoded 4x4 endpoint
+    sub-matrix, the atom kept when no negative cycle closes."""
+    idx = [s._index[p] for p in (start_of(x), end_of(x), start_of(y), end_of(y))]
+    sub, _, _ = _scaled([[s._u[i][j] for j in idx] for i in idx])
+    candidates = FULL_MASK if within is None else within.mask
+    mask = 0
+    for atom in BaseRelation:
+        if not candidates >> atom & 1:
+            continue
+        e = [row[:] for row in sub]
+        for i, j, w in _ATOM_EDGES[atom]:
+            if e[i][j] is None or w < e[i][j]:
+                e[i][j] = w
+        if _int_shortest_paths(e):
             mask |= 1 << atom
     return Relation(mask)
 
@@ -443,3 +469,46 @@ def sweep_closure(matrix, table, conv):
                 m[j][i] = sum(1 << conv[a] for a in atoms if cur >> a & 1)
                 changed = True
     return m
+
+
+def compose_all_path_consistency(net, changed=None):
+    """`path_consistency` composing on every revision, full cells
+    included: the same FIFO queue, revision order and stop at the first
+    empty cell."""
+    calc = net.relation.calculus
+    compose, converse = calc.compose, calc.converse
+    n = len(net.intervals)
+    m = [list(row) for row in net._matrix]
+    if changed is None:
+        changed = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    queue = deque(changed)
+    waiting = [[False] * n for _ in range(n)]
+    for i, j in changed:
+        waiting[i][j] = True
+
+    def revise(a, b, bound):
+        cur = m[a][b]
+        new = cur & bound
+        if new == cur:
+            return True
+        m[a][b] = new
+        m[b][a] = converse(new)
+        if a > b:
+            a, b = b, a
+        if not waiting[a][b]:
+            waiting[a][b] = True
+            queue.append((a, b))
+        return new != 0
+
+    while queue:
+        i, j = queue.popleft()
+        waiting[i][j] = False
+        rel = m[i][j]
+        mj = m[j]
+        for k in range(n):
+            if k == i or k == j:
+                continue
+            if not (revise(i, k, compose(rel, mj[k]))
+                    and revise(k, j, compose(m[k][i], rel))):
+                return net._raw(net.intervals, m)
+    return net._raw(net.intervals, m)

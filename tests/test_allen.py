@@ -6,11 +6,13 @@ from hypothesis import given, strategies as st
 
 from chronotext import allen
 from chronotext.allen import (
-    ALLEN, FULL, FULL_MASK, EMPTY, BaseRelation, QCN, Relation,
+    ALLEN, FULL, FULL_MASK, EMPTY, BaseRelation, Calculus, QCN, Relation,
     atomic_consistent, base_relation_of, close, format_qcn, parse_qcn,
-    realize_small,
+    path_consistency, realize_small,
 )
+from chronotext.indu import INDU, INDUNetwork, INDURelation
 from oracles import (
+    compose_all_path_consistency,
     composition_by_enumeration,
     full_queue_atomic_consistent,
     realizable_atom_triples,
@@ -245,6 +247,66 @@ class TestIncrementalClose:
         net = worked_network()
         assert close(net, changed=None) == close(net)
         assert close(net, changed=[]) == net
+
+
+class TestUniversalBoundSkip:
+    @pytest.mark.parametrize("calc", [ALLEN, INDU], ids=["allen", "indu"])
+    def test_composition_with_full_is_full(self, calc):
+        """The premise of skipping revisions bounded by a full cell."""
+        for slot, atom in enumerate(calc.atoms):
+            bit = 1 << slot
+            if bit & calc.full:
+                assert calc.compose(bit, calc.full) == calc.full, atom
+                assert calc.compose(calc.full, bit) == calc.full, atom
+
+    @pytest.mark.parametrize("relation, network", [(Relation, QCN), (INDURelation, INDUNetwork)],
+                             ids=["allen", "indu"])
+    def test_same_networks_as_composing_every_revision(self, relation, network):
+        """Skipping full bounds leaves every output cell as it was, for
+        consistent and inconsistent results, from every pair and from a
+        few pairs of a network that is not closed."""
+        rng = random.Random(97)
+        full = relation.calculus.full
+        slots = [slot for slot in range(full.bit_length()) if full >> slot & 1]
+        verdicts = set()
+        for _ in range(120):
+            n = rng.randint(3, 8)
+            names = [f"v{i}" for i in range(n)]
+            density = rng.uniform(0.2, 0.9)
+            net = network.build(names, [
+                (names[i], relation(sum(1 << s for s in rng.sample(slots, rng.randint(1, 6)))),
+                 names[j])
+                for i in range(n) for j in range(i + 1, n) if rng.random() < density])
+            got = path_consistency(net)
+            assert got == compose_all_path_consistency(net)
+            verdicts.add(got.inconsistent)
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            changed = rng.sample(pairs, rng.randint(1, len(pairs)))
+            assert path_consistency(net, changed) \
+                == compose_all_path_consistency(net, changed)
+        assert verdicts == {True, False}
+
+    def test_close_never_composes_a_full_cell(self, monkeypatch):
+        operands = []
+        real = Calculus.compose
+
+        def counted(calc, m1, m2):
+            operands.append((m1, m2))
+            return real(calc, m1, m2)
+
+        monkeypatch.setattr(Calculus, "compose", counted)
+        closed = close(random_network_with_gaps(random.Random(5), 9))
+        assert not closed.inconsistent
+        assert len(operands) > 100
+        assert all(FULL_MASK not in pair for pair in operands)
+
+
+def random_network_with_gaps(rng, n):
+    """A network on n intervals with about half its cells unconstrained."""
+    names = [f"v{i}" for i in range(n)]
+    return QCN.build(names, [(names[i], Relation.of(*rng.sample(list(BaseRelation), 9)),
+                              names[j]) for i in range(n) for j in range(i + 1, n)
+                             if rng.random() < 0.5])
 
 
 class TestSearchAgainstFullQueue:

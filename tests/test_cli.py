@@ -58,6 +58,22 @@ class TestCheck:
         assert run(["check", str(bad)]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_directory(self, capsys):
+        assert run(["check", str(FIXTURES)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ")
+        assert out.err.count("\n") == 1
+
+    def test_non_utf8_bytes(self, capsys, tmp_path):
+        bad = tmp_path / "latin1.rcp"
+        bad.write_bytes('recipe "x"\nstep a "saut\u00e9"\n'.encode("latin-1"))
+        assert run(["check", str(bad)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ")
+        assert out.err.count("\n") == 1
+
     @pytest.mark.parametrize("line", ["rel x {b} zz", "sporadic x in y extra"])
     def test_undeclared_id_or_trailing_tokens(self, capsys, tmp_path, line):
         bad = tmp_path / "bad.rcp"
@@ -86,6 +102,10 @@ class TestQuery:
     def test_unknown_interval(self, capsys):
         assert run(["query", LUTHERAN, "mince_garlic", "ghost"]) == 2
         assert "ghost" in capsys.readouterr().err
+
+    def test_unknown_interval_message_unquoted(self, capsys):
+        assert run(["query", LUTHERAN, "mince_garlic", "zz"]) == 2
+        assert capsys.readouterr().err == "error: unknown interval 'zz'\n"
 
     def test_inconsistent_network(self, capsys):
         assert run(["query", CYCLIC, "s1", "s2"]) == 1

@@ -26,6 +26,7 @@ from chronotext.metric import (
 )
 from oracles import (
     atom_by_definition,
+    fw_metric_to_allen,
     overlay_metric_to_allen,
     random_window,
     stp_minimal_by_paths,
@@ -622,3 +623,50 @@ class TestReadBackAgainstOverlay:
         assert metric_to_allen(closed, "x", "y", Relation.parse("{b,e}")) \
             == Relation.parse("{b,e}")
         assert metric_to_allen(closed, "x", "y", Relation(0)) == Relation(0)
+
+
+class TestReadBackAgainstFloydWarshall:
+    def test_random_minimal_stps(self):
+        """The cycle tests give the atoms of one integer Floyd-Warshall per
+        atom, on two intervals and an anonymous point under random windows
+        (mixed denominators, strict and unbounded sides), with and without
+        `within`, in both argument orders."""
+        rng = random.Random(41)
+        points = [start_of("x"), end_of("x"), start_of("y"), end_of("y"), "z"]
+        sizes = set()
+        checked = 0
+        while checked < 2000:
+            cons = [(start_of(n), end_of(n), random_window(rng, 6))
+                    for n in ("x", "y") if rng.random() < 0.8]
+            cons += [(*rng.sample(points, 2), random_window(rng, 6))
+                     for _ in range(rng.randint(0, 5))]
+            closed = stp_close(STP.build(points, cons))
+            if closed.inconsistent:
+                continue
+            for a, b in (("x", "y"), ("y", "x")):
+                got = metric_to_allen(closed, a, b)
+                assert got == fw_metric_to_allen(closed, a, b)
+                within = Relation(rng.randint(0, FULL.mask))
+                assert metric_to_allen(closed, a, b, within) \
+                    == fw_metric_to_allen(closed, a, b, within)
+                sizes.add(len(got))
+            checked += 1
+        assert sizes == set(range(1, 14))
+
+    def test_two_leg_cycle_excludes_during(self):
+        """x lasting [2, 3] cannot lie during y lasting (0, 1], yet the
+        windows on xs - ys and ye - xe are unbounded: only the cycle
+        xs -> ys -> ye -> xe -> xs, with both durations as its D legs,
+        rejects {d}."""
+        closed = stp_close(STP.build(
+            [start_of("x"), end_of("x"), start_of("y"), end_of("y")],
+            [(start_of("x"), end_of("x"), BoundWindow.closed(2, 3)),
+             (start_of("y"), end_of("y"), BoundWindow.at_most(1))]))
+        assert closed.window(start_of("y"), start_of("x")).unbounded
+        assert closed.window(end_of("x"), end_of("y")).unbounded
+        during = Relation.of(BaseRelation.d)
+        assert metric_to_allen(closed, "x", "y", during) == Relation(0)
+        expected = Relation.parse("{b,bi,m,mi,o,oi,di,si,fi}")
+        assert metric_to_allen(closed, "x", "y") == expected
+        assert fw_metric_to_allen(closed, "x", "y") == expected
+        assert metric_to_allen(closed, "y", "x") == expected.converse()

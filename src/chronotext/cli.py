@@ -34,9 +34,23 @@ from .recipe import encode_recipe
 from .workflow import emit_dot, recipe_workflow, to_workflow
 
 
+def _read(path: Path) -> str:
+    """An input file's text, decoded as UTF-8 whatever the locale, with
+    newlines translated as `read_text` does; a byte sequence that is not
+    UTF-8 is a parse error naming the file and the line."""
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise RecipeSyntaxError(
+            f"{path}: line {line}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _scenarios(path: Path) -> list[tuple[str, HybridNetwork]]:
     """Every scenario of the file as (label, raw hybrid network)."""
-    text = path.read_text()
+    text = _read(path)
     if path.suffix == ".rcp":
         return encode_recipe(parse_recipe_dsl(text))
     if path.suffix == ".tml":
@@ -92,8 +106,8 @@ def _cmd_adapt(args) -> int:
         raise RecipeSyntaxError("adapt expects a .rcp recipe")
     if know_path.suffix != ".know":
         raise RecipeSyntaxError("adapt expects a .know knowledge file")
-    recipe = parse_recipe_dsl(recipe_path.read_text())
-    knowledge = parse_knowledge(know_path.read_text())
+    recipe = parse_recipe_dsl(_read(recipe_path))
+    knowledge = parse_knowledge(_read(know_path))
     result, edits = adapt_recipe(recipe, knowledge)
     sys.stdout.write(format_revision(result))
     sys.stdout.write(format_edits(edits))
@@ -103,7 +117,7 @@ def _cmd_adapt(args) -> int:
 def _cmd_workflow(args) -> int:
     path = Path(args.file)
     if path.suffix == ".rcp":
-        graph = recipe_workflow(parse_recipe_dsl(path.read_text()))
+        graph = recipe_workflow(parse_recipe_dsl(_read(path)))
     else:
         (label, h), = _scenarios(path)
         closed = hybrid_close(h)
@@ -118,7 +132,7 @@ def _cmd_timeml(args) -> int:
     path = Path(args.file)
     if path.suffix != ".tml":
         raise RecipeSyntaxError("timeml expects a .tml file")
-    qcn = doc_to_qcn(parse_timeml(path.read_text()))
+    qcn = doc_to_qcn(parse_timeml(_read(path)))
     sys.stdout.write(format_qcn(qcn))
     closed = close(qcn)
     print("inconsistent" if closed.inconsistent else "consistent")
@@ -170,7 +184,7 @@ def run(argv=None) -> int:
     except (RecipeSyntaxError, AnnotationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KeyError as exc:

@@ -13,10 +13,10 @@ from typing import Iterable, Optional, Sequence
 
 from .allen import QCN, Relation, close, format_qcn, scenario_search
 from .metric import (
+    _ATOM_EDGES,
     BoundWindow,
     POSITIVE,
     STP,
-    allen_atom_to_points,
     end_of,
     metric_to_allen,
     start_of,
@@ -100,16 +100,23 @@ class HybridNetwork:
         return f"HybridNetwork(<{len(self.intervals)} intervals>{flag})"
 
 
-def _forced_atom_constraints(qcn: QCN):
-    """Endpoint constraints of every atomic cell, upper triangle only."""
+def _endpoint_indices(h: HybridNetwork) -> list[tuple[int, int]]:
+    """Per interval, the STP indices of its start and end points."""
+    index = h.stp._index
+    return [(index[start_of(i)], index[end_of(i)]) for i in h.intervals]
+
+
+def _forced_atom_edges(qcn: QCN, ends: list[tuple[int, int]]) -> list[tuple[int, int, int]]:
+    """The encoded endpoint edges (`_ATOM_EDGES`) of every atomic cell,
+    upper triangle only, over the STP indices `ends` of each interval."""
     out = []
-    ids = qcn.intervals
-    for ai, a in enumerate(ids):
-        for b in ids[ai + 1:]:
-            cell = qcn.cell(a, b)
-            if cell.is_atomic:
-                (atom,) = cell.atoms
-                out.extend(allen_atom_to_points(atom, a, b))
+    rows = qcn._matrix
+    for a, row in enumerate(rows):
+        for b in range(a + 1, len(rows)):
+            mask = row[b]
+            if not mask & (mask - 1):
+                pts = ends[a] + ends[b]
+                out += [(pts[i], pts[j], w) for i, j, w in _ATOM_EDGES[mask.bit_length() - 1]]
     return out
 
 
@@ -123,32 +130,32 @@ def hybrid_close(h: HybridNetwork) -> HybridNetwork:
     tightened.
     """
     qcn, stp = h.qcn, h.stp
+    ends = _endpoint_indices(h)
     changed = None
     while True:
         qcn = close(qcn, changed=changed)
         if qcn.inconsistent:
             return HybridNetwork(qcn, stp, h.anon_points)
 
-        stp = stp_close(stp.with_constraints(_forced_atom_constraints(qcn)))
+        stp = stp_close(stp._with_edges(_forced_atom_edges(qcn, ends)))
         if stp.inconsistent:
             return HybridNetwork(qcn, stp, h.anon_points)
 
         # atomic cells were exported above, so the metric layer cannot
         # tighten them; the others keep only the atoms it still admits
+        # (with_cell changes no cell the loop has yet to read)
         changed = []
         ids = qcn.intervals
-        for ai, a in enumerate(ids):
-            for bi, b in enumerate(ids[ai + 1:], ai + 1):
-                cell = qcn.cell(a, b)
-                if cell.is_atomic:
+        for ai, row in enumerate(qcn._matrix):
+            for bi in range(ai + 1, len(ids)):
+                mask = row[bi]
+                if not mask & (mask - 1):
                     continue
-                refined = metric_to_allen(stp, a, b, cell)
-                if refined != cell:
-                    qcn = qcn.with_cell(a, b, refined)
+                refined = metric_to_allen(stp, ids[ai], ids[bi], Relation(mask))
+                if refined.mask != mask:
+                    qcn = qcn.with_cell(ids[ai], ids[bi], refined)
                     changed.append((ai, bi))
-        if qcn.inconsistent:
-            return HybridNetwork(qcn, stp, h.anon_points)
-        if not changed:
+        if qcn.inconsistent or not changed:
             return HybridNetwork(qcn, stp, h.anon_points)
 
 
@@ -164,8 +171,10 @@ def hybrid_atomic_consistent(h: HybridNetwork) -> tuple[bool, Optional[HybridNet
     if start.inconsistent:
         return False, None
 
+    ends = _endpoint_indices(start)
+
     def leaf(qcn: QCN) -> Optional[HybridNetwork]:
-        stp = stp_close(start.stp.with_constraints(_forced_atom_constraints(qcn)))
+        stp = stp_close(start.stp._with_edges(_forced_atom_edges(qcn, ends)))
         return None if stp.inconsistent else HybridNetwork(qcn, stp, h.anon_points)
 
     witness = scenario_search(start.qcn, leaf)

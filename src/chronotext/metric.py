@@ -3,11 +3,13 @@ problems (STP), their disjunctive extension (TCSP), and the two
 translations that connect interval relations to endpoint constraints.
 
 All quantities are exact rationals in canonical units of minutes.
-Strict inequalities are carried as explicit flags.  The one
-shortest-path routine runs on an exact integer encoding of the
-(value, strictness) bounds, with strictness a -1 offset below a
-multiplier larger than the number of points; there are no epsilon
-approximations.
+Strict inequalities are carried as explicit flags on windows.  An STP
+stores only an exact integer encoding of its bounds, a (value, strict)
+upper bound kept as value*D*M - strict under a common denominator D and
+a multiplier M larger than the number of points; the one shortest-path
+routine, the read-back to Allen atoms and the atom export all work on
+that encoding, and bounds become `Fraction`s again only when a window is
+read.  There are no epsilon approximations.
 """
 
 from __future__ import annotations
@@ -136,7 +138,6 @@ def end_of(interval: str) -> str:
 
 Bound = tuple[Optional[Fraction], bool]
 _INF: Bound = (None, True)
-_ZERO: Bound = (Fraction(0), False)
 
 
 def _btighter(a: Bound, b: Bound) -> Bound:
@@ -168,26 +169,80 @@ def _bounds_to_window(fwd: Bound, bwd: Bound) -> Optional[BoundWindow]:
     return BoundWindow(lo, hi, lo_strict, hi_strict)
 
 
+def _scaled(u: Sequence[Sequence[Bound]]) -> tuple[list[list[Optional[int]]], int, int]:
+    """Encode a bound matrix as integers, with the scale factors D and M.
+
+    A bound (v, strict) becomes v*D*M - strict, where D is the least
+    common multiple of the finite values' denominators and
+    M = max(n + 1, 5); +infinity becomes None.
+    """
+    m = max(len(u) + 1, 5)
+    d = 1
+    for row in u:
+        for v, _ in row:
+            if v is not None and d % v.denominator:
+                d = lcm(d, v.denominator)
+    dm = d * m
+    enc = [[None if v is None else v.numerator * (dm // v.denominator) - strict
+            for v, strict in row] for row in u]
+    return enc, d, m
+
+
+def _decoded(e: Optional[int], d: int, m: int) -> Bound:
+    """The (value, strict) bound of a stored entry e = q*M - strict."""
+    if e is None:
+        return _INF
+    q = -(-e // m)  # ceil(e / m)
+    return Fraction(q, d), q * m != e
+
+
 class STP:
-    """A simple temporal problem: one window per ordered point pair,
-    represented internally as a matrix of upper bounds on differences.
+    """A simple temporal problem: one window per ordered point pair.
+
+    What is stored is one integer matrix `_e`, with `_e[i][j]` the upper
+    bound on t_j - t_i: a bound (v, strict) is kept as v*D*M - strict,
+    None meaning +infinity, under the scale D (the least common multiple
+    of the denominators seen so far) and the multiplier M >= max(n + 1, 5).
+    Every stored entry carries at most one strict unit, so a simple path,
+    of at most n - 1 < M legs, sums to at most M - 1 of them: integer sums
+    order paths exactly as (value, strict) arithmetic does.  Decoding back
+    to `Fraction`s happens only in `window` and in the read-only view
+    `_u`; equality and hashing are by value, whatever the scale.
 
     Instances are immutable.  `stp_close` returns the minimal network,
     in which every window is the tightest implied one, or a network
     flagged inconsistent when the distance graph has a negative cycle.
     """
 
-    __slots__ = ("points", "_index", "_u", "inconsistent", "minimal")
+    __slots__ = ("points", "_index", "_e", "_d", "_m", "inconsistent", "minimal")
 
     def __init__(self, points: Sequence[str], matrix, inconsistent: bool = False,
                  minimal: bool = False):
-        object.__setattr__(self, "points", tuple(points))
-        object.__setattr__(self, "_index", {p: i for i, p in enumerate(self.points)})
-        object.__setattr__(self, "_u", tuple(tuple(row) for row in matrix))
-        object.__setattr__(self, "inconsistent", inconsistent)
-        object.__setattr__(self, "minimal", minimal)
-        if len(self._index) != len(self.points):
+        """`matrix` holds (value, strict) upper bounds, value None for
+        +infinity, row i column j bounding t_j - t_i."""
+        points = tuple(points)
+        e, d, m = _scaled(matrix)
+        self._init(points, {p: i for i, p in enumerate(points)},
+                   tuple(map(tuple, e)), d, m, inconsistent, minimal)
+
+    def _init(self, points, index, e, d, m, inconsistent, minimal) -> None:
+        if len(index) != len(points):
             raise ValueError("duplicate point ids")
+        put = object.__setattr__
+        put(self, "points", points)
+        put(self, "_index", index)
+        put(self, "_e", e)
+        put(self, "_d", d)
+        put(self, "_m", m)
+        put(self, "inconsistent", inconsistent)
+        put(self, "minimal", minimal)
+
+    @classmethod
+    def _raw(cls, points, index, e, d, m, inconsistent=False, minimal=False) -> "STP":
+        # from an encoded matrix that already holds the invariant
+        self = object.__new__(cls)
+        self._init(points, index, e, d, m, inconsistent, minimal)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("STP is immutable")
@@ -202,32 +257,75 @@ class STP:
     def with_constraints(self, constraints: Iterable[tuple[str, str, BoundWindow]],
                          new_points: Sequence[str] = ()) -> "STP":
         """This network on its points plus `new_points`, with the
-        (from, to, window) triples conjoined in."""
+        (from, to, window) triples conjoined in.
+
+        The stored entries are rescaled, exactly, only when a new
+        denominator or new points change D or M.
+        """
         points = self.points + tuple(p for p in new_points if p not in self._index)
-        n = len(points)
-        old = len(self.points)
-        u = [list(row) + [_INF] * (n - old) for row in self._u]
-        u += [[_INF] * n for _ in range(old, n)]
-        for i in range(old, n):
-            u[i][i] = _ZERO
-        index = {p: i for i, p in enumerate(points)}
+        index = self._index if len(points) == len(self.points) else \
+            {p: i for i, p in enumerate(points)}
+        n, old = len(points), len(self.points)
+        d = self._d
+        edges = []
         for frm, to, w in constraints:
             if frm not in index:
                 raise KeyError(f"unknown point {frm!r}")
             if to not in index:
                 raise KeyError(f"unknown point {to!r}")
-            i, j = index[frm], index[to]
-            fwd, bwd = _window_to_bounds(w)
-            u[i][j] = _btighter(u[i][j], fwd)
-            u[j][i] = _btighter(u[j][i], bwd)
-        return STP(points, u)
+            for v in (w.lo, w.hi):
+                if v is not None and d % v.denominator:
+                    d = lcm(d, v.denominator)
+            edges.append((index[frm], index[to], w))
+        m = max(self._m, n + 1)
+        if d == self._d and m == self._m:
+            rows = [list(row) for row in self._e]
+        else:
+            # q*M - s becomes q*(D'/D)*M' - s
+            f, old_m = d // self._d * m, self._m
+            rows = [[None if v is None else -(-v // old_m) * (f - old_m) + v for v in row]
+                    for row in self._e]
+        for row in rows:
+            row += [None] * (n - old)
+        for i in range(old, n):
+            rows.append([None] * n)
+            rows[i][i] = 0
+        dm = d * m
+        for i, j, w in edges:
+            if w.hi is not None:
+                v = w.hi.numerator * (dm // w.hi.denominator) - w.hi_strict
+                if rows[i][j] is None or v < rows[i][j]:
+                    rows[i][j] = v
+            if w.lo is not None:
+                v = -w.lo.numerator * (dm // w.lo.denominator) - w.lo_strict
+                if rows[j][i] is None or v < rows[j][i]:
+                    rows[j][i] = v
+        return STP._raw(points, index, tuple(map(tuple, rows)), d, m)
+
+    def _with_edges(self, edges: Iterable[tuple[int, int, int]]) -> "STP":
+        """This network with encoded edges (i, j, w) conjoined in, each
+        bounding t_j - t_i by a bound of value 0 (w = 0, or -1 when
+        strict), whose encoding is the same at every scale."""
+        rows = [list(row) for row in self._e]
+        for i, j, w in edges:
+            v = rows[i][j]
+            if v is None or w < v:
+                rows[i][j] = w
+        return STP._raw(self.points, self._index, tuple(map(tuple, rows)), self._d, self._m)
+
+    @property
+    def _u(self) -> tuple[tuple[Bound, ...], ...]:
+        """The stored matrix decoded to (value, strict) upper bounds."""
+        d, m = self._d, self._m
+        return tuple(tuple(_decoded(v, d, m) for v in row) for row in self._e)
 
     def window(self, frm: str, to: str) -> BoundWindow:
         """The window currently recorded for t_to - t_from."""
         if self.inconsistent:
             raise ValueError("windows are undefined on an inconsistent network")
         i, j = self._index[frm], self._index[to]
-        w = _bounds_to_window(self._u[i][j], self._u[j][i])
+        w = _bounds_to_window(_decoded(self._e[i][j], self._d, self._m),
+                              _decoded(self._e[j][i], self._d, self._m))
         if w is None:
             raise ValueError(f"pair {frm!r}/{to!r} admits no value; close the network")
         return w
@@ -238,13 +336,19 @@ class STP:
     def restricted(self, points: Sequence[str]) -> "STP":
         """The sub-network on the given points, dropping every bound that
         mentions a discarded point (paths through them are not kept)."""
+        points = tuple(points)
         keep = [self._index[p] for p in points]
-        u = [[self._u[i][j] for j in keep] for i in keep]
-        return STP(points, u, inconsistent=self.inconsistent)
+        e = tuple(tuple(self._e[i][j] for j in keep) for i in keep)
+        return STP._raw(points, {p: i for i, p in enumerate(points)}, e, self._d, self._m,
+                        inconsistent=self.inconsistent)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, STP) and self.points == other.points
-                and self._u == other._u and self.inconsistent == other.inconsistent)
+        if not (isinstance(other, STP) and self.points == other.points
+                and self.inconsistent == other.inconsistent):
+            return False
+        if self._d == other._d and self._m == other._m:
+            return self._e == other._e
+        return self._u == other._u
 
     def __hash__(self) -> int:
         return hash((self.points, self._u, self.inconsistent))
@@ -252,27 +356,6 @@ class STP:
     def __repr__(self) -> str:
         flag = " inconsistent" if self.inconsistent else ""
         return f"STP(<{len(self.points)} points>{flag})"
-
-
-def _scaled(u: list[list[Bound]]) -> tuple[list[list[Optional[int]]], int, int]:
-    """Encode a bound matrix as integers, with the scale factors D and M.
-
-    A bound (v, strict) becomes v*D*M - strict, where D is the least
-    common multiple of the finite values' denominators and M = n + 1;
-    +infinity becomes None.  A simple path has at most n - 1 strict legs,
-    fewer than M, so integer sums order paths exactly as the
-    lexicographic (value, strict) arithmetic does.
-    """
-    m = len(u) + 1
-    d = 1
-    for row in u:
-        for v, _ in row:
-            if v is not None and d % v.denominator:
-                d = lcm(d, v.denominator)
-    dm = d * m
-    enc = [[None if v is None else v.numerator * (dm // v.denominator) - strict
-            for v, strict in row] for row in u]
-    return enc, d, m
 
 
 def _int_shortest_paths(e: list[list[Optional[int]]]) -> bool:
@@ -293,36 +376,23 @@ def _int_shortest_paths(e: list[list[Optional[int]]]) -> bool:
     return all(row[i] is None or row[i] >= 0 for i, row in enumerate(e))
 
 
-def _shortest_paths(u: list[list[Bound]]) -> bool:
-    """All-pairs shortest paths over a bound matrix, in place, computed
-    on its integer encoding (`_scaled`).
-
-    False when the distance graph has a cycle of negative total weight,
-    or of zero weight with a strict leg; `u` is then left unchanged.
-    """
-    e, d, m = _scaled(u)
-    start = [row[:] for row in e]
-    if not _int_shortest_paths(e):
-        return False
-    for ui, ei, si in zip(u, e, start):
-        for j, v in enumerate(ei):
-            if v != si[j]:
-                q = -(-v // m)  # ceil(v / m)
-                ui[j] = (Fraction(q, d), q * m != v)
-    return True
-
-
 def stp_close(s: STP) -> STP:
     """All-pairs shortest paths over the distance graph.
 
     Returns the minimal network: every pair carries its tightest implied
     window.  A cycle of negative total weight, or zero weight with a
-    strict leg, flags the result inconsistent.
+    strict leg, flags the result inconsistent; its matrix is then the
+    input's.  The integer Floyd-Warshall runs on a copy of the stored
+    matrix; a shortest path may sum several strict units, and each entry
+    is then put back to q*M - [strict] with q = ceil(e / M).
     """
-    u = [list(row) for row in s._u]
-    if not _shortest_paths(u):
-        return STP(s.points, u, inconsistent=True)
-    return STP(s.points, u, minimal=True)
+    e = [list(row) for row in s._e]
+    if not _int_shortest_paths(e):
+        return STP._raw(s.points, s._index, s._e, s._d, s._m, inconsistent=True)
+    m = s._m
+    rows = tuple(tuple([v if v is None or not v % m else v - v % m + m - 1 for v in row])
+                 for row in e)
+    return STP._raw(s.points, s._index, rows, s._d, m, minimal=True)
 
 
 @dataclass(frozen=True)
@@ -512,25 +582,28 @@ def metric_to_allen(s: STP, x: str, y: str, within: Optional[Relation] = None) -
     A minimal simple temporal network is globally consistent, so joint
     satisfiability of an atom's endpoint constraints can be decided on
     the four-point projection alone: the atom is compatible when adding
-    its edges to the integer-encoded 4x4 sub-matrix D closes no negative
-    cycle.  Each atom is decided by its precomputed cycle tests
-    (`_cycle_tests`, generated from the atom endpoint table).  They are
-    exact: the bounds of a minimal network are closed, so a run of D legs
-    in a negative cycle can be replaced by its one closing D leg, which is
-    no weaker; D alone and an atom's edges alone have no negative cycle;
-    and a cycle on four points has at most four strict legs, fewer than
-    the scale M = 5, so its integer sum is negative exactly when the
-    cycle is.
+    its edges to the 4x4 sub-matrix D of the stored integer matrix closes
+    no negative cycle.  Each atom is decided by its precomputed cycle
+    tests (`_cycle_tests`, generated from the atom endpoint table).  They
+    are exact: the bounds of a minimal network are closed, so a run of D
+    legs in a negative cycle can be replaced by its one closing D leg,
+    which is no weaker; D alone and an atom's edges alone have no negative
+    cycle; and a cycle on four points has four legs, each carrying at most
+    one strict unit (a stored entry holds at most one, an atom edge is 0
+    or -1), so at most four, fewer than the multiplier M >= 5: its integer
+    sum is negative exactly when the cycle is.
     """
     if not s.minimal or s.inconsistent:
         raise ValueError("metric_to_allen requires a minimal consistent network")
+    index = s._index
     idx = []
     for p in (start_of(x), end_of(x), start_of(y), end_of(y)):
-        if not s.has_point(p):
+        i = index.get(p)
+        if i is None:
             raise KeyError(f"interval endpoint {p!r} not in network")
-        idx.append(s._index[p])
-    sub, _, _ = _scaled([[s._u[i][j] for j in idx] for i in idx])
-    d = sub[0] + sub[1] + sub[2] + sub[3]
+        idx.append(i)
+    e = s._e
+    d = [e[i][j] for i in idx for j in idx]
     candidates = FULL_MASK if within is None else within.mask
     mask = 0
     while candidates:

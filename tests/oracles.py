@@ -6,24 +6,26 @@ that the two can check each other.  The exceptions are the reference
 versions of the metric layer's earlier algorithms (the tuple
 Floyd-Warshall, the 13-overlay read-back and the read-back by one
 integer Floyd-Warshall per atom), which reuse the package's network
-types, integer encoding and atom-to-endpoint table to check its fast
-paths, the earlier recursion of the hybrid scenario search, the scenario
-search that re-closes every pair at every node, and the path consistency
-that composes on every revision.
+types, integer shortest-path kernel and atom-to-endpoint table to check
+its fast paths, but keep their own copies of the per-call bound encoder
+(`_scaled`) and of the window-based atom export
+(`_forced_atom_constraints`); the earlier recursion of the hybrid
+scenario search, the scenario search that re-closes every pair at every
+node, and the path consistency that composes on every revision.
 """
 
 from collections import deque
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from chronotext.allen import FULL_MASK, QCN, BaseRelation, Relation, close
-from chronotext.hybrid import HybridNetwork, _forced_atom_constraints, hybrid_close
+from chronotext.hybrid import HybridNetwork, hybrid_close
 from chronotext.metric import (
     _ATOM_EDGES,
     STP,
     BoundWindow,
     _int_shortest_paths,
-    _scaled,
     allen_atom_to_points,
     end_of,
     metric_to_allen,
@@ -174,6 +176,26 @@ def tuple_shortest_paths(u):
     return True
 
 
+def tuple_conjoin(points, u, constraints, new_points=()):
+    """A (value, strict) bound matrix over `points` extended by
+    `new_points`, with the (from, to, window) triples conjoined by the
+    tuple comparison; returns (points, matrix)."""
+    points = list(points) + list(new_points)
+    n = len(points)
+    u = [list(row) + [_INF] * (n - len(row)) for row in u]
+    for i in range(len(u), n):
+        u.append([_INF] * n)
+        u[i][i] = (Fraction(0), False)
+    index = {p: i for i, p in enumerate(points)}
+    for frm, to, w in constraints:
+        i, j = index[frm], index[to]
+        if w.hi is not None:
+            u[i][j] = _btighter(u[i][j], (w.hi, w.hi_strict))
+        if w.lo is not None:
+            u[j][i] = _btighter(u[j][i], (-w.lo, w.lo_strict))
+    return points, u
+
+
 def overlay_metric_to_allen(s, x, y):
     """The atoms whose endpoint constraints, laid over the 4x4 endpoint
     projection of a minimal STP, leave it free of negative cycles: one
@@ -202,10 +224,27 @@ def overlay_metric_to_allen(s, x, y):
     return Relation(mask)
 
 
+def _scaled(u):
+    """Encode a (value, strict) bound matrix as integers v*D*M - strict,
+    with D the least common multiple of the finite values' denominators
+    and M = n + 1; +infinity becomes None.  Returns (matrix, D, M)."""
+    m = len(u) + 1
+    d = 1
+    for row in u:
+        for v, _ in row:
+            if v is not None:
+                d = lcm(d, v.denominator)
+    enc = [[None if v is None else v.numerator * (d * m // v.denominator) - strict
+            for v, strict in row] for row in u]
+    return enc, d, m
+
+
 def fw_metric_to_allen(s, x, y, within=None):
     """`metric_to_allen` by one integer Floyd-Warshall per candidate atom:
     the atom's encoded edges laid over a copy of the encoded 4x4 endpoint
-    sub-matrix, the atom kept when no negative cycle closes."""
+    sub-matrix, the atom kept when no negative cycle closes.  The
+    sub-matrix is read through the decoded view and encoded afresh at its
+    own scale on every call."""
     idx = [s._index[p] for p in (start_of(x), end_of(x), start_of(y), end_of(y))]
     sub, _, _ = _scaled([[s._u[i][j] for j in idx] for i in idx])
     candidates = FULL_MASK if within is None else within.mask
@@ -245,6 +284,19 @@ def tuple_stp_close(s):
     if not tuple_shortest_paths(u):
         return STP(s.points, u, inconsistent=True)
     return STP(s.points, u, minimal=True)
+
+
+def _forced_atom_constraints(qcn):
+    """Endpoint constraints of every atomic cell, upper triangle only, as
+    (from, to, window) triples from the atom-to-endpoint table."""
+    out = []
+    ids = qcn.intervals
+    for ai, a in enumerate(ids):
+        for b in ids[ai + 1:]:
+            cell = qcn.cell(a, b)
+            if cell.is_atomic:
+                out.extend(allen_atom_to_points(cell.atoms[0], a, b))
+    return out
 
 
 def overlay_hybrid_close(h):

@@ -249,14 +249,60 @@ class TestUsage:
         assert _parser() is _parser()
 
 
+class TestInputEncoding:
+    """Inputs are read as UTF-8 whatever the locale, and a file that is
+    not UTF-8 is named, with its line, in the one-line error."""
+
+    C_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+    def test_utf8_recipe_under_c_locale(self, tmp_path):
+        recipe = tmp_path / "saute.rcp"
+        recipe.write_bytes('recipe "x"\nstep a "saut\u00e9 onions"\n'.encode("utf-8"))
+        done = TestModuleEntryPoints._run_module("chronotext", "check", str(recipe),
+                                                 env=self.C_LOCALE)
+        assert (done.returncode, done.stdout, done.stderr) == \
+            (0, "scenario base: consistent\n", "")
+
+    def test_utf8_recipe_in_process(self, capsys, tmp_path):
+        recipe = tmp_path / "saute.rcp"
+        recipe.write_bytes('recipe "x"\nstep a "saut\u00e9 onions"\n'.encode("utf-8"))
+        assert run(["check", str(recipe)]) == 0
+        assert capsys.readouterr().out == "scenario base: consistent\n"
+
+    def test_crlf_lines_read_as_lf(self, capsys, tmp_path):
+        crlf = tmp_path / "crlf.rcp"
+        crlf.write_bytes(Path(LUTHERAN).read_bytes().replace(b"\n", b"\r\n"))
+        assert run(["close", str(crlf)]) == 0
+        assert capsys.readouterr().out.encode() == \
+            (GOLDEN / "cli" / "close-lutheran.out").read_bytes()
+
+    def test_latin1_knowledge_names_file_and_line(self, capsys, tmp_path):
+        know = tmp_path / "bad.know"
+        know.write_bytes('knowledge "k"\nstep x "saut\u00e9"\n'.encode("latin-1"))
+        assert run(["adapt", LUTHERAN, str(know)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {know}: line 2: not UTF-8 " \
+                          "(invalid continuation byte at byte 26)\n"
+
+    def test_latin1_recipe_names_file_and_line(self, capsys, tmp_path):
+        recipe = tmp_path / "latin1.rcp"
+        recipe.write_bytes('recipe "x"\n\nstep a "saut\u00e9"\n'.encode("latin-1"))
+        assert run(["adapt", str(recipe), LENTILS]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {recipe}: line 3: not UTF-8")
+        assert err.count("\n") == 1
+
+
 class TestModuleEntryPoints:
     """`python -m chronotext.cli` and `python -m chronotext` run the CLI."""
 
     @staticmethod
-    def _run_module(module, *args):
+    def _run_module(module, *args, env=None):
         src = str(Path(chronotext.__file__).resolve().parent.parent)
         path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""),
+                   **(env or {}))
         return subprocess.run([sys.executable, "-m", module, *args], env=env,
                               capture_output=True, text=True, timeout=60)
 

@@ -1,10 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chronotext import allen, hybrid
+from chronotext import allen, hybrid, metric
 from chronotext.allen import (
     FULL,
     FULL_MASK,
@@ -318,3 +319,30 @@ class TestWorkCounts:
         ok, witness = hybrid_atomic_consistent(random_schedule(random.Random(0)))
         assert ok and witness is not None
         assert (len(rounds), len(nodes)) == (2, 89)
+
+    def test_no_bound_encoding_after_build(self, monkeypatch):
+        """Closing and searching a built network export atomic cells as
+        encoded edges and read the stored integer matrix back: neither
+        the bound encoder nor the window-triple export runs, and the
+        numbers of `stp_close` and `metric_to_allen` calls are pinned."""
+        h = random_schedule(random.Random(0))
+        calls = Counter()
+
+        def count(module, name):
+            real = getattr(metric, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted, raising=False)
+
+        for name in ("stp_close", "metric_to_allen", "allen_atom_to_points"):
+            count(hybrid, name)
+        for name in ("_scaled", "allen_atom_to_points"):
+            count(metric, name)
+        hybrid_close(h)
+        assert calls == {"stp_close": 2, "metric_to_allen": 12}
+        calls.clear()
+        ok, witness = hybrid_atomic_consistent(h)
+        assert ok and witness is not None
+        assert calls == {"stp_close": 66, "metric_to_allen": 12}

@@ -30,6 +30,8 @@ from oracles import (
     overlay_metric_to_allen,
     random_window,
     stp_minimal_by_paths,
+    tuple_conjoin,
+    tuple_shortest_paths,
     tuple_stp_close,
 )
 
@@ -670,3 +672,129 @@ class TestReadBackAgainstFloydWarshall:
         assert metric_to_allen(closed, "x", "y") == expected
         assert fw_metric_to_allen(closed, "x", "y") == expected
         assert metric_to_allen(closed, "y", "x") == expected.converse()
+
+
+# ---------------------------------------------------------------------------
+# the stored integer matrix against a (value, strict) tuple reference
+
+def tuple_window(u, i, j):
+    """The window on t_j - t_i under a tuple bound matrix, or None."""
+    (hi, hi_strict), (neg_lo, lo_strict) = u[i][j], u[j][i]
+    lo = None if neg_lo is None else -neg_lo
+    if lo is not None and hi is not None and (lo > hi or (lo == hi and (lo_strict or hi_strict))):
+        return None
+    return BoundWindow(lo, hi, lo_strict, hi_strict)
+
+
+class TestStoredEncoding:
+    def test_scale_changes_match_tuple_reference(self):
+        """Random runs of `with_constraints` (new points, windows over
+        denominators 1, 2, 3, 5 and 7, strict and unbounded sides),
+        `restricted` and `stp_close`: after every step the verdict, the
+        decoded matrix and every window equal those of a (value, strict)
+        tuple reference, and closing gives what a fresh `tuple_stp_close`
+        of the same bounds gives.  Rescaling, for a new denominator or new
+        points, keeps every entry exact."""
+        rng = random.Random(61)
+        scales, multipliers, verdicts = set(), set(), set()
+        rescaled = 0
+        for _ in range(150):
+            names = (f"p{k}" for k in range(100))
+            points = [next(names) for _ in range(rng.randint(2, 3))]
+            s = STP.build(points)
+            ref_points, ref = tuple_conjoin([], [], [], points)
+            ref_bad = False
+            for _ in range(rng.randint(3, 12)):
+                action = rng.random()
+                if action < 0.5:
+                    new = [next(names) for _ in range(rng.randint(0, min(2, 12 - len(ref_points))))]
+                    pool = ref_points + new
+                    cons = [(*rng.sample(pool, 2), random_window(rng))
+                            for _ in range(rng.randint(1, 3))]
+                    before = s
+                    s = s.with_constraints(cons, new)
+                    ref_points, ref = tuple_conjoin(ref_points, ref, cons, new)
+                    ref_bad = False
+                    if (s._d, s._m) != (before._d, before._m) and any(
+                            v is not None for row in before._e for v in row if v):
+                        rescaled += 1
+                elif action < 0.65 and len(ref_points) > 2:
+                    keep = rng.sample(ref_points, rng.randint(2, len(ref_points)))
+                    s = s.restricted(keep)
+                    ref = [[ref[ref_points.index(a)][ref_points.index(b)] for b in keep]
+                           for a in keep]
+                    ref_points = keep
+                else:
+                    fresh = tuple_stp_close(STP(ref_points, ref))
+                    s = stp_close(s)
+                    u = [list(row) for row in ref]
+                    if tuple_shortest_paths(u):
+                        ref = u
+                    ref_bad = fresh.inconsistent
+                    assert s.inconsistent == ref_bad
+                    if not ref_bad:
+                        assert s._u == fresh._u
+                    verdicts.add(s.inconsistent)
+                assert list(s.points) == ref_points
+                assert s.inconsistent == ref_bad
+                assert s._u == tuple(map(tuple, ref))
+                m = s._m
+                assert m >= max(len(ref_points) + 1, 5)
+                assert all(v is None or v % m in (0, m - 1) for row in s._e for v in row)
+                scales.add(s._d)
+                multipliers.add(m)
+                if not ref_bad:
+                    for i, a in enumerate(ref_points):
+                        for j, b in enumerate(ref_points):
+                            expected = tuple_window(ref, i, j)
+                            if expected is None:
+                                with pytest.raises(ValueError):
+                                    s.window(a, b)
+                            else:
+                                assert s.window(a, b) == expected
+        assert verdicts == {True, False}
+        assert rescaled > 100
+        assert {1, 2, 3, 5, 6, 7, 105, 210} <= scales
+        assert max(multipliers) == 13
+
+    def test_read_back_on_larger_networks(self):
+        """The cycle tests read the stored matrix of 4 to 12 points, with
+        multipliers above 5, exactly as one integer Floyd-Warshall per
+        atom on the decoded 4x4 sub-matrix at its own scale does."""
+        rng = random.Random(67)
+        multipliers = set()
+        checked = 0
+        while checked < 400:
+            names = [f"i{k}" for k in range(rng.randint(2, 6))]
+            points = [p for n in names for p in (start_of(n), end_of(n))]
+            cons = [(start_of(n), end_of(n), POSITIVE) for n in names]
+            cons += [(*rng.sample(points, 2), random_window(rng, 8))
+                     for _ in range(rng.randint(0, len(points)))]
+            closed = stp_close(STP.build(points, cons))
+            if closed.inconsistent:
+                continue
+            multipliers.add(closed._m)
+            x, y = rng.sample(names, 2)
+            within = Relation(rng.randint(0, FULL.mask))
+            assert metric_to_allen(closed, x, y) == fw_metric_to_allen(closed, x, y)
+            assert metric_to_allen(closed, x, y, within) == fw_metric_to_allen(closed, x, y, within)
+            checked += 1
+        assert multipliers == {5, 7, 9, 11, 13}
+
+    def test_equality_is_by_value_across_scales(self):
+        a = STP.build(["x", "y"], [("x", "y", BoundWindow.closed(1, 2))])
+        b = a.with_constraints([("x", "y", BoundWindow(None, F(10, 3)))])
+        assert (a._d, b._d) == (1, 3)
+        assert a == b and hash(a) == hash(b)
+        assert b.window("x", "y") == BoundWindow.closed(1, 2)
+        c = b.with_constraints([("x", "y", BoundWindow(None, F(2), hi_strict=True))])
+        assert c != a
+        assert c.window("x", "y") == BoundWindow(F(1), F(2), hi_strict=True)
+
+    def test_tuple_rows_round_trip(self):
+        """`STP(points, rows)` takes (value, strict) rows and gives them
+        back through the decoded view."""
+        rows = [[(F(0), False), (F(5, 2), True)], [(F(-1, 3), False), (None, True)]]
+        s = STP(["a", "b"], rows)
+        assert s._u == tuple(map(tuple, rows))
+        assert s.window("a", "b") == BoundWindow(F(1, 3), F(5, 2), hi_strict=True)

@@ -15,6 +15,13 @@ re-derives it independently.
 The calculus value, the relation and network base classes and the
 path-consistency routine defined here serve the INDU algebra as well,
 and the scenario search serves the hybrid layer.
+
+A calculus composes and converses disjunctive relations by table lookup,
+not atom by atom.  It derives split tables from its atom tables on first
+use, in a shape that follows from its mask width: four half-by-half
+tables for at most 16 bits (Allen's 13 split 7 + 6), one table per atom
+over 8-bit chunks of the right operand for wider masks (INDU's 39
+slots), and one converse table per 8-bit chunk.
 """
 
 from __future__ import annotations
@@ -24,7 +31,8 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from operator import or_
 from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 
@@ -98,12 +106,49 @@ COMPOSITION = (
 )
 
 
+# A calculus whose masks are at most this many bits wide composes by
+# half-by-half tables; a wider one by per-atom tables over 8-bit chunks.
+SPLIT_MAX_WIDTH = 16
+
+
+def _lift(row: Sequence[int], lo: int, width: int) -> list[int]:
+    """The table of `row` over a bit field: entry x is the OR of
+    row[lo + k] over the bits k of x, for every x < 2**width."""
+    table = [0]
+    for k in range(lo, lo + width):
+        value = row[k]
+        table += [x | value for x in table]
+    return table
+
+
+def _shared(rows) -> list[list[int]]:
+    """The rows as lists, with equal values held by one int object."""
+    canon = {}.setdefault
+    return [list(map(canon, row, row)) for row in rows]
+
+
 @dataclass(frozen=True)
 class Calculus:
     """A qualitative calculus over bitmask relations: the atom at each bit
     position, the composition row of each atom, the converse atom of each
-    atom, and the identity and full masks.  Its `compose` and `converse`
-    lift the atom tables to arbitrary masks."""
+    atom, and the identity and full masks.
+
+    `compose` and `converse` lift the atom tables to arbitrary masks by
+    table lookup (after GQR: Gantner, Westphal & Wölfl, 2008).  The
+    tables are derived from `rows` and `conv` on first use, and their
+    shape follows from the width w of the full mask:
+
+    - w <= SPLIT_MAX_WIDTH (Allen, 13): each operand splits into a low
+      half of ceil(w/2) bits and a high half; four tables, one per pair
+      of halves, hold the composition of every pair of half-masks, and
+      a composition ORs four entries (36,864 entries for Allen);
+    - wider (INDU, 39 slots): every atom of the full mask has one table
+      over the 8-bit chunks of the right operand, and a composition ORs
+      the entries of each left atom at each nonzero right chunk.
+
+    `converse` ORs one table per 8-bit chunk, over every value of the
+    chunk.  Equal values in a table share one int object.
+    """
 
     atoms: tuple
     rows: tuple[tuple[int, ...], ...]
@@ -112,29 +157,84 @@ class Calculus:
     full: int
 
     def compose(self, m1: int, m2: int) -> int:
-        out = 0
-        rows, full = self.rows, self.full
+        halves = self._halves
+        if halves:
+            t0, t1, cut, low, high = halves
+            r0, r1 = t0[m1 & low], t1[m1 >> cut]
+            b0, b1 = m2 & low, m2 >> cut | high
+            return r0[b0] | r0[b1] | r1[b0] | r1[b1]
+        keys = []
+        offset = 0
+        while m2:
+            if m2 & 255:
+                keys.append(offset | m2 & 255)
+            m2 >>= 8
+            offset += 256
+        out, tables, full = 0, self._atom_chunks, self.full
         while m1:
-            low = m1 & -m1
-            m1 ^= low
-            row = rows[low.bit_length() - 1]
-            rest = m2
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                out |= row[bit.bit_length() - 1]
+            bit = m1 & -m1
+            m1 ^= bit
+            table = tables[bit.bit_length() - 1]
+            for key in keys:
+                out |= table[key]
             if out == full:
                 break
         return out
 
     def converse(self, mask: int) -> int:
         out = 0
-        conv = self.conv
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            out |= 1 << conv[low.bit_length() - 1]
+        for table in self._converse_chunks:
+            out |= table[mask & 255]
+            mask >>= 8
         return out
+
+    def _spans(self, size: int) -> list[tuple[int, int]]:
+        """(lowest bit, width) of each field when the full mask's bits are
+        cut into fields of `size`."""
+        width = self.full.bit_length()
+        return [(lo, min(size, width - lo)) for lo in range(0, width, size)]
+
+    @cached_property
+    def _halves(self) -> Optional[tuple]:
+        """(T0, T1, cut, low mask, 1 << cut), or None when the full mask is
+        wider than SPLIT_MAX_WIDTH.  The half-by-half tables are stored by
+        left half: row x of Tl concatenates the compositions of the left
+        half l, as x, with every low right half y (entry y) and then with
+        every high right half y (entry (1 << cut) | y)."""
+        width = self.full.bit_length()
+        if width > SPLIT_MAX_WIDTH:
+            return None
+        cut = (width + 1) // 2
+        spans = self._spans(cut)
+        tables = []
+        for lo, size in spans:
+            table = [[0] * ((1 << cut) + (1 << width - cut))]
+            for a in range(lo, lo + size):
+                row = _lift(self.rows[a], 0, cut) + _lift(self.rows[a], cut, width - cut)
+                table += [list(map(or_, prev, row)) for prev in table]
+            tables.append(_shared(table))
+        return (*tables, cut, (1 << cut) - 1, 1 << cut)
+
+    @cached_property
+    def _atom_chunks(self) -> list[Optional[list[int]]]:
+        """Per atom of the full mask, its row over each 8-bit chunk p of the
+        right operand, at entry p·256 + chunk value; None for other slots."""
+        spans = self._spans(8)
+        tables = []
+        for a, row in enumerate(self.rows):
+            flat = None
+            if self.full >> a & 1:
+                flat = []
+                for chunk in _shared(_lift(row, lo, size) for lo, size in spans):
+                    flat += chunk + [0] * (256 - len(chunk))
+            tables.append(flat)
+        return tables
+
+    @cached_property
+    def _converse_chunks(self) -> list[list[int]]:
+        """Per 8-bit chunk of a mask, the converse of every chunk value."""
+        bits = [1 << c for c in self.conv]
+        return _shared(_lift(bits, lo, size) for lo, size in self._spans(8))
 
 
 ALLEN = Calculus(tuple(BaseRelation), COMPOSITION,

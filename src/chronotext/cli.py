@@ -196,6 +196,10 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
+    """The console entry point.  Output is written as UTF-8 whatever the
+    locale, as input is read (`_read`)."""
+    sys.stdout.reconfigure(encoding="utf-8")
+    sys.stderr.reconfigure(encoding="utf-8", errors="backslashreplace")
     sys.exit(run())
 
 

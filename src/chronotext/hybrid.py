@@ -33,9 +33,20 @@ class HybridNetwork:
         for i in qcn.intervals:
             if not (stp.has_point(start_of(i)) and stp.has_point(end_of(i))):
                 raise ValueError(f"interval {i!r} lacks endpoints in the metric layer")
+        self._init(qcn, stp, tuple(anon_points))
+
+    def _init(self, qcn: QCN, stp: STP, anon_points: tuple[str, ...]) -> None:
         object.__setattr__(self, "qcn", qcn)
         object.__setattr__(self, "stp", stp)
-        object.__setattr__(self, "anon_points", tuple(anon_points))
+        object.__setattr__(self, "anon_points", anon_points)
+
+    @classmethod
+    def _raw(cls, qcn: QCN, stp: STP, anon_points: tuple[str, ...]) -> "HybridNetwork":
+        # skip the endpoint check for parts that trusted internal code
+        # built to match: every interval of `qcn` has both endpoints in `stp`
+        self = object.__new__(cls)
+        self._init(qcn, stp, anon_points)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("HybridNetwork is immutable")
@@ -53,7 +64,7 @@ class HybridNetwork:
             linkage.append((start_of(i), end_of(i), POSITIVE))
         points += list(anon_points)
         stp = STP.build(points, linkage + list(metric_constraints))
-        return cls(qcn, stp, tuple(anon_points))
+        return cls._raw(qcn, stp, tuple(anon_points))
 
     @property
     def intervals(self) -> tuple[str, ...]:
@@ -73,11 +84,11 @@ class HybridNetwork:
         return self.stp.window(start_of(interval), end_of(interval))
 
     def with_relation(self, a: str, b: str, r: Relation) -> "HybridNetwork":
-        return HybridNetwork(self.qcn.with_cell(a, b, r), self.stp, self.anon_points)
+        return HybridNetwork._raw(self.qcn.with_cell(a, b, r), self.stp, self.anon_points)
 
     def with_metric(self, constraints: Iterable[tuple[str, str, BoundWindow]]) -> "HybridNetwork":
-        return HybridNetwork(self.qcn, self.stp.with_constraints(constraints),
-                             self.anon_points)
+        return HybridNetwork._raw(self.qcn, self.stp.with_constraints(constraints),
+                                  self.anon_points)
 
     def restricted(self, intervals: Sequence[str]) -> "HybridNetwork":
         """Sub-network on the given intervals; anonymous points survive."""
@@ -85,8 +96,8 @@ class HybridNetwork:
         for i in intervals:
             pts += [start_of(i), end_of(i)]
         pts += [p for p in self.anon_points if self.stp.has_point(p)]
-        return HybridNetwork(self.qcn.restricted(intervals),
-                             self.stp.restricted(pts), self.anon_points)
+        return HybridNetwork._raw(self.qcn.restricted(intervals),
+                                  self.stp.restricted(pts), self.anon_points)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, HybridNetwork)
@@ -135,11 +146,11 @@ def hybrid_close(h: HybridNetwork) -> HybridNetwork:
     while True:
         qcn = close(qcn, changed=changed)
         if qcn.inconsistent:
-            return HybridNetwork(qcn, stp, h.anon_points)
+            return HybridNetwork._raw(qcn, stp, h.anon_points)
 
         stp = stp_close(stp._with_edges(_forced_atom_edges(qcn, ends)))
         if stp.inconsistent:
-            return HybridNetwork(qcn, stp, h.anon_points)
+            return HybridNetwork._raw(qcn, stp, h.anon_points)
 
         # atomic cells were exported above, so the metric layer cannot
         # tighten them; the others keep only the atoms it still admits
@@ -156,7 +167,7 @@ def hybrid_close(h: HybridNetwork) -> HybridNetwork:
                     qcn = qcn.with_cell(ids[ai], ids[bi], refined)
                     changed.append((ai, bi))
         if qcn.inconsistent or not changed:
-            return HybridNetwork(qcn, stp, h.anon_points)
+            return HybridNetwork._raw(qcn, stp, h.anon_points)
 
 
 def hybrid_atomic_consistent(h: HybridNetwork) -> tuple[bool, Optional[HybridNetwork]]:
@@ -175,7 +186,7 @@ def hybrid_atomic_consistent(h: HybridNetwork) -> tuple[bool, Optional[HybridNet
 
     def leaf(qcn: QCN) -> Optional[HybridNetwork]:
         stp = stp_close(start.stp._with_edges(_forced_atom_edges(qcn, ends)))
-        return None if stp.inconsistent else HybridNetwork(qcn, stp, h.anon_points)
+        return None if stp.inconsistent else HybridNetwork._raw(qcn, stp, h.anon_points)
 
     witness = scenario_search(start.qcn, leaf)
     return (witness is not None), witness

@@ -78,17 +78,22 @@ def valid_atoms() -> tuple[INDUAtom, ...]:
     return tuple(a for a in _ALL_ATOMS if a.valid)
 
 
+def _spread(allen_mask: int) -> int:
+    """The `<` slot (bit 3a) of every Allen atom a of the mask."""
+    return sum(1 << 3 * a for a in range(N_ATOMS) if allen_mask >> a & 1)
+
+
+_SPREAD_COMPOSITION = tuple(tuple(_spread(mask) for mask in row) for row in COMPOSITION)
+_SIGN_BITS = {pair: sum(1 << _SIGN_INDEX[s] for s in signs)
+              for pair, signs in _SIGN_COMPOSE.items()}
+
+
 def _compose_slots(i: int, j: int) -> int:
     a1, s1 = _ALL_ATOMS[i]
     a2, s2 = _ALL_ATOMS[j]
-    out = 0
-    allen_mask = COMPOSITION[a1][a2]
-    for a3 in range(N_ATOMS):
-        if not allen_mask & (1 << a3):
-            continue
-        for s3 in _SIGN_COMPOSE[(s1, s2)]:
-            out |= 1 << (a3 * 3 + _SIGN_INDEX[s3])
-    return out & VALID_MASK
+    # slots of one Allen atom are 3 apart, so the product places a copy
+    # of the sign bits on every atom of the Allen composition
+    return _SPREAD_COMPOSITION[a1][a2] * _SIGN_BITS[s1, s2] & VALID_MASK
 
 
 INDU = Calculus(

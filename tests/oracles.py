@@ -487,6 +487,25 @@ def stp_minimal_by_paths(points, upper):
     return best
 
 
+def compose_by_atoms(table, m1, m2):
+    """The composition of two masks as the OR of `table[a][b]` over every
+    atom a of m1 and every atom b of m2."""
+    atoms = range(len(table))
+    out = 0
+    for a in atoms:
+        if m1 >> a & 1:
+            for b in atoms:
+                if m2 >> b & 1:
+                    out |= table[a][b]
+    return out
+
+
+def converse_by_atoms(conv, mask):
+    """The converse of a mask, atom by atom: `conv[a]` is the converse
+    atom of a."""
+    return sum(1 << conv[a] for a in range(len(conv)) if mask >> a & 1)
+
+
 def sweep_closure(matrix, table, conv):
     """Path consistency by plain sweeps over raw masks: tighten every cell
     with every two-leg path until a whole sweep changes nothing.
@@ -495,17 +514,7 @@ def sweep_closure(matrix, table, conv):
     converse atom of a.  Returns the closed matrix, or None as soon as a
     cell empties.
     """
-    n, atoms = len(matrix), range(len(table))
-
-    def compose(m1, m2):
-        out = 0
-        for a in atoms:
-            if m1 >> a & 1:
-                for b in atoms:
-                    if m2 >> b & 1:
-                        out |= table[a][b]
-        return out
-
+    n = len(matrix)
     m = [list(row) for row in matrix]
     changed = True
     while changed:
@@ -513,12 +522,12 @@ def sweep_closure(matrix, table, conv):
         for i, j, k in product(range(n), repeat=3):
             if len({i, j, k}) < 3:
                 continue
-            cur = m[i][j] & compose(m[i][k], m[k][j])
+            cur = m[i][j] & compose_by_atoms(table, m[i][k], m[k][j])
             if cur != m[i][j]:
                 if not cur:
                     return None
                 m[i][j] = cur
-                m[j][i] = sum(1 << conv[a] for a in atoms if cur >> a & 1)
+                m[j][i] = converse_by_atoms(conv, cur)
                 changed = True
     return m
 

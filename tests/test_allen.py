@@ -6,14 +6,16 @@ from hypothesis import given, strategies as st
 
 from chronotext import allen
 from chronotext.allen import (
-    ALLEN, FULL, FULL_MASK, EMPTY, BaseRelation, Calculus, QCN, Relation,
-    atomic_consistent, base_relation_of, close, format_qcn, parse_qcn,
+    ALLEN, COMPOSITION, FULL, FULL_MASK, EMPTY, N_ATOMS, BaseRelation, Calculus, QCN,
+    Relation, atomic_consistent, base_relation_of, close, format_qcn, parse_qcn,
     path_consistency, realize_small,
 )
 from chronotext.indu import INDU, INDUNetwork, INDURelation
 from oracles import (
     compose_all_path_consistency,
+    compose_by_atoms,
     composition_by_enumeration,
+    converse_by_atoms,
     full_queue_atomic_consistent,
     realizable_atom_triples,
     sweep_closure,
@@ -185,6 +187,36 @@ class TestClose:
                     induced = base_relation_of(witness[a], witness[b_])
                     if induced in net.cell(a, b_):
                         assert induced in closed.cell(a, b_)
+
+
+class TestCompositionTables:
+    """`ALLEN.compose` and `ALLEN.converse` look masks up in tables derived
+    from the atom rows; the references loop over atoms."""
+
+    def test_atom_with_every_mask_on_both_sides(self):
+        for a in range(N_ATOMS):
+            atom = 1 << a
+            for mask in range(FULL_MASK + 1):
+                assert ALLEN.compose(atom, mask) == compose_by_atoms(COMPOSITION, atom, mask)
+                assert ALLEN.compose(mask, atom) == compose_by_atoms(COMPOSITION, mask, atom)
+
+    def test_every_pair_of_half_masks(self):
+        """A mask within the low 7 bits or within the high 6 composed with
+        another reads exactly one table entry, so this reads every entry."""
+        halves = list(range(1 << 7)) + [high << 7 for high in range(1, 1 << 6)]
+        for m1 in halves:
+            for m2 in halves:
+                assert ALLEN.compose(m1, m2) == compose_by_atoms(COMPOSITION, m1, m2)
+
+    def test_random_mask_pairs(self):
+        rng = random.Random(409)
+        for _ in range(20000):
+            m1, m2 = rng.getrandbits(N_ATOMS), rng.getrandbits(N_ATOMS)
+            assert ALLEN.compose(m1, m2) == compose_by_atoms(COMPOSITION, m1, m2)
+
+    def test_converse_of_every_mask(self):
+        for mask in range(FULL_MASK + 1):
+            assert ALLEN.converse(mask) == converse_by_atoms(ALLEN.conv, mask)
 
 
 class TestCloseAgainstSweep:

@@ -294,17 +294,30 @@ class TestInputEncoding:
         assert err.count("\n") == 1
 
 
+class TestOutputEncoding:
+    """Output is written as UTF-8 whatever the locale."""
+
+    def test_utf8_knowledge_text_under_c_locale(self, tmp_path):
+        know = tmp_path / "saute.know"
+        know.write_bytes('knowledge "k"\nanchor combine\nstep z "saut\u00e9 onions"\n'
+                         'rel z {b} combine\n'.encode("utf-8"))
+        done = TestModuleEntryPoints._run_module("chronotext", "adapt", LUTHERAN, str(know),
+                                                 env=TestInputEncoding.C_LOCALE, text=False)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert done.stdout.endswith(b" insert-after saut\xc3\xa9 onions\n")
+
+
 class TestModuleEntryPoints:
     """`python -m chronotext.cli` and `python -m chronotext` run the CLI."""
 
     @staticmethod
-    def _run_module(module, *args, env=None):
+    def _run_module(module, *args, env=None, text=True):
         src = str(Path(chronotext.__file__).resolve().parent.parent)
         path = os.environ.get("PYTHONPATH")
         env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""),
                    **(env or {}))
         return subprocess.run([sys.executable, "-m", module, *args], env=env,
-                              capture_output=True, text=True, timeout=60)
+                              capture_output=True, text=text, timeout=60)
 
     @pytest.mark.parametrize("module", ["chronotext.cli", "chronotext"])
     def test_check_consistent(self, module):

@@ -47,6 +47,24 @@ class TestBuild:
         with pytest.raises(ValueError):
             HybridNetwork(qcn, stp)
 
+    def test_missing_start_rejected_naming_the_interval(self):
+        qcn = QCN.build(["a", "b"])
+        stp = STP.build(["a.start", "a.end", "b.end"])
+        with pytest.raises(ValueError, match="interval 'b' lacks endpoints"):
+            HybridNetwork(qcn, stp)
+
+    def test_internal_constructions_skip_the_endpoint_check(self, monkeypatch):
+        h = HybridNetwork.build(["a", "b", "c"], [("a", R("{b,m}"), "b")],
+                                [("a.start", "c.end", BoundWindow.closed(1, 9))])
+        calls = []
+        real = STP.has_point
+        monkeypatch.setattr(STP, "has_point", lambda stp, p: calls.append(p) or real(stp, p))
+        closed = hybrid_close(h.with_relation("b", "c", R("{o,d}"))
+                              .with_metric([("b.start", "b.end", BoundWindow.closed(2, 3))]))
+        assert hybrid_atomic_consistent(closed)[0]
+        assert closed.restricted(["a", "c"]).intervals == ("a", "c")
+        assert calls == []
+
     def test_accessors(self):
         h = HybridNetwork.build(
             ["a", "b"],

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from chronotext.allen import FULL_MASK, QCN, BaseRelation, Relation, close
 from chronotext.indu import (
@@ -9,7 +10,8 @@ from chronotext.indu import (
     project_relation, valid_atoms,
 )
 from oracles import (
-    indu_pairs_by_enumeration, indu_triples_by_enumeration, sweep_closure,
+    compose_by_atoms, converse_by_atoms, indu_pairs_by_enumeration,
+    indu_triples_by_enumeration, sweep_closure,
 )
 
 
@@ -139,6 +141,41 @@ class TestCompose:
                 got = project_relation(indu_compose(r1, r2))
                 want = Relation.of(a1).compose(Relation.of(a2))
                 assert got == want, f"{a1.name} ; {a2.name}"
+
+
+valid_masks = st.integers(min_value=0, max_value=VALID_MASK).map(lambda m: m & VALID_MASK)
+
+
+class TestCompositionTables:
+    """`INDU.compose` and `INDU.converse` look masks up in tables derived
+    from the atom rows; the references loop over atoms."""
+
+    def test_valid_atom_with_random_masks_on_both_sides(self):
+        rng = random.Random(419)
+        masks = [rng.getrandbits(VALID_MASK.bit_length()) & VALID_MASK for _ in range(2000)]
+        for atom in valid_atoms():
+            bit = 1 << atom.index
+            for mask in masks:
+                assert INDU.compose(bit, mask) == compose_by_atoms(INDU.rows, bit, mask)
+                assert INDU.compose(mask, bit) == compose_by_atoms(INDU.rows, mask, bit)
+            assert INDU.converse(bit) == 1 << atom.converse.index
+
+    def test_every_valid_atom_with_every_chunk(self):
+        """A valid atom composed with a valid mask within one 8-bit chunk
+        reads exactly one table entry, so this reads every entry that a
+        valid mask can reach; the converse of such a mask likewise."""
+        chunks = [mask for p in range(0, VALID_MASK.bit_length(), 8)
+                  for mask in (byte << p for byte in range(256)) if mask & ~VALID_MASK == 0]
+        for mask in chunks:
+            for atom in valid_atoms():
+                bit = 1 << atom.index
+                assert INDU.compose(bit, mask) == compose_by_atoms(INDU.rows, bit, mask)
+            assert INDU.converse(mask) == converse_by_atoms(INDU.conv, mask)
+
+    @given(valid_masks, valid_masks)
+    def test_mask_pairs(self, m1, m2):
+        assert INDU.compose(m1, m2) == compose_by_atoms(INDU.rows, m1, m2)
+        assert INDU.converse(m1) == converse_by_atoms(INDU.conv, m1)
 
 
 class TestClose:

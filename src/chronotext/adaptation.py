@@ -24,6 +24,7 @@ from .metric import (
     ScaleBoundExceeded,
     end_of,
     start_of,
+    stp_close,
 )
 from .recipe import (
     ActionNode,
@@ -159,8 +160,12 @@ def tag_soft(h: HybridNetwork) -> list[TaggedConstraint]:
             if cell != FULL:
                 out.append(TaggedConstraint.allen(a, cell, b, "recipe-soft"))
     pts = h.stp.points
+    e = h.stp._e
     for i, x in enumerate(pts):
-        for y in pts[i + 1:]:
+        for j in range(i + 1, len(pts)):
+            if e[i][j] is None and e[j][i] is None:
+                continue
+            y = pts[j]
             frm, to = min(x, y), max(x, y)
             w = h.stp.window(frm, to)
             if w.unbounded:
@@ -295,7 +300,13 @@ def revise(t: TaggedNetwork) -> RevisionResult:
 
     Ties break toward keeping lexicographically smaller ids, realized
     by an include-first depth-first search in ascending id order with
-    cardinality bounding.
+    cardinality bounding.  Each search node keeps its closed network,
+    the search root of its last successful check, and a candidate
+    conjoins its one soft constraint into it: an Allen cell is
+    intersected and the check closes from that pair, a metric window is
+    conjoined and the STP re-closed from its two entries.  Both reach
+    the closure of the hard constraints plus the candidate set, so
+    verdicts and witnesses are those of checking that set rebuilt.
     """
     intervals = t.network.intervals
     anon = t.network.anon_points
@@ -308,8 +319,7 @@ def revise(t: TaggedNetwork) -> RevisionResult:
         return RevisionResult(_network_from(intervals, anon, hard + chosen),
                               retained, relaxed, witness, t)
 
-    ok, witness = hybrid_atomic_consistent(
-        _network_from(intervals, anon, hard + soft))
+    ok, witness = hybrid_atomic_consistent(t.network)
     if ok:
         return result_for(soft, witness)
 
@@ -317,15 +327,29 @@ def revise(t: TaggedNetwork) -> RevisionResult:
         raise ScaleBoundExceeded(
             f"{len(soft)} soft constraints exceed the revision bound "
             f"of {MAX_REVISION_SOFT}")
-    ok, base_witness = hybrid_atomic_consistent(
-        _network_from(intervals, anon, hard))
+    root = hybrid_atomic_consistent(_network_from(intervals, anon, hard))
+    ok, base_witness = root
     if not ok:
         raise ValueError("domain knowledge is self-contradictory")
+
+    cells = t.network.qcn._index
+    points = t.network.stp._index
+
+    def check(closed: HybridNetwork, c: TaggedConstraint):
+        if c.kind == "allen":
+            a, b = sorted((cells[c.frm], cells[c.to]))
+            return hybrid_atomic_consistent(
+                closed.with_relation(c.frm, c.to, closed.relation(c.frm, c.to) & c.cell),
+                changed=[(a, b)])
+        i, j = points[c.frm], points[c.to]
+        stp = stp_close(closed.stp.with_constraints([(c.frm, c.to, c.window)]),
+                        changed=[(i, j), (j, i)])
+        return hybrid_atomic_consistent(HybridNetwork._raw(closed.qcn, stp, anon), changed=[])
 
     best: Optional[list[TaggedConstraint]] = None
     best_witness = base_witness
 
-    def dfs(i, chosen, witness):
+    def dfs(i, chosen, closed, witness):
         nonlocal best, best_witness
         ceiling = len(chosen) + len(soft) - i
         if best is not None and ceiling <= len(best):
@@ -334,14 +358,13 @@ def revise(t: TaggedNetwork) -> RevisionResult:
             best = list(chosen)
             best_witness = witness
             return
-        candidate = chosen + [soft[i]]
-        ok, w = hybrid_atomic_consistent(
-            _network_from(intervals, anon, hard + candidate))
+        verdict = check(closed, soft[i])
+        ok, w = verdict
         if ok:
-            dfs(i + 1, candidate, w)
-        dfs(i + 1, chosen, witness)
+            dfs(i + 1, chosen + [soft[i]], verdict.closed, w)
+        dfs(i + 1, chosen, closed, witness)
 
-    dfs(0, [], base_witness)
+    dfs(0, [], root.closed, base_witness)
     return result_for(best, best_witness)
 
 

@@ -131,24 +131,37 @@ def _forced_atom_edges(qcn: QCN, ends: list[tuple[int, int]]) -> list[tuple[int,
     return out
 
 
-def hybrid_close(h: HybridNetwork) -> HybridNetwork:
+def _export_close(qcn: QCN, stp: STP, ends: list[tuple[int, int]]) -> STP:
+    """`stp` with the atomic cells of `qcn` exported, closed: when `stp`
+    is minimal, from the entries the export tightened alone, and when it
+    is flagged inconsistent, still so."""
+    exported, tightened = stp._with_edges(_forced_atom_edges(qcn, ends))
+    return stp_close(exported, changed=tightened if stp.minimal or stp.inconsistent else None)
+
+
+def hybrid_close(h: HybridNetwork, *,
+                 changed: Optional[Sequence[tuple[int, int]]] = None) -> HybridNetwork:
     """Alternate qualitative closure, atom-to-point export, shortest-path
     minimization and point-to-atom import until a fixpoint.
 
     Inconsistency in either layer is reported as a value: the returned
-    network has the offending layer flagged.  After the first round,
-    qualitative closure propagates only from the cells the metric layer
-    tightened.
+    network has the offending layer flagged.  Given `changed`, the first
+    qualitative closure propagates from its cells (i, j), i < j, alone,
+    as `close` does, which requires every other cell to be closed; later
+    rounds propagate only from the cells the metric layer tightened.
+    Whenever the metric layer is flagged minimal, as it is in every
+    round after the first, its closure propagates only the entries the
+    atom export tightened (`stp_close` with `changed`); one flagged
+    inconsistent stays so.
     """
     qcn, stp = h.qcn, h.stp
     ends = _endpoint_indices(h)
-    changed = None
     while True:
         qcn = close(qcn, changed=changed)
         if qcn.inconsistent:
             return HybridNetwork._raw(qcn, stp, h.anon_points)
 
-        stp = stp_close(stp._with_edges(_forced_atom_edges(qcn, ends)))
+        stp = _export_close(qcn, stp, ends)
         if stp.inconsistent:
             return HybridNetwork._raw(qcn, stp, h.anon_points)
 
@@ -170,26 +183,42 @@ def hybrid_close(h: HybridNetwork) -> HybridNetwork:
             return HybridNetwork._raw(qcn, stp, h.anon_points)
 
 
-def hybrid_atomic_consistent(h: HybridNetwork) -> tuple[bool, Optional[HybridNetwork]]:
+class Verdict(tuple):
+    """The `(ok, witness)` pair of `hybrid_atomic_consistent`, carrying
+    as `closed` the network it searched from, `hybrid_close` of its
+    input (flagged inconsistent when that closure already fails)."""
+
+    closed: HybridNetwork
+
+    def __new__(cls, ok: bool, witness: Optional[HybridNetwork], closed: HybridNetwork):
+        self = super().__new__(cls, (ok, witness))
+        self.closed = closed
+        return self
+
+
+def hybrid_atomic_consistent(h: HybridNetwork, *,
+                             changed: Optional[Sequence[tuple[int, int]]] = None) -> Verdict:
     """Search for an atomic scenario of the qualitative layer whose forced
     endpoint constraints are jointly satisfiable with the metric layer.
 
-    The refinement is the qualitative search's (`scenario_search`): first
+    The search starts from `hybrid_close(h, changed=changed)`.  The
+    refinement is the qualitative search's (`scenario_search`): first
     non-atomic pair in interval order, atoms in canonical order; the
-    metric check runs at every fully atomic leaf.
+    metric check runs at every fully atomic leaf, which closes the
+    root's minimal STP from the entries its atom export tightens.
     """
-    start = hybrid_close(h)
+    start = hybrid_close(h, changed=changed)
     if start.inconsistent:
-        return False, None
+        return Verdict(False, None, start)
 
     ends = _endpoint_indices(start)
 
     def leaf(qcn: QCN) -> Optional[HybridNetwork]:
-        stp = stp_close(start.stp._with_edges(_forced_atom_edges(qcn, ends)))
+        stp = _export_close(qcn, start.stp, ends)
         return None if stp.inconsistent else HybridNetwork._raw(qcn, stp, h.anon_points)
 
     witness = scenario_search(start.qcn, leaf)
-    return (witness is not None), witness
+    return Verdict(witness is not None, witness, start)
 
 
 def format_hybrid(h: HybridNetwork) -> str:

@@ -6,10 +6,14 @@ All quantities are exact rationals in canonical units of minutes.
 Strict inequalities are carried as explicit flags on windows.  An STP
 stores only an exact integer encoding of its bounds, a (value, strict)
 upper bound kept as value*D*M - strict under a common denominator D and
-a multiplier M larger than the number of points; the one shortest-path
-routine, the read-back to Allen atoms and the atom export all work on
-that encoding, and bounds become `Fraction`s again only when a window is
-read.  There are no epsilon approximations.
+a multiplier M larger than the number of points; the one Floyd-Warshall,
+the incremental closure from tightened entries, the read-back to Allen
+atoms and the atom export all work on that encoding, and bounds become
+`Fraction`s again only when a window is read.  A network already
+minimal is extended, not re-closed: `stp_close(s, changed=...)`
+propagates only the entries tightened since, which the TCSP search, the
+hybrid closure rounds and search leaves, and revision all use.  There
+are no epsilon approximations.
 """
 
 from __future__ import annotations
@@ -212,6 +216,9 @@ class STP:
     Instances are immutable.  `stp_close` returns the minimal network,
     in which every window is the tightest implied one, or a network
     flagged inconsistent when the distance graph has a negative cycle.
+    Conjoining constraints keeps the inconsistent flag, since a
+    tightening keeps the cycle, and drops the minimal one; `restricted`
+    drops both.
     """
 
     __slots__ = ("points", "_index", "_e", "_d", "_m", "inconsistent", "minimal")
@@ -300,18 +307,24 @@ class STP:
                 v = -w.lo.numerator * (dm // w.lo.denominator) - w.lo_strict
                 if rows[j][i] is None or v < rows[j][i]:
                     rows[j][i] = v
-        return STP._raw(points, index, tuple(map(tuple, rows)), d, m)
+        return STP._raw(points, index, tuple(map(tuple, rows)), d, m,
+                        inconsistent=self.inconsistent)
 
-    def _with_edges(self, edges: Iterable[tuple[int, int, int]]) -> "STP":
+    def _with_edges(self, edges: Iterable[tuple[int, int, int]]) -> tuple["STP", list[tuple[int, int]]]:
         """This network with encoded edges (i, j, w) conjoined in, each
         bounding t_j - t_i by a bound of value 0 (w = 0, or -1 when
-        strict), whose encoding is the same at every scale."""
+        strict), whose encoding is the same at every scale; and the
+        entries (i, j) the edges tightened, each listed once."""
         rows = [list(row) for row in self._e]
+        tightened = {}
         for i, j, w in edges:
             v = rows[i][j]
             if v is None or w < v:
                 rows[i][j] = w
-        return STP._raw(self.points, self._index, tuple(map(tuple, rows)), self._d, self._m)
+                tightened[i, j] = None
+        return (STP._raw(self.points, self._index, tuple(map(tuple, rows)), self._d, self._m,
+                         inconsistent=self.inconsistent),
+                list(tightened))
 
     @property
     def _u(self) -> tuple[tuple[Bound, ...], ...]:
@@ -335,12 +348,13 @@ class STP:
 
     def restricted(self, points: Sequence[str]) -> "STP":
         """The sub-network on the given points, dropping every bound that
-        mentions a discarded point (paths through them are not kept)."""
+        mentions a discarded point (paths through them are not kept).
+        Dropping bounds may remove a negative cycle, so the result is not
+        flagged inconsistent: the next closure decides it."""
         points = tuple(points)
         keep = [self._index[p] for p in points]
         e = tuple(tuple(self._e[i][j] for j in keep) for i in keep)
-        return STP._raw(points, {p: i for i, p in enumerate(points)}, e, self._d, self._m,
-                        inconsistent=self.inconsistent)
+        return STP._raw(points, {p: i for i, p in enumerate(points)}, e, self._d, self._m)
 
     def __eq__(self, other) -> bool:
         if not (isinstance(other, STP) and self.points == other.points
@@ -376,23 +390,58 @@ def _int_shortest_paths(e: list[list[Optional[int]]]) -> bool:
     return all(row[i] is None or row[i] >= 0 for i, row in enumerate(e))
 
 
-def stp_close(s: STP) -> STP:
+def stp_close(s: STP, *, changed: Optional[Sequence[tuple[int, int]]] = None) -> STP:
     """All-pairs shortest paths over the distance graph.
 
-    Returns the minimal network: every pair carries its tightest implied
-    window.  A cycle of negative total weight, or zero weight with a
-    strict leg, flags the result inconsistent; its matrix is then the
-    input's.  The integer Floyd-Warshall runs on a copy of the stored
-    matrix; a shortest path may sum several strict units, and each entry
-    is then put back to q*M - [strict] with q = ceil(e / M).
+    Returns the minimal network, flagged `minimal`: every pair carries
+    its tightest implied window.  A cycle of negative total weight, or
+    zero weight with a strict leg, flags the result inconsistent; its
+    matrix is then the input's.
+
+    With `changed` None the integer Floyd-Warshall runs on a copy of the
+    stored matrix.  Otherwise `changed` lists the entries (i, j) tightened
+    since `s` was last minimal (by value: a rescale keeps it so), and only
+    they are propagated, each in O(n^2) by
+    e[a][b] = min(e[a][b], e[a][i] + e[i][j] + e[j][b]); a tightened entry
+    whose two-leg cycle e[i][j] + e[j][i] is negative flags the result
+    inconsistent, and an input already flagged inconsistent stays so.
+    Either way a shortest path may sum several strict units, and each
+    new entry is put back to q*M - [strict] with q = ceil(e / M); a sum of
+    three stored entries carries at most three strict units, fewer than
+    M >= 5.  Both ways give the same matrix.
     """
-    e = [list(row) for row in s._e]
-    if not _int_shortest_paths(e):
-        return STP._raw(s.points, s._index, s._e, s._d, s._m, inconsistent=True)
     m = s._m
-    rows = tuple(tuple([v if v is None or not v % m else v - v % m + m - 1 for v in row])
-                 for row in e)
-    return STP._raw(s.points, s._index, rows, s._d, m, minimal=True)
+    if changed is None:
+        e = [list(row) for row in s._e]
+        if not _int_shortest_paths(e):
+            return STP._raw(s.points, s._index, s._e, s._d, m, inconsistent=True)
+        rows = tuple(tuple([v if v is None or not v % m else v - v % m + m - 1 for v in row])
+                     for row in e)
+        return STP._raw(s.points, s._index, rows, s._d, m, minimal=True)
+    if s.inconsistent:
+        return s
+    e = [list(row) for row in s._e]
+    for i, j in changed:
+        w = e[i][j]
+        if w is None:
+            continue
+        back = e[j][i]
+        if back is not None and w + back < 0:
+            return STP._raw(s.points, s._index, s._e, s._d, m, inconsistent=True)
+        # e[a][i] and e[j][b] cannot change while (i, j) is propagated,
+        # since no cycle through it is negative
+        legs = [(b, v) for b, v in enumerate(e[j]) if v is not None]
+        for ea in e:
+            x = ea[i]
+            if x is None:
+                continue
+            x += w
+            for b, v in legs:
+                c = x + v
+                eab = ea[b]
+                if eab is None or c < eab:
+                    ea[b] = c if not c % m else c - c % m + m - 1
+    return STP._raw(s.points, s._index, tuple(map(tuple, e)), s._d, m, minimal=True)
 
 
 @dataclass(frozen=True)
@@ -452,9 +501,10 @@ def tcsp_consistent(t: TCSP) -> tuple[bool, Optional[STP]]:
 
     Selections are explored in deterministic order: constraints sorted by
     (from, to) id pair, windows in normalized order; the first surviving
-    combination is returned as witness.  Instances beyond the desk-scale
-    bounds (4 windows per constraint, 12 disjunctive constraints) are
-    rejected.
+    combination is returned as witness.  Each child is its parent's
+    minimal STP with one window conjoined, closed from that window's two
+    entries.  Instances beyond the desk-scale bounds (4 windows per
+    constraint, 12 disjunctive constraints) are rejected.
     """
     for c in t.constraints:
         if len(c.windows) > MAX_TCSP_WINDOWS:
@@ -465,22 +515,24 @@ def tcsp_consistent(t: TCSP) -> tuple[bool, Optional[STP]]:
         raise ScaleBoundExceeded(f"{len(disjunctive)} disjunctive constraints")
 
     ordered = sorted(t.constraints, key=lambda c: (c.frm, c.to))
-    base = STP.build(t.points)
 
-    def search(k: int, acc: STP) -> Optional[STP]:
-        closed = stp_close(acc)
-        if closed.inconsistent:
-            return None
+    def search(k: int, closed: STP) -> Optional[STP]:
+        # each child closes from its parent's minimal network and the
+        # two entries of its one new window
         if k == len(ordered):
             return closed
         c = ordered[k]
         for w in c.windows:
-            found = search(k + 1, acc.with_constraints([(c.frm, c.to, w)]))
-            if found is not None:
-                return found
+            child = closed.with_constraints([(c.frm, c.to, w)])
+            i, j = child._index[c.frm], child._index[c.to]
+            child = stp_close(child, changed=[(i, j), (j, i)])
+            if not child.inconsistent:
+                found = search(k + 1, child)
+                if found is not None:
+                    return found
         return None
 
-    witness = search(0, base)
+    witness = search(0, stp_close(STP.build(t.points)))
     return (witness is not None), witness
 
 

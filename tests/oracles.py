@@ -11,7 +11,8 @@ its fast paths, but keep their own copies of the per-call bound encoder
 (`_scaled`) and of the window-based atom export
 (`_forced_atom_constraints`); the earlier recursion of the hybrid
 scenario search, the scenario search that re-closes every pair at every
-node, and the path consistency that composes on every revision.
+node, the path consistency that composes on every revision, and the
+revision and TCSP searches that close every node's network from scratch.
 """
 
 from collections import deque
@@ -19,11 +20,17 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 
+from chronotext.adaptation import (
+    MAX_REVISION_SOFT,
+    RevisionResult,
+    _network_from,
+)
 from chronotext.allen import FULL_MASK, QCN, BaseRelation, Relation, close
-from chronotext.hybrid import HybridNetwork, hybrid_close
+from chronotext.hybrid import HybridNetwork, hybrid_atomic_consistent, hybrid_close
 from chronotext.metric import (
     _ATOM_EDGES,
     STP,
+    ScaleBoundExceeded,
     BoundWindow,
     _int_shortest_paths,
     allen_atom_to_points,
@@ -278,8 +285,9 @@ def random_window(rng, span=12):
     return BoundWindow(lo, hi, rng.random() < 0.5, rng.random() < 0.5)
 
 
-def tuple_stp_close(s):
-    """`stp_close` on the tuple Floyd-Warshall."""
+def tuple_stp_close(s, *, changed=None):
+    """`stp_close` on the tuple Floyd-Warshall, which closes every pair
+    whatever `changed` lists."""
     u = [list(row) for row in s._u]
     if not tuple_shortest_paths(u):
         return STP(s.points, u, inconsistent=True)
@@ -573,3 +581,68 @@ def compose_all_path_consistency(net, changed=None):
                     and revise(k, j, compose(m[k][i], rel))):
                 return net._raw(net.intervals, m)
     return net._raw(net.intervals, m)
+
+
+def rebuild_revise(t):
+    """`revise` that rebuilds the network of hard plus candidate soft
+    constraints from the tagged constraints at every check and closes it
+    from scratch."""
+    intervals = t.network.intervals
+    anon = t.network.anon_points
+    hard = [c for c in t.constraints if c.provenance == "domain-hard"]
+    soft = [c for c in t.constraints if c.provenance == "recipe-soft"]
+
+    def result_for(chosen, witness):
+        retained = tuple(c.id for c in chosen)
+        relaxed = tuple(sorted(set(c.id for c in soft) - set(retained)))
+        return RevisionResult(_network_from(intervals, anon, hard + chosen),
+                              retained, relaxed, witness, t)
+
+    ok, witness = hybrid_atomic_consistent(_network_from(intervals, anon, hard + soft))
+    if ok:
+        return result_for(soft, witness)
+    if len(soft) > MAX_REVISION_SOFT:
+        raise ScaleBoundExceeded(f"{len(soft)} soft constraints")
+    ok, base_witness = hybrid_atomic_consistent(_network_from(intervals, anon, hard))
+    if not ok:
+        raise ValueError("domain knowledge is self-contradictory")
+
+    best, best_witness = None, base_witness
+
+    def dfs(i, chosen, witness):
+        nonlocal best, best_witness
+        if best is not None and len(chosen) + len(soft) - i <= len(best):
+            return
+        if i == len(soft):
+            best, best_witness = list(chosen), witness
+            return
+        candidate = chosen + [soft[i]]
+        ok, w = hybrid_atomic_consistent(_network_from(intervals, anon, hard + candidate))
+        if ok:
+            dfs(i + 1, candidate, w)
+        dfs(i + 1, chosen, witness)
+
+    dfs(0, [], base_witness)
+    return result_for(best, best_witness)
+
+
+def rebuild_tcsp_consistent(t):
+    """`tcsp_consistent`'s search (without its size bounds) closing every
+    node's accumulated STP from scratch."""
+    ordered = sorted(t.constraints, key=lambda c: (c.frm, c.to))
+
+    def search(k, acc):
+        closed = stp_close(acc)
+        if closed.inconsistent:
+            return None
+        if k == len(ordered):
+            return closed
+        c = ordered[k]
+        for w in c.windows:
+            found = search(k + 1, acc.with_constraints([(c.frm, c.to, w)]))
+            if found is not None:
+                return found
+        return None
+
+    witness = search(0, STP.build(t.points))
+    return witness is not None, witness

@@ -2,6 +2,8 @@
 and the span edits mapping results back onto the text."""
 
 import itertools
+import random
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -28,10 +30,12 @@ from chronotext.hybrid import (
     hybrid_atomic_consistent,
     hybrid_close,
 )
-from chronotext.metric import BoundWindow, ScaleBoundExceeded
+from chronotext import metric
+from chronotext.metric import BoundWindow, ScaleBoundExceeded, end_of, start_of
 from chronotext.recipe import encode_recipe
 
 import recipes
+from oracles import rebuild_revise
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -400,3 +404,101 @@ class TestAdaptTextEdits:
         assert lines[0].endswith(" delete")
         assert lines[1].endswith(" insert-after cook lentils in water")
         assert format_edits(()) == ""
+
+
+def random_tagged(rng):
+    """Three or four intervals under random Allen cells and metric
+    windows, hard and soft, with planted conflicts: a soft cell disjoint
+    from the hard one on the same pair, a soft duration after the hard
+    one on the same interval."""
+    names = ["p", "q", "r", "s"][:rng.randint(3, 4)]
+    cells = ["{b}", "{bi}", "{m}", "{o}", "{d}", "{e}", "{b,m}", "{o,d,s}", "{bi,mi,oi}"]
+    cs = {}
+
+    def add(c):
+        cs.setdefault(c.id, c)
+
+    for a, b in itertools.combinations(names, 2):
+        roll = rng.random()
+        if roll < 0.25:
+            cell = rng.choice(cells)
+            add(hard(a, cell, b))
+            if roll < 0.1:
+                add(soft(a, rng.choice([c for c in cells if not R(c).mask & R(cell).mask]), b))
+        if rng.random() < 0.5:
+            add(soft(a, rng.choice(cells), b))
+    for x in names:
+        hi = None
+        if rng.random() < 0.4:
+            lo = rng.randint(1, 6)
+            hi = lo + rng.randint(0, 4)
+            add(TaggedConstraint.metric(start_of(x), end_of(x), BoundWindow.closed(lo, hi),
+                                        "domain-hard"))
+        if rng.random() < 0.5:
+            lo = hi + 1 if hi is not None and rng.random() < 0.5 else rng.randint(1, 8)
+            add(TaggedConstraint.metric(start_of(x), end_of(x),
+                                        BoundWindow(lo, lo + rng.randint(1, 3), False,
+                                                    rng.random() < 0.3), "recipe-soft"))
+    for _ in range(rng.randint(0, 3)):
+        a, b = rng.sample(names, 2)
+        lo = F(rng.randint(-9, 9), rng.choice((1, 2, 3)))
+        add(TaggedConstraint.metric(start_of(a), start_of(b),
+                                    BoundWindow(lo, lo + rng.randint(1, 6), rng.random() < 0.3),
+                                    rng.choice(("domain-hard", "recipe-soft"))))
+    return TaggedNetwork.build(names, cs.values())
+
+
+class TestReviseAgainstRebuild:
+    def test_random_tagged_networks(self):
+        """Revising from each search node's closed network gives the
+        retained and relaxed ids, the revised network and the witness of
+        rebuilding and closing the candidate network at every check."""
+        rng = random.Random(83)
+        relaxed_kinds, outcomes = set(), set()
+        for _ in range(150):
+            t = random_tagged(rng)
+            try:
+                ref = rebuild_revise(t)
+            except ValueError as e:
+                with pytest.raises(type(e)):
+                    revise(t)
+                outcomes.add("contradictory")
+                continue
+            got = revise(t)
+            assert (got.retained, got.relaxed) == (ref.retained, ref.relaxed)
+            assert got.revised == ref.revised
+            assert got.witness == ref.witness
+            assert format_revision(got) == format_revision(ref)
+            kinds = {c.kind for c in t.constraints if c.id in got.relaxed}
+            relaxed_kinds |= kinds
+            outcomes.add("relaxed" if got.relaxed else "kept all")
+        assert relaxed_kinds == {"allen", "metric"}
+        assert outcomes == {"contradictory", "relaxed", "kept all"}
+
+    def test_lentil_case_matches_rebuild(self):
+        h = remove_entities(lutheran_network(), ["drain_beans"])
+        t = inject(h, lentil_knowledge())
+        got, ref = revise(t), rebuild_revise(t)
+        assert (got.retained, got.relaxed, got.revised, got.witness) == \
+            (ref.retained, ref.relaxed, ref.revised, ref.witness)
+
+    def test_closes_from_scratch_at_most_twice(self, monkeypatch):
+        """Only the two networks built from the tagged constraints (all
+        of them, then the hard ones) are closed by Floyd-Warshall; every
+        candidate extends the closed network of its search node."""
+        runs = []
+        real = metric._int_shortest_paths
+        monkeypatch.setattr(metric, "_int_shortest_paths",
+                            lambda e: runs.append(1) or real(e))
+        rng = random.Random(89)
+        searched = 0
+        for _ in range(60):
+            t = random_tagged(rng)
+            runs.clear()
+            try:
+                result = revise(t)
+            except ValueError:
+                continue
+            assert len(runs) <= 2
+            searched += bool(result.relaxed)
+        assert searched >= 10

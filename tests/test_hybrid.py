@@ -364,3 +364,50 @@ class TestWorkCounts:
         ok, witness = hybrid_atomic_consistent(h)
         assert ok and witness is not None
         assert calls == {"stp_close": 66, "metric_to_allen": 12}
+
+
+class TestFromClosedNetwork:
+    def test_tightened_cell_matches_rebuilt_network(self, monkeypatch):
+        """Closing a closed network tightened at one cell, from that cell
+        and the minimal STP, reaches the closure of the input tightened
+        at the same cell, and the search from it finds the same witness;
+        a closed network's search runs no Floyd-Warshall at all."""
+        runs = []
+        real = metric._int_shortest_paths
+        monkeypatch.setattr(metric, "_int_shortest_paths", lambda e: runs.append(1) or real(e))
+        rng = random.Random(97)
+        seen = set()
+        for make in [random_hybrid] * 120 + [random_schedule] * 120:
+            h = make(rng)
+            closed = hybrid_close(h)
+            if closed.inconsistent:
+                continue
+            ids = closed.intervals
+            ai, bi = sorted(rng.sample(range(len(ids)), 2))
+            a, b = ids[ai], ids[bi]
+            r = Relation(rng.randint(1, FULL_MASK))
+            tightened = closed.with_relation(a, b, closed.relation(a, b) & r)
+            rebuilt = h.with_relation(a, b, h.relation(a, b) & r)
+            got, ref = hybrid_close(tightened, changed=[(ai, bi)]), hybrid_close(rebuilt)
+            assert got.inconsistent == ref.inconsistent
+            if not ref.inconsistent:
+                assert got == ref
+            runs.clear()
+            verdict = hybrid_atomic_consistent(tightened, changed=[(ai, bi)])
+            assert runs == []
+            assert verdict == hybrid_atomic_consistent(rebuilt)
+            assert verdict.closed.inconsistent == ref.inconsistent
+            seen.add((got.inconsistent, verdict[0]))
+        assert {(True, False), (False, True)} <= seen
+
+    def test_fresh_network_runs_one_floyd_warshall(self, monkeypatch):
+        """A built network's first closure round runs Floyd-Warshall;
+        later rounds and every search leaf extend its minimal STP."""
+        runs = []
+        real = metric._int_shortest_paths
+        monkeypatch.setattr(metric, "_int_shortest_paths", lambda e: runs.append(1) or real(e))
+        rng = random.Random(101)
+        for _ in range(150):
+            runs.clear()
+            ok, _ = hybrid_atomic_consistent(random_schedule(rng))
+            assert len(runs) <= 1

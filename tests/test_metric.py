@@ -29,6 +29,7 @@ from oracles import (
     fw_metric_to_allen,
     overlay_metric_to_allen,
     random_window,
+    rebuild_tcsp_consistent,
     stp_minimal_by_paths,
     tuple_conjoin,
     tuple_shortest_paths,
@@ -713,14 +714,15 @@ class TestStoredEncoding:
                             for _ in range(rng.randint(1, 3))]
                     before = s
                     s = s.with_constraints(cons, new)
+                    # a tightening keeps an inconsistent network flagged
                     ref_points, ref = tuple_conjoin(ref_points, ref, cons, new)
-                    ref_bad = False
                     if (s._d, s._m) != (before._d, before._m) and any(
                             v is not None for row in before._e for v in row if v):
                         rescaled += 1
                 elif action < 0.65 and len(ref_points) > 2:
                     keep = rng.sample(ref_points, rng.randint(2, len(ref_points)))
                     s = s.restricted(keep)
+                    ref_bad = False  # the next closure decides a restriction
                     ref = [[ref[ref_points.index(a)][ref_points.index(b)] for b in keep]
                            for a in keep]
                     ref_points = keep
@@ -798,3 +800,105 @@ class TestStoredEncoding:
         s = STP(["a", "b"], rows)
         assert s._u == tuple(map(tuple, rows))
         assert s.window("a", "b") == BoundWindow(F(1, 3), F(5, 2), hi_strict=True)
+
+
+# ---------------------------------------------------------------------------
+# incremental closure from the tightened entries against the full closure
+
+def _new_denominator_window(rng):
+    """A window over denominators 11 and 13, which no `random_window` uses,
+    so conjoining it rescales the stored matrix."""
+    lo = F(rng.randint(-40, 20), rng.choice((11, 13)))
+    return BoundWindow(lo, lo + F(rng.randint(1, 40), rng.choice((11, 13))),
+                       False, rng.random() < 0.5)
+
+
+class TestIncrementalClose:
+    def test_changed_entries_match_full_closure(self):
+        """On random minimal STPs tightened by one to three windows
+        (strict and closed sides, new denominators forcing a rescale),
+        closing from the windows' entries gives the full closure's
+        verdict and, when consistent, its exact stored matrix, flagged
+        minimal."""
+        rng = random.Random(71)
+        verdicts, rescaled, several = set(), 0, 0
+        for _ in range(400):
+            s = stp_close(random_stp(rng, rng.randint(2, 7)))
+            if s.inconsistent:
+                continue
+            cons = [(*rng.sample(s.points, 2),
+                     _new_denominator_window(rng) if rng.random() < 0.25 else random_window(rng))
+                    for _ in range(rng.randint(1, 3))]
+            t = s.with_constraints(cons)
+            rescaled += t._d != s._d
+            changed = []
+            for frm, to, _ in cons:
+                i, j = t._index[frm], t._index[to]
+                changed += [(i, j), (j, i)]
+            several += len(cons) > 1
+            inc, full = stp_close(t, changed=changed), stp_close(t)
+            assert inc.inconsistent == full.inconsistent
+            verdicts.add(inc.inconsistent)
+            if not full.inconsistent:
+                assert inc.minimal
+                assert (inc._e, inc._d, inc._m) == (full._e, full._d, full._m)
+                assert inc == full
+        assert verdicts == {True, False}
+        assert rescaled >= 40 and several >= 100
+
+    def test_export_edges_match_full_closure(self):
+        """Encoded zero-valued edges, as the hybrid atom export conjoins
+        them: `_with_edges` lists each tightened entry once, and closing
+        from those entries equals the full closure."""
+        rng = random.Random(73)
+        verdicts = set()
+        for _ in range(300):
+            s = stp_close(random_stp(rng, rng.randint(2, 7)))
+            if s.inconsistent:
+                continue
+            n = len(s.points)
+            edges = [(*rng.sample(range(n), 2), rng.choice((0, -1)))
+                     for _ in range(rng.randint(0, 4))]
+            t, tightened = s._with_edges(edges)
+            assert len(set(tightened)) == len(tightened)
+            assert sorted(tightened) == sorted(
+                (i, j) for i in range(n) for j in range(n) if t._e[i][j] != s._e[i][j])
+            inc, full = stp_close(t, changed=tightened), stp_close(t)
+            assert inc.inconsistent == full.inconsistent
+            verdicts.add(inc.inconsistent)
+            if not full.inconsistent:
+                assert inc.minimal and inc._e == full._e
+        assert verdicts == {True, False}
+
+    def test_conjoining_keeps_the_inconsistent_flag(self):
+        s = stp_close(STP.build(["a", "b"], [("a", "b", BoundWindow.closed(5, 6)),
+                                             ("b", "a", BoundWindow.closed(0, 1))]))
+        assert s.inconsistent
+        wider = s.with_constraints([("a", "b", BoundWindow.closed(0, 10))])
+        assert wider.inconsistent
+        assert s.with_constraints([("a", "b", BoundWindow(F(1, 3), F(7)))]).inconsistent
+        assert s._with_edges([(0, 1, 0)])[0].inconsistent
+        assert stp_close(wider, changed=[(0, 1), (1, 0)]).inconsistent
+        assert stp_close(wider).inconsistent
+
+    def test_tcsp_witnesses_match_rebuilt_search(self):
+        """The search closing each child from its parent's minimal STP
+        returns the verdict and the exact witness of closing every
+        node's accumulated STP from scratch."""
+        rng = random.Random(79)
+        verdicts = set()
+        for _ in range(120):
+            points = ("p", "q", "r", "s", "t")[:rng.randint(2, 5)]
+            cons = tuple(
+                MetricConstraint(*rng.sample(points, 2),
+                                 tuple(random_window(rng, 8) for _ in range(rng.randint(1, 3))))
+                for _ in range(rng.randint(1, 6)))
+            t = TCSP(points, cons)
+            ok, witness = tcsp_consistent(t)
+            ref_ok, ref = rebuild_tcsp_consistent(t)
+            assert ok == ref_ok
+            verdicts.add(ok)
+            if ok:
+                assert (witness._e, witness._d, witness._m) == (ref._e, ref._d, ref._m)
+                assert witness.minimal
+        assert verdicts == {True, False}

@@ -106,6 +106,7 @@ class TaggedNetwork:
     `new_nodes` lists injected action nodes as (id, label) pairs and
     `anchors` the recipe nodes the knowledge attaches to; both exist so
     revision outcomes can be mapped back onto the source text.
+    `network` is the network of `constraints`, as `build` makes it.
     """
 
     network: HybridNetwork
@@ -307,6 +308,8 @@ def revise(t: TaggedNetwork) -> RevisionResult:
     conjoined and the STP re-closed from its two entries.  Both reach
     the closure of the hard constraints plus the candidate set, so
     verdicts and witnesses are those of checking that set rebuilt.
+    When nothing is relaxed, the revised network is `t.network` itself,
+    the network of all the tagged constraints.
     """
     intervals = t.network.intervals
     anon = t.network.anon_points
@@ -321,7 +324,7 @@ def revise(t: TaggedNetwork) -> RevisionResult:
 
     ok, witness = hybrid_atomic_consistent(t.network)
     if ok:
-        return result_for(soft, witness)
+        return RevisionResult(t.network, tuple(c.id for c in soft), (), witness, t)
 
     if len(soft) > MAX_REVISION_SOFT:
         raise ScaleBoundExceeded(

@@ -121,6 +121,19 @@ def _lift(row: Sequence[int], lo: int, width: int) -> list[int]:
     return table
 
 
+def _chunk_keys(mask: int) -> list[int]:
+    """The entry p·256 + chunk value of each nonzero 8-bit chunk p of
+    the mask, the keys of a right operand in a per-atom chunk table."""
+    keys = []
+    offset = 0
+    while mask:
+        if mask & 255:
+            keys.append(offset | mask & 255)
+        mask >>= 8
+        offset += 256
+    return keys
+
+
 def _shared(rows) -> list[list[int]]:
     """The rows as lists, with equal values held by one int object."""
     canon = {}.setdefault
@@ -148,6 +161,12 @@ class Calculus:
 
     `converse` ORs one table per 8-bit chunk, over every value of the
     chunk.  Equal values in a table share one int object.
+
+    `compose` is the one composition of relation objects.
+    `path_consistency` reads the same tables in line instead: it fetches
+    the popped cell's rows and keys once and, per third interval, ORs
+    the entries, running its converse and queue bookkeeping only for a
+    cell that shrinks.
     """
 
     atoms: tuple
@@ -163,13 +182,7 @@ class Calculus:
             r0, r1 = t0[m1 & low], t1[m1 >> cut]
             b0, b1 = m2 & low, m2 >> cut | high
             return r0[b0] | r0[b1] | r1[b0] | r1[b1]
-        keys = []
-        offset = 0
-        while m2:
-            if m2 & 255:
-                keys.append(offset | m2 & 255)
-            m2 >>= 8
-            offset += 256
+        keys = _chunk_keys(m2)
         out, tables, full = 0, self._atom_chunks, self.full
         while m1:
             bit = m1 & -m1
@@ -422,11 +435,11 @@ class Network:
                 for j in range(n):
                     if rows[j][i] != calc.converse(rows[i][j]):
                         raise ValueError("constraint matrix must be converse-symmetric")
-        self._init(intervals, rows)
+        self._init(intervals, rows, {name: i for i, name in enumerate(intervals)})
 
-    def _init(self, intervals, rows) -> None:
+    def _init(self, intervals, rows, index) -> None:
         object.__setattr__(self, "intervals", intervals)
-        object.__setattr__(self, "_index", {name: i for i, name in enumerate(intervals)})
+        object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_matrix", rows)
 
     def __setattr__(self, name, value):
@@ -454,7 +467,7 @@ class Network:
                 continue
             m[i][j] &= rel.mask
             m[j][i] = calc.converse(m[i][j])
-        return cls._raw(net.intervals, m)
+        return cls._raw(net.intervals, m, idx)
 
     def cell(self, a: str, b: str):
         return self.relation(self._matrix[self._index[a]][self._index[b]])
@@ -469,7 +482,7 @@ class Network:
         m = [list(row) for row in self._matrix]
         m[i][j] = rel.mask
         m[j][i] = calc.converse(rel.mask)
-        return self._raw(self.intervals, m)
+        return self._raw(self.intervals, m, self._index)
 
     def restricted(self, keep: Sequence[str]):
         """The induced subnetwork on the given intervals (order preserved)."""
@@ -495,10 +508,12 @@ class Network:
         return f"{type(self).__name__}({list(self.intervals)!r}, <{len(self)}x{len(self)}>)"
 
     @classmethod
-    def _raw(cls, intervals, matrix):
-        # bypass invariant checks for matrices produced by trusted internal code
+    def _raw(cls, intervals, matrix, index):
+        # bypass invariant checks for matrices produced by trusted internal
+        # code; `index` is the {name: position} map of `intervals`, shared
+        # with the network the matrix was derived from
         self = object.__new__(cls)
-        self._init(tuple(intervals), tuple(tuple(row) for row in matrix))
+        self._init(intervals, tuple(map(tuple, matrix)), index)
         return self
 
 
@@ -528,10 +543,23 @@ def path_consistency(net: Network, changed: Optional[Sequence[tuple[int, int]]] 
     revision when C[k][i] is full.  The other revisions run in the same
     order, so closed and inconsistent results are those of revising
     every triple.
+
+    No revision calls `Calculus.compose`: the compositions are read from
+    the calculus's split tables in line (after GQR, and van Beek &
+    Manchak, JAIR 1996), in the shape `Calculus._halves` selects.  The
+    popped cell's tables are fetched once, both as a left operand (its
+    rows) and as a right operand (its keys).  Each revision then ORs four
+    half-table entries (Allen), or, left atom by left atom in ascending
+    order, the entries at the right operand's nonzero chunks (INDU),
+    stopping once the bound covers the cell, which the full mask always
+    does.  Only a cell that really shrinks runs `tighten`: its converse,
+    its place on the queue and the empty-cell test.
     """
     calc = net.relation.calculus
-    compose, converse, full = calc.compose, calc.converse, calc.full
+    converse, full = calc.converse, calc.full
     n = len(net.intervals)
+    if n < 3:
+        return net  # no triangle, and no table to build
     m = [list(row) for row in net._matrix]
     if changed is None:
         changed = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -540,12 +568,9 @@ def path_consistency(net: Network, changed: Optional[Sequence[tuple[int, int]]] 
     for i, j in changed:
         waiting[i][j] = True
 
-    def revise(a: int, b: int, bound: int) -> bool:
-        """C[a][b] &= bound; False when the cell empties."""
-        cur = m[a][b]
-        new = cur & bound
-        if new == cur:
-            return True
+    def tighten(a: int, b: int, new: int) -> bool:
+        """Store C[a][b] = new, a strict subset of the cell; False when
+        it is empty."""
         m[a][b] = new
         m[b][a] = converse(new)
         if a > b:
@@ -561,17 +586,71 @@ def path_consistency(net: Network, changed: Optional[Sequence[tuple[int, int]]] 
         rel = m[i][j]
         if rel == full:
             continue
-        mj = m[j]
-        for k in range(n):
-            if k == i or k == j:
-                continue
-            jk = mj[k]
-            if jk != full and not revise(i, k, compose(rel, jk)):
-                return net._raw(net.intervals, m)
-            ki = m[k][i]
-            if ki != full and not revise(k, j, compose(ki, rel)):
-                return net._raw(net.intervals, m)
-    return net._raw(net.intervals, m)
+        mi, mj = m[i], m[j]
+        halves = calc._halves
+        if halves:
+            t0, t1, cut, low, high = halves
+            r0, r1 = t0[rel & low], t1[rel >> cut]
+            y0, y1 = rel & low, rel >> cut | high
+            for k in range(n):
+                if k == i or k == j:
+                    continue
+                jk = mj[k]
+                if jk != full:
+                    x0, x1 = jk & low, jk >> cut | high
+                    cur = mi[k]
+                    new = cur & (r0[x0] | r0[x1] | r1[x0] | r1[x1])
+                    if new != cur and not tighten(i, k, new):
+                        return net._raw(net.intervals, m, net._index)
+                mk = m[k]
+                ki = mk[i]
+                if ki != full:
+                    l0, l1 = t0[ki & low], t1[ki >> cut]
+                    cur = mk[j]
+                    new = cur & (l0[y0] | l0[y1] | l1[y0] | l1[y1])
+                    if new != cur and not tighten(k, j, new):
+                        return net._raw(net.intervals, m, net._index)
+        else:
+            tables = calc._atom_chunks
+            rows, keys = [], _chunk_keys(rel)
+            x = rel
+            while x:
+                bit = x & -x
+                x ^= bit
+                rows.append(tables[bit.bit_length() - 1])
+            for k in range(n):
+                if k == i or k == j:
+                    continue
+                jk = mj[k]
+                if jk != full:
+                    cur = mi[k]
+                    jkeys = _chunk_keys(jk)
+                    out = 0
+                    for row in rows:
+                        for key in jkeys:
+                            out |= row[key]
+                        if out & cur == cur:
+                            break
+                    new = cur & out
+                    if new != cur and not tighten(i, k, new):
+                        return net._raw(net.intervals, m, net._index)
+                mk = m[k]
+                ki = mk[i]
+                if ki != full:
+                    cur = mk[j]
+                    out = 0
+                    while ki:
+                        bit = ki & -ki
+                        ki ^= bit
+                        row = tables[bit.bit_length() - 1]
+                        for key in keys:
+                            out |= row[key]
+                        if out & cur == cur:
+                            break
+                    new = cur & out
+                    if new != cur and not tighten(k, j, new):
+                        return net._raw(net.intervals, m, net._index)
+    return net._raw(net.intervals, m, net._index)
 
 
 def close(net: QCN, *, changed: Optional[Sequence[tuple[int, int]]] = None) -> QCN:
@@ -614,10 +693,10 @@ def scenario_search(start: QCN, leaf: Callable[[QCN], Optional[W]]) -> Optional[
         while mask:
             bit = mask & -mask
             mask ^= bit
-            m = [list(row) for row in rows]
-            m[i][j] = bit
-            m[j][i] = ALLEN.converse(bit)
-            tightened = close(QCN._raw(current.intervals, m), changed=[(i, j)])
+            m = list(rows)
+            m[i] = rows[i][:j] + (bit,) + rows[i][j + 1:]
+            m[j] = rows[j][:i] + (ALLEN.converse(bit),) + rows[j][i + 1:]
+            tightened = close(QCN._raw(current.intervals, m, current._index), changed=[(i, j)])
             if not tightened.inconsistent:
                 found = refine(tightened)
                 if found is not None:

@@ -70,7 +70,6 @@ VALID_MASK = 0
 for _atom in _ALL_ATOMS:
     if _atom.valid:
         VALID_MASK |= 1 << _atom.index
-INDU_FULL = VALID_MASK
 
 
 def valid_atoms() -> tuple[INDUAtom, ...]:

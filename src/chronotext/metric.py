@@ -114,21 +114,6 @@ FOREVER = BoundWindow(None, None)
 POSITIVE = BoundWindow.above(0)
 
 
-@dataclass(frozen=True)
-class TimePoint:
-    """A real-valued time variable: an interval endpoint or a free point."""
-
-    id: str
-    interval: Optional[str] = None
-    role: str = "anon"  # "start" | "end" | "anon"
-
-    def __post_init__(self):
-        if self.role not in ("start", "end", "anon"):
-            raise ValueError(f"bad role {self.role!r}")
-        if (self.role == "anon") != (self.interval is None):
-            raise ValueError("endpoint roles require an interval, anon forbids one")
-
-
 def start_of(interval: str) -> str:
     return f"{interval}.start"
 

@@ -540,10 +540,11 @@ def sweep_closure(matrix, table, conv):
     return m
 
 
-def compose_all_path_consistency(net, changed=None):
+def compose_all_path_consistency(net, changed=None, log=None):
     """`path_consistency` composing on every revision, full cells
     included: the same FIFO queue, revision order and stop at the first
-    empty cell."""
+    empty cell.  Each composition is appended to `log`, when one is
+    given, as (left operand, right operand, the cell it bounds)."""
     calc = net.relation.calculus
     compose, converse = calc.compose, calc.converse
     n = len(net.intervals)
@@ -555,9 +556,11 @@ def compose_all_path_consistency(net, changed=None):
     for i, j in changed:
         waiting[i][j] = True
 
-    def revise(a, b, bound):
+    def revise(a, b, left, right):
         cur = m[a][b]
-        new = cur & bound
+        if log is not None:
+            log.append((left, right, cur))
+        new = cur & compose(left, right)
         if new == cur:
             return True
         m[a][b] = new
@@ -577,10 +580,9 @@ def compose_all_path_consistency(net, changed=None):
         for k in range(n):
             if k == i or k == j:
                 continue
-            if not (revise(i, k, compose(rel, mj[k]))
-                    and revise(k, j, compose(m[k][i], rel))):
-                return net._raw(net.intervals, m)
-    return net._raw(net.intervals, m)
+            if not (revise(i, k, rel, mj[k]) and revise(k, j, m[k][i], rel)):
+                return net._raw(net.intervals, m, net._index)
+    return net._raw(net.intervals, m, net._index)
 
 
 def rebuild_revise(t):

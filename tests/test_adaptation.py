@@ -263,6 +263,19 @@ class TestRevise:
         ok, _ = hybrid_atomic_consistent(result.revised)
         assert ok
 
+    def test_nothing_relaxed_returns_the_tagged_network(self, monkeypatch):
+        """With every soft constraint kept, the revised network is the
+        tagged network itself, and revision builds no network."""
+        t = inject(remove_entities(lutheran_network(), ["drain_beans"]), lentil_knowledge())
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("revise built a HybridNetwork")
+
+        monkeypatch.setattr(HybridNetwork, "build", no_build)
+        result = revise(t)
+        assert result.relaxed == ()
+        assert result.revised is t.network
+
     def test_hard_constraints_untouched(self):
         h = remove_entities(lutheran_network(), ["drain_beans"])
         result = revise(inject(h, lentil_knowledge()))

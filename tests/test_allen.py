@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -296,19 +297,23 @@ class TestUniversalBoundSkip:
     def test_same_networks_as_composing_every_revision(self, relation, network):
         """Skipping full bounds leaves every output cell as it was, for
         consistent and inconsistent results, from every pair and from a
-        few pairs of a network that is not closed."""
+        few pairs of a network that is not closed; networks have 3 to 12
+        intervals and labels of every size below full."""
         rng = random.Random(97)
-        full = relation.calculus.full
-        slots = [slot for slot in range(full.bit_length()) if full >> slot & 1]
-        verdicts = set()
+        slots = atom_slots(relation.calculus)
+        verdicts, sizes = set(), set()
+
+        def label():
+            size = rng.randint(1, len(slots) - 1)
+            sizes.add(size)
+            return relation(sum(1 << s for s in rng.sample(slots, size)))
+
         for _ in range(120):
-            n = rng.randint(3, 8)
+            n = rng.randint(3, 12)
             names = [f"v{i}" for i in range(n)]
             density = rng.uniform(0.2, 0.9)
-            net = network.build(names, [
-                (names[i], relation(sum(1 << s for s in rng.sample(slots, rng.randint(1, 6)))),
-                 names[j])
-                for i in range(n) for j in range(i + 1, n) if rng.random() < density])
+            net = network.build(names, [(names[i], label(), names[j]) for i in range(n)
+                                        for j in range(i + 1, n) if rng.random() < density])
             got = path_consistency(net)
             assert got == compose_all_path_consistency(net)
             verdicts.add(got.inconsistent)
@@ -317,28 +322,100 @@ class TestUniversalBoundSkip:
             assert path_consistency(net, changed) \
                 == compose_all_path_consistency(net, changed)
         assert verdicts == {True, False}
+        assert sizes == set(range(1, len(slots)))
 
-    def test_close_never_composes_a_full_cell(self, monkeypatch):
-        operands = []
-        real = Calculus.compose
+    def test_close_never_composes_a_full_cell(self):
+        self.check_table_reads(Relation, QCN)
 
-        def counted(calc, m1, m2):
-            operands.append((m1, m2))
-            return real(calc, m1, m2)
+    def test_indu_close_never_composes_a_full_cell(self):
+        self.check_table_reads(INDURelation, INDUNetwork)
 
-        monkeypatch.setattr(Calculus, "compose", counted)
-        closed = close(random_network_with_gaps(random.Random(5), 9))
+    @staticmethod
+    def check_table_reads(relation, network):
+        """The kernel reads the tables of exactly the compositions without
+        a full operand that the path consistency composing on every
+        revision makes, in its order, and nothing else."""
+        calc = relation.calculus
+        net = random_network_with_gaps(random.Random(5), 9, relation, network)
+        reads = []
+        closed = path_consistency(recording(network, reads)._raw(
+            net.intervals, net._matrix, net._index))
+        made = []
+        assert closed._matrix == compose_all_path_consistency(net, log=made)._matrix
         assert not closed.inconsistent
-        assert len(operands) > 100
-        assert all(FULL_MASK not in pair for pair in operands)
+        composed = [c for c in made if calc.full not in c[:2]]
+        assert len(composed) > 100
+        assert len(composed) < len(made)
+        assert reads == table_reads(calc, composed)
 
 
-def random_network_with_gaps(rng, n):
-    """A network on n intervals with about half its cells unconstrained."""
+class RecordedRow(list):
+    """A composition table row that logs (owner, key) on every read."""
+
+    def __init__(self, row, owner, log):
+        super().__init__(row)
+        self.owner, self.log = owner, log
+
+    def __getitem__(self, key):
+        self.log.append((self.owner, key))
+        return list.__getitem__(self, key)
+
+
+def recording(network, log):
+    """A subclass of `network` over a copy of its calculus whose table rows
+    log their reads: a half-table row as ((half, left half), key), a
+    per-atom chunk table as (atom slot, key)."""
+    calc = network.relation.calculus
+    copy = dataclasses.replace(calc)
+    if calc._halves:
+        t0, t1, *shape = calc._halves
+        copy.__dict__["_halves"] = (
+            [RecordedRow(row, (0, x), log) for x, row in enumerate(t0)],
+            [RecordedRow(row, (1, x), log) for x, row in enumerate(t1)], *shape)
+    else:
+        copy.__dict__["_atom_chunks"] = [row and RecordedRow(row, slot, log)
+                                         for slot, row in enumerate(calc._atom_chunks)]
+    relation = type("Recorded", (network.relation,), {"__slots__": (), "calculus": copy})
+    return type("Recorded", (network,), {"__slots__": (), "relation": relation})
+
+
+def table_reads(calc, compositions):
+    """The reads `recording` logs for composing each (left, right, cell)
+    in turn: four half-table entries (Allen), or the right operand's
+    nonzero chunks for each left atom in ascending order until the bound
+    covers the cell (INDU)."""
+    reads = []
+    for left, right, cell in compositions:
+        if calc._halves:
+            _, _, cut, low, high = calc._halves
+            for row in ((0, left & low), (1, left >> cut)):
+                reads += [(row, right & low), (row, right >> cut | high)]
+            continue
+        keys = [p << 5 | right >> p & 255 for p in range(0, calc.full.bit_length(), 8)
+                if right >> p & 255]
+        bound = 0
+        for slot in atom_slots(calc):
+            if left >> slot & 1:
+                for key in keys:
+                    reads.append((slot, key))
+                    bound |= calc._atom_chunks[slot][key]
+                if bound & cell == cell:
+                    break
+    return reads
+
+
+def atom_slots(calc):
+    return [slot for slot in range(calc.full.bit_length()) if calc.full >> slot & 1]
+
+
+def random_network_with_gaps(rng, n, relation=Relation, network=QCN):
+    """A network on n intervals with about half its cells unconstrained
+    and the others labelled by 9 random atoms."""
     names = [f"v{i}" for i in range(n)]
-    return QCN.build(names, [(names[i], Relation.of(*rng.sample(list(BaseRelation), 9)),
-                              names[j]) for i in range(n) for j in range(i + 1, n)
-                             if rng.random() < 0.5])
+    slots = atom_slots(relation.calculus)
+    return network.build(names, [(names[i], relation(sum(1 << s for s in rng.sample(slots, 9))),
+                                  names[j]) for i in range(n) for j in range(i + 1, n)
+                                 if rng.random() < 0.5])
 
 
 class TestSearchAgainstFullQueue:

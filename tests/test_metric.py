@@ -14,7 +14,6 @@ from chronotext.metric import (
     STP,
     ScaleBoundExceeded,
     TCSP,
-    TimePoint,
     allen_atom_to_points,
     end_of,
     format_constraint,
@@ -96,15 +95,7 @@ class TestBoundWindow:
         assert str(BoundWindow.closed(F(3, 2), F(5, 2))) == "[3/2, 5/2]"
 
 
-class TestTimePoint:
-    def test_roles_checked(self):
-        TimePoint("bake.start", "bake", "start")
-        TimePoint("x", None, "anon")
-        with pytest.raises(ValueError):
-            TimePoint("x", None, "start")
-        with pytest.raises(ValueError):
-            TimePoint("x", "bake", "anon")
-
+class TestEndpointNames:
     def test_endpoint_naming(self):
         assert start_of("bake") == "bake.start"
         assert end_of("bake") == "bake.end"

@@ -3,10 +3,12 @@ qualitative constraint networks with path-consistency closure.
 
 Intervals are convex spans of time with start < end.  Any two intervals
 stand in exactly one of 13 base relations, determined by the ordering of
-their four endpoints.  Partial knowledge is a *set* of base relations
-(a disjunction); networks label interval pairs with such sets and are
-tightened by intersecting each label with the composition of any two-leg
-path around it.
+their four endpoints.  `ENDPOINT_SIGNS` is the one statement of that
+meaning; converse, `base_relation_of`, the metric export of an atom
+(`metric.allen_atom_to_points`) and INDU's validity rule derive from it.
+Partial knowledge is a *set* of base relations (a disjunction); networks
+label interval pairs with such sets and are tightened by intersecting
+each label with the composition of any two-leg path around it.
 
 The composition table below was generated from exhaustive enumeration of
 endpoint weak orders and is embedded as a constant; the test suite
@@ -73,15 +75,29 @@ class BaseRelation(enum.IntEnum):
 
 _ALIASES = {"<": "b", "p": "b", ">": "bi", "a": "bi", "pi": "bi", "eq": "e", "=": "e"}
 
-_CONVERSE = {
-    BaseRelation.b: BaseRelation.bi, BaseRelation.bi: BaseRelation.b,
-    BaseRelation.m: BaseRelation.mi, BaseRelation.mi: BaseRelation.m,
-    BaseRelation.o: BaseRelation.oi, BaseRelation.oi: BaseRelation.o,
-    BaseRelation.d: BaseRelation.di, BaseRelation.di: BaseRelation.d,
-    BaseRelation.s: BaseRelation.si, BaseRelation.si: BaseRelation.s,
-    BaseRelation.f: BaseRelation.fi, BaseRelation.fi: BaseRelation.f,
-    BaseRelation.e: BaseRelation.e,
-}
+# ENDPOINT_SIGNS[a] holds, for x a y, the signs (-1, 0, 1) of xs - ys,
+# xs - ye, xe - ys and xe - ye (Allen, CACM 1983).
+ENDPOINT_SIGNS = (
+    (-1, -1, -1, -1),  # b
+    (1, 1, 1, 1),      # bi
+    (-1, -1, 0, -1),   # m
+    (1, 0, 1, 1),      # mi
+    (-1, -1, 1, -1),   # o
+    (1, -1, 1, 1),     # oi
+    (1, -1, 1, -1),    # d
+    (-1, -1, 1, 1),    # di
+    (0, -1, 1, -1),    # s
+    (0, -1, 1, 1),     # si
+    (1, -1, 1, 0),     # f
+    (-1, -1, 1, 0),    # fi
+    (0, -1, 1, 0),     # e
+)
+
+_ATOM_OF_SIGNS = {signs: atom for atom, signs in zip(BaseRelation, ENDPOINT_SIGNS)}
+
+# y a' x negates every difference and swaps xs - ye with xe - ys
+_CONVERSE = {atom: _ATOM_OF_SIGNS[-ss, -es, -se, -ee]
+             for atom, (ss, se, es, ee) in zip(BaseRelation, ENDPOINT_SIGNS)}
 
 N_ATOMS = 13
 FULL_MASK = (1 << N_ATOMS) - 1
@@ -377,7 +393,8 @@ Realization = dict[str, Endpoints]
 
 
 def base_relation_of(x: Endpoints, y: Endpoints) -> BaseRelation:
-    """The unique atom holding between two realized intervals.
+    """The unique atom holding between two realized intervals: the one
+    whose `ENDPOINT_SIGNS` entry the four endpoint differences show.
 
     Both intervals must satisfy start < end; the 13 atoms then partition
     all endpoint configurations.
@@ -386,25 +403,8 @@ def base_relation_of(x: Endpoints, y: Endpoints) -> BaseRelation:
     ys, ye = y
     if xs >= xe or ys >= ye:
         raise ValueError("intervals must satisfy start < end")
-    if xe < ys:
-        return BaseRelation.b
-    if ye < xs:
-        return BaseRelation.bi
-    if xe == ys:
-        return BaseRelation.m
-    if ye == xs:
-        return BaseRelation.mi
-    if xs == ys and xe == ye:
-        return BaseRelation.e
-    if xs == ys:
-        return BaseRelation.s if xe < ye else BaseRelation.si
-    if xe == ye:
-        return BaseRelation.f if xs > ys else BaseRelation.fi
-    if ys < xs and xe < ye:
-        return BaseRelation.d
-    if xs < ys and ye < xe:
-        return BaseRelation.di
-    return BaseRelation.o if xs < ys else BaseRelation.oi
+    return _ATOM_OF_SIGNS[(xs > ys) - (xs < ys), (xs > ye) - (xs < ye),
+                          (xe > ys) - (xe < ys), (xe > ye) - (xe < ye)]
 
 
 class Network:
@@ -433,6 +433,8 @@ class Network:
                 if rows[i][i] != calc.identity:
                     raise ValueError(f"diagonal cells must be {self.relation(calc.identity)}")
                 for j in range(n):
+                    if rows[i][j] & ~calc.full:
+                        raise ValueError(f"relation mask out of range: {rows[i][j]}")
                     if rows[j][i] != calc.converse(rows[i][j]):
                         raise ValueError("constraint matrix must be converse-symmetric")
         self._init(intervals, rows, {name: i for i, name in enumerate(intervals)})
@@ -744,9 +746,7 @@ def _order_profiles(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ..
                     ranks[endpoint] = pos
             atoms = []
             for i, j in pair_list:
-                x = (Fraction(ranks[2 * i]), Fraction(ranks[2 * i + 1]))
-                y = (Fraction(ranks[2 * j]), Fraction(ranks[2 * j + 1]))
-                atoms.append(int(base_relation_of(x, y)))
+                atoms.append(int(base_relation_of(ranks[2 * i:2 * i + 2], ranks[2 * j:2 * j + 2])))
             profiles.append((tuple(ranks), tuple(atoms)))
             return
         first = 0
@@ -811,7 +811,7 @@ def format_qcn(net: QCN) -> str:
 
 def parse_qcn(text: str) -> QCN:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("intervals"):
+    if not lines or lines[0].split()[0] != "intervals":
         raise ValueError("expected an 'intervals' header line")
     names = lines[0].split()[1:]
     constraints = []

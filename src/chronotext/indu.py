@@ -4,10 +4,10 @@ comparison of the two intervals' durations.
 An atom pairs an Allen base relation with a duration sign (<, =, >).
 Not every pair is coherent: an interval strictly inside another is
 necessarily shorter, so d, s, f force <, their converses force >, and
-equality forces =.  That leaves 25 valid atoms.  Composition works
-component-wise (Allen table for the interval part, order transitivity
-for the sign part) and filters the result through the same validity
-rule.
+equality forces = (derived from `allen.ENDPOINT_SIGNS`).  That leaves 25
+valid atoms.  Composition works component-wise (Allen table for the
+interval part, order transitivity for the sign part) and filters the
+result through the same validity rule.
 
 `INDURelation`, `INDUNetwork` and `indu_close` are the one bitmask
 relation type, network class and path-consistency routine of `allen.py`;
@@ -20,8 +20,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .allen import (
-    COMPOSITION, N_ATOMS, QCN, BaseRelation, BitmaskRelation, Calculus, Network,
-    Relation, path_consistency,
+    COMPOSITION, ENDPOINT_SIGNS, N_ATOMS, QCN, BaseRelation, BitmaskRelation, Calculus,
+    Network, Relation, path_consistency,
 )
 
 SIGNS = ("<", "=", ">")
@@ -36,11 +36,11 @@ _SIGN_COMPOSE = {
     ("<", ">"): ("<", "=", ">"), (">", "<"): ("<", "=", ">"),
 }
 
-_FORCED_SIGN = {
-    BaseRelation.d: "<", BaseRelation.s: "<", BaseRelation.f: "<",
-    BaseRelation.di: ">", BaseRelation.si: ">", BaseRelation.fi: ">",
-    BaseRelation.e: "=",
-}
+# dur(x) - dur(y) = (xe - ye) - (xs - ys): its sign is forced unless
+# those two differences have the same nonzero sign
+_FORCED_SIGN = {atom: SIGNS[1 + (ee > ss) - (ee < ss)]
+                for atom, (ss, _, _, ee) in zip(BaseRelation, ENDPOINT_SIGNS)
+                if not ss == ee != 0}
 
 
 class INDUAtom(NamedTuple):

@@ -1,6 +1,7 @@
 """Metric constraints over time points: bound windows, simple temporal
 problems (STP), their disjunctive extension (TCSP), and the two
-translations that connect interval relations to endpoint constraints.
+translations that connect interval relations to endpoint constraints,
+which take each Allen atom's endpoint signs from `allen.ENDPOINT_SIGNS`.
 
 All quantities are exact rationals in canonical units of minutes.
 Strict inequalities are carried as explicit flags on windows.  An STP
@@ -24,7 +25,7 @@ from itertools import permutations
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
-from .allen import FULL_MASK, BaseRelation, Relation
+from .allen import ENDPOINT_SIGNS, FULL_MASK, BaseRelation, Relation
 
 
 class ScaleBoundExceeded(ValueError):
@@ -524,40 +525,35 @@ def tcsp_consistent(t: TCSP) -> tuple[bool, Optional[STP]]:
 # ---------------------------------------------------------------------------
 # Allen <-> metric translations
 
-# per atom, its defining endpoint constraints as (from, to, window) over
-# the local points 0-3: x.start, x.end, y.start, y.end
-_EQ = BoundWindow.exact(0)
-_ATOM_POINTS = (
-    ((1, 2, POSITIVE),),                                        # b
-    ((3, 0, POSITIVE),),                                        # bi
-    ((1, 2, _EQ),),                                             # m
-    ((3, 0, _EQ),),                                             # mi
-    ((0, 2, POSITIVE), (2, 1, POSITIVE), (1, 3, POSITIVE)),     # o
-    ((2, 0, POSITIVE), (0, 3, POSITIVE), (3, 1, POSITIVE)),     # oi
-    ((2, 0, POSITIVE), (1, 3, POSITIVE)),                       # d
-    ((0, 2, POSITIVE), (3, 1, POSITIVE)),                       # di
-    ((0, 2, _EQ), (1, 3, POSITIVE)),                            # s
-    ((0, 2, _EQ), (3, 1, POSITIVE)),                            # si
-    ((1, 3, _EQ), (2, 0, POSITIVE)),                            # f
-    ((1, 3, _EQ), (0, 2, POSITIVE)),                            # fi
-    ((0, 2, _EQ), (1, 3, _EQ)),                                 # e
-)
+# Per atom, its defining signs (p, q, s), s the sign of t_p - t_q over
+# the local points 0-3 (x.start, x.end, y.start, y.end): the entries
+# where another atom differs from it alone, those that the other three
+# and start < end do not imply.
+_DEFINING_SIGNS = tuple(
+    tuple((k >> 1, 2 + (k & 1), s) for k, s in enumerate(signs)
+          if any(other[k] != s and other[:k] + other[k + 1:] == signs[:k] + signs[k + 1:]
+                 for other in ENDPOINT_SIGNS))
+    for signs in ENDPOINT_SIGNS)
 
 
 def allen_atom_to_points(atom: BaseRelation, x: str, y: str) -> tuple[tuple[str, str, BoundWindow], ...]:
     """The defining endpoint constraints of an atom, as (from, to, window)
-    triples over the canonical start/end point ids of the two intervals."""
+    triples over the canonical start/end point ids of the two intervals:
+    the signs of its `ENDPOINT_SIGNS` entry that the others do not imply."""
     pts = (start_of(x), end_of(x), start_of(y), end_of(y))
-    return tuple((pts[i], pts[j], w) for i, j, w in _ATOM_POINTS[atom])
+    return tuple((pts[q], pts[p], POSITIVE) if s > 0
+                 else (pts[p], pts[q], POSITIVE if s else BoundWindow.exact(0))
+                 for p, q, s in _DEFINING_SIGNS[atom])
 
 
-# Per atom, its endpoint constraints as encoded (i, j, bound) edges over
-# the local points.  Every finite atom bound has value 0, so it encodes
-# as 0, or -1 when strict, whatever the scale.
+# Per atom, its endpoint constraints as encoded (i, j, bound) edges, on
+# t_j - t_i, over the local points.  Every atom bound is 0 or strict 0,
+# encoded as 0 or -1 whatever the scale: a sign s of t_p - t_q gives the
+# forward edge (p, q, -s) when s >= 0 and the backward (q, p, s) when s <= 0.
 _ATOM_EDGES = tuple(
-    tuple((a, b, -strict) for i, j, w in constraints
-          for a, b, (v, strict) in zip((i, j), (j, i), _window_to_bounds(w)) if v is not None)
-    for constraints in _ATOM_POINTS)
+    tuple(edge for p, q, s in signs
+          for edge, holds in (((p, q, -s), s >= 0), ((q, p, s), s <= 0)) if holds)
+    for signs in _DEFINING_SIGNS)
 
 
 def _cycle_splits() -> tuple[tuple[tuple[int, ...], tuple[tuple[int, int], ...]], ...]:

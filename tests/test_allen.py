@@ -7,12 +7,13 @@ from hypothesis import given, strategies as st
 
 from chronotext import allen
 from chronotext.allen import (
-    ALLEN, COMPOSITION, FULL, FULL_MASK, EMPTY, N_ATOMS, BaseRelation, Calculus, QCN,
+    ALLEN, COMPOSITION, FULL, FULL_MASK, EMPTY, IDENTITY, N_ATOMS, BaseRelation, Calculus, QCN,
     Relation, atomic_consistent, base_relation_of, close, format_qcn, parse_qcn,
     path_consistency, realize_small,
 )
 from chronotext.indu import INDU, INDUNetwork, INDURelation
 from oracles import (
+    atom_by_definition,
     compose_all_path_consistency,
     compose_by_atoms,
     composition_by_enumeration,
@@ -73,7 +74,11 @@ class TestBaseRelationOf:
                    for a in range(4) for b in range(a + 1, 4)
                    for c in range(4) for d in range(c + 1, 4)]
         for a, b, c, d in configs:
-            seen.add(base_relation_of(iv(a, b), iv(c, d)))
+            x, y = iv(a, b), iv(c, d)
+            atom = base_relation_of(x, y)
+            assert atom.name == atom_by_definition(x, y)
+            assert base_relation_of(y, x) is atom.converse
+            seen.add(atom)
         assert seen == set(BaseRelation)
 
 
@@ -518,6 +523,17 @@ class TestRealizeSmall:
             assert (realize_small(net) is not None) == (t in triples)
 
 
+class TestPublicConstructor:
+    def test_public_constructor_validates(self):
+        ident, before = IDENTITY.mask, Relation.of("b").mask
+        with pytest.raises(ValueError, match="converse-symmetric"):
+            QCN(["x", "y"], [[ident, before], [before, ident]])
+        with pytest.raises(ValueError, match="diagonal"):
+            QCN(["x", "y"], [[before, before], [Relation.of("bi").mask, ident]])
+        with pytest.raises(ValueError, match="relation mask out of range"):
+            QCN(["a", "b"], [[ident, 1 << 13], [1 << 13, ident]])
+
+
 class TestSerialization:
     def test_roundtrip_bit_exact(self):
         net = worked_network()
@@ -538,3 +554,8 @@ class TestSerialization:
     def test_atoms_print_in_canonical_order(self):
         net = QCN.build(["a", "b"], [("a", Relation.of("e", "m", "b"), "b")])
         assert "a b {b,m,e}" in format_qcn(net)
+
+    def test_header_word_must_be_exact(self):
+        with pytest.raises(ValueError, match="'intervals' header"):
+            parse_qcn("intervalsfoo a b\na b {b}\n")
+        assert parse_qcn("intervals a b\na b {b}\n").cell("a", "b") == Relation.of("b")

@@ -1,6 +1,8 @@
-"""Every script under demos/ runs to completion and prints something."""
+"""Every script under demos/ runs to completion and prints something,
+and every Python snippet of README.md runs as written."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,8 @@ import pytest
 
 import chronotext
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_demos_found():
@@ -25,3 +28,20 @@ def test_demo_runs(demo):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+
+
+def test_readme_snippets_run():
+    """Each ```python block of README.md runs; a `print(...)` line ending
+    in a `# value` comment prints that value."""
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(encoding="utf-8"),
+                        re.M | re.S)
+    assert blocks
+    for block in blocks:
+        expected = {n: m.group(1) for n, line in enumerate(block.splitlines(), 1)
+                    if (m := re.match(r"\s*print\(.*\)\s*#\s*(.*?)\s*$", line))}
+        printed = {}
+
+        def record(*args):
+            printed[sys._getframe(1).f_lineno] = " ".join(map(str, args))
+        exec(compile(block, "README.md", "exec"), {"print": record})
+        assert {n: printed.get(n) for n in expected} == expected

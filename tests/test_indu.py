@@ -297,6 +297,11 @@ class TestBuild:
             INDUNetwork(["x", "y"], [[ident, before], [before, ident]])
         with pytest.raises(ValueError, match="diagonal"):
             INDUNetwork(["x", "y"], [[before, before], [after, ident]])
+        # d^= is not a valid atom; the matrix is converse-symmetric, so only
+        # the range check rejects it
+        invalid, converse = 1 << A("d", "=").index, 1 << A("di", "=").index
+        with pytest.raises(ValueError, match="relation mask out of range"):
+            INDUNetwork(["x", "y"], [[ident, invalid], [converse, ident]])
 
 
 class TestProjection:

@@ -22,9 +22,9 @@ from .hybrid import HybridNetwork, hybrid_atomic_consistent
 from .metric import (
     BoundWindow,
     ScaleBoundExceeded,
+    _close_with,
     end_of,
     start_of,
-    stp_close,
 )
 from .recipe import (
     ActionNode,
@@ -336,7 +336,6 @@ def revise(t: TaggedNetwork) -> RevisionResult:
         raise ValueError("domain knowledge is self-contradictory")
 
     cells = t.network.qcn._index
-    points = t.network.stp._index
 
     def check(closed: HybridNetwork, c: TaggedConstraint):
         if c.kind == "allen":
@@ -344,9 +343,7 @@ def revise(t: TaggedNetwork) -> RevisionResult:
             return hybrid_atomic_consistent(
                 closed.with_relation(c.frm, c.to, closed.relation(c.frm, c.to) & c.cell),
                 changed=[(a, b)])
-        i, j = points[c.frm], points[c.to]
-        stp = stp_close(closed.stp.with_constraints([(c.frm, c.to, c.window)]),
-                        changed=[(i, j), (j, i)])
+        stp = _close_with(closed.stp, c.frm, c.to, c.window)
         return hybrid_atomic_consistent(HybridNetwork._raw(closed.qcn, stp, anon), changed=[])
 
     best: Optional[list[TaggedConstraint]] = None

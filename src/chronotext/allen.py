@@ -429,6 +429,8 @@ class Network:
                          for i in range(n))
         else:
             rows = tuple(tuple(row) for row in matrix)
+            if len(rows) != n or any(len(row) != n for row in rows):
+                raise ValueError(f"constraint matrix must be {n}x{n}")
             for i in range(n):
                 if rows[i][i] != calc.identity:
                     raise ValueError(f"diagonal cells must be {self.relation(calc.identity)}")
@@ -494,7 +496,7 @@ class Network:
 
     @property
     def inconsistent(self) -> bool:
-        return any(0 in row for row in self._matrix)
+        return not all(map(all, self._matrix))
 
     def __len__(self) -> int:
         return len(self.intervals)

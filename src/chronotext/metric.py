@@ -36,6 +36,16 @@ def _frac(v) -> Fraction:
     return v if isinstance(v, Fraction) else Fraction(v)
 
 
+def _lo_rank(w: BoundWindow) -> tuple:
+    # lower bounds, loosest first: -inf, then by value, closed before open
+    return (w.lo is not None, w.lo or 0, w.lo_strict)
+
+
+def _hi_rank(w: BoundWindow) -> tuple:
+    # upper bounds, tightest first: by value, open before closed, then +inf
+    return (w.hi is None, w.hi or 0, not w.hi_strict)
+
+
 @dataclass(frozen=True)
 class BoundWindow:
     """An interval of admissible values for a point difference, with
@@ -97,11 +107,9 @@ class BoundWindow:
 
     def intersect(self, other: "BoundWindow") -> Optional["BoundWindow"]:
         """The common window, or None when the overlap is empty."""
-        (f1, b1), (f2, b2) = _window_to_bounds(self), _window_to_bounds(other)
-        return _bounds_to_window(_btighter(f1, f2), _btighter(b1, b2))
-
-    def overlaps(self, other: "BoundWindow") -> bool:
-        return self.intersect(other) is not None
+        lo, hi = max(self, other, key=_lo_rank), min(self, other, key=_hi_rank)
+        bwd = _INF if lo.lo is None else (-lo.lo, lo.lo_strict)
+        return _bounds_to_window((hi.hi, hi.hi_strict), bwd)
 
     def __str__(self) -> str:
         left = "(" if self.lo_strict else "["
@@ -128,24 +136,6 @@ def end_of(interval: str) -> str:
 
 Bound = tuple[Optional[Fraction], bool]
 _INF: Bound = (None, True)
-
-
-def _btighter(a: Bound, b: Bound) -> Bound:
-    """The stronger of two upper bounds; at equal values strict wins."""
-    if a[0] is None:
-        return b
-    if b[0] is None:
-        return a
-    if a[0] != b[0]:
-        return a if a[0] < b[0] else b
-    return a if a[1] else b
-
-
-def _window_to_bounds(w: BoundWindow) -> tuple[Bound, Bound]:
-    """(forward, backward) upper bounds for a window on t_to - t_from."""
-    fwd: Bound = _INF if w.hi is None else (w.hi, w.hi_strict)
-    bwd: Bound = _INF if w.lo is None else (-w.lo, w.lo_strict)
-    return fwd, bwd
 
 
 def _bounds_to_window(fwd: Bound, bwd: Bound) -> Optional[BoundWindow]:
@@ -186,6 +176,18 @@ def _decoded(e: Optional[int], d: int, m: int) -> Bound:
     return Fraction(q, d), q * m != e
 
 
+def _window_edges(pairs: Iterable[tuple[int, int, BoundWindow]], dm: int) -> list[tuple[int, int, int]]:
+    """Windows (i, j, w) on t_j - t_i as encoded (i, j, bound) edges at
+    the scale D*M = `dm`, whose D every finite bound's denominator divides."""
+    out = []
+    for i, j, w in pairs:
+        if w.hi is not None:
+            out.append((i, j, w.hi.numerator * (dm // w.hi.denominator) - w.hi_strict))
+        if w.lo is not None:
+            out.append((j, i, -w.lo.numerator * (dm // w.lo.denominator) - w.lo_strict))
+    return out
+
+
 class STP:
     """A simple temporal problem: one window per ordered point pair.
 
@@ -214,6 +216,8 @@ class STP:
         """`matrix` holds (value, strict) upper bounds, value None for
         +infinity, row i column j bounding t_j - t_i."""
         points = tuple(points)
+        if len(matrix) != len(points) or any(len(row) != len(points) for row in matrix):
+            raise ValueError(f"bound matrix must be {len(points)}x{len(points)}")
         e, d, m = _scaled(matrix)
         self._init(points, {p: i for i, p in enumerate(points)},
                    tuple(map(tuple, e)), d, m, inconsistent, minimal)
@@ -258,9 +262,8 @@ class STP:
         points = self.points + tuple(p for p in new_points if p not in self._index)
         index = self._index if len(points) == len(self.points) else \
             {p: i for i, p in enumerate(points)}
-        n, old = len(points), len(self.points)
-        d = self._d
-        edges = []
+        n, old, d = len(points), len(self.points), self._d
+        pairs = []
         for frm, to, w in constraints:
             if frm not in index:
                 raise KeyError(f"unknown point {frm!r}")
@@ -269,7 +272,7 @@ class STP:
             for v in (w.lo, w.hi):
                 if v is not None and d % v.denominator:
                     d = lcm(d, v.denominator)
-            edges.append((index[frm], index[to], w))
+            pairs.append((index[frm], index[to], w))
         m = max(self._m, n + 1)
         if d == self._d and m == self._m:
             rows = [list(row) for row in self._e]
@@ -283,33 +286,31 @@ class STP:
         for i in range(old, n):
             rows.append([None] * n)
             rows[i][i] = 0
-        dm = d * m
-        for i, j, w in edges:
-            if w.hi is not None:
-                v = w.hi.numerator * (dm // w.hi.denominator) - w.hi_strict
-                if rows[i][j] is None or v < rows[i][j]:
-                    rows[i][j] = v
-            if w.lo is not None:
-                v = -w.lo.numerator * (dm // w.lo.denominator) - w.lo_strict
-                if rows[j][i] is None or v < rows[j][i]:
-                    rows[j][i] = v
+        for i, j, w in _window_edges(pairs, d * m):
+            if rows[i][j] is None or w < rows[i][j]:
+                rows[i][j] = w
         return STP._raw(points, index, tuple(map(tuple, rows)), d, m,
                         inconsistent=self.inconsistent)
 
     def _with_edges(self, edges: Iterable[tuple[int, int, int]]) -> tuple["STP", list[tuple[int, int]]]:
-        """This network with encoded edges (i, j, w) conjoined in, each
-        bounding t_j - t_i by a bound of value 0 (w = 0, or -1 when
-        strict), whose encoding is the same at every scale; and the
-        entries (i, j) the edges tightened, each listed once."""
-        rows = [list(row) for row in self._e]
+        """This network with encoded edges (i, j, w), each bounding t_j - t_i
+        by the bound stored as w at its scale, conjoined in, and the entries
+        (i, j) they tightened, each once.  Only the rows holding a tightened
+        entry are copied; the others are shared, as instances are immutable."""
+        e = self._e
+        rows = list(e)
         tightened = {}
         for i, j, w in edges:
             v = rows[i][j]
             if v is None or w < v:
+                if rows[i] is e[i]:
+                    rows[i] = list(e[i])
                 rows[i][j] = w
                 tightened[i, j] = None
-        return (STP._raw(self.points, self._index, tuple(map(tuple, rows)), self._d, self._m,
-                         inconsistent=self.inconsistent),
+        for i, _ in tightened:
+            rows[i] = tuple(rows[i])
+        return (STP._raw(self.points, self._index, tuple(rows) if tightened else e, self._d,
+                         self._m, inconsistent=self.inconsistent),
                 list(tightened))
 
     @property
@@ -446,29 +447,17 @@ class MetricConstraint:
 
 
 def _normalize_windows(windows: Sequence[BoundWindow]) -> tuple[BoundWindow, ...]:
-    def key(w: BoundWindow):
-        unbounded = w.lo is None
-        return (0 if unbounded else 1, w.lo if not unbounded else 0, not w.lo_strict)
-
+    """The values of `windows` as sorted disjoint windows: by lower bound, each
+    merged into the last kept one when they meet, with the looser upper bound."""
     merged: list[BoundWindow] = []
-    for w in sorted(windows, key=key):
-        if merged:
-            last = merged[-1]
-            joinable = False
-            if last.hi is None:
-                joinable = True
-            elif w.lo is None:
-                joinable = True
-            elif w.lo < last.hi or (w.lo == last.hi and not (w.lo_strict and last.hi_strict)):
-                joinable = True
-            if joinable:
-                if last.hi is None or (w.hi is not None and w.hi <= last.hi):
-                    hi, his = last.hi, last.hi_strict
-                else:
-                    hi, his = w.hi, w.hi_strict
-                merged[-1] = BoundWindow(last.lo, hi, last.lo_strict, his)
-                continue
-        merged.append(w)
+    for w in sorted(windows, key=_lo_rank):
+        last = merged[-1] if merged else None
+        if last is None or not (last.hi is None or w.lo is None or w.lo < last.hi or (
+                w.lo == last.hi and not (w.lo_strict and last.hi_strict))):
+            merged.append(w)
+            continue
+        top = max(last, w, key=_hi_rank)
+        merged[-1] = BoundWindow(last.lo, top.hi, last.lo_strict, top.hi_strict)
     return tuple(merged)
 
 
@@ -482,43 +471,54 @@ MAX_TCSP_WINDOWS = 4
 MAX_TCSP_DISJUNCTIVE = 12
 
 
+def _close_with(s: STP, frm: str, to: str, w: BoundWindow) -> STP:
+    """Minimal `s` plus one window on t_to - t_from, closed from its two
+    entries; `_with_edges` adds it at the scale of `s` unless it rescales."""
+    i, j = s._index[frm], s._index[to]
+    rescale = any(v is not None and s._d % v.denominator for v in (w.lo, w.hi))
+    child = s.with_constraints([(frm, to, w)]) if rescale else \
+        s._with_edges(_window_edges([(i, j, w)], s._d * s._m))[0]
+    return stp_close(child, changed=[(i, j), (j, i)])
+
+
 def tcsp_consistent(t: TCSP) -> tuple[bool, Optional[STP]]:
     """Search window selections for a consistent STP.
 
     Selections are explored in deterministic order: constraints sorted by
     (from, to) id pair, windows in normalized order; the first surviving
-    combination is returned as witness.  Each child is its parent's
-    minimal STP with one window conjoined, closed from that window's two
-    entries.  Instances beyond the desk-scale bounds (4 windows per
-    constraint, 12 disjunctive constraints) are rejected.
+    combination is returned as witness.  The search starts from the minimal
+    STP of the integer hulls (first window's lower to last window's upper
+    bound; Schwalb & Dechter), in which every selection's windows lie: it
+    cuts only subtrees without a witness, leaves a witness's closure and
+    scale as they are, and a one-window constraint in it is not searched.
+    Each child conjoins one window (`_close_with`).  Unknown points and
+    instances beyond 4 windows per constraint or 12 disjunctive
+    constraints are rejected before the search.
     """
-    for c in t.constraints:
+    hulls, levels = [], []
+    for c in sorted(t.constraints, key=lambda c: (c.frm, c.to)):
         if len(c.windows) > MAX_TCSP_WINDOWS:
             raise ScaleBoundExceeded(
                 f"constraint {c.frm}->{c.to} has {len(c.windows)} windows")
-    disjunctive = [c for c in t.constraints if len(c.windows) > 1]
+        first, last = c.windows[0], c.windows[-1]
+        integral = all(v is None or v.denominator == 1 for v in (first.lo, last.hi))
+        # FOREVER conjoins nothing, but `STP.build` still checks its points
+        hull = BoundWindow(first.lo, last.hi, first.lo_strict, last.hi_strict)
+        hulls.append((c.frm, c.to, hull if integral else FOREVER))
+        if len(c.windows) > 1 or not integral:
+            levels.append(c)
+    disjunctive = [c for c in levels if len(c.windows) > 1]
     if len(disjunctive) > MAX_TCSP_DISJUNCTIVE:
         raise ScaleBoundExceeded(f"{len(disjunctive)} disjunctive constraints")
 
-    ordered = sorted(t.constraints, key=lambda c: (c.frm, c.to))
-
     def search(k: int, closed: STP) -> Optional[STP]:
-        # each child closes from its parent's minimal network and the
-        # two entries of its one new window
-        if k == len(ordered):
-            return closed
-        c = ordered[k]
-        for w in c.windows:
-            child = closed.with_constraints([(c.frm, c.to, w)])
-            i, j = child._index[c.frm], child._index[c.to]
-            child = stp_close(child, changed=[(i, j), (j, i)])
-            if not child.inconsistent:
-                found = search(k + 1, child)
-                if found is not None:
-                    return found
-        return None
+        if closed.inconsistent or k == len(levels):
+            return None if closed.inconsistent else closed
+        c = levels[k]
+        found = (search(k + 1, _close_with(closed, c.frm, c.to, w)) for w in c.windows)
+        return next((f for f in found if f is not None), None)
 
-    witness = search(0, stp_close(STP.build(t.points)))
+    witness = search(0, stp_close(STP.build(t.points, hulls)))
     return (witness is not None), witness
 
 

@@ -533,6 +533,13 @@ class TestPublicConstructor:
         with pytest.raises(ValueError, match="relation mask out of range"):
             QCN(["a", "b"], [[ident, 1 << 13], [1 << 13, ident]])
 
+    def test_public_constructor_checks_the_shape(self):
+        ident, full = IDENTITY.mask, FULL.mask
+        for matrix in ([[ident]], [[ident, full], [full]], [[ident, full, 1], [full, ident, 1]],
+                       [[ident, full], [full, ident], [full, full]]):
+            with pytest.raises(ValueError, match="must be 2x2"):
+                QCN(["a", "b"], matrix)
+
 
 class TestSerialization:
     def test_roundtrip_bit_exact(self):

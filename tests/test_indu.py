@@ -303,6 +303,14 @@ class TestBuild:
         with pytest.raises(ValueError, match="relation mask out of range"):
             INDUNetwork(["x", "y"], [[ident, invalid], [converse, ident]])
 
+    def test_public_constructor_checks_the_shape(self):
+        ident, before = INDU_IDENTITY.mask, INDURelation.of(("b", "<")).mask
+        after = indu_converse(INDURelation(before)).mask
+        for matrix in ([[ident]], [[ident, before], [after]],
+                       [[ident, before, 1], [after, ident, 1]]):
+            with pytest.raises(ValueError, match="must be 2x2"):
+                INDUNetwork(["x", "y"], matrix)
+
 
 class TestProjection:
     def test_examples(self):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chronotext import metric
 from chronotext.allen import FULL, BaseRelation, Relation
 from chronotext.metric import (
     MAX_TCSP_DISJUNCTIVE,
@@ -122,6 +123,14 @@ class TestSTPBuild:
     def test_duplicate_points_rejected(self):
         with pytest.raises(ValueError):
             STP.build(["x", "x"])
+
+    def test_public_constructor_checks_the_shape(self):
+        zero, inf = (F(0), False), (None, True)
+        for matrix in ([[zero]], [[zero, inf], [inf]], [[zero, inf, inf], [inf, zero, inf]],
+                       [[zero, inf], [inf, zero], [inf, inf]]):
+            with pytest.raises(ValueError, match="must be 2x2"):
+                STP(["a", "b"], matrix)
+        assert STP(["a", "b"], [[zero, inf], [inf, zero]]) == STP.build(["a", "b"])
 
     def test_with_constraints_names_unknown_point(self):
         with pytest.raises(KeyError, match="unknown point 'z'"):
@@ -375,6 +384,40 @@ class TestTCSP:
             "x", "y",
             (BoundWindow(F(1), F(2), hi_strict=True), BoundWindow.closed(2, 3)))
         assert half_open.windows == (BoundWindow.closed(1, 3),)
+
+    def test_normalization_keeps_every_value(self):
+        closed_open = MetricConstraint(
+            "a", "b", (BoundWindow(F(0), F(5), hi_strict=True), BoundWindow.closed(3, 5)))
+        assert closed_open.windows == (BoundWindow.closed(0, 5),)
+        open_closed = MetricConstraint(
+            "a", "b", (BoundWindow.closed(0, 2), BoundWindow(F(0), F(7), lo_strict=True)))
+        assert open_closed.windows == (BoundWindow.closed(0, 7),)
+        ok, witness = tcsp_consistent(TCSP(("a", "b"), (
+            closed_open, MetricConstraint("a", "b", (BoundWindow.exact(5),)))))
+        assert ok and witness.window("a", "b") == BoundWindow.exact(5)
+
+    def test_normalization_by_membership(self):
+        """On random window sets the normalized windows admit exactly the
+        values some input window admits, probed at every bound, every
+        midpoint and beyond both ends; they are sorted, and no two
+        consecutive ones meet."""
+        rng = random.Random(31)
+        for _ in range(500):
+            wins = [random_window(rng, 4) for _ in range(rng.randint(1, 4))]
+            got = MetricConstraint("x", "y", tuple(wins)).windows
+            ends = sorted({v for w in wins for v in (w.lo, w.hi) if v is not None})
+            probes = [F(-100), F(100), *ends, *((x + y) / 2 for x, y in zip(ends, ends[1:]))]
+            for v in probes:
+                assert any(w.contains(v) for w in got) == any(w.contains(v) for w in wins)
+            for a, b in zip(got, got[1:]):
+                assert a.hi is not None and b.lo is not None
+                assert a.hi < b.lo or (a.hi == b.lo and a.hi_strict and b.lo_strict)
+
+    def test_unknown_point_reported_before_the_search(self):
+        t = TCSP(("a", "b"), (MetricConstraint("a", "a", (BoundWindow.closed(1, 2),)),
+                              MetricConstraint("a", "zz", (BoundWindow.closed(1, 2),))))
+        with pytest.raises(KeyError, match="unknown point 'zz'"):
+            tcsp_consistent(t)
 
     def test_empty_window_list_rejected(self):
         with pytest.raises(ValueError):
@@ -893,3 +936,105 @@ class TestIncrementalClose:
                 assert (witness._e, witness._d, witness._m) == (ref._e, ref._d, ref._m)
                 assert witness.minimal
         assert verdicts == {True, False}
+
+
+def integer_tcsps(rng, count):
+    """Seeded TCSPs of closed integer windows, as the benchmark draws them."""
+    out = []
+    for _ in range(count):
+        points = ("p", "q", "r", "s", "t")[:rng.randint(3, 5)]
+        cons = []
+        for _ in range(rng.randint(3, 6)):
+            wins = []
+            for _ in range(rng.randint(1, 3)):
+                lo = rng.randint(-10, 10)
+                wins.append(BoundWindow.closed(lo, lo + rng.randint(0, 4)))
+            cons.append(MetricConstraint(*rng.sample(points, 2), tuple(wins)))
+        out.append(TCSP(points, tuple(cons)))
+    return out
+
+
+def count_stp_closes(monkeypatch):
+    """The networks passed to `metric.stp_close` from now on, in call order."""
+    closed = []
+    real = metric.stp_close
+    monkeypatch.setattr(metric, "stp_close", lambda s, **kw: closed.append(s) or real(s, **kw))
+    return closed
+
+
+class TestHullSearch:
+    def test_stp_close_calls_pinned(self, monkeypatch):
+        """The hull root prunes children on a fixed set of integer TCSPs:
+        330 closures before it (each child its own, no hull), fewer now,
+        with the rebuilt search's verdicts and exact witnesses."""
+        cases = integer_tcsps(random.Random(3), 40)
+        refs = [rebuild_tcsp_consistent(t) for t in cases]
+        closed = count_stp_closes(monkeypatch)
+        got = [tcsp_consistent(t) for t in cases]
+        assert len(closed) == 107
+        assert sum(ok for ok, _ in got) == 18
+        for (ok, witness), (ref_ok, ref) in zip(got, refs):
+            assert ok == ref_ok
+            if ok:
+                assert (witness._e, witness._d, witness._m) == (ref._e, ref._d, ref._m)
+
+    def test_hulls_refute_at_the_root(self, monkeypatch):
+        """Each window pair alone fits, but the hulls [0, 11] + [0, 11]
+        already exclude [30, 41]: one closure, no child."""
+        two = (BoundWindow.closed(0, 1), BoundWindow.closed(10, 11))
+        t = TCSP(("x", "y", "z"), (
+            MetricConstraint("x", "y", two), MetricConstraint("y", "z", two),
+            MetricConstraint("x", "z", (BoundWindow.closed(30, 31), BoundWindow.closed(40, 41)))))
+        assert rebuild_tcsp_consistent(t) == (False, None)
+        closed = count_stp_closes(monkeypatch)
+        assert tcsp_consistent(t) == (False, None)
+        assert len(closed) == 1
+
+    def test_rational_windows_keep_the_witness_scale(self, monkeypatch):
+        """No hull with a fractional bound enters the root, which stays at
+        scale 1 and unconstrained here; the witness has the scale and the
+        entries of the rebuilt search's."""
+        t = TCSP(("x", "y", "z"), (
+            MetricConstraint("x", "y", (BoundWindow.closed(F(1, 2), 1),
+                                        BoundWindow.closed(3, F(7, 2)))),
+            MetricConstraint("y", "z", (BoundWindow(F(1, 3), F(2, 3), True, False),
+                                        BoundWindow.closed(5, 6))),
+            MetricConstraint("x", "z", (BoundWindow.closed(F(1, 5), F(37, 5)),))))
+        closed = count_stp_closes(monkeypatch)
+        ok, witness = tcsp_consistent(t)
+        root = closed[0]
+        assert root._d == 1 and all(v is None for i, row in enumerate(root._e)
+                                    for j, v in enumerate(row) if i != j)
+        ref_ok, ref = rebuild_tcsp_consistent(t)
+        assert ok and ref_ok
+        assert (witness._e, witness._d, witness._m) == (ref._e, ref._d, ref._m)
+        assert witness._d == 30
+        assert witness.window("x", "y") == BoundWindow.closed(F(1, 2), 1)
+
+    def test_with_edges_copies_only_tightened_rows(self):
+        """`_with_edges` equals conjoining into a full copy, shares every
+        row it does not tighten, and shares the matrix when it tightens
+        nothing."""
+        rng = random.Random(83)
+        shared = copied = 0
+        for _ in range(300):
+            s = stp_close(random_stp(rng, rng.randint(2, 7)))
+            n, dm = len(s.points), s._d * s._m
+            edges = [(*rng.sample(range(n), 2), rng.randint(-3 * dm, 3 * dm))
+                     for _ in range(rng.randint(0, 4))]
+            rows, tightened = [list(row) for row in s._e], {}
+            for i, j, w in edges:
+                if rows[i][j] is None or w < rows[i][j]:
+                    rows[i][j] = w
+                    tightened[i, j] = None
+            t, got = s._with_edges(edges)
+            assert t._e == tuple(map(tuple, rows)) and got == list(tightened)
+            assert (t.inconsistent, t.minimal) == (s.inconsistent, False)
+            touched = {i for i, _ in tightened}
+            for i in range(n):
+                assert (t._e[i] is s._e[i]) == (i not in touched)
+            if not touched:
+                assert t._e is s._e
+            shared += n - len(touched)
+            copied += len(touched)
+        assert shared > copied > 100

@@ -31,6 +31,7 @@ from .recipe import (
     Recipe,
     StateNode,
     TimerNode,
+    _scenario_intervals,
     encode_recipe,
 )
 
@@ -405,19 +406,14 @@ def _interval_of_point(p: str) -> str:
 
 
 def adapt_text_edits(result: RevisionResult, source: Recipe) -> tuple[Edit, ...]:
-    """Map a revision back onto the recipe text as span-based edits:
-    deletions for removed nodes, insert-after markers carrying the
-    injected node labels at the first anchor, and review flags on the
-    spans of relaxed constraints.  No text is generated."""
+    """Map a revision of the base scenario back onto the recipe text as
+    span-based edits: deletions for the nodes it dropped, insert-after
+    markers carrying the injected node labels at the first anchor, and
+    review flags on the spans of relaxed constraints.  No text is generated."""
     spans = _span_table(source)
     present = set(result.revised.intervals)
-    edits = []
-
-    recipe_ids = [n.id for n in
-                  source.preliminaries + source.steps + source.states]
-    for nid in recipe_ids:
-        if nid not in present and nid in spans:
-            edits.append(Edit(spans[nid], "delete"))
+    base = _scenario_intervals(source, {m for br in source.branches for m in br.members})
+    edits = [Edit(spans[nid], "delete") for nid in base if nid not in present and nid in spans]
 
     anchor_span = next((spans[a] for a in result.tagged.anchors if a in spans),
                        None)

@@ -25,10 +25,10 @@ from .recipe import (
 
 
 class AnnotationError(ValueError):
-    """Markup error; `offset` is the byte position in the input."""
+    """Markup error; `offset` is the byte position in the input, if known."""
 
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"offset {offset}: {message}")
+    def __init__(self, message: str, offset: Optional[int] = None):
+        super().__init__(message if offset is None else f"offset {offset}: {message}")
         self.offset = offset
 
 
@@ -249,9 +249,9 @@ def doc_to_qcn(doc: AnnotatedDoc, mapping: Optional[dict[str, Relation]] = None)
     for link in doc.tlinks:
         rel = mapping.get(link.rel_type)
         if rel is None:
-            raise ValueError(f"no Allen image for relType {link.rel_type!r}")
+            raise AnnotationError(f"no Allen image for relType {link.rel_type!r}")
         if rel.is_empty:
-            raise ValueError(f"relType {link.rel_type!r} maps to the empty relation")
+            raise AnnotationError(f"relType {link.rel_type!r} maps to the empty relation")
         constraints.append((name[link.event_instance_id], rel,
                             name[link.related_to_event]))
     return QCN.build([name[inst.eiid] for inst in doc.instances], constraints)

@@ -150,9 +150,9 @@ def hybrid_close(h: HybridNetwork, *,
     as `close` does, which requires every other cell to be closed; later
     rounds propagate only from the cells the metric layer tightened.
     Whenever the metric layer is flagged minimal, as it is in every
-    round after the first, its closure propagates only the entries the
-    atom export tightened (`stp_close` with `changed`); one flagged
-    inconsistent stays so.
+    round after the first, its closure pivots only on the endpoints of
+    the entries the atom export tightened (`stp_close` with `changed`);
+    one flagged inconsistent stays so.
     """
     qcn, stp = h.qcn, h.stp
     ends = _endpoint_indices(h)

@@ -7,14 +7,14 @@ All quantities are exact rationals in canonical units of minutes.
 Strict inequalities are carried as explicit flags on windows.  An STP
 stores only an exact integer encoding of its bounds, a (value, strict)
 upper bound kept as value*D*M - strict under a common denominator D and
-a multiplier M larger than the number of points; the one Floyd-Warshall,
-the incremental closure from tightened entries, the read-back to Allen
-atoms and the atom export all work on that encoding, and bounds become
-`Fraction`s again only when a window is read.  A network already
-minimal is extended, not re-closed: `stp_close(s, changed=...)`
-propagates only the entries tightened since, which the TCSP search, the
-hybrid closure rounds and search leaves, and revision all use.  There
-are no epsilon approximations.
+a multiplier M larger than the number of points; the one shortest-path
+kernel (Floyd-Warshall through a set of pivot points), the read-back to
+Allen atoms and the atom export all work on that encoding, and bounds
+become `Fraction`s again only when a window is read.  A network already
+minimal is extended, not re-closed: `stp_close(s, changed=...)` pivots
+only on the endpoints of the entries tightened since, which the TCSP
+search, the hybrid closure rounds and search leaves, and revision all
+use.  There are no epsilon approximations.
 """
 
 from __future__ import annotations
@@ -202,8 +202,9 @@ class STP:
     `_u`; equality and hashing are by value, whatever the scale.
 
     Instances are immutable.  `stp_close` returns the minimal network,
-    in which every window is the tightest implied one, or a network
-    flagged inconsistent when the distance graph has a negative cycle.
+    every window the tightest implied one, by Floyd-Warshall through
+    every point or, from a minimal network since tightened, through the
+    tightened entries' endpoints; a negative cycle flags it inconsistent.
     Conjoining constraints keeps the inconsistent flag, since a
     tightening keeps the cycle, and drops the minimal one; `restricted`
     drops both.
@@ -359,11 +360,18 @@ class STP:
         return f"STP(<{len(self.points)} points>{flag})"
 
 
-def _int_shortest_paths(e: list[list[Optional[int]]]) -> bool:
-    """Floyd-Warshall over an integer distance matrix (None is +infinity),
-    in place.  False when some cycle has negative total weight, in which
-    case the matrix is left partly tightened."""
-    for k, ek in enumerate(e):
+def _int_shortest_paths(e: list[list[Optional[int]]], m: int,
+                        pivots: Optional[Iterable[int]] = None) -> bool:
+    """Floyd-Warshall, in place, over an integer distance matrix (None is
+    +infinity) through the points `pivots` in order, all when None.  An
+    improving sum of two entries (two strict units at most, fewer than M)
+    is written back as q*M - [strict], q = ceil(sum / M).  False at the
+    first pivot with a negative diagonal entry, the matrix then partly
+    tightened; a negative cycle through pivots shows by its last pivot."""
+    for k in range(len(e)) if pivots is None else pivots:
+        ek = e[k]
+        if ek[k] is not None and ek[k] < 0:
+            return False
         legs = [(j, w) for j, w in enumerate(ek) if w is not None]
         for ei in e:
             eik = ei[k]
@@ -373,8 +381,8 @@ def _int_shortest_paths(e: list[list[Optional[int]]]) -> bool:
                 c = eik + w
                 eij = ei[j]
                 if eij is None or c < eij:
-                    ei[j] = c
-    return all(row[i] is None or row[i] >= 0 for i, row in enumerate(e))
+                    ei[j] = c if not c % m else c - c % m + m - 1
+    return True
 
 
 def stp_close(s: STP, *, changed: Optional[Sequence[tuple[int, int]]] = None) -> STP:
@@ -385,50 +393,35 @@ def stp_close(s: STP, *, changed: Optional[Sequence[tuple[int, int]]] = None) ->
     zero weight with a strict leg, flags the result inconsistent; its
     matrix is then the input's.
 
-    With `changed` None the integer Floyd-Warshall runs on a copy of the
-    stored matrix.  Otherwise `changed` lists the entries (i, j) tightened
-    since `s` was last minimal (by value: a rescale keeps it so), and only
-    they are propagated, each in O(n^2) by
-    e[a][b] = min(e[a][b], e[a][i] + e[i][j] + e[j][b]); a tightened entry
-    whose two-leg cycle e[i][j] + e[j][i] is negative flags the result
-    inconsistent, and an input already flagged inconsistent stays so.
-    Either way a shortest path may sum several strict units, and each
-    new entry is put back to q*M - [strict] with q = ceil(e / M); a sum of
-    three stored entries carries at most three strict units, fewer than
-    M >= 5.  Both ways give the same matrix.
+    One kernel, `_int_shortest_paths`, runs on a copy of the stored
+    matrix, through every point when `changed` is None.  Otherwise
+    `changed` lists the entries (i, j) tightened since `s` was last
+    minimal (by value: a rescale keeps it so), and the pivots are the
+    endpoints of the finite ones: a new shortest path, or a negative
+    cycle, alternates old minimal entries with tightened ones, so its
+    inner points are such endpoints.  A tightened entry with a negative
+    two-leg cycle e[i][j] + e[j][i] flags the result inconsistent before
+    any pass; with no pivot the input's rows are shared; an input
+    flagged inconsistent is returned as it is.
     """
-    m = s._m
-    if changed is None:
-        e = [list(row) for row in s._e]
-        if not _int_shortest_paths(e):
-            return STP._raw(s.points, s._index, s._e, s._d, m, inconsistent=True)
-        rows = tuple(tuple([v if v is None or not v % m else v - v % m + m - 1 for v in row])
-                     for row in e)
-        return STP._raw(s.points, s._index, rows, s._d, m, minimal=True)
-    if s.inconsistent:
-        return s
-    e = [list(row) for row in s._e]
-    for i, j in changed:
-        w = e[i][j]
-        if w is None:
-            continue
-        back = e[j][i]
-        if back is not None and w + back < 0:
-            return STP._raw(s.points, s._index, s._e, s._d, m, inconsistent=True)
-        # e[a][i] and e[j][b] cannot change while (i, j) is propagated,
-        # since no cycle through it is negative
-        legs = [(b, v) for b, v in enumerate(e[j]) if v is not None]
-        for ea in e:
-            x = ea[i]
-            if x is None:
-                continue
-            x += w
-            for b, v in legs:
-                c = x + v
-                eab = ea[b]
-                if eab is None or c < eab:
-                    ea[b] = c if not c % m else c - c % m + m - 1
-    return STP._raw(s.points, s._index, tuple(map(tuple, e)), s._d, m, minimal=True)
+    e, m, pivots = s._e, s._m, None
+    if changed is not None:
+        if s.inconsistent:
+            return s
+        pivots = set()
+        for i, j in changed:
+            w, back = e[i][j], e[j][i]
+            if w is not None:
+                if back is not None and w + back < 0:
+                    return STP._raw(s.points, s._index, e, s._d, m, inconsistent=True)
+                pivots.update((i, j))
+        if not pivots:
+            return STP._raw(s.points, s._index, e, s._d, m, minimal=True)
+        pivots = sorted(pivots)
+    rows = [list(row) for row in e]
+    if not _int_shortest_paths(rows, m, pivots):
+        return STP._raw(s.points, s._index, e, s._d, m, inconsistent=True)
+    return STP._raw(s.points, s._index, tuple(map(tuple, rows)), s._d, m, minimal=True)
 
 
 @dataclass(frozen=True)
@@ -472,13 +465,14 @@ MAX_TCSP_DISJUNCTIVE = 12
 
 
 def _close_with(s: STP, frm: str, to: str, w: BoundWindow) -> STP:
-    """Minimal `s` plus one window on t_to - t_from, closed from its two
-    entries; `_with_edges` adds it at the scale of `s` unless it rescales."""
+    """Minimal `s` plus one window on t_to - t_from, closed from the entries
+    `_with_edges` tightened at the scale of `s` (none: the rows of `s` are
+    shared), or from its two entries when its denominator rescales."""
     i, j = s._index[frm], s._index[to]
-    rescale = any(v is not None and s._d % v.denominator for v in (w.lo, w.hi))
-    child = s.with_constraints([(frm, to, w)]) if rescale else \
-        s._with_edges(_window_edges([(i, j, w)], s._d * s._m))[0]
-    return stp_close(child, changed=[(i, j), (j, i)])
+    if any(v is not None and s._d % v.denominator for v in (w.lo, w.hi)):
+        return stp_close(s.with_constraints([(frm, to, w)]), changed=[(i, j), (j, i)])
+    child, tightened = s._with_edges(_window_edges([(i, j, w)], s._d * s._m))
+    return stp_close(child, changed=tightened)
 
 
 def tcsp_consistent(t: TCSP) -> tuple[bool, Optional[STP]]:

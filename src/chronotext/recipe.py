@@ -282,7 +282,8 @@ def encode_recipe(r: Recipe) -> list[tuple[str, HybridNetwork]]:
     return out
 
 
-def _encode_scenario(r: Recipe, excluded: set[str]) -> HybridNetwork:
+def _scenario_intervals(r: Recipe, excluded: set[str]) -> list[str]:
+    """The interval ids of a scenario without the branch members `excluded`."""
     used_by = {}
     for action, sid in r.until_links:
         used_by.setdefault(sid, set()).add(action)
@@ -295,10 +296,14 @@ def _encode_scenario(r: Recipe, excluded: set[str]) -> HybridNetwork:
         users = used_by.get(i)
         return users is not None and users <= excluded
 
-    intervals = [p.id for p in r.preliminaries] \
+    return [p.id for p in r.preliminaries] \
         + [s.id for s in r.steps if s.id not in excluded] \
         + [t.id for t in r.timers if not dropped(t.id)] \
         + [s.id for s in r.states if not dropped(s.id)]
+
+
+def _encode_scenario(r: Recipe, excluded: set[str]) -> HybridNetwork:
+    intervals = _scenario_intervals(r, excluded)
     live = set(intervals)
 
     allen = []

@@ -6,9 +6,10 @@ that the two can check each other.  The exceptions are the reference
 versions of the metric layer's earlier algorithms (the tuple
 Floyd-Warshall, the 13-overlay read-back and the read-back by one
 integer Floyd-Warshall per atom), which reuse the package's network
-types, integer shortest-path kernel and atom-to-endpoint table to check
-its fast paths, but keep their own copies of the per-call bound encoder
-(`_scaled`) and of the window-based atom export
+types and atom-to-endpoint table to check its fast paths, but keep
+their own copies of the per-call bound encoder (`_scaled`), of a plain
+integer Floyd-Warshall (`int_shortest_paths`, not the package's
+pivoted kernel) and of the window-based atom export
 (`_forced_atom_constraints`); the earlier recursion of the hybrid
 scenario search, the scenario search that re-closes every pair at every
 node, the path consistency that composes on every revision, and the
@@ -32,7 +33,6 @@ from chronotext.metric import (
     STP,
     ScaleBoundExceeded,
     BoundWindow,
-    _int_shortest_paths,
     allen_atom_to_points,
     end_of,
     metric_to_allen,
@@ -246,12 +246,28 @@ def _scaled(u):
     return enc, d, m
 
 
+def int_shortest_paths(e):
+    """Floyd-Warshall over an integer distance matrix (None is +infinity),
+    in place, summing entries as they are, with no early exit.  False
+    when some diagonal entry ends negative."""
+    n = len(e)
+    for k in range(n):
+        for i in range(n):
+            if e[i][k] is None:
+                continue
+            for j in range(n):
+                if e[k][j] is not None and (e[i][j] is None or e[i][k] + e[k][j] < e[i][j]):
+                    e[i][j] = e[i][k] + e[k][j]
+    return all(e[i][i] is None or e[i][i] >= 0 for i in range(n))
+
+
 def fw_metric_to_allen(s, x, y, within=None):
-    """`metric_to_allen` by one integer Floyd-Warshall per candidate atom:
-    the atom's encoded edges laid over a copy of the encoded 4x4 endpoint
-    sub-matrix, the atom kept when no negative cycle closes.  The
-    sub-matrix is read through the decoded view and encoded afresh at its
-    own scale on every call."""
+    """`metric_to_allen` by one integer Floyd-Warshall per candidate atom
+    (`int_shortest_paths`; a simple cycle on four points sums at most
+    four strict units, fewer than M = 5): the atom's encoded edges laid
+    over a copy of the encoded 4x4 endpoint sub-matrix, the atom kept
+    when no negative cycle closes.  The sub-matrix is read through the
+    decoded view and encoded afresh at its own scale on every call."""
     idx = [s._index[p] for p in (start_of(x), end_of(x), start_of(y), end_of(y))]
     sub, _, _ = _scaled([[s._u[i][j] for j in idx] for i in idx])
     candidates = FULL_MASK if within is None else within.mask
@@ -263,7 +279,7 @@ def fw_metric_to_allen(s, x, y, within=None):
         for i, j, w in _ATOM_EDGES[atom]:
             if e[i][j] is None or w < e[i][j]:
                 e[i][j] = w
-        if _int_shortest_paths(e):
+        if int_shortest_paths(e):
             mask |= 1 << atom
     return Relation(mask)
 

@@ -30,7 +30,6 @@ from chronotext.hybrid import (
     hybrid_atomic_consistent,
     hybrid_close,
 )
-from chronotext import metric
 from chronotext.metric import BoundWindow, ScaleBoundExceeded, end_of, start_of
 from chronotext.recipe import encode_recipe
 
@@ -495,14 +494,11 @@ class TestReviseAgainstRebuild:
         assert (got.retained, got.relaxed, got.revised, got.witness) == \
             (ref.retained, ref.relaxed, ref.revised, ref.witness)
 
-    def test_closes_from_scratch_at_most_twice(self, monkeypatch):
+    def test_closes_from_scratch_at_most_twice(self, full_closes):
         """Only the two networks built from the tagged constraints (all
-        of them, then the hard ones) are closed by Floyd-Warshall; every
+        of them, then the hard ones) are closed through every point; every
         candidate extends the closed network of its search node."""
-        runs = []
-        real = metric._int_shortest_paths
-        monkeypatch.setattr(metric, "_int_shortest_paths",
-                            lambda e: runs.append(1) or real(e))
+        runs = full_closes
         rng = random.Random(89)
         searched = 0
         for _ in range(60):

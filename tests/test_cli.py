@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 import chronotext
+from chronotext.allen import Relation
+from chronotext.annotation import AnnotationError, doc_to_qcn, parse_timeml
 from chronotext.cli import _parser, run
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -186,6 +188,31 @@ class TestAdapt:
         assert run(["adapt", LUTHERAN, str(know)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("until", ["", ' until "hot"'])
+    def test_branch_members_are_not_deleted(self, capsys, tmp_path, until):
+        """Revision runs on the base scenario, which holds no branch
+        member: a knowledge that removes nothing deletes no line, also
+        when the member's `until` adds a state on the same line."""
+        recipe = tmp_path / "relish.rcp"
+        text = Path(RELISH).read_text()
+        recipe.write_text(text.replace('in the pan"', 'in the pan"' + until))
+        know = tmp_path / "rinse.know"
+        know.write_text('knowledge "k"\nanchor chop\n'
+                        'step n1 "rinse" for 1-2 min\nrel n1 {b} chop\n')
+        assert run(["adapt", str(recipe), str(know)]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("\n20..47 insert-after rinse\n")
+        assert "delete" not in out
+
+    def test_removed_base_node_deleted_once(self, capsys, tmp_path):
+        know = tmp_path / "no_stir.know"
+        know.write_text('knowledge "k"\nremove stir\nanchor chop\n'
+                        'step n1 "rinse"\nrel n1 {b} chop\n')
+        assert run(["adapt", RELISH, str(know)]) == 0
+        stir = Path(RELISH).read_text().index('step stir "stir"')
+        edits = [line for line in capsys.readouterr().out.splitlines() if ".." in line]
+        assert edits == ["20..47 insert-after rinse", f"{stir}..{stir + 16} delete"]
+
     def test_hard_contradiction_exit_code(self, capsys, tmp_path):
         recipe = tmp_path / "tiny.rcp"
         recipe.write_text('recipe "tiny"\nstep a "stir"\n')
@@ -230,6 +257,23 @@ class TestTimeml:
         bad.write_text('<TIMEX3 tid="t1"> now </TIMEX3>')
         assert run(["timeml", str(bad)]) == 2
         assert "TIMEX3" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("command", ["check", "timeml"])
+    def test_unmapped_reltype_exit_code(self, capsys, tmp_path, command):
+        """TimeML's own DURING has no Allen image here: an input error,
+        exit 2, not the inconsistent verdict's 1."""
+        doc = tmp_path / "during.tml"
+        doc.write_text(Path(SNIPPET).read_text().replace("IS_INCLUDED", "DURING"))
+        assert run([command, str(doc)]) == 2
+        assert "error: no Allen image for relType 'DURING'" in capsys.readouterr().err
+
+    def test_empty_reltype_image_is_an_annotation_error(self):
+        doc = parse_timeml(Path(SNIPPET).read_text())
+        with pytest.raises(AnnotationError, match="maps to the empty relation"):
+            doc_to_qcn(doc, {"IS_INCLUDED": Relation(0)})
+        with pytest.raises(ValueError, match="no Allen image"):
+            doc_to_qcn(doc, {})
 
 
 class TestUsage:

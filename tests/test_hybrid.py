@@ -367,14 +367,12 @@ class TestWorkCounts:
 
 
 class TestFromClosedNetwork:
-    def test_tightened_cell_matches_rebuilt_network(self, monkeypatch):
+    def test_tightened_cell_matches_rebuilt_network(self, full_closes):
         """Closing a closed network tightened at one cell, from that cell
         and the minimal STP, reaches the closure of the input tightened
         at the same cell, and the search from it finds the same witness;
-        a closed network's search runs no Floyd-Warshall at all."""
-        runs = []
-        real = metric._int_shortest_paths
-        monkeypatch.setattr(metric, "_int_shortest_paths", lambda e: runs.append(1) or real(e))
+        a closed network's search closes no STP through every point."""
+        runs = full_closes
         rng = random.Random(97)
         seen = set()
         for make in [random_hybrid] * 120 + [random_schedule] * 120:
@@ -400,12 +398,11 @@ class TestFromClosedNetwork:
             seen.add((got.inconsistent, verdict[0]))
         assert {(True, False), (False, True)} <= seen
 
-    def test_fresh_network_runs_one_floyd_warshall(self, monkeypatch):
-        """A built network's first closure round runs Floyd-Warshall;
-        later rounds and every search leaf extend its minimal STP."""
-        runs = []
-        real = metric._int_shortest_paths
-        monkeypatch.setattr(metric, "_int_shortest_paths", lambda e: runs.append(1) or real(e))
+    def test_fresh_network_runs_one_floyd_warshall(self, full_closes):
+        """A built network's first closure round runs Floyd-Warshall
+        through every point; later rounds and every search leaf extend
+        its minimal STP."""
+        runs = full_closes
         rng = random.Random(101)
         for _ in range(150):
             runs.clear()

@@ -915,6 +915,35 @@ class TestIncrementalClose:
         assert stp_close(wider, changed=[(0, 1), (1, 0)]).inconsistent
         assert stp_close(wider).inconsistent
 
+    def test_negative_cycles_in_both_modes(self):
+        """A self-window that excludes 0 is inconsistent closed from
+        scratch and from its entry; so are two windows whose two-leg
+        cycles fit but which close a negative cycle through a third
+        point, and the result keeps the input's matrix."""
+        self_window = ("a", "a", BoundWindow.closed(1, 2))
+        assert stp_close(STP.build(["a", "b"], [self_window])).inconsistent
+        base = stp_close(STP.build(["a", "b"]))
+        assert stp_close(base.with_constraints([self_window]), changed=[(0, 0)]).inconsistent
+        assert metric._close_with(base, *self_window).inconsistent
+        ten = BoundWindow.closed(0, 10)
+        s = stp_close(STP.build(["a", "b", "c"], [("a", "b", ten), ("b", "c", ten), ("a", "c", ten)]))
+        t, tightened = s._with_edges(metric._window_edges(
+            [(0, 1, BoundWindow.closed(6, 10)), (1, 2, BoundWindow.closed(6, 10))], s._d * s._m))
+        assert len(tightened) == 2 and all(t._e[i][j] + t._e[j][i] >= 0 for i, j in tightened)
+        for got in (stp_close(t, changed=tightened), stp_close(t)):
+            assert got.inconsistent and got._e is t._e
+
+    def test_none_diagonal(self):
+        """The public constructor admits +infinity on the diagonal; both
+        verdicts and the consistent closure match the tuple reference."""
+        inf = (None, True)
+        for back in (F(-1), F(-4)):
+            s = STP(["a", "b"], [[inf, (F(3), False)], [(back, False), inf]])
+            got, ref = stp_close(s), tuple_stp_close(s)
+            assert got.inconsistent == ref.inconsistent == (back < -3)
+            if not got.inconsistent:
+                assert got._u == ref._u
+
     def test_tcsp_witnesses_match_rebuilt_search(self):
         """The search closing each child from its parent's minimal STP
         returns the verdict and the exact witness of closing every
@@ -1010,6 +1039,20 @@ class TestHullSearch:
         assert (witness._e, witness._d, witness._m) == (ref._e, ref._d, ref._m)
         assert witness._d == 30
         assert witness.window("x", "y") == BoundWindow.closed(F(1, 2), 1)
+
+    def test_implied_window_shares_the_parent(self, monkeypatch):
+        """A child whose window the parent already implies tightens no
+        entry: one `stp_close` call, and the child keeps the parent's
+        matrix, flagged minimal."""
+        s = stp_close(STP.build(["x", "y", "z"], [("x", "y", BoundWindow.closed(1, 2)),
+                                                  ("y", "z", BoundWindow.closed(1, 2))]))
+        closed = count_stp_closes(monkeypatch)
+        child = metric._close_with(s, "x", "z", BoundWindow.closed(0, 10))
+        assert len(closed) == 1
+        assert child._e is s._e and child.minimal and not child.inconsistent
+        tighter = metric._close_with(s, "x", "z", BoundWindow.closed(3, 10))
+        assert tighter._e is not s._e
+        assert tighter.window("x", "z") == BoundWindow.closed(3, 4)
 
     def test_with_edges_copies_only_tightened_rows(self):
         """`_with_edges` equals conjoining into a full copy, shares every

@@ -13,7 +13,7 @@ outcome back onto the source text are span-based only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
 from .allen import FULL, Relation
@@ -267,11 +267,13 @@ def inject(h: HybridNetwork, k: DomainKnowledge) -> TaggedNetwork:
                                 dict(k.lines).get(nid))
 
     constraints = tag_soft(h)
-    for a, rel, b in k.relations:
-        constraints.append(TaggedConstraint.allen(a, rel, b, "domain-hard"))
-    for action, state in k.until_links:
-        constraints.append(TaggedConstraint.allen(action, _R5, state,
-                                                  "domain-hard"))
+    hard: dict[str, TaggedConstraint] = {}  # a pair stated twice holds both
+    for a, rel, b in list(k.relations) + [(x, _R5, s) for x, s in k.until_links]:
+        c = TaggedConstraint.allen(a, rel, b, "domain-hard")
+        if c.id in hard:
+            c = replace(c, cell=c.cell & hard[c.id].cell)
+        hard[c.id] = c
+    constraints += hard.values()
     for nid, w in k.durations:
         constraints.append(TaggedConstraint.metric(start_of(nid), end_of(nid),
                                                    w, "domain-hard"))

@@ -7,7 +7,7 @@ it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .allen import QCN, Relation
@@ -49,6 +49,7 @@ class Event:
     eclass: str
     text: str
     span: tuple[int, int]
+    offset: Optional[int] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -58,6 +59,7 @@ class Instance:
     tense: str
     aspect: str
     pos: str
+    offset: Optional[int] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -65,6 +67,7 @@ class Signal:
     sid: str
     text: str
     span: tuple[int, int]
+    offset: Optional[int] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -73,6 +76,7 @@ class TLink:
     signal_id: Optional[str]
     related_to_event: str
     rel_type: str
+    offset: Optional[int] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -110,12 +114,13 @@ def parse_timeml(source: str) -> AnnotatedDoc:
 
     EVENT and SIGNAL wrap covered text; MAKEINSTANCE and TLINK are
     self-closing.  Tags may span line breaks.  Every problem is reported
-    with the byte offset of the offending tag.
+    with the byte offset of the offending tag, which each value keeps as
+    `offset` (not compared) for `doc_to_qcn`'s errors too.
     """
     events: list[Event] = []
     instances: list[Instance] = []
     signals: list[Signal] = []
-    tlinks: list[tuple[TLink, int]] = []
+    tlinks: list[TLink] = []
     text_parts: list[str] = []
     text_len = 0
     open_tag: Optional[tuple[str, dict, int, int]] = None  # name, attrs, text start, offset
@@ -152,9 +157,10 @@ def parse_timeml(source: str) -> AnnotatedDoc:
             covered = "".join(text_parts[start:])
             covered_span = (start, text_len)
             if tag_name == "EVENT":
-                events.append(Event(attrs["eid"], attrs["class"], covered, covered_span))
+                events.append(Event(attrs["eid"], attrs["class"], covered, covered_span,
+                                    tag_off))
             else:
-                signals.append(Signal(attrs["sid"], covered, covered_span))
+                signals.append(Signal(attrs["sid"], covered, covered_span, tag_off))
             open_tag = None
         else:
             if open_tag is not None:
@@ -173,12 +179,10 @@ def parse_timeml(source: str) -> AnnotatedDoc:
                 if name == "MAKEINSTANCE":
                     instances.append(Instance(attrs["eiid"], attrs["eventID"],
                                               attrs["tense"], attrs["aspect"],
-                                              attrs["pos"]))
+                                              attrs["pos"], i))
                 else:
-                    tlinks.append((TLink(attrs["eventInstanceID"],
-                                         attrs.get("signalID"),
-                                         attrs["relatedToEvent"],
-                                         attrs["relType"]), i))
+                    tlinks.append(TLink(attrs["eventInstanceID"], attrs.get("signalID"),
+                                        attrs["relatedToEvent"], attrs["relType"], i))
         i = end + 1
 
     if open_tag is not None:
@@ -189,7 +193,7 @@ def parse_timeml(source: str) -> AnnotatedDoc:
         for item in collection:
             value = getattr(item, key)
             if value in seen:
-                raise AnnotationError(f"duplicate {key} {value!r}", 0)
+                raise AnnotationError(f"duplicate {key} {value!r}", item.offset)
             seen.add(value)
 
     event_ids = {e.eid for e in events}
@@ -197,20 +201,18 @@ def parse_timeml(source: str) -> AnnotatedDoc:
     signal_ids = {s.sid for s in signals}
     for m_ in instances:
         if m_.event_id not in event_ids:
-            raise AnnotationError(f"MAKEINSTANCE refers to absent event {m_.event_id!r}", 0)
-    for link, off in tlinks:
-        if link.event_instance_id not in instance_ids:
-            raise AnnotationError(
-                f"TLINK refers to absent instance {link.event_instance_id!r}", off)
-        if link.related_to_event not in instance_ids:
-            raise AnnotationError(
-                f"TLINK refers to absent instance {link.related_to_event!r}", off)
+            raise AnnotationError(f"MAKEINSTANCE refers to absent event {m_.event_id!r}",
+                                  m_.offset)
+    for link in tlinks:
+        for ref in (link.event_instance_id, link.related_to_event):
+            if ref not in instance_ids:
+                raise AnnotationError(f"TLINK refers to absent instance {ref!r}", link.offset)
         if link.signal_id is not None and link.signal_id not in signal_ids:
-            raise AnnotationError(f"TLINK refers to absent signal {link.signal_id!r}", off)
+            raise AnnotationError(f"TLINK refers to absent signal {link.signal_id!r}",
+                                  link.offset)
 
     return AnnotatedDoc(source, "".join(text_parts), tuple(events),
-                        tuple(instances), tuple(signals),
-                        tuple(link for link, _ in tlinks))
+                        tuple(instances), tuple(signals), tuple(tlinks))
 
 
 DEFAULT_RELTYPE_MAP: dict[str, Relation] = {
@@ -249,9 +251,11 @@ def doc_to_qcn(doc: AnnotatedDoc, mapping: Optional[dict[str, Relation]] = None)
     for link in doc.tlinks:
         rel = mapping.get(link.rel_type)
         if rel is None:
-            raise AnnotationError(f"no Allen image for relType {link.rel_type!r}")
+            raise AnnotationError(f"no Allen image for relType {link.rel_type!r}",
+                                  link.offset)
         if rel.is_empty:
-            raise AnnotationError(f"relType {link.rel_type!r} maps to the empty relation")
+            raise AnnotationError(f"relType {link.rel_type!r} maps to the empty relation",
+                                  link.offset)
         constraints.append((name[link.event_instance_id], rel,
                             name[link.related_to_event]))
     return QCN.build([name[inst.eiid] for inst in doc.instances], constraints)
@@ -420,32 +424,25 @@ def parse_dsl(source: str, header: str) -> tuple[str, dict[str, tuple]]:
                 if word == "meanwhile":
                     meanwhile = True
                     idx += 1
-                elif word == "for":
-                    idx += 1
-                    parts = []
-                    while idx < len(tokens) and tokens[idx][0] == "word" \
-                            and tokens[idx][1] not in ("until", "last", "meanwhile"):
-                        parts.append(tokens[idx][1])
-                        idx += 1
-                    if not parts:
-                        raise RecipeSyntaxError("'for' needs a duration", lineno)
-                    for_phrase = " ".join(parts)
                 elif word == "until":
                     until_text = _expect(tokens, idx + 1, "string",
                                          "a quoted state after 'until'", lineno)
                     idx += 2
-                else:  # last
-                    idx += 1
-                    parts = []
+                else:  # for, last: the duration is every word up to a stop word
+                    stops = ("of",) if word == "last" else ("until", "last", "meanwhile")
+                    start = idx = idx + 1
                     while idx < len(tokens) and tokens[idx][0] == "word" \
-                            and tokens[idx][1] != "of":
-                        parts.append(tokens[idx][1])
+                            and tokens[idx][1] not in stops:
                         idx += 1
-                    if not parts:
-                        raise RecipeSyntaxError("'last' needs a duration", lineno)
+                    if idx == start:
+                        raise RecipeSyntaxError(f"'{word}' needs a duration", lineno)
+                    phrase = " ".join(value for _, value in tokens[start:idx])
+                    if word == "for":
+                        for_phrase = phrase
+                        continue
                     if idx >= len(tokens) or tokens[idx][1] != "of":
                         raise RecipeSyntaxError("'last <dur> of <id>' expected", lineno)
-                    last_phrase = " ".join(parts)
+                    last_phrase = phrase
                     last_ref = _expect_id(tokens, idx + 1, "a reference id", lineno)
                     refs.append((last_ref, lineno))
                     idx += 2

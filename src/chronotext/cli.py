@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 
 from .adaptation import (
@@ -62,42 +62,33 @@ def _scenarios(path: Path) -> list[tuple[str, HybridNetwork]]:
     raise RecipeSyntaxError(f"unsupported file extension {path.suffix!r}")
 
 
-def _cmd_check(args) -> int:
+def _per_scenario(render, args) -> int:
+    """Close each scenario of the file and write `render(args, label, closed)`."""
     bad = False
     for label, h in _scenarios(Path(args.file)):
         closed = hybrid_close(h)
         bad = bad or closed.inconsistent
-        state = "inconsistent" if closed.inconsistent else "consistent"
-        print(f"scenario {label}: {state}")
+        sys.stdout.write(render(args, label, closed))
     return 1 if bad else 0
 
 
-def _cmd_close(args) -> int:
-    bad = False
-    for label, h in _scenarios(Path(args.file)):
-        closed = hybrid_close(h)
-        bad = bad or closed.inconsistent
-        print(f"scenario {label}")
-        sys.stdout.write(format_hybrid(closed))
-    return 1 if bad else 0
+def _verdict(args, label, closed) -> str:
+    return f"scenario {label}: {'inconsistent' if closed.inconsistent else 'consistent'}\n"
 
 
-def _cmd_query(args) -> int:
-    bad = False
-    for label, h in _scenarios(Path(args.file)):
-        for name in (args.a, args.b):
-            if name not in h.intervals:
-                raise KeyError(f"unknown interval {name!r}")
-        closed = hybrid_close(h)
-        print(f"scenario {label}")
-        if closed.inconsistent:
-            bad = True
-            print("inconsistent")
-            continue
-        print(str(closed.relation(args.a, args.b)))
-        w = closed.point_window(start_of(args.a), start_of(args.b))
-        print(f"start({args.b}) - start({args.a}) in {w}")
-    return 1 if bad else 0
+def _network(args, label, closed) -> str:
+    return f"scenario {label}\n{format_hybrid(closed)}"
+
+
+def _answer(args, label, closed) -> str:
+    for name in (args.a, args.b):
+        if name not in closed.intervals:
+            raise KeyError(f"unknown interval {name!r}")
+    if closed.inconsistent:
+        return f"scenario {label}\ninconsistent\n"
+    w = closed.point_window(start_of(args.a), start_of(args.b))
+    return (f"scenario {label}\n{closed.relation(args.a, args.b)}\n"
+            f"start({args.b}) - start({args.a}) in {w}\n")
 
 
 def _cmd_adapt(args) -> int:
@@ -109,8 +100,7 @@ def _cmd_adapt(args) -> int:
     recipe = parse_recipe_dsl(_read(recipe_path))
     knowledge = parse_knowledge(_read(know_path))
     result, edits = adapt_recipe(recipe, knowledge)
-    sys.stdout.write(format_revision(result))
-    sys.stdout.write(format_edits(edits))
+    sys.stdout.write(format_revision(result) + format_edits(edits))
     return 0
 
 
@@ -139,6 +129,21 @@ def _cmd_timeml(args) -> int:
     return 1 if closed.inconsistent else 0
 
 
+# (name, handler, positional arguments, help), in `--help` order
+_COMMANDS = (
+    ("check", partial(_per_scenario, _verdict), ("file",),
+     "parse, encode and close; report consistency"),
+    ("close", partial(_per_scenario, _network), ("file",),
+     "print the minimal network per scenario"),
+    ("workflow", _cmd_workflow, ("file",), "print the workflow graph in dot form"),
+    ("timeml", _cmd_timeml, ("file",), "parse annotation markup; print the network"),
+    ("query", partial(_per_scenario, _answer), ("file", "a", "b"),
+     "closed relation and start offset window between two intervals"),
+    ("adapt", _cmd_adapt, ("recipe", "knowledge"),
+     "revise a recipe against a knowledge file; print the edits"),
+)
+
+
 @lru_cache(maxsize=1)
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process."""
@@ -146,31 +151,11 @@ def _parser() -> argparse.ArgumentParser:
         prog="chronotext",
         description="Temporal reasoning over recipe texts.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, helptext in (
-            ("check", "parse, encode and close; report consistency"),
-            ("close", "print the minimal network per scenario"),
-            ("workflow", "print the workflow graph in dot form"),
-            ("timeml", "parse annotation markup; print the network")):
+    for name, func, positionals, helptext in _COMMANDS:
         p = sub.add_parser(name, help=helptext)
-        p.add_argument("file")
-    sub.choices["check"].set_defaults(func=_cmd_check)
-    sub.choices["close"].set_defaults(func=_cmd_close)
-    sub.choices["workflow"].set_defaults(func=_cmd_workflow)
-    sub.choices["timeml"].set_defaults(func=_cmd_timeml)
-
-    q = sub.add_parser("query", help="closed relation and start offset "
-                                     "window between two intervals")
-    q.add_argument("file")
-    q.add_argument("a")
-    q.add_argument("b")
-    q.set_defaults(func=_cmd_query)
-
-    a = sub.add_parser("adapt", help="revise a recipe against a "
-                                     "knowledge file; print the edits")
-    a.add_argument("recipe")
-    a.add_argument("knowledge")
-    a.set_defaults(func=_cmd_adapt)
+        for arg in positionals:
+            p.add_argument(arg)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -179,20 +164,15 @@ def run(argv=None) -> int:
     try:
         return args.func(args)
     except ScaleBoundExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (RecipeSyntaxError, AnnotationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, message = 3, exc
+    except (RecipeSyntaxError, AnnotationError, OSError) as exc:
+        code, message = 2, exc
     except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
+        code, message = 2, exc.args[0]
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        code, message = 1, exc
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def main() -> None:

@@ -14,6 +14,7 @@ from chronotext.annotation import (
     RecipeSyntaxError,
     doc_to_qcn,
     parse_recipe_dsl,
+    TLink,
     parse_timeml,
     serialize_recipe_dsl,
 )
@@ -126,6 +127,35 @@ class TestParseTimeml:
         with pytest.raises(AnnotationError, match="unclosed tag 'EVENT'"):
             parse_timeml('<EVENT eid="e1" class="X"> stir')
 
+    @pytest.mark.parametrize("key, value, tag", [
+        ("eid", "e1", '<EVENT eid="e1" class="X"> again </EVENT>'),
+        ("eiid", "ei1", '<MAKEINSTANCE eiid="ei1" eventID="e2" tense="NONE" '
+                        'aspect="NONE" pos="VERB"/>'),
+        ("sid", "s1", '<SIGNAL sid="s1"> then </SIGNAL>'),
+    ], ids=["eid", "eiid", "sid"])
+    def test_duplicate_names_the_second_tag(self, key, value, tag):
+        with pytest.raises(AnnotationError) as err:
+            parse_timeml(SNIPPET + " " + tag)
+        assert err.value.offset == len(SNIPPET) + 1
+        assert str(err.value) == f"offset {len(SNIPPET) + 1}: duplicate {key} {value!r}"
+
+    def test_absent_event_names_its_makeinstance(self):
+        source = SNIPPET + (' <MAKEINSTANCE eiid="ei3" eventID="e9" tense="NONE" '
+                            'aspect="NONE" pos="VERB"/>')
+        with pytest.raises(AnnotationError) as err:
+            parse_timeml(source)
+        assert str(err.value) == (f"offset {len(SNIPPET) + 1}: "
+                                  "MAKEINSTANCE refers to absent event 'e9'")
+
+    def test_offsets_take_no_part_in_comparisons(self):
+        link = TLink("ei2", "s1", "ei1", "IS_INCLUDED", offset=7)
+        assert link == TLink("ei2", "s1", "ei1", "IS_INCLUDED")
+        assert hash(link) == hash(TLink("ei2", "s1", "ei1", "IS_INCLUDED"))
+        doc = parse_timeml(SNIPPET)
+        without_offsets = dataclasses.replace(doc, tlinks=tuple(
+            dataclasses.replace(t, offset=None) for t in doc.tlinks))
+        assert without_offsets == doc
+
 
 class TestDocToQcn:
     def test_snippet_network(self):
@@ -163,6 +193,16 @@ class TestDocToQcn:
         doc = parse_timeml(SNIPPET.replace("IS_INCLUDED", "DURING"))
         with pytest.raises(ValueError, match="DURING"):
             doc_to_qcn(doc)
+
+    @pytest.mark.parametrize("mapping, message", [
+        ({}, "no Allen image for relType 'IS_INCLUDED'"),
+        ({"IS_INCLUDED": Relation(0)}, "relType 'IS_INCLUDED' maps to the empty relation"),
+    ], ids=["unmapped", "empty"])
+    def test_reltype_errors_name_the_tlink(self, mapping, message):
+        with pytest.raises(AnnotationError) as err:
+            doc_to_qcn(parse_timeml(SNIPPET), mapping)
+        assert err.value.offset == SNIPPET.index("<TLINK")
+        assert str(err.value) == f"offset {err.value.offset}: {message}"
 
     def test_multi_instance_event_uses_instance_ids(self):
         doc = parse_timeml(
@@ -235,6 +275,28 @@ class TestParseRecipeDsl:
         d = dict(r.durations)
         assert d["a"] == BoundWindow.closed(8, 12)
         assert d["b"] == BoundWindow.exact(30)
+
+    def test_duration_phrases_stop_at_the_next_clause(self):
+        r = parse_recipe_dsl('recipe "T"\n'
+                             'step b "rest" for 1-2 hours\n'
+                             'step a "stir" for 10 min last 5 min of b meanwhile\n')
+        assert dict(r.durations) == {"a": BoundWindow.exact(10),
+                                     "b": BoundWindow.closed(60, 120)}
+        assert r.timers[0].window == BoundWindow.exact(5)
+        assert r.last_links == (("a", "a.timer", "b"),)
+        assert r.steps[1].meanwhile
+
+    @pytest.mark.parametrize("clause, message", [
+        ("for", "'for' needs a duration"),
+        ("for until \"x\"", "'for' needs a duration"),
+        ("last of b", "'last' needs a duration"),
+        ("last 5 min", "'last <dur> of <id>' expected"),
+        ('last 5 min "x"', "'last <dur> of <id>' expected"),
+    ], ids=["for-end", "for-until", "last-of", "last-end", "last-string"])
+    def test_duration_phrase_errors(self, clause, message):
+        with pytest.raises(RecipeSyntaxError) as err:
+            parse_recipe_dsl(f'recipe "T"\nstep b "rest"\nstep a "stir" {clause}\n')
+        assert str(err.value) == f"line 3: {message}"
 
     def test_mixed_duration_window(self):
         r = parse_recipe_dsl('recipe "T"\n'

@@ -1,5 +1,6 @@
 """Command-line behaviour: outputs, exit codes, stream separation."""
 
+import argparse
 import os
 import subprocess
 import sys
@@ -113,6 +114,14 @@ class TestQuery:
         assert run(["query", CYCLIC, "s1", "s2"]) == 1
         assert "inconsistent" in capsys.readouterr().out
 
+    def test_interval_of_a_later_scenario_only(self, capsys):
+        """`add_chillis` is in the hot branch, not in the base scenario
+        that comes first: nothing is written before the error."""
+        assert run(["query", RELISH, "chop", "add_chillis"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: unknown interval 'add_chillis'\n"
+
 
 class TestClose:
     def test_lutheran_minimal_network(self, capsys):
@@ -213,6 +222,22 @@ class TestAdapt:
         edits = [line for line in capsys.readouterr().out.splitlines() if ".." in line]
         assert edits == ["20..47 insert-after rinse", f"{stir}..{stir + 16} delete"]
 
+    @pytest.mark.parametrize("old, new, repeat", [
+        ("{b,m} drain_lentils", "{b} drain_lentils", "rel cook_lentils {b} drain_lentils"),
+        ("for 30 min", 'for 30 min until "soft"', "rel cook_lentils {m} cook_lentils.until"),
+    ], ids=["rel", "until"])
+    def test_pair_stated_twice_is_intersected(self, capsys, tmp_path, old, new, repeat):
+        """A `.know` pair stated twice holds both statements, as in a
+        recipe: the output equals that of the one intersected line."""
+        text = Path(LENTILS).read_text()
+        once, twice = tmp_path / "once.know", tmp_path / "twice.know"
+        once.write_text(text.replace(old, new))
+        twice.write_text(text.replace(old, new) + repeat + "\n")
+        assert run(["adapt", LUTHERAN, str(once)]) == 0
+        expected = capsys.readouterr()
+        assert run(["adapt", LUTHERAN, str(twice)]) == 0
+        assert capsys.readouterr() == expected
+
     def test_hard_contradiction_exit_code(self, capsys, tmp_path):
         recipe = tmp_path / "tiny.rcp"
         recipe.write_text('recipe "tiny"\nstep a "stir"\n')
@@ -262,11 +287,14 @@ class TestTimeml:
     @pytest.mark.parametrize("command", ["check", "timeml"])
     def test_unmapped_reltype_exit_code(self, capsys, tmp_path, command):
         """TimeML's own DURING has no Allen image here: an input error,
-        exit 2, not the inconsistent verdict's 1."""
+        exit 2, not the inconsistent verdict's 1.  The message names the
+        TLINK's offset."""
         doc = tmp_path / "during.tml"
-        doc.write_text(Path(SNIPPET).read_text().replace("IS_INCLUDED", "DURING"))
+        text = Path(SNIPPET).read_text().replace("IS_INCLUDED", "DURING")
+        doc.write_text(text)
         assert run([command, str(doc)]) == 2
-        assert "error: no Allen image for relType 'DURING'" in capsys.readouterr().err
+        assert capsys.readouterr().err == (f"error: offset {text.index('<TLINK')}: "
+                                           "no Allen image for relType 'DURING'\n")
 
     def test_empty_reltype_image_is_an_annotation_error(self):
         doc = parse_timeml(Path(SNIPPET).read_text())
@@ -291,6 +319,17 @@ class TestUsage:
 
     def test_parser_built_once(self):
         assert _parser() is _parser()
+
+    def test_command_table(self):
+        """Subcommands in `--help` order, each with its positional
+        arguments, read from the parser rather than its help text."""
+        sub, = (a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+        table = [(name, [a.dest for a in p._actions if not a.option_strings])
+                 for name, p in sub.choices.items()]
+        assert table == [("check", ["file"]), ("close", ["file"]),
+                         ("workflow", ["file"]), ("timeml", ["file"]),
+                         ("query", ["file", "a", "b"]),
+                         ("adapt", ["recipe", "knowledge"])]
 
 
 class TestInputEncoding:

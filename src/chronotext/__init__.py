@@ -9,7 +9,7 @@ a revision-based adaptation engine, and a workflow-graph exporter.
 
 from .allen import (
     EMPTY, FULL, IDENTITY, BaseRelation, QCN, Relation, atomic_consistent,
-    close, format_qcn, parse_qcn, realize_small,
+    close, format_qcn, parse_qcn,
 )
 from .indu import (
     INDU_IDENTITY, INDU_TAUTOLOGY, INDUAtom, INDUNetwork, INDURelation,
@@ -47,7 +47,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BaseRelation", "Relation", "QCN", "EMPTY", "FULL", "IDENTITY",
-    "close", "atomic_consistent", "realize_small", "format_qcn", "parse_qcn",
+    "close", "atomic_consistent", "format_qcn", "parse_qcn",
     "INDUAtom", "INDURelation", "INDUNetwork", "INDU_IDENTITY",
     "INDU_TAUTOLOGY", "indu_converse", "indu_compose", "indu_close",
     "project_allen", "project_relation", "valid_atoms",

@@ -297,6 +297,19 @@ class RevisionResult:
     tagged: TaggedNetwork
 
 
+def _witness_keeps(witness: HybridNetwork, c: TaggedConstraint) -> Optional[HybridNetwork]:
+    """The witness of conjoining `c` when the atomic `witness` already
+    satisfies it, else None: the witness itself when its atom lies in an
+    Allen cell, and its STP closed with a metric window its minimal
+    window meets."""
+    if c.kind == "allen":
+        return witness if witness.relation(c.frm, c.to) <= c.cell else None
+    if witness.stp.window(c.frm, c.to).intersect(c.window) is None:
+        return None
+    return HybridNetwork._raw(witness.qcn, _close_with(witness.stp, c.frm, c.to, c.window),
+                              witness.anon_points)
+
+
 def revise(t: TaggedNetwork) -> RevisionResult:
     """Retain a maximum-cardinality subset of the soft constraints that
     is consistent together with all hard ones; relaxed constraints are
@@ -304,15 +317,20 @@ def revise(t: TaggedNetwork) -> RevisionResult:
 
     Ties break toward keeping lexicographically smaller ids, realized
     by an include-first depth-first search in ascending id order with
-    cardinality bounding.  Each search node keeps its closed network,
-    the search root of its last successful check, and a candidate
-    conjoins its one soft constraint into it: an Allen cell is
-    intersected and the check closes from that pair, a metric window is
-    conjoined and the STP re-closed from its two entries.  Both reach
-    the closure of the hard constraints plus the candidate set, so
-    verdicts and witnesses are those of checking that set rebuilt.
-    When nothing is relaxed, the revised network is `t.network` itself,
-    the network of all the tagged constraints.
+    cardinality bounding.  Each search node keeps its witness, the first
+    atomic scenario of the scenario search that realizes its chosen set,
+    and the closed network of its last check.  A candidate the witness
+    satisfies (`_witness_keeps`) is included with no check: closure
+    removes only atoms and values no realization uses, so the check
+    would return that same scenario.  Its conjunction is deferred: the
+    next check conjoins every pending constraint into the closed network
+    in one pass, intersecting Allen cells and closing from their pairs,
+    conjoining metric windows and re-closing the STP from their entries.
+    That reaches the closure of the hard constraints plus the candidate
+    set, a unique greatest fixpoint, so verdicts and witnesses are those
+    of checking that set rebuilt.  When nothing is relaxed, the revised
+    network is `t.network` itself, the network of all the tagged
+    constraints.
     """
     intervals = t.network.intervals
     anon = t.network.anon_points
@@ -340,19 +358,20 @@ def revise(t: TaggedNetwork) -> RevisionResult:
 
     cells = t.network.qcn._index
 
-    def check(closed: HybridNetwork, c: TaggedConstraint):
-        if c.kind == "allen":
-            a, b = sorted((cells[c.frm], cells[c.to]))
-            return hybrid_atomic_consistent(
-                closed.with_relation(c.frm, c.to, closed.relation(c.frm, c.to) & c.cell),
-                changed=[(a, b)])
-        stp = _close_with(closed.stp, c.frm, c.to, c.window)
-        return hybrid_atomic_consistent(HybridNetwork._raw(closed.qcn, stp, anon), changed=[])
+    def check(closed: HybridNetwork, pending: list[TaggedConstraint]):
+        qcn, stp, changed = closed.qcn, closed.stp, []
+        for c in pending:
+            if c.kind == "allen":
+                qcn = qcn.with_cell(c.frm, c.to, qcn.cell(c.frm, c.to) & c.cell)
+                changed.append(tuple(sorted((cells[c.frm], cells[c.to]))))
+            else:
+                stp = _close_with(stp, c.frm, c.to, c.window)
+        return hybrid_atomic_consistent(HybridNetwork._raw(qcn, stp, anon), changed=changed)
 
     best: Optional[list[TaggedConstraint]] = None
     best_witness = base_witness
 
-    def dfs(i, chosen, closed, witness):
+    def dfs(i, chosen, closed, witness, pending):
         nonlocal best, best_witness
         ceiling = len(chosen) + len(soft) - i
         if best is not None and ceiling <= len(best):
@@ -361,13 +380,17 @@ def revise(t: TaggedNetwork) -> RevisionResult:
             best = list(chosen)
             best_witness = witness
             return
-        verdict = check(closed, soft[i])
-        ok, w = verdict
-        if ok:
-            dfs(i + 1, chosen + [soft[i]], verdict.closed, w)
-        dfs(i + 1, chosen, closed, witness)
+        c = soft[i]
+        kept = _witness_keeps(witness, c)
+        if kept is not None:
+            dfs(i + 1, chosen + [c], closed, kept, pending + [c])
+        else:
+            verdict = check(closed, pending + [c])
+            if verdict[0]:
+                dfs(i + 1, chosen + [c], verdict.closed, verdict[1], [])
+        dfs(i + 1, chosen, closed, witness, pending)
 
-    dfs(0, [], root.closed, base_witness)
+    dfs(0, [], root.closed, base_witness, [])
     return result_for(best, best_witness)
 
 

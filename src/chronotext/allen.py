@@ -33,7 +33,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from operator import or_
 from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
@@ -389,7 +389,6 @@ IDENTITY = Relation.of(BaseRelation.e)
 
 
 Endpoints = tuple[Fraction, Fraction]
-Realization = dict[str, Endpoints]
 
 
 def base_relation_of(x: Endpoints, y: Endpoints) -> BaseRelation:
@@ -721,77 +720,6 @@ def atomic_consistent(net: QCN) -> tuple[bool, Optional[QCN]]:
     start = close(net)
     scenario = None if start.inconsistent else scenario_search(start, lambda qcn: qcn)
     return scenario is not None, scenario
-
-
-REALIZE_MAX_INTERVALS = 4
-
-
-@lru_cache(maxsize=8)
-def _order_profiles(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """All weak orders of the 2n endpoints (start0, end0, start1, ...) with
-    start < end per interval, paired with the atom induced for every
-    interval pair (i, j), i < j, in pair order.
-
-    Enumeration inserts endpoints one at a time into an ordered chain of
-    equivalence blocks, pruning placements that put an end at or before
-    its start.
-    """
-    total = 2 * n
-    pair_list = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    profiles: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-
-    def place(k: int, blocks: list[list[int]], where: dict[int, list[int]]) -> None:
-        if k == total:
-            ranks = [0] * total
-            for pos, blk in enumerate(blocks):
-                for endpoint in blk:
-                    ranks[endpoint] = pos
-            atoms = []
-            for i, j in pair_list:
-                atoms.append(int(base_relation_of(ranks[2 * i:2 * i + 2], ranks[2 * j:2 * j + 2])))
-            profiles.append((tuple(ranks), tuple(atoms)))
-            return
-        first = 0
-        if k % 2 == 1:  # end endpoints go strictly after their start's block
-            first = blocks.index(where[k - 1]) + 1
-        for pos in range(first, len(blocks) + 1):
-            new_block = [k]
-            blocks.insert(pos, new_block)
-            where[k] = new_block
-            place(k + 1, blocks, where)
-            blocks.pop(pos)
-            if pos < len(blocks):
-                blocks[pos].append(k)
-                where[k] = blocks[pos]
-                place(k + 1, blocks, where)
-                blocks[pos].pop()
-        del where[k]
-
-    place(0, [], {})
-    return tuple(profiles)
-
-
-def realize_small(net: QCN) -> Optional[Realization]:
-    """Brute-force realization oracle for networks of at most 4 intervals.
-
-    Enumerates every weak order over the 2n endpoints and returns the
-    first witness satisfying all cells, or None.  Independent of the
-    composition table and of closure; used to ground their semantics.
-    """
-    n = len(net.intervals)
-    if n > REALIZE_MAX_INTERVALS:
-        raise ValueError(f"realization oracle limited to {REALIZE_MAX_INTERVALS} intervals")
-    if n == 0:
-        return {}
-    pair_list = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    cells = [net._matrix[i][j] for i, j in pair_list]
-    for ranks, atoms in _order_profiles(n):
-        if all(cells[p] & (1 << atoms[p]) for p in range(len(pair_list))):
-            return {
-                name: (Fraction(ranks[2 * i]), Fraction(ranks[2 * i + 1]))
-                for i, name in enumerate(net.intervals)
-            }
-    return None
 
 
 def format_qcn(net: QCN) -> str:

@@ -25,7 +25,7 @@ from .recipe import (
 
 
 class AnnotationError(ValueError):
-    """Markup error; `offset` is the byte position in the input, if known."""
+    """Markup error; `offset` is the character offset in the input, if known."""
 
     def __init__(self, message: str, offset: Optional[int] = None):
         super().__init__(message if offset is None else f"offset {offset}: {message}")
@@ -114,7 +114,7 @@ def parse_timeml(source: str) -> AnnotatedDoc:
 
     EVENT and SIGNAL wrap covered text; MAKEINSTANCE and TLINK are
     self-closing.  Tags may span line breaks.  Every problem is reported
-    with the byte offset of the offending tag, which each value keeps as
+    with the character offset of the offending tag, which each value keeps as
     `offset` (not compared) for `doc_to_qcn`'s errors too.
     """
     events: list[Event] = []

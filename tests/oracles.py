@@ -18,6 +18,7 @@ revision and TCSP searches that close every node's network from scratch.
 
 from collections import deque
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import lcm
 
@@ -104,6 +105,79 @@ def realizable_atom_triples():
                      atom_by_definition(y, z),
                      atom_by_definition(x, z)))
     return triples
+
+
+REALIZE_MAX_INTERVALS = 4
+
+
+@lru_cache(maxsize=8)
+def _order_profiles(n):
+    """All weak orders of the 2n endpoints (start0, end0, start1, ...) with
+    start < end per interval, as endpoint ranks, paired with the bit
+    index of the atom induced for every interval pair (i, j), i < j, in
+    pair order (`atom_by_definition`).
+
+    Enumeration inserts endpoints one at a time into an ordered chain of
+    equivalence blocks, pruning placements that put an end at or before
+    its start.
+    """
+    total = 2 * n
+    pair_list = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    profiles = []
+
+    def place(k, blocks, where):
+        if k == total:
+            ranks = [0] * total
+            for pos, blk in enumerate(blocks):
+                for endpoint in blk:
+                    ranks[endpoint] = pos
+            atoms = tuple(int(BaseRelation[atom_by_definition(ranks[2 * i:2 * i + 2],
+                                                              ranks[2 * j:2 * j + 2])])
+                          for i, j in pair_list)
+            profiles.append((tuple(ranks), atoms))
+            return
+        first = 0
+        if k % 2 == 1:  # end endpoints go strictly after their start's block
+            first = blocks.index(where[k - 1]) + 1
+        for pos in range(first, len(blocks) + 1):
+            new_block = [k]
+            blocks.insert(pos, new_block)
+            where[k] = new_block
+            place(k + 1, blocks, where)
+            blocks.pop(pos)
+            if pos < len(blocks):
+                blocks[pos].append(k)
+                where[k] = blocks[pos]
+                place(k + 1, blocks, where)
+                blocks[pos].pop()
+        del where[k]
+
+    place(0, [], {})
+    return tuple(profiles)
+
+
+def realize_small(net):
+    """Brute-force realization oracle for networks of at most 4 intervals.
+
+    Enumerates every weak order over the 2n endpoints and returns the
+    first witness satisfying all cells, a dict of interval id to
+    (start, end) Fractions, or None.  Independent of the composition
+    table, of closure and of the package's atom-of-endpoints table.
+    """
+    n = len(net.intervals)
+    if n > REALIZE_MAX_INTERVALS:
+        raise ValueError(f"realization oracle limited to {REALIZE_MAX_INTERVALS} intervals")
+    if n == 0:
+        return {}
+    pair_list = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    cells = [net._matrix[i][j] for i, j in pair_list]
+    for ranks, atoms in _order_profiles(n):
+        if all(cells[p] & (1 << atoms[p]) for p in range(len(pair_list))):
+            return {
+                name: (Fraction(ranks[2 * i]), Fraction(ranks[2 * i + 1]))
+                for i, name in enumerate(net.intervals)
+            }
+    return None
 
 
 def indu_pairs_by_enumeration():

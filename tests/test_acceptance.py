@@ -20,7 +20,7 @@ from chronotext.adaptation import (
     parse_knowledge, revise,
 )
 from chronotext.allen import (
-    FULL, IDENTITY, BaseRelation, QCN, Relation, close, realize_small,
+    FULL, IDENTITY, BaseRelation, QCN, Relation, close,
 )
 from chronotext.annotation import doc_to_qcn, parse_recipe_dsl, parse_timeml
 from chronotext.hybrid import (
@@ -38,6 +38,8 @@ from chronotext.recipe import (
     encode_recipe, phenomena_coverage,
 )
 from chronotext.workflow import emit_dot, recipe_workflow
+
+from oracles import realize_small
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"

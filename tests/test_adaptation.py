@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from chronotext import adaptation
 from chronotext.adaptation import (
     DomainKnowledge,
     TaggedConstraint,
@@ -460,11 +461,34 @@ def random_tagged(rng):
     return TaggedNetwork.build(names, cs.values())
 
 
+def revision_events(monkeypatch):
+    """The witness tests (`("witness", kind, kept)`) and the checks
+    (`("check", ok)`) that `revise` makes from now on, in call order."""
+    events = []
+    keeps, check = adaptation._witness_keeps, adaptation.hybrid_atomic_consistent
+
+    def spied_keeps(witness, c):
+        kept = keeps(witness, c)
+        events.append(("witness", c.kind, kept is not None))
+        return kept
+
+    def spied_check(h, **kw):
+        verdict = check(h, **kw)
+        events.append(("check", verdict[0]))
+        return verdict
+
+    monkeypatch.setattr(adaptation, "_witness_keeps", spied_keeps)
+    monkeypatch.setattr(adaptation, "hybrid_atomic_consistent", spied_check)
+    return events
+
+
 class TestReviseAgainstRebuild:
-    def test_random_tagged_networks(self):
-        """Revising from each search node's closed network gives the
+    def test_random_tagged_networks(self, monkeypatch):
+        """Revising from each search node's closed network and witness,
+        with candidates the witness satisfies kept unchecked, gives the
         retained and relaxed ids, the revised network and the witness of
         rebuilding and closing the candidate network at every check."""
+        events = revision_events(monkeypatch)
         rng = random.Random(83)
         relaxed_kinds, outcomes = set(), set()
         for _ in range(150):
@@ -486,6 +510,35 @@ class TestReviseAgainstRebuild:
             outcomes.add("relaxed" if got.relaxed else "kept all")
         assert relaxed_kinds == {"allen", "metric"}
         assert outcomes == {"contradictory", "relaxed", "kept all"}
+        assert ("witness", "allen", True) in events
+        assert ("witness", "metric", True) in events
+        # a candidate its node's witness fails can still be consistent:
+        # the check right after the miss keeps it
+        assert any(e[0] == "witness" and not e[2] and nxt == ("check", True)
+                   for e, nxt in zip(events, events[1:]))
+
+    def test_checks_pinned(self, monkeypatch):
+        """On a fixed set of tagged networks revision makes 370
+        `hybrid_atomic_consistent` calls when every candidate is checked,
+        299 when those the witness satisfies are kept unchecked, with the
+        rebuilt search's results."""
+        rng = random.Random(97)
+        cases = [random_tagged(rng) for _ in range(60)]
+        refs = []
+        for t in cases:
+            try:
+                refs.append(rebuild_revise(t))
+            except ValueError:
+                refs.append(None)
+        events = revision_events(monkeypatch)
+        for t, ref in zip(cases, refs):
+            if ref is None:
+                with pytest.raises(ValueError):
+                    revise(t)
+                continue
+            got = revise(t)
+            assert (got.retained, got.witness) == (ref.retained, ref.witness)
+        assert sum(e[0] == "check" for e in events) == 299
 
     def test_lentil_case_matches_rebuild(self):
         h = remove_entities(lutheran_network(), ["drain_beans"])

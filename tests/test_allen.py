@@ -9,7 +9,7 @@ from chronotext import allen
 from chronotext.allen import (
     ALLEN, COMPOSITION, FULL, FULL_MASK, EMPTY, IDENTITY, N_ATOMS, BaseRelation, Calculus, QCN,
     Relation, atomic_consistent, base_relation_of, close, format_qcn, parse_qcn,
-    path_consistency, realize_small,
+    path_consistency,
 )
 from chronotext.indu import INDU, INDUNetwork, INDURelation
 from oracles import (
@@ -20,6 +20,7 @@ from oracles import (
     converse_by_atoms,
     full_queue_atomic_consistent,
     realizable_atom_triples,
+    realize_small,
     sweep_closure,
 )
 

@@ -77,6 +77,14 @@ class TestParseTimeml:
         assert err.value.offset == source.index("<TIMEX3")
         assert "TIMEX3" in str(err.value)
 
+    def test_offset_counts_characters_not_bytes(self):
+        """The 'é' before the tag is one character and two UTF-8 bytes."""
+        source = 'Sauté <TIMEX3 tid="t1"> now </TIMEX3>'
+        with pytest.raises(AnnotationError) as err:
+            parse_timeml(source)
+        assert err.value.offset == 6
+        assert source.encode().index(b"<TIMEX3") == 7
+
     def test_missing_attribute(self):
         with pytest.raises(AnnotationError, match="missing attribute 'class'"):
             parse_timeml('<EVENT eid="e1"> stir </EVENT>')

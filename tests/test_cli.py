@@ -179,6 +179,21 @@ class TestAdapt:
         assert run(["adapt", str(recipe), str(know)]) == 3
         assert "error" in capsys.readouterr().err
 
+    def test_contradiction_in_a_branch_scenario(self, capsys, tmp_path):
+        """`adapt` revises the base scenario only, but like `check` it
+        rejects a recipe whose branch scenario states contradictory
+        relations."""
+        recipe = tmp_path / "hot.rcp"
+        recipe.write_text('recipe "hot"\nstep chop "chop"\nstep fry "fry"\n'
+                          'alt hot "if hot" {\n  step chilli "add chilli"\n'
+                          '  rel chilli {b} chop\n  rel chilli {bi} chop\n}\n')
+        know = tmp_path / "k.know"
+        know.write_text('knowledge "k"\nanchor fry\nstep z "zest"\nrel z {b} fry\n')
+        for argv in (["check", str(recipe)], ["adapt", str(recipe), str(know)]):
+            assert run(argv) == 1
+            assert capsys.readouterr().err == \
+                "error: contradictory relations between 'chilli' and 'chop'\n"
+
     def test_undeclared_id_exit_code(self, capsys, tmp_path):
         know = tmp_path / "ghost.know"
         know.write_text('knowledge "k"\nstep x "stir"\nrel x {b} zz\n')

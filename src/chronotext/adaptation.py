@@ -13,7 +13,7 @@ outcome back onto the source text are span-based only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Optional, Sequence
 
 from .allen import FULL, Relation
@@ -31,8 +31,8 @@ from .recipe import (
     Recipe,
     StateNode,
     TimerNode,
+    _scenario_builder,
     _scenario_intervals,
-    encode_recipe,
 )
 
 MAX_REVISION_SOFT = 24
@@ -237,18 +237,7 @@ def parse_knowledge(source: str) -> DomainKnowledge:
     `until` clauses.  Knowledge steps are not chained: only the stated
     relations hold."""
     name, f = parse_dsl(source, "knowledge")
-    return DomainKnowledge(
-        name=name,
-        removals=f["removals"],
-        anchors=f["anchors"],
-        steps=f["steps"],
-        states=f["states"],
-        timers=f["timers"],
-        relations=f["relations"],
-        durations=f["durations"],
-        until_links=f["until_links"],
-        lines=f["lines"],
-    )
+    return DomainKnowledge(name, **{x.name: f[x.name] for x in fields(DomainKnowledge)[1:]})
 
 
 def inject(h: HybridNetwork, k: DomainKnowledge) -> TaggedNetwork:
@@ -462,9 +451,10 @@ def adapt_text_edits(result: RevisionResult, source: Recipe) -> tuple[Edit, ...]
 
 def adapt_recipe(r: Recipe, k: DomainKnowledge) -> tuple[RevisionResult,
                                                          tuple[Edit, ...]]:
-    """Whole pipeline on the base scenario: encode, remove the
-    substituted entities, inject the knowledge, revise, map to edits."""
-    _, h = encode_recipe(r)[0]
+    """Whole pipeline on the base scenario, the only one built: encode,
+    remove the substituted entities, inject the knowledge, revise, map
+    to edits.  A contradiction in any branch combination still raises."""
+    h = _scenario_builder(r)(chosen=())
     result = revise(inject(remove_entities(h, k.removals), k))
     return result, adapt_text_edits(result, r)
 

@@ -7,7 +7,7 @@ it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .allen import QCN, Relation
@@ -348,8 +348,8 @@ def parse_dsl(source: str, header: str) -> tuple[str, dict[str, tuple]]:
     """Parse the line DSL shared by `.rcp` recipes (header word "recipe")
     and `.know` domain knowledge ("knowledge"); see the README for the
     grammar.  Returns the header's quoted string and the parsed fields,
-    keyed by their `Recipe`/`DomainKnowledge` field names, plus
-    "anchors", "removals" and "lines", the (id, line) of every declared
+    keyed by the `Recipe` and `DomainKnowledge` field names that the two
+    wrappers read them by; "lines" holds the (id, line) of every declared
     id.  Spans on actions and states are the character ranges of their
     lines.  An id may be referenced before the line that declares it; an
     id no line declares (anchors count as declared) is an error at the
@@ -556,19 +556,7 @@ def parse_recipe_dsl(source: str) -> Recipe:
     """Parse the line-oriented recipe DSL (`parse_dsl` with the "recipe"
     header).  Spans on actions are the character ranges of their lines."""
     title, f = parse_dsl(source, "recipe")
-    return Recipe(
-        title=title,
-        preliminaries=f["preliminaries"],
-        steps=f["steps"],
-        states=f["states"],
-        timers=f["timers"],
-        relations=f["relations"],
-        markers=f["markers"],
-        branches=f["branches"],
-        durations=f["durations"],
-        until_links=f["until_links"],
-        last_links=f["last_links"],
-    )
+    return Recipe(title, **{x.name: f[x.name] for x in fields(Recipe)[1:]})
 
 
 # ---------------------------------------------------------------------------

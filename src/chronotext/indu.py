@@ -130,13 +130,7 @@ class INDURelation(BitmaskRelation):
     def from_allen(cls, rel: Relation) -> "INDURelation":
         """All valid atoms whose Allen part lies in the given relation
         (the reading of a bare interval constraint, signs unknown)."""
-        mask = 0
-        for a in rel:
-            for s in SIGNS:
-                atom = INDUAtom(a, s)
-                if atom.valid:
-                    mask |= 1 << atom.index
-        return cls(mask)
+        return cls(_spread(rel.mask) * 7 & VALID_MASK)
 
 
 INDU_IDENTITY = INDURelation(INDU.identity)

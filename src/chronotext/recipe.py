@@ -240,13 +240,11 @@ _R8 = Relation.parse("{di}")
 _CONCURRENT = Relation.parse("{o,oi,d,di,s,si,f,fi,e}")
 
 
-def _chain_steps(r: Recipe, excluded: set[str]) -> list[ActionNode]:
+def _chain_steps(r: Recipe) -> list[ActionNode]:
     """Steps participating in the text-order chain: branch members,
     sporadic or alternating actions and last-of steps are positioned by
     their own rules, not by document order."""
-    skip = set(excluded)
-    for br in r.branches:
-        skip |= set(br.members)
+    skip = {m for br in r.branches for m in br.members}
     for m in r.markers:
         if m.mode == "sporadic":
             skip.add(m.target)
@@ -258,28 +256,15 @@ def _chain_steps(r: Recipe, excluded: set[str]) -> list[ActionNode]:
     return [s for s in r.steps if s.id not in skip]
 
 
-def _scenario_labels(branches: Sequence[AlternativeBranch]):
-    ids = sorted(br.id for br in branches)
-    combos = []
-    for k in range(len(ids) + 1):
-        for combo in itertools.combinations(ids, k):
-            combos.append(combo)
-    combos.sort(key=lambda c: (len(c), c))
-    return [("base" if not c else "+".join(c), frozenset(c)) for c in combos]
-
-
 def encode_recipe(r: Recipe) -> list[tuple[str, HybridNetwork]]:
     """One (label, network) pair per branch combination, the base
-    scenario first; rules R1 through R8 applied as documented above."""
-    by_branch = {br.id: br for br in r.branches}
-    out = []
-    for label, chosen in _scenario_labels(r.branches):
-        excluded = set()
-        for bid, br in by_branch.items():
-            if bid not in chosen:
-                excluded |= set(br.members)
-        out.append((label, _encode_scenario(r, excluded)))
-    return out
+    scenario first; rules R1 through R8 applied as documented above.
+    The constraints are derived once, so a contradiction in any branch
+    combination is reported before any scenario is built."""
+    build = _scenario_builder(r)
+    ids = sorted(br.id for br in r.branches)
+    return [("+".join(chosen) or "base", build(chosen))
+            for k in range(len(ids) + 1) for chosen in itertools.combinations(ids, k)]
 
 
 def _scenario_intervals(r: Recipe, excluded: set[str]) -> list[str]:
@@ -302,58 +287,60 @@ def _scenario_intervals(r: Recipe, excluded: set[str]) -> list[str]:
         + [s.id for s in r.states if not dropped(s.id)]
 
 
-def _encode_scenario(r: Recipe, excluded: set[str]) -> HybridNetwork:
-    intervals = _scenario_intervals(r, excluded)
-    live = set(intervals)
-
-    allen = []
-    chain = _chain_steps(r, excluded)
+def _scenario_builder(r: Recipe):
+    """Derive every constraint of the recipe once, each with the intervals
+    it needs, and reject a contradiction on any pair: the all-branches
+    scenario holds every scenario's constraints on it.  Returns the
+    function that builds the scenario of the chosen branch ids."""
+    chain = _chain_steps(r)
     if chain and chain[0].meanwhile:
         raise ValueError(f"step {chain[0].id!r} is marked meanwhile but has no antecedent")
+    allen = []  # (constraint, the intervals it needs)
+
+    def add(a, rel, b, *also):
+        allen.append(((a, rel, b), {a, b, *also}))
+
     if chain:
         for p in r.preliminaries:
-            allen.append((p.id, _R1, chain[0].id))
-    explicit_pairs = {frozenset((a, b)) for a, _, b in r.relations
-                      if a in live and b in live}
+            add(p.id, _R1, chain[0].id)
+    # no branch member is in the chain, so its steps are in every scenario
+    explicit_pairs = {frozenset((a, b)) for a, _, b in r.relations}
     for prev, nxt in zip(chain, chain[1:]):
-        if frozenset((prev.id, nxt.id)) in explicit_pairs:
-            continue
-        allen.append((nxt.id, _R3 if nxt.meanwhile else _R2, prev.id))
+        if frozenset((prev.id, nxt.id)) not in explicit_pairs:
+            add(nxt.id, _R3 if nxt.meanwhile else _R2, prev.id)
     for action, sid in r.until_links:
-        if action in live and sid in live:
-            allen.append((action, _R5, sid))
+        add(action, _R5, sid)
     for action, tid, ref in r.last_links:
-        if action in live and tid in live and ref in live:
-            allen.append((tid, _R7_TIMER, ref))
-            allen.append((action, _R7_ACTION, tid))
+        # both relations need the action, the timer and the reference
+        add(tid, _R7_TIMER, ref, action)
+        add(action, _R7_ACTION, tid, ref)
     for m in r.markers:
-        if m.mode == "sporadic" and m.target in live and m.ref in live:
-            allen.append((m.ref, _R8, m.target))
+        if m.mode == "sporadic":
+            add(m.ref, _R8, m.target)
     for a, rel, b in r.relations:
-        if a in live and b in live:
-            allen.append((a, rel, b))
+        add(a, rel, b)
 
     merged = {}
-    for a, rel, b in allen:
+    for (a, rel, b), _ in allen:
         key = (a, b) if a <= b else (b, a)
         cell = rel if key == (a, b) else rel.converse()
         merged[key] = merged[key] & cell if key in merged else cell
         if merged[key].is_empty:
             raise ValueError(f"contradictory relations between {key[0]!r} and {key[1]!r}")
 
-    metric = []
-    for aid, w in r.durations:
-        if aid in live:
-            metric.append((start_of(aid), end_of(aid), w))
-    for t in r.timers:
-        if t.id in live:
-            metric.append((start_of(t.id), end_of(t.id), t.window))
+    metric = list(r.durations) + [(t.id, t.window) for t in r.timers]
 
-    return HybridNetwork.build(
-        intervals,
-        [(a, cell, b) for (a, b), cell in merged.items()],
-        metric,
-    )
+    def build(chosen: Sequence[str]) -> HybridNetwork:
+        intervals = _scenario_intervals(
+            r, {m for br in r.branches if br.id not in chosen for m in br.members})
+        live = set(intervals)
+        return HybridNetwork.build(
+            intervals,
+            [c for c, need in allen if need <= live],
+            [(start_of(i), end_of(i), w) for i, w in metric if i in live],
+        )
+
+    return build
 
 
 def phenomena_coverage(r: Recipe) -> frozenset[PhenomenonTag]:
@@ -366,8 +353,7 @@ def phenomena_coverage(r: Recipe) -> frozenset[PhenomenonTag]:
             tags.add(PhenomenonTag.IMPRECISE_QUANTITATIVE_DURATION)
     if r.until_links:
         tags.add(PhenomenonTag.QUALITATIVE_DURATION)
-    all_members = set().union(*(set(br.members) for br in r.branches)) if r.branches else set()
-    if len(_chain_steps(r, all_members)) >= 2:
+    if len(_chain_steps(r)) >= 2:
         tags.add(PhenomenonTag.TOTAL_ORDER)
     if len(r.preliminaries) >= 2:
         tags.add(PhenomenonTag.PARTIAL_ORDER)

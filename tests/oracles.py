@@ -12,14 +12,16 @@ integer Floyd-Warshall (`int_shortest_paths`, not the package's
 pivoted kernel) and of the window-based atom export
 (`_forced_atom_constraints`); the earlier recursion of the hybrid
 scenario search, the scenario search that re-closes every pair at every
-node, the path consistency that composes on every revision, and the
-revision and TCSP searches that close every node's network from scratch.
+node, the path consistency that composes on every revision, the
+revision and TCSP searches that close every node's network from scratch,
+and the recipe encoder that derives every rule again in each scenario
+(with its own chain and interval rules, not the package's helpers).
 """
 
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from math import lcm
 
 from chronotext.adaptation import (
@@ -738,3 +740,98 @@ def rebuild_tcsp_consistent(t):
 
     witness = search(0, STP.build(t.points))
     return witness is not None, witness
+
+
+_RULE = {name: Relation.parse(text) for name, text in (
+    ("R1", "{b}"), ("R2", "{bi,mi}"), ("R3", "{d,f}"), ("R5", "{m}"),
+    ("R7 timer", "{f}"), ("R7 action", "{s}"), ("R8", "{di}"))}
+
+
+def _per_scenario_live(r, excluded):
+    """A scenario's interval ids: every preliminary, every step not
+    excluded, and each timer or state not excluded that has no action
+    using it (until, last-of) or some action using it not excluded."""
+    users = {}
+    for action, used in list(r.until_links) + [(a, t) for a, t, _ in r.last_links]:
+        users.setdefault(used, []).append(action)
+
+    def kept(i):
+        return i not in excluded and (
+            i not in users or any(a not in excluded for a in users[i]))
+
+    return [p.id for p in r.preliminaries] \
+        + [s.id for s in r.steps if s.id not in excluded] \
+        + [t.id for t in r.timers if kept(t.id)] \
+        + [s.id for s in r.states if kept(s.id)]
+
+
+def _per_scenario_allen(r, excluded, live):
+    """The qualitative constraints of one scenario, rule by rule, each kept
+    only when every interval it mentions (R7: the action, the timer and
+    the reference) is live."""
+    positioned = set(excluded) | {m for br in r.branches for m in br.members}
+    positioned |= {m.target for m in r.markers if m.mode in ("sporadic", "alternation")}
+    positioned |= {m.ref for m in r.markers if m.mode == "alternation"}
+    positioned |= {a for a, _, _ in r.last_links}
+    chain = [s for s in r.steps if s.id not in positioned]
+    if chain and chain[0].meanwhile:
+        raise ValueError(f"step {chain[0].id!r} is marked meanwhile but has no antecedent")
+    out = [(p.id, _RULE["R1"], chain[0].id) for p in r.preliminaries] if chain else []
+    stated = {frozenset((a, b)) for a, _, b in r.relations if a in live and b in live}
+    for prev, nxt in zip(chain, chain[1:]):
+        if frozenset((prev.id, nxt.id)) not in stated:
+            out.append((nxt.id, _RULE["R3" if nxt.meanwhile else "R2"], prev.id))
+    out += [(a, _RULE["R5"], s) for a, s in r.until_links if a in live and s in live]
+    for a, t, ref in r.last_links:
+        if a in live and t in live and ref in live:
+            out += [(t, _RULE["R7 timer"], ref), (a, _RULE["R7 action"], t)]
+    out += [(m.ref, _RULE["R8"], m.target) for m in r.markers
+            if m.mode == "sporadic" and m.ref in live and m.target in live]
+    return out + [(a, rel, b) for a, rel, b in r.relations if a in live and b in live]
+
+
+def _merged_pairs(allen, strict):
+    """Each pair's intersected relation, oriented from the smaller id, in
+    the order the pairs first occur; `strict` raises on the first pair
+    that becomes empty."""
+    merged = {}
+    for a, rel, b in allen:
+        key, cell = ((a, b), rel) if a <= b else ((b, a), rel.converse())
+        merged[key] = merged[key] & cell if key in merged else cell
+        if strict and merged[key].is_empty:
+            raise ValueError(f"contradictory relations between {key[0]!r} and {key[1]!r}")
+    return merged
+
+
+def contradictory_pairs(r):
+    """The pairs whose constraints intersect to the empty relation in the
+    scenario that chooses every branch; none when a meanwhile step heads
+    the chain, which every scenario rejects first."""
+    live = set(_per_scenario_live(r, set()))
+    try:
+        merged = _merged_pairs(_per_scenario_allen(r, set(), live), strict=False)
+    except ValueError:
+        return []
+    return [key for key, cell in merged.items() if cell.is_empty]
+
+
+def per_scenario_encode_recipe(r):
+    """`encode_recipe` with every rule derived again for each branch
+    combination (sorted by size, then by branch ids), the constraints on
+    each pair merged and checked in that scenario alone, one scenario
+    after another."""
+    ids = sorted(br.id for br in r.branches)
+    combos = sorted((c for k in range(len(ids) + 1) for c in combinations(ids, k)),
+                    key=lambda c: (len(c), c))
+    out = []
+    for chosen in combos:
+        excluded = {m for br in r.branches if br.id not in chosen for m in br.members}
+        intervals = _per_scenario_live(r, excluded)
+        live = set(intervals)
+        merged = _merged_pairs(_per_scenario_allen(r, excluded, live), strict=True)
+        metric = [(start_of(i), end_of(i), w)
+                  for i, w in list(r.durations) + [(t.id, t.window) for t in r.timers]
+                  if i in live]
+        out.append(("+".join(chosen) or "base", HybridNetwork.build(
+            intervals, [(a, cell, b) for (a, b), cell in merged.items()], metric)))
+    return out

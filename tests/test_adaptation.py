@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from chronotext import adaptation
+from chronotext import adaptation, recipe as recipe_module
 from chronotext.adaptation import (
     DomainKnowledge,
     TaggedConstraint,
@@ -417,6 +417,23 @@ class TestAdaptTextEdits:
         assert lines[0].endswith(" delete")
         assert lines[1].endswith(" insert-after cook lentils in water")
         assert format_edits(()) == ""
+
+    def test_adapt_builds_the_base_scenario_only(self, monkeypatch):
+        # hot_relish has one alt block, so encode_recipe builds two scenarios
+        built = []
+
+        class Counting:
+            @staticmethod
+            def build(intervals, *rest):
+                built.append(list(intervals))
+                return HybridNetwork.build(intervals, *rest)
+
+        monkeypatch.setattr(recipe_module, "HybridNetwork", Counting)
+        recipe = parse_recipe_dsl((FIXTURES / "hot_relish.rcp").read_text())
+        knowledge = parse_knowledge((FIXTURES / "slow_cooker.know").read_text())
+        adapt_recipe(recipe, knowledge)
+        assert built == [["chop", "add_onions", "simmer", "stir"]]
+        assert len(encode_recipe(recipe)) == 2 == len(built) - 1
 
 
 def random_tagged(rng):

@@ -336,6 +336,15 @@ class TestProjection:
                 for b in names[i + 1:]:
                     assert lhs.cell(a, b) <= rhs.cell(a, b)
 
+    def test_from_allen_on_every_mask(self):
+        # the reference keeps, atom by atom, the valid atoms whose Allen part
+        # the mask holds; every Allen mask, the empty and full ones included
+        for mask in range(FULL_MASK + 1):
+            rel = Relation(mask)
+            want = INDURelation.of(*(a for a in valid_atoms() if a.allen in rel))
+            assert INDURelation.from_allen(rel) == want, mask
+            assert project_relation(want) == rel
+
 
 class TestSerialization:
     def test_atom_format(self):

@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,6 +20,7 @@ from chronotext.recipe import (
     encode_recipe,
     phenomena_coverage,
 )
+from oracles import contradictory_pairs, per_scenario_encode_recipe
 from recipes import hot_relish, lutheran
 
 
@@ -325,3 +328,113 @@ class TestOtherMarkers:
         tags = phenomena_coverage(r)
         assert PhenomenonTag.QUALITATIVE_DURATION in tags
         assert PhenomenonTag.IMPRECISE_QUANTITATIVE_DURATION in tags
+
+
+def random_recipe(rng):
+    """A seeded `Recipe` of 2-7 steps mixing every encoding rule: meanwhile
+    steps, until states and last-of timers (some shared by two actions),
+    sporadic, alternation and count markers, `alt` branches over steps
+    (some holding until actions, last-of references or marker targets),
+    duration windows, and explicit relations with random masks between
+    any two ids, branch members, timers and states included, so that
+    some pairs contradict."""
+    prelims = tuple(ActionNode(f"p{i}", "prep", kind="preliminary")
+                    for i in range(rng.randint(0, 2)))
+    steps = tuple(ActionNode(f"s{i}", "do", meanwhile=i > 0 and rng.random() < 0.15)
+                  for i in range(rng.randint(2, 7)))
+    step_ids = [s.id for s in steps]
+    until = [(s, f"{s}.until") for s in step_ids if rng.random() < 0.3]
+    states = [StateNode(sid, "done") for _, sid in until]
+    if states and rng.random() < 0.3:
+        until.append((rng.choice(step_ids), rng.choice(states).id))
+    if rng.random() < 0.2:
+        states.append(StateNode("idle", "idle"))
+    timers, last = [], []
+    for s in step_ids:
+        if rng.random() < 0.3:
+            timers.append(TimerNode(f"{s}.timer", BoundWindow.closed(1, rng.randint(2, 30))))
+            refs = [x.id for x in prelims + steps + tuple(states) if x.id != s]
+            last.append((s, timers[-1].id, rng.choice(refs)))
+    if last and rng.random() < 0.3:
+        _, tid, ref = rng.choice(last)
+        last.append((rng.choice([s for s in step_ids if s != ref]), tid, ref))
+    if rng.random() < 0.2:
+        timers.append(TimerNode("t", BoundWindow.closed(5, 10)))
+    markers = []
+    for mode in ("sporadic", "alternation"):
+        if rng.random() < 0.3:
+            target, ref = rng.sample(step_ids, 2)
+            markers.append(RepetitionMarker(target, mode, ref=ref))
+    if rng.random() < 0.2:
+        markers.append(RepetitionMarker(rng.choice(step_ids), "count", count=2))
+    free = rng.sample(step_ids, len(step_ids))
+    branches = []
+    for b in range(rng.randint(0, 3)):
+        members = tuple(free.pop() for _ in range(min(len(free), rng.randint(1, 2))))
+        if members:
+            branches.append(AlternativeBranch(f"b{b}", members))
+    ids = [x.id for x in prelims + steps + tuple(states) + tuple(timers)]
+    relations = [(*rng.sample(ids, 2), rng.randrange(1, FULL.mask + 1))
+                 for _ in range(rng.randint(0, 5))]
+    if rng.random() < 0.3:
+        i = rng.randrange(len(step_ids) - 1)
+        relations.append((step_ids[i], step_ids[i + 1], rng.randrange(1, FULL.mask + 1)))
+    durations = [(s, BoundWindow.closed(1, rng.randint(1, 20))) for s in step_ids
+                 if rng.random() < 0.3]
+    return Recipe("random", prelims, steps, tuple(states), tuple(timers),
+                  tuple((a, Relation(m), b) for a, b, m in relations), tuple(markers),
+                  tuple(branches), tuple(durations), tuple(until), tuple(last))
+
+
+def _features(r):
+    members = {m for br in r.branches for m in br.members}
+    timers, states = {t.id for t in r.timers}, {s.id for s in r.states}
+    mentioned = {x for a, _, b in r.relations for x in (a, b)}
+    return {
+        "last-of reference in a branch": any(ref in members for _, _, ref in r.last_links),
+        "until action in a branch": any(a in members for a, _ in r.until_links),
+        "marker target in a branch": any(m.target in members for m in r.markers),
+        "relation on a branch member": bool(mentioned & members),
+        "relation on a timer": bool(mentioned & timers),
+        "relation on a state": bool(mentioned & states),
+        "meanwhile step": any(s.meanwhile for s in r.steps),
+        "three branches": len(r.branches) == 3,
+    }
+
+
+class TestEncoderAgainstPerScenarioOracle:
+    """`encode_recipe` derives the constraints once and filters them per
+    scenario; `oracles.per_scenario_encode_recipe` derives and checks
+    them again in every scenario."""
+
+    def test_random_recipes(self):
+        rng = random.Random(1)
+        seen = Counter()
+        for _ in range(800):
+            r = random_recipe(rng)
+            seen.update(k for k, v in _features(r).items() if v)
+            try:
+                want = per_scenario_encode_recipe(r)
+            except Exception as exc:
+                want = exc
+            try:
+                got = encode_recipe(r)
+            except Exception as exc:
+                got = exc
+            if isinstance(want, Exception):
+                assert type(got) is type(want), (r, want)
+                pairs = len(contradictory_pairs(r))
+                seen[f"contradictory pairs: {min(pairs, 2)}"] += 1
+                if pairs <= 1:
+                    assert str(got) == str(want)
+                continue
+            seen["encoded"] += 1
+            assert [label for label, _ in got] == [label for label, _ in want]
+            for (label, g), (_, w) in zip(got, want):
+                assert g.intervals == w.intervals, (r, label)
+                assert g.qcn._matrix == w.qcn._matrix, (r, label)
+                assert g.stp.points == w.stp.points, (r, label)
+                assert g.stp._u == w.stp._u, (r, label)
+        for feature in list(_features(lutheran())) + [
+                "contradictory pairs: 1", "contradictory pairs: 2", "encoded"]:
+            assert seen[feature] >= 10, (feature, seen)

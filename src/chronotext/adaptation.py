@@ -170,8 +170,6 @@ def tag_soft(h: HybridNetwork) -> list[TaggedConstraint]:
             y = pts[j]
             frm, to = min(x, y), max(x, y)
             w = h.stp.window(frm, to)
-            if w.unbounded:
-                continue
             if (frm.endswith(".end") and to.endswith(".start")
                     and frm[:-4] == to[:-6] and w == _NEGATED_POSITIVE):
                 continue

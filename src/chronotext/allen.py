@@ -33,7 +33,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import or_
 from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
@@ -488,10 +488,14 @@ class Network:
         return self._raw(self.intervals, m, self._index)
 
     def restricted(self, keep: Sequence[str]):
-        """The induced subnetwork on the given intervals (order preserved)."""
+        """The induced subnetwork on the given intervals (order preserved),
+        valid as a sub-matrix of a valid network is."""
         keep = tuple(keep)
         idx = [self._index[k] for k in keep]
-        return type(self)(keep, [[self._matrix[i][j] for j in idx] for i in idx])
+        index = {name: i for i, name in enumerate(keep)}
+        if len(index) != len(keep):
+            raise ValueError("duplicate interval ids")
+        return self._raw(keep, [[self._matrix[i][j] for j in idx] for i in idx], index)
 
     @property
     def inconsistent(self) -> bool:
@@ -722,6 +726,12 @@ def atomic_consistent(net: QCN) -> tuple[bool, Optional[QCN]]:
     return scenario is not None, scenario
 
 
+@lru_cache(maxsize=1 << 13)
+def _mask_text(mask: int) -> str:
+    # one entry per Allen mask at most
+    return str(Relation(mask))
+
+
 def format_qcn(net: QCN) -> str:
     """Serialize a network: header line listing the intervals, then one
     line per informative upper-triangle cell with ids in sorted order.
@@ -730,12 +740,14 @@ def format_qcn(net: QCN) -> str:
     format round-trips bit-exactly through parse_qcn.
     """
     names = sorted(net.intervals)
+    index, rows = net._index, net._matrix
     lines = ["intervals " + " ".join(names)]
     for pos, a in enumerate(names):
+        row = rows[index[a]]
         for b in names[pos + 1:]:
-            rel = net.cell(a, b)
-            if rel.mask != FULL_MASK:
-                lines.append(f"{a} {b} {rel}")
+            mask = row[index[b]]
+            if mask != FULL_MASK:
+                lines.append(f"{a} {b} {_mask_text(mask)}")
     return "\n".join(lines) + "\n"
 
 

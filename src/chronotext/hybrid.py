@@ -57,12 +57,8 @@ class HybridNetwork:
               metric_constraints: Iterable[tuple[str, str, BoundWindow]] = (),
               anon_points: Sequence[str] = ()) -> "HybridNetwork":
         qcn = QCN.build(intervals, allen_constraints)
-        points = []
-        linkage = []
-        for i in qcn.intervals:
-            points += [start_of(i), end_of(i)]
-            linkage.append((start_of(i), end_of(i), POSITIVE))
-        points += list(anon_points)
+        linkage = [(start_of(i), end_of(i), POSITIVE) for i in qcn.intervals]
+        points = [p for frm, to, _ in linkage for p in (frm, to)] + list(anon_points)
         stp = STP.build(points, linkage + list(metric_constraints))
         return cls._raw(qcn, stp, tuple(anon_points))
 
@@ -92,9 +88,7 @@ class HybridNetwork:
 
     def restricted(self, intervals: Sequence[str]) -> "HybridNetwork":
         """Sub-network on the given intervals; anonymous points survive."""
-        pts = []
-        for i in intervals:
-            pts += [start_of(i), end_of(i)]
+        pts = [p for i in intervals for p in (start_of(i), end_of(i))]
         pts += [p for p in self.anon_points if self.stp.has_point(p)]
         return HybridNetwork._raw(self.qcn.restricted(intervals),
                                   self.stp.restricted(pts), self.anon_points)
@@ -152,10 +146,13 @@ def hybrid_close(h: HybridNetwork, *,
     Whenever the metric layer is flagged minimal, as it is in every
     round after the first, its closure pivots only on the endpoints of
     the entries the atom export tightened (`stp_close` with `changed`);
-    one flagged inconsistent stays so.
+    one flagged inconsistent stays so.  Later rounds read back only the
+    cells with an endpoint whose metric row moved since the last round
+    (by value: rounds never rescale); the others' read-backs are as they were.
     """
     qcn, stp = h.qcn, h.stp
     ends = _endpoint_indices(h)
+    seen = None  # the metric rows the last round read back
     while True:
         qcn = close(qcn, changed=changed)
         if qcn.inconsistent:
@@ -168,12 +165,15 @@ def hybrid_close(h: HybridNetwork, *,
         # atomic cells were exported above, so the metric layer cannot
         # tighten them; the others keep only the atoms it still admits
         # (with_cell changes no cell the loop has yet to read)
+        e = stp._e
+        moved = [seen is None or e[i] != seen[i] or e[j] != seen[j] for i, j in ends]
+        seen = e
         changed = []
         ids = qcn.intervals
         for ai, row in enumerate(qcn._matrix):
             for bi in range(ai + 1, len(ids)):
                 mask = row[bi]
-                if not mask & (mask - 1):
+                if not (mask & (mask - 1) and (moved[ai] or moved[bi])):
                     continue
                 refined = metric_to_allen(stp, ids[ai], ids[bi], Relation(mask))
                 if refined.mask != mask:
@@ -228,8 +228,9 @@ def format_hybrid(h: HybridNetwork) -> str:
     if h.inconsistent:
         return "inconsistent\n"
     lines = [format_qcn(h.qcn).rstrip("\n")]
+    e, index = h.stp._e, h.stp._index
     for i in sorted(h.intervals):
-        w = h.duration_window(i)
-        if w != POSITIVE:
-            lines.append(f"duration {i} in {w}")
+        s, t = index[start_of(i)], index[end_of(i)]
+        if (e[s][t], e[t][s]) != (None, -1):  # (0, inf) at every scale
+            lines.append(f"duration {i} in {h.duration_window(i)}")
     return "\n".join(lines) + "\n"

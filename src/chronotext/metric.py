@@ -341,7 +341,7 @@ class STP:
         flagged inconsistent: the next closure decides it."""
         points = tuple(points)
         keep = [self._index[p] for p in points]
-        e = tuple(tuple(self._e[i][j] for j in keep) for i in keep)
+        e = tuple(tuple(map(row.__getitem__, keep)) for row in map(self._e.__getitem__, keep))
         return STP._raw(points, {p: i for i, p in enumerate(points)}, e, self._d, self._m)
 
     def __eq__(self, other) -> bool:
@@ -573,33 +573,30 @@ def _cycle_splits() -> tuple[tuple[tuple[int, ...], tuple[tuple[int, int], ...]]
 _CYCLE_SPLITS = _cycle_splits()
 
 
-def _cycle_tests(edges) -> tuple[tuple[int, Optional[int], int], ...]:
-    """The negative-cycle tests that decide one atom, given its encoded
-    edges, against the integer-encoded 4x4 sub-matrix D of a minimal STP.
+def _leg_sets() -> tuple[tuple[int, Optional[int], int, int], ...]:
+    """The D-leg sets of `_CYCLE_SPLITS` that decide every atom at once
+    against the integer-encoded 4x4 sub-matrix D of a minimal STP.
 
-    Each test (p, q, k) reads D by flat index and excludes the atom when
-    D[p] (+ D[q], unless q is None) < k, both entries finite: one per
-    split of `_CYCLE_SPLITS` whose atom legs are all edges of the atom,
-    each D-leg set with its largest k (the negated sum of its atom legs);
-    one-leg tests come first.
+    Each (p, q, keep_neg, keep_zero) reads D by flat index: when D[p]
+    (+ D[q], unless q is None), both entries finite, sums below 0, only
+    the atoms of `keep_neg` stay, and at 0 only those of `keep_zero`.  An
+    atom leaves on a set when a split with those D legs has all its atom
+    legs among the atom's edges: below 0, and at 0 too when one is strict.
     """
-    atom = {(a, b): w for a, b, w in edges}
-    best: dict[tuple[int, ...], int] = {}
-    for d_legs, atom_legs in _CYCLE_SPLITS:
-        k = 0
-        for leg in atom_legs:
-            w = atom.get(leg)
-            if w is None:
-                break
-            k -= w
-        else:
-            if best.get(d_legs, -1) < k:
-                best[d_legs] = k
-    return tuple((key[0], key[1] if len(key) > 1 else None, k)
-                 for key, k in sorted(best.items(), key=lambda item: (len(item[0]), item[0])))
+    drops: dict[tuple[int, ...], tuple[int, int]] = {}
+    for atom, edges in enumerate(_ATOM_EDGES):
+        weight = {(a, b): w for a, b, w in edges}
+        for d_legs, atom_legs in _CYCLE_SPLITS:
+            weights = [weight.get(leg) for leg in atom_legs]
+            if None not in weights:
+                neg, zero = drops.get(d_legs, (0, 0))
+                drops[d_legs] = (neg | 1 << atom, zero | any(weights) << atom)
+    return tuple((legs[0], legs[1] if len(legs) > 1 else None,
+                  FULL_MASK & ~neg, FULL_MASK & ~zero)
+                 for legs, (neg, zero) in sorted(drops.items()))
 
 
-_ATOM_TESTS = tuple(_cycle_tests(edges) for edges in _ATOM_EDGES)
+_LEG_SETS = _leg_sets()
 
 
 def metric_to_allen(s: STP, x: str, y: str, within: Optional[Relation] = None) -> Relation:
@@ -610,45 +607,40 @@ def metric_to_allen(s: STP, x: str, y: str, within: Optional[Relation] = None) -
     satisfiability of an atom's endpoint constraints can be decided on
     the four-point projection alone: the atom is compatible when adding
     its edges to the 4x4 sub-matrix D of the stored integer matrix closes
-    no negative cycle.  Each atom is decided by its precomputed cycle
-    tests (`_cycle_tests`, generated from the atom endpoint table).  They
-    are exact: the bounds of a minimal network are closed, so a run of D
-    legs in a negative cycle can be replaced by its one closing D leg,
-    which is no weaker; D alone and an atom's edges alone have no negative
-    cycle; and a cycle on four points has four legs, each carrying at most
-    one strict unit (a stored entry holds at most one, an atom edge is 0
-    or -1), so at most four, fewer than the multiplier M >= 5: its integer
-    sum is negative exactly when the cycle is.
+    no negative cycle.  The bounds of a minimal network are closed, so a
+    run of D legs in a negative cycle can be replaced by its one closing
+    D leg, which is no weaker; D alone and an atom's edges alone have no
+    negative cycle; a cycle on four points carries at most four strict
+    units (a stored entry holds at most one, an atom edge is 0 or -1),
+    fewer than the multiplier M >= 5.  So the atom is excluded exactly
+    when the D legs of such a cycle sum below k, its strict atom legs
+    (k <= 3).  One pass over the 14 D-leg sets (`_LEG_SETS`: 10 of one
+    leg, 4 of two) decides all atoms, since every sum is in one of two
+    classes: each stored entry is q*M - [strict], so one or two of them
+    sum to at most 0 or to at least M - 2 >= 3 >= k.  A sum below 0
+    excludes every atom the set bears on, a sum of 0 those with a strict
+    atom leg on it, and a positive sum none.
     """
     if not s.minimal or s.inconsistent:
         raise ValueError("metric_to_allen requires a minimal consistent network")
-    index = s._index
-    idx = []
-    for p in (start_of(x), end_of(x), start_of(y), end_of(y)):
-        i = index.get(p)
-        if i is None:
-            raise KeyError(f"interval endpoint {p!r} not in network")
-        idx.append(i)
+    try:
+        idx = [s._index[p] for p in (start_of(x), end_of(x), start_of(y), end_of(y))]
+    except KeyError as missing:
+        raise KeyError(f"interval endpoint {missing.args[0]!r} not in network") from None
     e = s._e
     d = [e[i][j] for i in idx for j in idx]
-    candidates = FULL_MASK if within is None else within.mask
-    mask = 0
-    while candidates:
-        low = candidates & -candidates
-        candidates ^= low
-        for p, q, k in _ATOM_TESTS[low.bit_length() - 1]:
-            v = d[p]
-            if v is None:
+    mask = FULL_MASK if within is None else within.mask
+    for p, q, keep_neg, keep_zero in _LEG_SETS:
+        v = d[p]
+        if v is None:
+            continue
+        if q is not None:
+            w = d[q]
+            if w is None:
                 continue
-            if q is not None:
-                w = d[q]
-                if w is None:
-                    continue
-                v += w
-            if v < k:
-                break
-        else:
-            mask |= low
+            v += w
+        if v <= 0:
+            mask &= keep_neg if v else keep_zero
     return Relation(mask)
 
 

@@ -147,6 +147,8 @@ class Recipe:
                 need(m.ref)
         for a, s in self.until_links:
             need(a), need(s)
+        for i, _ in self.durations:
+            need(i)
         for a, t, ref in self.last_links:
             need(a), need(t), need(ref)
         claimed = set()

@@ -19,7 +19,7 @@ from .allen import Relation
 from .hybrid import HybridNetwork, hybrid_close
 from .recipe import Recipe, RepetitionMarker, encode_recipe
 
-_BM = Relation.parse("{b,m}")
+_NOT_BM = ~Relation.parse("{b,m}").mask
 
 _KINDS = ("action", "and-split", "and-join", "xor-split", "xor-join",
           "loop", "no-op")
@@ -80,14 +80,9 @@ class WorkflowGraph:
 
 def _precedence(h: HybridNetwork) -> dict[str, set[str]]:
     ids = h.intervals
-    after: dict[str, set[str]] = {a: set() for a in ids}
-    for a in ids:
-        for b in ids:
-            if a == b:
-                continue
-            cell = h.relation(a, b)
-            if not cell.is_empty and cell <= _BM:
-                after[a].add(b)
+    # a diagonal cell is {e}, never inside {b,m}
+    after = {a: {b for b, cell in zip(ids, row) if cell and not cell & _NOT_BM}
+             for a, row in zip(ids, h.qcn._matrix)}
     for a in ids:
         if a in after[a]:
             raise ValueError("precedence is not irreflexive")

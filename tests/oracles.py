@@ -10,7 +10,11 @@ types and atom-to-endpoint table to check its fast paths, but keep
 their own copies of the per-call bound encoder (`_scaled`), of a plain
 integer Floyd-Warshall (`int_shortest_paths`, not the package's
 pivoted kernel) and of the window-based atom export
-(`_forced_atom_constraints`); the earlier recursion of the hybrid
+(`_forced_atom_constraints`); the read-back by per-atom cycle tests
+rebuilt from the package's cycle splits; the hybrid closure that reads
+back every cell in every round, over the package's round steps; the
+printing and precedence passes through relation and window objects;
+the earlier recursion of the hybrid
 scenario search, the scenario search that re-closes every pair at every
 node, the path consistency that composes on every revision, the
 revision and TCSP searches that close every node's network from scratch,
@@ -30,9 +34,16 @@ from chronotext.adaptation import (
     _network_from,
 )
 from chronotext.allen import FULL_MASK, QCN, BaseRelation, Relation, close
-from chronotext.hybrid import HybridNetwork, hybrid_atomic_consistent, hybrid_close
+from chronotext.hybrid import (
+    HybridNetwork,
+    _endpoint_indices,
+    _export_close,
+    hybrid_atomic_consistent,
+    hybrid_close,
+)
 from chronotext.metric import (
     _ATOM_EDGES,
+    _CYCLE_SPLITS,
     STP,
     ScaleBoundExceeded,
     BoundWindow,
@@ -360,6 +371,41 @@ def fw_metric_to_allen(s, x, y, within=None):
     return Relation(mask)
 
 
+@lru_cache(maxsize=None)
+def per_atom_cycle_tests():
+    """Per atom, its negative-cycle tests (d_legs, k), as the read-back
+    decided atom by atom before one pass over D-leg sets did: for each
+    split of `_CYCLE_SPLITS` whose atom legs are all edges of the atom,
+    the D legs (flat indices into the 4x4 sub-matrix) and k, the negated
+    sum of the atom legs' encoded weights, the largest per D-leg set."""
+    out = []
+    for edges in _ATOM_EDGES:
+        weight = {(a, b): w for a, b, w in edges}
+        best = {}
+        for d_legs, atom_legs in _CYCLE_SPLITS:
+            if all(leg in weight for leg in atom_legs):
+                k = -sum(weight[leg] for leg in atom_legs)
+                best[d_legs] = max(best.get(d_legs, k), k)
+        out.append(tuple(sorted(best.items())))
+    return tuple(out)
+
+
+def cycle_test_metric_to_allen(s, x, y, within=None):
+    """`metric_to_allen` by `per_atom_cycle_tests`: an atom of `within`
+    stays unless the entries of some test's D legs, all finite, sum
+    below its k."""
+    idx = [s._index[p] for p in (start_of(x), end_of(x), start_of(y), end_of(y))]
+    d = [s._e[i][j] for i in idx for j in idx]
+    candidates = FULL_MASK if within is None else within.mask
+    mask = 0
+    for atom, tests in enumerate(per_atom_cycle_tests()):
+        if candidates >> atom & 1 and not any(
+                all(d[p] is not None for p in legs) and sum(d[p] for p in legs) < k
+                for legs, k in tests):
+            mask |= 1 << atom
+    return Relation(mask)
+
+
 def random_window(rng, span=12):
     """A seeded window for the differential tests: bounds drawn from
     -span..span over denominators 1, 2, 3, 5 and 7, each side unbounded
@@ -524,6 +570,33 @@ def full_queue_hybrid_close(h):
                 if refined != cell:
                     qcn = qcn.with_cell(a, b, refined)
                     changed = True
+        if qcn.inconsistent or not changed:
+            return HybridNetwork(qcn, stp, h.anon_points)
+
+
+def every_cell_hybrid_close(h):
+    """`hybrid_close` reading back every non-atomic cell in every round,
+    not only those with an endpoint whose metric row moved; the rounds
+    are otherwise the package's (incremental closure in both layers)."""
+    qcn, stp, changed = h.qcn, h.stp, None
+    ends = _endpoint_indices(h)
+    while True:
+        qcn = close(qcn, changed=changed)
+        if qcn.inconsistent:
+            return HybridNetwork(qcn, stp, h.anon_points)
+        stp = _export_close(qcn, stp, ends)
+        if stp.inconsistent:
+            return HybridNetwork(qcn, stp, h.anon_points)
+        changed = []
+        ids = qcn.intervals
+        for ai, a in enumerate(ids):
+            for bi in range(ai + 1, len(ids)):
+                cell = qcn.cell(a, ids[bi])
+                if not cell.is_atomic:
+                    refined = metric_to_allen(stp, a, ids[bi], cell)
+                    if refined != cell:
+                        qcn = qcn.with_cell(a, ids[bi], refined)
+                        changed.append((ai, bi))
         if qcn.inconsistent or not changed:
             return HybridNetwork(qcn, stp, h.anon_points)
 
@@ -835,3 +908,41 @@ def per_scenario_encode_recipe(r):
         out.append(("+".join(chosen) or "base", HybridNetwork.build(
             intervals, [(a, cell, b) for (a, b), cell in merged.items()], metric)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# per-cell passes through relation and window objects
+
+def object_format_qcn(net):
+    """`format_qcn` through one `Relation` per cell."""
+    names = sorted(net.intervals)
+    lines = ["intervals " + " ".join(names)]
+    for pos, a in enumerate(names):
+        for b in names[pos + 1:]:
+            rel = net.cell(a, b)
+            if rel.mask != FULL_MASK:
+                lines.append(f"{a} {b} {rel}")
+    return "\n".join(lines) + "\n"
+
+
+def object_format_hybrid(h):
+    """`format_hybrid` decoding every duration window and comparing it
+    with (0, inf)."""
+    if h.inconsistent:
+        return "inconsistent\n"
+    lines = [object_format_qcn(h.qcn).rstrip("\n")]
+    for i in sorted(h.intervals):
+        w = h.duration_window(i)
+        if w != BoundWindow.above(0):
+            lines.append(f"duration {i} in {w}")
+    return "\n".join(lines) + "\n"
+
+
+def object_precedence(h):
+    """The precedence pairs of a closed network, through one `Relation`
+    per ordered pair: b follows a when their cell is a nonempty subset
+    of {b,m}."""
+    bm = Relation.parse("{b,m}")
+    return {a: {b for b in h.intervals
+                if a != b and not h.relation(a, b).is_empty and h.relation(a, b) <= bm}
+            for a in h.intervals}

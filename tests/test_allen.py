@@ -19,6 +19,7 @@ from oracles import (
     composition_by_enumeration,
     converse_by_atoms,
     full_queue_atomic_consistent,
+    object_format_qcn,
     realizable_atom_triples,
     realize_small,
     sweep_closure,
@@ -542,6 +543,32 @@ class TestPublicConstructor:
                 QCN(["a", "b"], matrix)
 
 
+class TestRestricted:
+    @pytest.mark.parametrize("relation, network", [(Relation, QCN), (INDURelation, INDUNetwork)])
+    def test_matches_validating_constructor(self, relation, network):
+        """A restriction, in any order and to any subset, is the network the
+        validating constructor builds from the same sub-matrix."""
+        rng = random.Random(89)
+        full = relation.calculus.full
+        for _ in range(200):
+            ids = [f"n{k}" for k in range(rng.randint(1, 7))]
+            net = network.build(ids, [(a, relation(rng.getrandbits(full.bit_length()) & full), b)
+                                      for i, a in enumerate(ids) for b in ids[i + 1:]
+                                      if rng.random() < 0.6])
+            keep = rng.sample(ids, rng.randint(0, len(ids)))
+            cut = net.restricted(keep)
+            idx = [ids.index(k) for k in keep]
+            assert cut == network(keep, [[net._matrix[i][j] for j in idx] for i in idx])
+            assert type(cut) is network and cut._index == {k: i for i, k in enumerate(keep)}
+
+    def test_rejects_duplicate_and_unknown_ids(self):
+        net = QCN.build(["a", "b", "c"], [("a", Relation.of("b"), "b")])
+        with pytest.raises(ValueError, match="duplicate interval ids"):
+            net.restricted(["a", "b", "a"])
+        with pytest.raises(KeyError):
+            net.restricted(["a", "z"])
+
+
 class TestSerialization:
     def test_roundtrip_bit_exact(self):
         net = worked_network()
@@ -562,6 +589,21 @@ class TestSerialization:
     def test_atoms_print_in_canonical_order(self):
         net = QCN.build(["a", "b"], [("a", Relation.of("e", "m", "b"), "b")])
         assert "a b {b,m,e}" in format_qcn(net)
+
+    def test_every_mask_prints_as_its_relation(self):
+        """Every one of the 8,192 masks, placed once in the cells of random
+        networks over ids in shuffled order, prints as it does through one
+        `Relation` per cell, through both triangles of the matrix."""
+        rng = random.Random(83)
+        masks = list(range(FULL_MASK + 1))
+        rng.shuffle(masks)
+        while masks:
+            ids = [f"n{k}" for k in range(rng.randint(2, 12))]
+            rng.shuffle(ids)
+            cons = [(a, Relation(masks.pop()), b)
+                    for i, a in enumerate(ids) for b in ids[i + 1:] if masks]
+            net = QCN.build(ids, cons)
+            assert format_qcn(net) == object_format_qcn(net)
 
     def test_header_word_must_be_exact(self):
         with pytest.raises(ValueError, match="'intervals' header"):

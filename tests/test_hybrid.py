@@ -22,8 +22,11 @@ from chronotext.hybrid import (
 )
 from chronotext.metric import STP, BoundWindow, POSITIVE, end_of, start_of
 
+import oracles
 from oracles import (
     descend_hybrid_atomic_consistent,
+    every_cell_hybrid_close,
+    object_format_hybrid,
     full_queue_hybrid_atomic_consistent,
     full_queue_hybrid_close,
     overlay_hybrid_close,
@@ -327,6 +330,82 @@ class TestIncrementalAgainstFullQueue:
         assert later_rounds >= 100
 
 
+class TestFormatHybrid:
+    @pytest.mark.parametrize("scale", [F(1), F(1, 6)])
+    def test_duration_lines_match_decoded_windows(self, scale):
+        """Only a duration other than (0, inf) prints, at every scale: the
+        skip on its encoded entries agrees with decoding every window.  The
+        metric layer here has no linkage, so [0, inf) is stored as given."""
+        windows = {"a": POSITIVE, "b": BoundWindow.above(0, strict=False),
+                   "c": BoundWindow.at_most(5), "d": BoundWindow.above(2),
+                   "e": BoundWindow.above(scale)}
+        stp = STP.build([p for i in windows for p in (start_of(i), end_of(i))],
+                        [(start_of(i), end_of(i), w) for i, w in windows.items()])
+        assert stp._d == scale.denominator
+        h = HybridNetwork(QCN.build(list(windows), [("a", R("{b,m}"), "b")]), stp)
+        text = format_hybrid(h)
+        assert text == object_format_hybrid(h)
+        assert [ln for ln in text.splitlines() if ln.startswith("duration")] == [
+            "duration b in [0, inf)", "duration c in (0, 5]", "duration d in (2, inf)",
+            f"duration e in ({scale}, inf)"]
+
+    def test_random_hybrids_match_decoded_windows(self):
+        rng = random.Random(79)
+        for make in [random_hybrid, random_schedule] * 100:
+            closed = hybrid_close(make(rng))
+            assert format_hybrid(closed) == object_format_hybrid(closed)
+
+
+MIXED = [R(t) for t in ("{b,m}", "{b,m,o}", "{m,o,s}", "{b,bi}", "{o,d,s}", "{b,m,bi,mi}",
+                         "{s,d,f,e}")]
+
+
+def random_rounds(rng):
+    """Four to six intervals under mixed convex and non-convex relations,
+    bounded durations and a few windows between endpoints: about two in
+    five take two or more closure rounds, and one in fifty three."""
+    ids = [f"i{k}" for k in range(rng.randint(4, 6))]
+    allen = [(a, rng.choice(MIXED) if rng.random() < 0.7 else Relation(rng.randint(1, FULL_MASK)), b)
+             for ai, a in enumerate(ids) for b in ids[ai + 1:] if rng.random() < 0.5]
+    metric = [(start_of(i), end_of(i), BoundWindow.closed(rng.randint(1, 4), rng.randint(4, 8)))
+              for i in ids if rng.random() < 0.8]
+    points = [p for i in ids for p in (start_of(i), end_of(i))]
+    metric += [(*rng.sample(points, 2), random_window(rng, 8)) for _ in range(rng.randint(0, 3))]
+    return HybridNetwork.build(ids, allen, metric)
+
+
+class TestRoundSkip:
+    def test_matches_reading_every_cell_each_round(self, monkeypatch):
+        """On networks that take two or more rounds, reading back only the
+        cells with an endpoint whose metric row moved gives the closure
+        that reads back every non-atomic cell in every round, with fewer
+        read-backs; some networks need a read-back after round 1 to change
+        a cell (three rounds), so skipping every later read-back differs."""
+        rounds = count_closes(monkeypatch, hybrid)
+        reads = Counter()
+        for module in (hybrid, oracles):
+            real = module.metric_to_allen
+            monkeypatch.setattr(module, "metric_to_allen",
+                                lambda *a, m=module.__name__, f=real: reads.update([m]) or f(*a))
+        rng = random.Random(73)
+        depths, totals = Counter(), Counter()
+        for _ in range(1000):
+            h = random_rounds(rng)
+            rounds.clear()
+            reads.clear()
+            closed = hybrid_close(h)
+            if len(rounds) < 2:
+                continue
+            depths[len(rounds)] += 1
+            ref = every_cell_hybrid_close(h)
+            assert format_hybrid(closed) == format_hybrid(ref)
+            assert closed == ref
+            assert reads["chronotext.hybrid"] <= reads["oracles"]
+            totals += reads
+        assert depths[2] >= 300 and depths[3] >= 5
+        assert totals["chronotext.hybrid"] < 0.9 * totals["oracles"]
+
+
 class TestWorkCounts:
     def test_close_calls_per_search(self, monkeypatch):
         """`hybrid_close` calls `close` once per round and the scenario
@@ -359,11 +438,11 @@ class TestWorkCounts:
         for name in ("_scaled", "allen_atom_to_points"):
             count(metric, name)
         hybrid_close(h)
-        assert calls == {"stp_close": 2, "metric_to_allen": 12}
+        assert calls == {"stp_close": 2, "metric_to_allen": 6}
         calls.clear()
         ok, witness = hybrid_atomic_consistent(h)
         assert ok and witness is not None
-        assert calls == {"stp_close": 66, "metric_to_allen": 12}
+        assert calls == {"stp_close": 66, "metric_to_allen": 6}
 
 
 class TestFromClosedNetwork:

@@ -26,6 +26,8 @@ from chronotext.metric import (
 )
 from oracles import (
     atom_by_definition,
+    cycle_test_metric_to_allen,
+    per_atom_cycle_tests,
     fw_metric_to_allen,
     overlay_metric_to_allen,
     random_window,
@@ -707,6 +709,105 @@ class TestReadBackAgainstFloydWarshall:
         assert metric_to_allen(closed, "x", "y") == expected
         assert fw_metric_to_allen(closed, "x", "y") == expected
         assert metric_to_allen(closed, "y", "x") == expected.converse()
+
+
+def random_minimal_stps(rng, count):
+    """Closed consistent STPs with their interval names: two intervals and
+    an anonymous point, or two to six intervals (multipliers 5 to 13),
+    under random windows with mixed denominators and strict and unbounded
+    sides."""
+    made = 0
+    while made < count:
+        names = [f"i{k}" for k in range(2 if made % 2 else rng.randint(2, 6))]
+        points = [p for n in names for p in (start_of(n), end_of(n))] + ["z"] * (made % 2)
+        cons = [(start_of(n), end_of(n), random_window(rng, 6)) for n in names if rng.random() < 0.8]
+        cons += [(*rng.sample(points, 2), random_window(rng, 6))
+                 for _ in range(rng.randint(0, len(points)))]
+        closed = stp_close(STP.build(points, cons))
+        if not closed.inconsistent:
+            made += 1
+            yield closed, names
+
+
+class TestLegSets:
+    def test_one_pass_of_fourteen_sums(self):
+        one = [legs for legs in metric._LEG_SETS if legs[1] is None]
+        assert (len(metric._LEG_SETS), len(one)) == (14, 10)
+        # each of the 12 off-diagonal entries of the 4x4 sub-matrix is read
+        assert {p for p, q, _, _ in metric._LEG_SETS} | {q for _, q, _, _ in metric._LEG_SETS} \
+            == {4 * i + j for i in range(4) for j in range(4) if i != j} | {None}
+
+    def test_atom_cycle_tests_have_k_at_most_three(self):
+        ks = [k for tests in per_atom_cycle_tests() for _, k in tests]
+        assert len(per_atom_cycle_tests()) == 13 and all(per_atom_cycle_tests())
+        assert min(ks) == 0 and max(ks) == 3
+
+    def test_encoded_sums_fall_in_two_classes(self):
+        """Every one-entry and two-entry sum over the four endpoints of an
+        interval pair, in a minimal STP, is at most 0 or at least M - 2:
+        so it is below k <= 3 exactly when it is below 0, or 0 with k > 0."""
+        rng = random.Random(103)
+        seen = set()
+        for closed, names in random_minimal_stps(rng, 300):
+            m = closed._m
+            x, y = rng.sample(names, 2)
+            idx = [closed._index[p] for p in (start_of(x), end_of(x), start_of(y), end_of(y))]
+            entries = [closed._e[i][j] for i in idx for j in idx if i != j]
+            entries = [v for v in entries if v is not None]
+            sums = entries + [a + b for k, a in enumerate(entries) for b in entries[k + 1:]]
+            assert all(v <= 0 or v >= m - 2 for v in sums)
+            seen.update((v > 0, v == 0, v < 0, m) for v in sums)
+        assert {(False, True, False, 5), (False, False, True, 5), (True, False, False, 5)} <= seen
+        assert {m for *_, m in seen} == {5, 6, 7, 9, 11, 13}
+
+    def test_matches_per_atom_cycle_tests_on_minimal_stps(self):
+        rng = random.Random(107)
+        for closed, names in random_minimal_stps(rng, 600):
+            x, y = rng.sample(names, 2)
+            within = Relation(rng.randint(0, FULL.mask))
+            assert metric_to_allen(closed, x, y) == cycle_test_metric_to_allen(closed, x, y)
+            assert metric_to_allen(closed, x, y, within) \
+                == cycle_test_metric_to_allen(closed, x, y, within)
+
+    def test_matches_per_atom_cycle_tests_on_any_encoded_entries(self):
+        """The table and the per-atom tests agree on every 4x4 matrix of
+        encoded entries q*M - [strict], M >= 5, minimal or not: the two
+        classes of sums are a property of the encoding alone.  Sums of 0
+        occur often, so treating them as positive would disagree."""
+        rng = random.Random(109)
+        points = [start_of("x"), end_of("x"), start_of("y"), end_of("y")]
+        zeros = 0
+        for _ in range(3000):
+            m = rng.choice((5, 6, 9))
+            e = tuple(tuple(0 if i == j else None if rng.random() < 0.25
+                            else rng.randint(-2, 2) * m - (rng.random() < 0.5)
+                            for j in range(4)) for i in range(4))
+            s = STP._raw(tuple(points), {p: i for i, p in enumerate(points)}, e, 1, m,
+                         minimal=True)
+            within = Relation(rng.randint(0, FULL.mask))
+            assert metric_to_allen(s, "x", "y") == cycle_test_metric_to_allen(s, "x", "y")
+            assert metric_to_allen(s, "x", "y", within) \
+                == cycle_test_metric_to_allen(s, "x", "y", within)
+            d = [v for row in e for v in row]
+            zeros += any(q is None and d[p] == 0 or q is not None and None not in (d[p], d[q])
+                         and d[p] + d[q] == 0 for p, q, _, _ in metric._LEG_SETS)
+        assert zeros > 1000
+
+
+class TestRestrictedRows:
+    def test_matches_entry_by_entry_copy(self):
+        """`restricted` copies the kept rows and columns, in the order
+        given, at the same scale, flags dropped, and rejects repeats."""
+        rng = random.Random(113)
+        for closed, names in random_minimal_stps(rng, 100):
+            keep = rng.sample(closed.points, rng.randint(0, len(closed.points)))
+            cut = closed.restricted(keep)
+            idx = [closed.points.index(p) for p in keep]
+            assert cut._e == tuple(tuple(closed._e[i][j] for j in idx) for i in idx)
+            assert (cut.points, cut._d, cut._m) == (tuple(keep), closed._d, closed._m)
+            assert not (cut.minimal or cut.inconsistent)
+        with pytest.raises(ValueError, match="duplicate point ids"):
+            closed.restricted([closed.points[0]] * 2)
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,17 @@ class TestModelValidation:
             Recipe("t", steps=(ActionNode("a", "x"),),
                    markers=(RepetitionMarker("a", "sporadic", ref="ghost"),))
 
+    def test_unknown_duration_id(self):
+        """A window on an id the recipe does not declare is an error, not
+        a constraint that encoding drops; declared ids still take one."""
+        with pytest.raises(ValueError, match="unknown id 'zz'"):
+            Recipe("t", steps=(ActionNode("a", "x"),),
+                   durations=(("zz", BoundWindow.exact(5)),))
+        r = Recipe("t", steps=(ActionNode("a", "x"),),
+                   durations=(("a", BoundWindow.exact(5)),))
+        [(_, h)] = encode_recipe(r)
+        assert hybrid_close(h).duration_window("a") == BoundWindow.exact(5)
+
     def test_branch_members_disjoint(self):
         steps = (ActionNode("a", "x"), ActionNode("b", "y"))
         with pytest.raises(ValueError):

@@ -2,23 +2,26 @@
 the dot rendering."""
 
 import itertools
+import random
 from pathlib import Path
 
 import pytest
 
 from chronotext.allen import Relation
 from chronotext.annotation import parse_recipe_dsl
-from chronotext.hybrid import HybridNetwork, hybrid_close
+from chronotext.hybrid import HybridNetwork, hybrid_atomic_consistent, hybrid_close
 from chronotext.recipe import ActionNode, Recipe, RepetitionMarker
 from chronotext.workflow import (
     WorkflowGraph,
     WorkflowNode,
+    _precedence,
     emit_dot,
     recipe_workflow,
     to_workflow,
 )
 
 import recipes
+from oracles import object_precedence
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -95,6 +98,38 @@ class TestChains:
         assert [n.id for n in w.nodes] == ["sink", "source"]
         assert w.edges == (("source", "sink", ""),)
         assert to_workflow([("base", HybridNetwork.build([]))]) == w
+
+
+ORDERS = [Relation.parse(t) for t in ("{b}", "{m}", "{b,m}", "{b,m,o}", "{o}", "{s,e}", "{bi,mi}",
+                                      "{b,bi}", "{d,di,f}")]
+
+
+class TestPrecedenceOnMasks:
+    def test_random_closed_scenarios(self):
+        """The precedence read from cell masks is the one read through a
+        `Relation` per ordered pair, on closed networks and on the atomic
+        scenarios their search finds."""
+        rng = random.Random(101)
+        seen = set()
+        for _ in range(200):
+            ids = [f"a{k}" for k in range(rng.randint(2, 7))]
+            rng.shuffle(ids)
+            cons = [(a, rng.choice(ORDERS) if rng.random() < 0.8
+                     else Relation(rng.randint(1, 8191)), b)
+                    for i, a in enumerate(ids) for b in ids[i + 1:] if rng.random() < 0.6]
+            closed = hybrid_close(HybridNetwork.build(ids, cons))
+            if closed.inconsistent:
+                continue
+            ok, witness = hybrid_atomic_consistent(closed)
+            for h in [closed] + ([witness] if ok else []):
+                after = _precedence(h)
+                assert after == object_precedence(h)
+                seen.add(sum(map(len, after.values())) > 0)
+        assert seen == {True, False}
+
+    def test_empty_cell_is_no_precedence(self):
+        h = HybridNetwork.build(["a", "b"], [("a", Relation(0), "b")])
+        assert _precedence(h) == object_precedence(h) == {"a": set(), "b": set()}
 
 
 class TestScenariosAndLoops:

@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from typing import Iterable, Optional, Sequence
 
-from .allen import FULL, Relation
+from .allen import FULL_MASK, Relation
 from .annotation import RecipeSyntaxError, parse_dsl
-from .hybrid import HybridNetwork, hybrid_atomic_consistent
+from .hybrid import HybridNetwork, _endpoint_indices, hybrid_atomic_consistent
 from .metric import (
     BoundWindow,
     ScaleBoundExceeded,
@@ -38,8 +38,6 @@ from .recipe import (
 MAX_REVISION_SOFT = 24
 
 _R5 = Relation.parse("{m}")
-
-_NEGATED_POSITIVE = BoundWindow(None, 0, True, True)
 
 
 def _negated(w: BoundWindow) -> BoundWindow:
@@ -156,24 +154,20 @@ def tag_soft(h: HybridNetwork) -> list[TaggedConstraint]:
     extraction reproduces the original.
     """
     out = []
-    for i, a in enumerate(h.intervals):
-        for b in h.intervals[i + 1:]:
-            cell = h.relation(a, b)
-            if cell != FULL:
-                out.append(TaggedConstraint.allen(a, cell, b, "recipe-soft"))
-    pts = h.stp.points
-    e = h.stp._e
+    ids = h.intervals
+    for i, (a, row) in enumerate(zip(ids, h.qcn._matrix)):
+        for b, mask in zip(ids[i + 1:], row[i + 1:]):
+            if mask != FULL_MASK:
+                out.append(TaggedConstraint.allen(a, Relation(mask), b, "recipe-soft"))
+    pts, e = h.stp.points, h.stp._e
+    structural = {(min(s, t), max(s, t)) for s, t in _endpoint_indices(h)
+                  if (e[s][t], e[t][s]) == (None, -1)}  # (0, inf) at every scale
     for i, x in enumerate(pts):
         for j in range(i + 1, len(pts)):
-            if e[i][j] is None and e[j][i] is None:
+            if (e[i][j] is None and e[j][i] is None) or (i, j) in structural:
                 continue
-            y = pts[j]
-            frm, to = min(x, y), max(x, y)
-            w = h.stp.window(frm, to)
-            if (frm.endswith(".end") and to.endswith(".start")
-                    and frm[:-4] == to[:-6] and w == _NEGATED_POSITIVE):
-                continue
-            out.append(TaggedConstraint.metric(frm, to, w, "recipe-soft"))
+            frm, to = min(x, pts[j]), max(x, pts[j])
+            out.append(TaggedConstraint.metric(frm, to, h.stp.window(frm, to), "recipe-soft"))
     return out
 
 

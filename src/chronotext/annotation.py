@@ -19,6 +19,7 @@ from .recipe import (
     RepetitionMarker,
     StateNode,
     TimerNode,
+    _chain_steps,
     duration_cap,
     encode_duration,
 )
@@ -89,15 +90,18 @@ class AnnotatedDoc:
     tlinks: tuple[TLink, ...]
 
 
-_KNOWN_TAGS = {"EVENT", "MAKEINSTANCE", "SIGNAL", "TLINK"}
 _WRAPPING = {"EVENT", "SIGNAL"}
-_REQUIRED = {
+_REQUIRED = {  # per known tag
     "EVENT": ("eid", "class"),
     "MAKEINSTANCE": ("eiid", "eventID", "tense", "aspect", "pos"),
     "SIGNAL": ("sid",),
     "TLINK": ("eventInstanceID", "relatedToEvent", "relType"),
 }
 
+# A tag runs from `<` to the first `>`, across any other `<`: its closing
+# slash, its name, and a body whose stripped end is `/` when self-closing.
+# No `>` leaves the last group empty.
+_TAG_RE = re.compile(r"<\s*(/?)\s*([A-Za-z][A-Za-z0-9]*)?([^>]*)(>?)")
 _ATTR_RE = re.compile(r'([A-Za-z][A-Za-z0-9]*)\s*=\s*"([^"]*)"')
 
 
@@ -121,41 +125,32 @@ def parse_timeml(source: str) -> AnnotatedDoc:
     instances: list[Instance] = []
     signals: list[Signal] = []
     tlinks: list[TLink] = []
-    text_parts: list[str] = []
+    text_parts: list[str] = []  # the text between tags
     text_len = 0
-    open_tag: Optional[tuple[str, dict, int, int]] = None  # name, attrs, text start, offset
+    # name, attrs, source index after it, offset; no tag comes before its
+    # closing tag, so the covered text is one slice of the source
+    open_tag: Optional[tuple[str, dict, int, int]] = None
 
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch != "<":
-            text_parts.append(ch)
-            text_len += 1
-            i += 1
-            continue
-        end = source.find(">", i)
-        if end < 0:
+    end = 0
+    for m in _TAG_RE.finditer(source):
+        i = m.start()
+        text_parts.append(source[end:i])
+        text_len += i - end
+        closing, name, body, closed = m.groups()
+        if not closed:
             raise AnnotationError("unterminated tag", i)
-        inner = source[i + 1:end].strip()
-        closing = inner.startswith("/")
-        if closing:
-            inner = inner[1:].strip()
-        self_closing = inner.endswith("/")
-        m = re.match(r"[A-Za-z][A-Za-z0-9]*", inner)
-        if not m:
+        if not name:
             raise AnnotationError("tag without a name", i)
-        name = m.group(0)
-        if name not in _KNOWN_TAGS:
+        if name not in _REQUIRED:
             raise AnnotationError(f"unknown tag {name!r}", i)
-        body = inner[m.end():]
+        end = m.end()
 
         if closing:
             if open_tag is None or open_tag[0] != name:
                 raise AnnotationError(f"unexpected closing tag {name!r}", i)
-            tag_name, attrs, start, tag_off = open_tag
-            covered = "".join(text_parts[start:])
-            covered_span = (start, text_len)
+            tag_name, attrs, after, tag_off = open_tag
+            covered = source[after:i]
+            covered_span = (text_len - len(covered), text_len)
             if tag_name == "EVENT":
                 events.append(Event(attrs["eid"], attrs["class"], covered, covered_span,
                                     tag_off))
@@ -169,10 +164,11 @@ def parse_timeml(source: str) -> AnnotatedDoc:
             for req in _REQUIRED[name]:
                 if req not in attrs:
                     raise AnnotationError(f"{name} is missing attribute {req!r}", i)
+            self_closing = body.rstrip().endswith("/")
             if name in _WRAPPING:
                 if self_closing:
                     raise AnnotationError(f"{name} must wrap text", i)
-                open_tag = (name, attrs, text_len, i)
+                open_tag = (name, attrs, end, i)
             else:
                 if not self_closing:
                     raise AnnotationError(f"{name} must be self-closing", i)
@@ -183,31 +179,28 @@ def parse_timeml(source: str) -> AnnotatedDoc:
                 else:
                     tlinks.append(TLink(attrs["eventInstanceID"], attrs.get("signalID"),
                                         attrs["relatedToEvent"], attrs["relType"], i))
-        i = end + 1
+    text_parts.append(source[end:])
 
     if open_tag is not None:
         raise AnnotationError(f"unclosed tag {open_tag[0]!r}", open_tag[3])
 
+    ids: dict[str, set[str]] = {}
     for collection, key in ((events, "eid"), (instances, "eiid"), (signals, "sid")):
-        seen = set()
+        seen = ids[key] = set()
         for item in collection:
             value = getattr(item, key)
             if value in seen:
                 raise AnnotationError(f"duplicate {key} {value!r}", item.offset)
             seen.add(value)
-
-    event_ids = {e.eid for e in events}
-    instance_ids = {m.eiid for m in instances}
-    signal_ids = {s.sid for s in signals}
     for m_ in instances:
-        if m_.event_id not in event_ids:
+        if m_.event_id not in ids["eid"]:
             raise AnnotationError(f"MAKEINSTANCE refers to absent event {m_.event_id!r}",
                                   m_.offset)
     for link in tlinks:
         for ref in (link.event_instance_id, link.related_to_event):
-            if ref not in instance_ids:
+            if ref not in ids["eiid"]:
                 raise AnnotationError(f"TLINK refers to absent instance {ref!r}", link.offset)
-        if link.signal_id is not None and link.signal_id not in signal_ids:
+        if link.signal_id is not None and link.signal_id not in ids["sid"]:
             raise AnnotationError(f"TLINK refers to absent signal {link.signal_id!r}",
                                   link.offset)
 
@@ -267,43 +260,33 @@ def doc_to_qcn(doc: AnnotatedDoc, mapping: Optional[dict[str, Relation]] = None)
 _ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
 
 
+# One alternative per token kind; characters no alternative takes are blanks
+# (`\s` is exactly `str.isspace`).  A relation set runs to the first `}`,
+# even past a `#`; a `{` that only blanks or a comment follow opens a block.
+_TOKEN_RE = re.compile(r"""
+    "([^"]*")                               # a string, with its closing quote
+  | (\{[^}]*\})                             # a relation set
+  | ([^\s"{}\#]+|\}|\{(?=\s*(?:\#|\Z)))     # a word, a lone '}', a block '{'
+  | \#.*                                    # a comment
+  | (["{])                                  # an unclosed quote or relation set
+""", re.X | re.S)
+
+_UNCLOSED = {'"': "unterminated string", "{": "unterminated relation set"}
+
+
 def _tokenize(line: str, lineno: int) -> list[tuple[str, str]]:
     """Split a DSL line into (kind, value) tokens: word, string or
     braces; `#` outside quotes starts a comment."""
     tokens = []
-    i = 0
-    n = len(line)
-    while i < n:
-        ch = line[i]
-        if ch.isspace():
-            i += 1
-        elif ch == "#":
-            break
-        elif ch == '"':
-            end = line.find('"', i + 1)
-            if end < 0:
-                raise RecipeSyntaxError("unterminated string", lineno)
-            tokens.append(("string", line[i + 1:end]))
-            i = end + 1
-        elif ch == "{":
-            end = line.find("}", i + 1)
-            if end < 0:
-                rest = line[i + 1:].split("#", 1)[0]
-                if rest.strip():
-                    raise RecipeSyntaxError("unterminated relation set", lineno)
-                tokens.append(("word", "{"))  # block opener at end of line
-                break
-            tokens.append(("braces", line[i:end + 1]))
-            i = end + 1
-        elif ch == "}":
-            tokens.append(("word", "}"))
-            i += 1
-        else:
-            j = i
-            while j < n and not line[j].isspace() and line[j] not in '"{}#':
-                j += 1
-            tokens.append(("word", line[i:j]))
-            i = j
+    for string, braces, word, unclosed in _TOKEN_RE.findall(line):
+        if word:
+            tokens.append(("word", word))
+        elif string:
+            tokens.append(("string", string[:-1]))
+        elif braces:
+            tokens.append(("braces", braces))
+        elif unclosed:
+            raise RecipeSyntaxError(_UNCLOSED[unclosed], lineno)
     return tokens
 
 
@@ -318,6 +301,19 @@ def _expect_id(tokens, idx, what, lineno):
     if not _ID_RE.fullmatch(value):
         raise RecipeSyntaxError(f"bad identifier {value!r}", lineno)
     return value
+
+
+def _at_line(lineno, read, *args):
+    """`read(*args)`, a value read from line `lineno` (a duration phrase or
+    a relation set), with any `ValueError` it raises reported at that line."""
+    try:
+        return read(*args)
+    except ValueError as exc:
+        raise RecipeSyntaxError(str(exc), lineno) from None
+
+
+def _timer(id_, phrase):
+    return TimerNode(id_, encode_duration(phrase))
 
 
 def _action_from_text(id_, text, span, kind, meanwhile, lineno):
@@ -411,21 +407,17 @@ def parse_dsl(source: str, header: str) -> tuple[str, dict[str, tuple]]:
         elif head == "step":
             id_ = _expect_id(tokens, 1, "an id", lineno)
             text = _expect(tokens, 2, "string", "quoted text", lineno)
-            meanwhile = False
-            for_phrase = None
-            until_text = None
-            last_phrase = None
-            last_ref = None
+            said: dict[str, object] = {}  # clause word -> its argument
             idx = 3
             while idx < len(tokens):
                 word = _expect(tokens, idx, "word", "a step clause", lineno)
                 if word not in clauses:
                     raise RecipeSyntaxError(f"unknown step clause {word!r}", lineno)
                 if word == "meanwhile":
-                    meanwhile = True
+                    said[word] = True
                     idx += 1
                 elif word == "until":
-                    until_text = _expect(tokens, idx + 1, "string",
+                    said[word] = _expect(tokens, idx + 1, "string",
                                          "a quoted state after 'until'", lineno)
                     idx += 2
                 else:  # for, last: the duration is every word up to a stop word
@@ -438,40 +430,36 @@ def parse_dsl(source: str, header: str) -> tuple[str, dict[str, tuple]]:
                         raise RecipeSyntaxError(f"'{word}' needs a duration", lineno)
                     phrase = " ".join(value for _, value in tokens[start:idx])
                     if word == "for":
-                        for_phrase = phrase
+                        said[word] = phrase
                         continue
                     if idx >= len(tokens) or tokens[idx][1] != "of":
                         raise RecipeSyntaxError("'last <dur> of <id>' expected", lineno)
-                    last_phrase = phrase
-                    last_ref = _expect_id(tokens, idx + 1, "a reference id", lineno)
-                    refs.append((last_ref, lineno))
+                    ref = _expect_id(tokens, idx + 1, "a reference id", lineno)
+                    said[word] = (phrase, ref)
+                    refs.append((ref, lineno))
                     idx += 2
-            if meanwhile and not out["steps"]:
+            if "meanwhile" in said and not out["steps"]:
                 raise RecipeSyntaxError("first step cannot be 'meanwhile'", lineno)
             declare(id_, lineno)
             out["steps"].append(_action_from_text(id_, text, span, "step",
-                                                  meanwhile, lineno))
+                                                  "meanwhile" in said, lineno))
             if branch is not None:
                 branch[2].append(id_)
-            try:
-                if for_phrase is not None and until_text is not None:
-                    out["durations"].append(
-                        (id_, BoundWindow.at_most(duration_cap(for_phrase))))
-                elif for_phrase is not None:
-                    out["durations"].append((id_, encode_duration(for_phrase)))
-                if last_phrase is not None:
-                    timer_id = f"{id_}.timer"
-                    declare(timer_id, lineno)
-                    out["timers"].append(TimerNode(timer_id, encode_duration(last_phrase)))
-                    out["last_links"].append((id_, timer_id, last_ref))
-            except ValueError as exc:
-                if isinstance(exc, RecipeSyntaxError):
-                    raise
-                raise RecipeSyntaxError(str(exc), lineno) from None
-            if until_text is not None:
+            if "for" in said and "until" in said:
+                out["durations"].append((id_, _at_line(
+                    lineno, lambda: BoundWindow.at_most(duration_cap(said["for"])))))
+            elif "for" in said:
+                out["durations"].append((id_, _at_line(lineno, encode_duration, said["for"])))
+            if "last" in said:
+                phrase, ref = said["last"]
+                timer_id = f"{id_}.timer"
+                declare(timer_id, lineno)
+                out["timers"].append(_at_line(lineno, _timer, timer_id, phrase))
+                out["last_links"].append((id_, timer_id, ref))
+            if "until" in said:
                 state_id = f"{id_}.until"
                 declare(state_id, lineno)
-                out["states"].append(StateNode(state_id, until_text, span))
+                out["states"].append(StateNode(state_id, said["until"], span))
                 out["until_links"].append((id_, state_id))
 
         elif head == "timer":
@@ -480,10 +468,7 @@ def parse_dsl(source: str, header: str) -> tuple[str, dict[str, tuple]]:
             if len(parts) != len(tokens) - 2 or not parts:
                 raise RecipeSyntaxError("'timer <id> <duration>' expected", lineno)
             declare(id_, lineno)
-            try:
-                out["timers"].append(TimerNode(id_, encode_duration(" ".join(parts))))
-            except ValueError as exc:
-                raise RecipeSyntaxError(str(exc), lineno) from None
+            out["timers"].append(_at_line(lineno, _timer, id_, " ".join(parts)))
 
         elif head == "rel":
             a = _expect_id(tokens, 1, "an id", lineno)
@@ -491,10 +476,7 @@ def parse_dsl(source: str, header: str) -> tuple[str, dict[str, tuple]]:
             b = _expect_id(tokens, 3, "an id", lineno)
             if len(tokens) > 4:
                 raise RecipeSyntaxError("trailing tokens after rel", lineno)
-            try:
-                rel = Relation.parse(braces)
-            except ValueError as exc:
-                raise RecipeSyntaxError(str(exc), lineno) from None
+            rel = _at_line(lineno, Relation.parse, braces)
             if rel.is_empty:
                 raise RecipeSyntaxError("empty relation set", lineno)
             out["relations"].append((a, rel, b))
@@ -517,6 +499,8 @@ def parse_dsl(source: str, header: str) -> tuple[str, dict[str, tuple]]:
             if branch is not None:
                 raise RecipeSyntaxError("alt blocks do not nest", lineno)
             bid = _expect_id(tokens, 1, "a branch id", lineno)
+            if any(br.id == bid for br in out["branches"]):
+                raise RecipeSyntaxError(f"duplicate branch id {bid!r}", lineno)
             idx = 2
             guard = ""
             if idx < len(tokens) and tokens[idx][0] == "string":
@@ -554,23 +538,26 @@ def parse_dsl(source: str, header: str) -> tuple[str, dict[str, tuple]]:
 
 def parse_recipe_dsl(source: str) -> Recipe:
     """Parse the line-oriented recipe DSL (`parse_dsl` with the "recipe"
-    header).  Spans on actions are the character ranges of their lines."""
+    header).  Spans on actions are the character ranges of their lines.
+    A `meanwhile` step that heads the text-order chain (`_chain_steps`),
+    with no step before it to run alongside, is an error at its line."""
     title, f = parse_dsl(source, "recipe")
-    return Recipe(title, **{x.name: f[x.name] for x in fields(Recipe)[1:]})
+    recipe = Recipe(title, **{x.name: f[x.name] for x in fields(Recipe)[1:]})
+    head = _chain_steps(recipe)[:1]
+    if head and head[0].meanwhile:
+        raise RecipeSyntaxError(f"step {head[0].id!r} is marked meanwhile but has no "
+                                "antecedent", dict(f["lines"])[head[0].id])
+    return recipe
 
 
 # ---------------------------------------------------------------------------
 # canonical serialization
 
-def _format_minutes(value) -> str:
-    return f"{value} min"
-
-
 def _format_window_phrase(w: BoundWindow) -> str:
     if w.lo is None or w.hi is None or w.lo_strict or w.hi_strict:
         raise ValueError(f"window {w} has no DSL duration form")
     if w.is_point:
-        return _format_minutes(w.lo)
+        return f"{w.lo} min"
     return f"{w.lo}-{w.hi} min"
 
 
@@ -585,10 +572,7 @@ def serialize_recipe_dsl(r: Recipe) -> str:
     until = dict(r.until_links)
     last = {a: (t, ref) for a, t, ref in r.last_links}
     auto_timers = {t for _, t, _ in r.last_links}
-    member_of = {}
-    for br in r.branches:
-        for mem in br.members:
-            member_of[mem] = br.id
+    member_of = {mem: br.id for br in r.branches for mem in br.members}
 
     def step_line(s: ActionNode) -> str:
         text = " ".join((s.verb,) + s.objects)
@@ -598,7 +582,7 @@ def serialize_recipe_dsl(r: Recipe) -> str:
         if s.id in durations:
             w = durations[s.id]
             if s.id in until and w.lo == 0 and w.lo_strict and w.hi is not None:
-                parts.append(f"for {_format_minutes(w.hi)}")
+                parts.append(f"for {w.hi} min")
             elif s.id in until:
                 raise ValueError(
                     f"mixed duration on {s.id!r} is not of the form (0, N]")

@@ -55,10 +55,7 @@ def _scenarios(path: Path) -> list[tuple[str, HybridNetwork]]:
         return encode_recipe(parse_recipe_dsl(text))
     if path.suffix == ".tml":
         qcn = doc_to_qcn(parse_timeml(text))
-        ids = qcn.intervals
-        triples = [(a, qcn.cell(a, b), b)
-                   for i, a in enumerate(ids) for b in ids[i + 1:]]
-        return [("document", HybridNetwork.build(ids, triples))]
+        return [("document", HybridNetwork(qcn, HybridNetwork.build(qcn.intervals).stp))]
     raise RecipeSyntaxError(f"unsupported file extension {path.suffix!r}")
 
 

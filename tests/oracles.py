@@ -13,15 +13,20 @@ pivoted kernel) and of the window-based atom export
 (`_forced_atom_constraints`); the read-back by per-atom cycle tests
 rebuilt from the package's cycle splits; the hybrid closure that reads
 back every cell in every round, over the package's round steps; the
-printing and precedence passes through relation and window objects;
-the earlier recursion of the hybrid
-scenario search, the scenario search that re-closes every pair at every
+printing, precedence and soft-tagging passes through relation and
+window objects; the DSL tokenizer and the TimeML reader as they stepped
+through their input one character at a time; the earlier recursion of
+the hybrid scenario search, the scenario search that re-closes every pair at every
 node, the path consistency that composes on every revision, the
 revision and TCSP searches that close every node's network from scratch,
 and the recipe encoder that derives every rule again in each scenario
 (with its own chain and interval rules, not the package's helpers).
+`exact_hybrid` states what a hybrid network means, with no closure or
+table of the package: endpoint orders, atoms by definition and the plain
+integer Floyd-Warshall.
 """
 
+import re
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache
@@ -31,9 +36,21 @@ from math import lcm
 from chronotext.adaptation import (
     MAX_REVISION_SOFT,
     RevisionResult,
+    TaggedConstraint,
     _network_from,
 )
 from chronotext.allen import FULL_MASK, QCN, BaseRelation, Relation, close
+from chronotext.annotation import (
+    _REQUIRED,
+    AnnotatedDoc,
+    AnnotationError,
+    Event,
+    Instance,
+    RecipeSyntaxError,
+    Signal,
+    TLink,
+    _parse_attrs,
+)
 from chronotext.hybrid import (
     HybridNetwork,
     _endpoint_indices,
@@ -946,3 +963,235 @@ def object_precedence(h):
     return {a: {b for b in h.intervals
                 if a != b and not h.relation(a, b).is_empty and h.relation(a, b) <= bm}
             for a in h.intervals}
+
+
+def object_tag_soft(h):
+    """`tag_soft` through one `Relation` per upper cell and one decoded
+    window per pair with a finite entry, the structural start-end link
+    found by the names of its points."""
+    out = []
+    for i, a in enumerate(h.intervals):
+        for b in h.intervals[i + 1:]:
+            cell = h.relation(a, b)
+            if cell.mask != FULL_MASK:
+                out.append(TaggedConstraint.allen(a, cell, b, "recipe-soft"))
+    pts, e = h.stp.points, h.stp._e
+    for i, x in enumerate(pts):
+        for j in range(i + 1, len(pts)):
+            if e[i][j] is None and e[j][i] is None:
+                continue
+            frm, to = min(x, pts[j]), max(x, pts[j])
+            w = h.stp.window(frm, to)
+            if (frm.endswith(".end") and to.endswith(".start")
+                    and frm[:-4] == to[:-6] and w == BoundWindow(None, 0, True, True)):
+                continue
+            out.append(TaggedConstraint.metric(frm, to, w, "recipe-soft"))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the front-end readers as they stepped through their input one character
+# at a time, before the token and tag patterns
+
+def reference_tokenize(line, lineno):
+    """`annotation._tokenize` by hand: (kind, value) tokens of one DSL line."""
+    tokens = []
+    i = 0
+    n = len(line)
+    while i < n:
+        ch = line[i]
+        if ch.isspace():
+            i += 1
+        elif ch == "#":
+            break
+        elif ch == '"':
+            end = line.find('"', i + 1)
+            if end < 0:
+                raise RecipeSyntaxError("unterminated string", lineno)
+            tokens.append(("string", line[i + 1:end]))
+            i = end + 1
+        elif ch == "{":
+            end = line.find("}", i + 1)
+            if end < 0:
+                rest = line[i + 1:].split("#", 1)[0]
+                if rest.strip():
+                    raise RecipeSyntaxError("unterminated relation set", lineno)
+                tokens.append(("word", "{"))  # block opener at end of line
+                break
+            tokens.append(("braces", line[i:end + 1]))
+            i = end + 1
+        elif ch == "}":
+            tokens.append(("word", "}"))
+            i += 1
+        else:
+            j = i
+            while j < n and not line[j].isspace() and line[j] not in '"{}#':
+                j += 1
+            tokens.append(("word", line[i:j]))
+            i = j
+    return tokens
+
+
+def reference_parse_timeml(source):
+    """`parse_timeml` by hand: one character of text at a time, each tag
+    found with `str.find` and its name with a separate match."""
+    events, instances, signals, tlinks = [], [], [], []
+    text_parts = []
+    text_len = 0
+    open_tag = None  # name, attrs, text start, offset
+
+    i = 0
+    n = len(source)
+    while i < n:
+        ch = source[i]
+        if ch != "<":
+            text_parts.append(ch)
+            text_len += 1
+            i += 1
+            continue
+        end = source.find(">", i)
+        if end < 0:
+            raise AnnotationError("unterminated tag", i)
+        inner = source[i + 1:end].strip()
+        closing = inner.startswith("/")
+        if closing:
+            inner = inner[1:].strip()
+        self_closing = inner.endswith("/")
+        m = re.match(r"[A-Za-z][A-Za-z0-9]*", inner)
+        if not m:
+            raise AnnotationError("tag without a name", i)
+        name = m.group(0)
+        if name not in ("EVENT", "MAKEINSTANCE", "SIGNAL", "TLINK"):
+            raise AnnotationError(f"unknown tag {name!r}", i)
+        body = inner[m.end():]
+
+        if closing:
+            if open_tag is None or open_tag[0] != name:
+                raise AnnotationError(f"unexpected closing tag {name!r}", i)
+            tag_name, attrs, start, tag_off = open_tag
+            covered = "".join(text_parts[start:])
+            covered_span = (start, text_len)
+            if tag_name == "EVENT":
+                events.append(Event(attrs["eid"], attrs["class"], covered, covered_span,
+                                    tag_off))
+            else:
+                signals.append(Signal(attrs["sid"], covered, covered_span, tag_off))
+            open_tag = None
+        else:
+            if open_tag is not None:
+                raise AnnotationError(f"tag {name!r} nested inside open {open_tag[0]!r}", i)
+            attrs = _parse_attrs(body, i)
+            for req in _REQUIRED[name]:
+                if req not in attrs:
+                    raise AnnotationError(f"{name} is missing attribute {req!r}", i)
+            if name in ("EVENT", "SIGNAL"):
+                if self_closing:
+                    raise AnnotationError(f"{name} must wrap text", i)
+                open_tag = (name, attrs, text_len, i)
+            else:
+                if not self_closing:
+                    raise AnnotationError(f"{name} must be self-closing", i)
+                if name == "MAKEINSTANCE":
+                    instances.append(Instance(attrs["eiid"], attrs["eventID"],
+                                              attrs["tense"], attrs["aspect"],
+                                              attrs["pos"], i))
+                else:
+                    tlinks.append(TLink(attrs["eventInstanceID"], attrs.get("signalID"),
+                                        attrs["relatedToEvent"], attrs["relType"], i))
+        i = end + 1
+
+    if open_tag is not None:
+        raise AnnotationError(f"unclosed tag {open_tag[0]!r}", open_tag[3])
+
+    for collection, key in ((events, "eid"), (instances, "eiid"), (signals, "sid")):
+        seen = set()
+        for item in collection:
+            value = getattr(item, key)
+            if value in seen:
+                raise AnnotationError(f"duplicate {key} {value!r}", item.offset)
+            seen.add(value)
+
+    event_ids = {e.eid for e in events}
+    instance_ids = {m.eiid for m in instances}
+    signal_ids = {s.sid for s in signals}
+    for m_ in instances:
+        if m_.event_id not in event_ids:
+            raise AnnotationError(f"MAKEINSTANCE refers to absent event {m_.event_id!r}",
+                                  m_.offset)
+    for link in tlinks:
+        for ref in (link.event_instance_id, link.related_to_event):
+            if ref not in instance_ids:
+                raise AnnotationError(f"TLINK refers to absent instance {ref!r}", link.offset)
+        if link.signal_id is not None and link.signal_id not in signal_ids:
+            raise AnnotationError(f"TLINK refers to absent signal {link.signal_id!r}",
+                                  link.offset)
+
+    return AnnotatedDoc(source, "".join(text_parts), tuple(events),
+                        tuple(instances), tuple(signals), tuple(tlinks))
+
+
+# ---------------------------------------------------------------------------
+# what a hybrid network means
+
+def _unscaled(e, d, m):
+    """The (value, strict) bound of an entry e = v*D*M - strict; None is
+    +infinity."""
+    if e is None:
+        return None, True
+    q = -(-e // m)
+    return Fraction(q, d), q * m != e
+
+
+def exact_hybrid(h):
+    """Decide a hybrid network of at most 4 intervals by what it means.
+
+    Every weak order of the interval endpoints (`_order_profiles`) whose
+    induced atoms (`atom_by_definition`) lie in every cell is laid over
+    the network's windows as `=` or `<` between consecutive blocks and
+    closed by `int_shortest_paths`.  The network is consistent iff some
+    order is.  Returns (consistent, cells, windows): `cells` maps each
+    interval pair (a, b), a before b in `h.intervals`, to the mask of the
+    atoms the consistent orders induce; `windows` maps each ordered point
+    pair (p, q) to the hull of t_q - t_p over them, as (lo, lo_strict, hi,
+    hi_strict) with None for an unbounded side.  Both are empty when the
+    network is inconsistent."""
+    ids, points = h.intervals, h.stp.points
+    n = len(ids)
+    if n > REALIZE_MAX_INTERVALS:
+        raise ValueError(f"exact oracle limited to {REALIZE_MAX_INTERVALS} intervals")
+    index = {p: k for k, p in enumerate(points)}
+    endpoint = [index[f(i)] for i in ids for f in (start_of, end_of)]
+    pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]]
+    masks = [h.relation(a, b).mask for a, b in pairs]
+    base, d, m = _scaled([list(row) for row in h.stp._u])
+    hull = None
+    atoms_seen = [0] * len(pairs)
+    for ranks, atoms in _order_profiles(n):
+        if not all(mask >> atom & 1 for mask, atom in zip(masks, atoms)):
+            continue
+        e = [row[:] for row in base]
+        chain = sorted(range(2 * n), key=ranks.__getitem__)
+        for x, y in zip(chain, chain[1:]):
+            p, q = endpoint[x], endpoint[y]
+            tight = [(q, p, 0 if ranks[x] == ranks[y] else -1)]  # t_x - t_y <= 0 or < 0
+            if ranks[x] == ranks[y]:
+                tight.append((p, q, 0))
+            for i, j, w in tight:
+                if e[i][j] is None or w < e[i][j]:
+                    e[i][j] = w
+        if not int_shortest_paths(e):
+            continue
+        for k, atom in enumerate(atoms):
+            atoms_seen[k] |= 1 << atom
+        hull = e if hull is None else [
+            [None if a is None or b is None else max(a, b) for a, b in zip(ra, rb)]
+            for ra, rb in zip(hull, e)]
+    if hull is None:
+        return False, {}, {}
+    windows = {}
+    for i, p in enumerate(points):
+        for j, q in enumerate(points):
+            hi, hi_strict = _unscaled(hull[i][j], d, m)
+            lo, lo_strict = _unscaled(hull[j][i], d, m)
+            windows[p, q] = (None if lo is None else -lo, lo_strict, hi, hi_strict)
+    return True, dict(zip(pairs, atoms_seen)), windows

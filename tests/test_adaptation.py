@@ -35,7 +35,7 @@ from chronotext.metric import BoundWindow, ScaleBoundExceeded, end_of, start_of
 from chronotext.recipe import encode_recipe
 
 import recipes
-from oracles import rebuild_revise
+from oracles import object_tag_soft, rebuild_revise
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -95,6 +95,30 @@ class TestTagSoft:
     def test_structural_links_not_extracted(self):
         h = HybridNetwork.build(["a"])
         assert tag_soft(h) == []
+
+    def test_matches_object_pass(self):
+        """Tags, ids and windows are those of the pass through one
+        `Relation` and one decoded window per pair, on every scenario of
+        every fixture recipe and on random networks with anonymous points
+        and fractional windows."""
+        networks = [h for name in ("lutheran.rcp", "hot_relish.rcp", "cyclic.rcp")
+                    for _, h in encode_recipe(parse_recipe_dsl((FIXTURES / name).read_text()))]
+        rng = random.Random(29)
+        for _ in range(100):
+            ids = [f"i{k}" for k in range(rng.randint(1, 4))]
+            points = [p for i in ids for p in (start_of(i), end_of(i))] + ["origin"]
+            metric = [(*rng.sample(points, 2), BoundWindow(
+                F(rng.randint(-9, -1), rng.choice((1, 3))), F(rng.randint(1, 9), 2),
+                rng.random() < 0.5, rng.random() < 0.5)) for _ in range(rng.randint(0, 4))]
+            if rng.random() < 0.5:  # an interval's own structural link, restated
+                metric.append((start_of(ids[0]), end_of(ids[0]), BoundWindow.above(0)))
+            networks.append(HybridNetwork.build(
+                ids, [(ids[0], Relation(rng.randint(1, 8191)), b) for b in ids[1:]], metric,
+                anon_points=["origin"]))
+        for h in networks:
+            extracted = tag_soft(h)
+            assert extracted == object_tag_soft(h)
+            assert _network_from(h.intervals, h.anon_points, extracted) == h
 
 
 class TestRemoveEntities:

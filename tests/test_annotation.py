@@ -1,6 +1,7 @@
 """Front-end parsers: TimeML-subset markup and the recipe DSL."""
 
 import dataclasses
+import random
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -12,6 +13,7 @@ from chronotext.allen import FULL, Relation, close
 from chronotext.annotation import (
     AnnotationError,
     RecipeSyntaxError,
+    _tokenize,
     doc_to_qcn,
     parse_recipe_dsl,
     TLink,
@@ -19,9 +21,10 @@ from chronotext.annotation import (
     serialize_recipe_dsl,
 )
 from chronotext.metric import BoundWindow
-from chronotext.recipe import Recipe, encode_recipe
+from chronotext.recipe import ActionNode, AlternativeBranch, Recipe, encode_recipe
 
 import recipes
+from oracles import reference_parse_timeml, reference_tokenize
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -328,6 +331,28 @@ class TestParseRecipeDsl:
         with pytest.raises(RecipeSyntaxError, match="first step"):
             parse_recipe_dsl('recipe "T"\nstep s1 "stir" meanwhile\n')
 
+    def test_meanwhile_heading_the_chain(self):
+        """A branch member before it is no antecedent: the first step of
+        the text-order chain cannot be `meanwhile`."""
+        source = (FIXTURES / "meanwhile_head.rcp").read_text()
+        with pytest.raises(RecipeSyntaxError,
+                           match="step 'b' is marked meanwhile but has no antecedent") as err:
+            parse_recipe_dsl(source)
+        assert err.value.line == 5
+        # a chain step before the branch is one
+        parse_recipe_dsl(source.replace('alt x {', 'step s "stir"\nalt x {'))
+
+    def test_encoder_keeps_its_meanwhile_check(self):
+        r = Recipe("T", steps=(ActionNode("a", "boil"), ActionNode("b", "fry", meanwhile=True)),
+                   branches=(AlternativeBranch("x", ("a",)),))
+        with pytest.raises(ValueError, match="no antecedent"):
+            encode_recipe(r)
+
+    def test_duplicate_branch_id(self):
+        with pytest.raises(RecipeSyntaxError, match="duplicate branch id 'pasta'") as err:
+            parse_recipe_dsl((FIXTURES / "duplicate_alt.rcp").read_text())
+        assert err.value.line == 6
+
     def test_duplicate_id(self):
         with pytest.raises(RecipeSyntaxError, match="duplicate id 's1'") as err:
             parse_recipe_dsl('recipe "T"\nstep s1 "a"\nstep s1 "b"\n')
@@ -434,6 +459,68 @@ class TestSharedLineGrammar:
         with pytest.raises(RecipeSyntaxError, match="duplicate id 'a.until'") as err:
             parse(source)
         assert err.value.line == 3
+
+
+def outcome(read, *args):
+    """What a reader gives: its result, or its error's message and line
+    or offset."""
+    try:
+        return read(*args)
+    except (RecipeSyntaxError, AnnotationError) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "line", None), \
+            getattr(exc, "offset", None)
+
+
+class TestReadersAgainstReferences:
+    """The token and tag patterns read as the character-stepping readers
+    in `oracles` did, on seeded random input."""
+
+    LINE_PIECES = ['"', '"', "{", "}", "{b,m}", "#", " ", "\t", "\u00a0", "\x1c", "\x85",
+                   "\u2028", "\u3000", "\u200b", "step", "a", "x1", "sauté", "日本", "for",
+                   "10 min", "rel", "alt", "=", "/", "\r", "\x0b"]
+
+    def test_tokens_match(self):
+        rng = random.Random(17)
+        seen = set()
+        for lineno in range(100_000):
+            line = "".join(rng.choices(self.LINE_PIECES, k=rng.randint(0, 10)))
+            got = outcome(_tokenize, line, lineno)
+            assert got == outcome(reference_tokenize, line, lineno), line
+            if isinstance(got, list):
+                seen.update(token if token == ("word", "{") else token[0] for token in got)
+            else:
+                seen.add(got[1].split(": ", 1)[1])
+        assert seen == {"word", ("word", "{"), "string", "braces", "unterminated string",
+                        "unterminated relation set"}
+
+    TAGS = ['<EVENT eid="e1" class="OCCURRENCE">', '</EVENT>', '<SIGNAL sid="s1">',
+            '</SIGNAL>', '<MAKEINSTANCE eiid="ei1" eventID="e1" tense="NONE" aspect="NONE" '
+            'pos="VERB"/>', '<TLINK eventInstanceID="ei1" relatedToEvent="ei1" '
+            'relType="BEFORE" signalID="s1" />', '< EVENT\neid="e2" class="X" >',
+            '</ EVENT ignored="1">', '</EVENT/>', '<EVENT eid="e3" class="Y"/ >', '<EVENT/>',
+            '<MAKEINSTANCE eiid="ei2" eventID="e2" tense="PAST" aspect="NONE" pos="VERB">',
+            '<TLINK relType="AFTER"/>', '<FOO>', '<1>', '<>', '</>', '<//EVENT>',
+            '<TIMEX3 tid="t1">', '<EVENT eid="e4" class="Z" 9>', '<SIGNAL sid="s2" /']
+    TEXT = ["<", ">", "/", '"', "=", " ", "\n", "\t", "sauté ", "stir ", "\u00a0", "<a <b>"]
+
+    def test_documents_match(self):
+        rng = random.Random(19)
+        seen = set()
+        for _ in range(50_000):
+            source = "".join(rng.choice(self.TAGS) if rng.random() < 0.6 else rng.choice(self.TEXT)
+                             for _ in range(rng.randint(0, 8)))
+            got, want = outcome(parse_timeml, source), outcome(reference_parse_timeml, source)
+            assert got == want, source
+            if isinstance(got, tuple):
+                seen.add(got[1].split(": ", 1)[-1].split(" ", 1)[0])
+            else:
+                seen.add("ok")
+                offsets = [x.offset for c in (got.events, got.instances, got.signals,
+                                              got.tlinks) for x in c]
+                assert offsets == [x.offset for c in (want.events, want.instances,
+                                                      want.signals, want.tlinks) for x in c]
+        assert {"ok", "unterminated", "tag", "unknown", "unexpected", "unclosed", "duplicate",
+                "malformed", "EVENT", "MAKEINSTANCE", "TLINK"} <= seen
 
 
 class TestSerializeRecipeDsl:

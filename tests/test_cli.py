@@ -2,6 +2,7 @@
 
 import argparse
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -76,6 +77,17 @@ class TestCheck:
         assert out.out == ""
         assert out.err.startswith("error: ")
         assert out.err.count("\n") == 1
+
+    @pytest.mark.parametrize("name, message", [
+        ("duplicate_alt.rcp", "error: line 6: duplicate branch id 'pasta'\n"),
+        ("meanwhile_head.rcp",
+         "error: line 5: step 'b' is marked meanwhile but has no antecedent\n"),
+    ])
+    def test_malformed_fixture_is_a_syntax_error(self, capsys, name, message):
+        """Two faults the parser once passed on to the recipe and the
+        encoder, which exited 1 (inconsistent) and named no line."""
+        assert run(["check", str(FIXTURES / name)]) == 2
+        assert capsys.readouterr() == ("", message)
 
     @pytest.mark.parametrize("line", ["rel x {b} zz", "sporadic x in y extra"])
     def test_undeclared_id_or_trailing_tokens(self, capsys, tmp_path, line):
@@ -436,6 +448,60 @@ def _golden_cases():
         if line and not line.startswith("#"):
             name, code, *argv = line.split()
             yield pytest.param(name, int(code), argv, id=name)
+
+
+def mutant(rng, text):
+    """`text` with one line or one blank-separated token dropped,
+    duplicated or swapped with another."""
+    lines = text.split("\n")
+    k = rng.randrange(len(lines))
+    if rng.random() < 0.5:
+        items, glue = lines, "\n"
+    else:
+        items, glue = lines[k].split(" "), " "
+    i, j = rng.randrange(len(items)), rng.randrange(len(items))
+    change = rng.choice(("drop", "duplicate", "swap"))
+    if change == "drop":
+        del items[i]
+    elif change == "duplicate":
+        items.insert(j, items[i])
+    else:
+        items[i], items[j] = items[j], items[i]
+    if glue == " ":
+        lines[k] = glue.join(items)
+    return "\n".join(lines)
+
+
+class TestMutationFuzz:
+    """Seeded mutants of the fixtures through `run`: every outcome is an
+    exit code of 0-3, never an escaping exception."""
+
+    # per fixture, the commands that read it; "{}" is the mutant
+    COMMANDS = {
+        "lutheran.rcp": (["check", "{}"], ["query", "{}", "brown", "bake"],
+                         ["adapt", "{}", "lentils.know"]),
+        "hot_relish.rcp": (["close", "{}"], ["workflow", "{}"],
+                           ["adapt", "{}", "slow_cooker.know"]),
+        "cyclic.rcp": (["check", "{}"], ["workflow", "{}"]),
+        "lentils.know": (["adapt", "lutheran.rcp", "{}"],),
+        "slow_cooker.know": (["adapt", "hot_relish.rcp", "{}"],),
+        "snippet.tml": (["timeml", "{}"], ["close", "{}"], ["workflow", "{}"]),
+    }
+
+    def test_mutants_exit_with_a_code(self, capsys, tmp_path):
+        rng = random.Random(23)
+        codes = set()
+        for k in range(360):
+            name = sorted(self.COMMANDS)[k % len(self.COMMANDS)]
+            path = tmp_path / f"m{k}{Path(name).suffix}"
+            path.write_text(mutant(rng, (FIXTURES / name).read_text()))
+            argv = [str(path) if a == "{}" else str(FIXTURES / a) if "." in a else a
+                    for a in rng.choice(self.COMMANDS[name])]
+            code = run(argv)
+            assert code in (0, 1, 2, 3), argv
+            codes.add(code)
+            capsys.readouterr()
+        assert {0, 1, 2} <= codes
 
 
 class TestGoldenOutputs:

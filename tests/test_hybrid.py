@@ -487,3 +487,70 @@ class TestFromClosedNetwork:
             runs.clear()
             ok, _ = hybrid_atomic_consistent(random_schedule(rng))
             assert len(runs) <= 1
+
+
+def random_three_intervals(rng):
+    """Three intervals, 60 % of the cells a random nonempty mask, and one
+    to four integer windows between endpoints, each side unbounded with
+    probability 0.25 and strict with probability 0.5."""
+    ids = ["x", "y", "z"]
+    allen = [(a, Relation(rng.randint(1, FULL_MASK)), b)
+             for ai, a in enumerate(ids) for b in ids[ai + 1:] if rng.random() < 0.6]
+    points = [p for i in ids for p in (start_of(i), end_of(i))]
+    metric = []
+    for _ in range(rng.randint(1, 4)):
+        lo, hi = (rng.randint(-6, 6) if rng.random() < 0.75 else None for _ in "lh")
+        if lo is not None and hi is not None and lo >= hi:
+            lo, hi = hi, lo
+        window = (BoundWindow.exact(lo) if lo is not None and lo == hi
+                  else BoundWindow(lo, hi, rng.random() < 0.5, rng.random() < 0.5))
+        metric.append((*rng.sample(points, 2), window))
+    return HybridNetwork.build(ids, allen, metric)
+
+
+def window_inside(exact, reported):
+    """Whether the (lo, lo_strict, hi, hi_strict) window `exact` lies
+    inside the BoundWindow `reported`; None is unbounded."""
+    lo, lo_strict, hi, hi_strict = exact
+    if reported.lo is not None and (lo is None or lo < reported.lo or (
+            lo == reported.lo and reported.lo_strict and not lo_strict)):
+        return False
+    return reported.hi is None or hi is not None and (hi < reported.hi or (
+        hi == reported.hi and (hi_strict or not reported.hi_strict)))
+
+
+class TestExactOracle:
+    """`oracles.exact_hybrid` decides a network by endpoint orders; the
+    closure and the search are sound against it."""
+
+    def test_small_cases(self):
+        h = HybridNetwork.build(["x", "y"], [("x", R("{m}"), "y")],
+                                [("x.start", "x.end", BoundWindow.closed(2, 3))])
+        ok, cells, windows = oracles.exact_hybrid(h)
+        assert ok and cells == {("x", "y"): R("{m}").mask}
+        assert windows["x.start", "y.start"] == (2, False, 3, False)
+        assert windows["x.end", "y.end"] == (0, True, None, True)
+        ok, _, _ = oracles.exact_hybrid(h.with_metric(
+            [("x.start", "y.start", BoundWindow(None, 2, hi_strict=True))]))
+        assert not ok
+
+    def test_random_three_interval_hybrids_are_sound(self):
+        """When the oracle finds a realization, `hybrid_close` says
+        consistent and every exact cell and window lies inside the reported
+        one; the atomic search's verdict is the oracle's."""
+        rng = random.Random(113)
+        verdicts = Counter()
+        for _ in range(100):
+            h = random_three_intervals(rng)
+            ok, cells, windows = oracles.exact_hybrid(h)
+            assert hybrid_atomic_consistent(h)[0] == ok
+            verdicts[ok] += 1
+            if not ok:
+                continue
+            closed = hybrid_close(h)
+            assert not closed.inconsistent
+            for (a, b), mask in cells.items():
+                assert mask and not mask & ~closed.relation(a, b).mask
+            for (p, q), w in windows.items():
+                assert window_inside(w, closed.point_window(p, q)), (p, q, w)
+        assert verdicts[True] >= 50 and verdicts[False] >= 20

@@ -455,10 +455,14 @@ class Network:
         A self-constraint that excludes the identity is an error; one that
         admits it says nothing and is dropped.
         """
-        net = cls(intervals)
+        intervals = tuple(intervals)
+        idx = {name: i for i, name in enumerate(intervals)}
+        if len(idx) != len(intervals):
+            raise ValueError("duplicate interval ids")
         calc = cls.relation.calculus
-        m = [list(row) for row in net._matrix]
-        idx = net._index
+        m = [[calc.full] * len(intervals) for _ in intervals]
+        for i, row in enumerate(m):
+            row[i] = calc.identity
         for a, rel, b in constraints:
             if a not in idx or b not in idx:
                 missing = a if a not in idx else b
@@ -470,7 +474,7 @@ class Network:
                 continue
             m[i][j] &= rel.mask
             m[j][i] = calc.converse(m[i][j])
-        return cls._raw(net.intervals, m, idx)
+        return cls._raw(intervals, m, idx)
 
     def cell(self, a: str, b: str):
         return self.relation(self._matrix[self._index[a]][self._index[b]])

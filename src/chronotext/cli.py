@@ -5,33 +5,19 @@ follows the file extension: .rcp recipe DSL, .tml annotation markup,
 .know domain knowledge.  Results go to stdout, diagnostics to stderr.
 Exit codes: 0 consistent, 1 inconsistent, 2 parse or usage error,
 3 scale bound exceeded.
+
+Importing this module loads no other package module and no argparse:
+`_parser` imports argparse, and each handler imports the modules its
+command reads when it runs (`adapt` alone loads `adaptation`, `workflow`
+alone `workflow`).  Callees are read from their defining modules at
+call time, so a function rebound there is the one called.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from functools import lru_cache, partial
 from pathlib import Path
-
-from .adaptation import (
-    adapt_recipe,
-    format_edits,
-    format_revision,
-    parse_knowledge,
-)
-from .allen import close, format_qcn
-from .annotation import (
-    AnnotationError,
-    RecipeSyntaxError,
-    doc_to_qcn,
-    parse_recipe_dsl,
-    parse_timeml,
-)
-from .hybrid import HybridNetwork, format_hybrid, hybrid_close
-from .metric import ScaleBoundExceeded, start_of
-from .recipe import encode_recipe
-from .workflow import emit_dot, recipe_workflow, to_workflow
 
 
 def _read(path: Path) -> str:
@@ -42,6 +28,7 @@ def _read(path: Path) -> str:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
+        from .annotation import RecipeSyntaxError
         line = data.count(b"\n", 0, exc.start) + 1
         raise RecipeSyntaxError(
             f"{path}: line {line}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
@@ -50,10 +37,14 @@ def _read(path: Path) -> str:
 
 def _scenarios(path: Path) -> list[tuple[str, HybridNetwork]]:
     """Every scenario of the file as (label, raw hybrid network)."""
+    from .annotation import RecipeSyntaxError, doc_to_qcn, parse_recipe_dsl, parse_timeml
+
     text = _read(path)
     if path.suffix == ".rcp":
+        from .recipe import encode_recipe
         return encode_recipe(parse_recipe_dsl(text))
     if path.suffix == ".tml":
+        from .hybrid import HybridNetwork
         qcn = doc_to_qcn(parse_timeml(text))
         return [("document", HybridNetwork(qcn, HybridNetwork.build(qcn.intervals).stp))]
     raise RecipeSyntaxError(f"unsupported file extension {path.suffix!r}")
@@ -61,6 +52,7 @@ def _scenarios(path: Path) -> list[tuple[str, HybridNetwork]]:
 
 def _per_scenario(render, args) -> int:
     """Close each scenario of the file and write `render(args, label, closed)`."""
+    from .hybrid import hybrid_close
     bad = False
     for label, h in _scenarios(Path(args.file)):
         closed = hybrid_close(h)
@@ -74,6 +66,7 @@ def _verdict(args, label, closed) -> str:
 
 
 def _network(args, label, closed) -> str:
+    from .hybrid import format_hybrid
     return f"scenario {label}\n{format_hybrid(closed)}"
 
 
@@ -83,12 +76,15 @@ def _answer(args, label, closed) -> str:
             raise KeyError(f"unknown interval {name!r}")
     if closed.inconsistent:
         return f"scenario {label}\ninconsistent\n"
+    from .metric import start_of
     w = closed.point_window(start_of(args.a), start_of(args.b))
     return (f"scenario {label}\n{closed.relation(args.a, args.b)}\n"
             f"start({args.b}) - start({args.a}) in {w}\n")
 
 
 def _cmd_adapt(args) -> int:
+    from .adaptation import adapt_recipe, format_edits, format_revision, parse_knowledge
+    from .annotation import RecipeSyntaxError, parse_recipe_dsl
     recipe_path, know_path = Path(args.recipe), Path(args.knowledge)
     if recipe_path.suffix != ".rcp":
         raise RecipeSyntaxError("adapt expects a .rcp recipe")
@@ -102,6 +98,9 @@ def _cmd_adapt(args) -> int:
 
 
 def _cmd_workflow(args) -> int:
+    from .annotation import parse_recipe_dsl
+    from .hybrid import hybrid_close
+    from .workflow import emit_dot, recipe_workflow, to_workflow
     path = Path(args.file)
     if path.suffix == ".rcp":
         graph = recipe_workflow(parse_recipe_dsl(_read(path)))
@@ -116,6 +115,8 @@ def _cmd_workflow(args) -> int:
 
 
 def _cmd_timeml(args) -> int:
+    from .allen import close, format_qcn
+    from .annotation import RecipeSyntaxError, doc_to_qcn, parse_timeml
     path = Path(args.file)
     if path.suffix != ".tml":
         raise RecipeSyntaxError("timeml expects a .tml file")
@@ -144,6 +145,7 @@ _COMMANDS = (
 @lru_cache(maxsize=1)
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="chronotext",
         description="Temporal reasoning over recipe texts.")
@@ -158,6 +160,8 @@ def _parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     args = _parser().parse_args(argv)
+    from .annotation import AnnotationError, RecipeSyntaxError
+    from .metric import ScaleBoundExceeded
     try:
         return args.func(args)
     except ScaleBoundExceeded as exc:

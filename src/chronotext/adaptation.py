@@ -27,6 +27,7 @@ from .metric import (
     start_of,
 )
 from .recipe import (
+    _R5,
     ActionNode,
     Recipe,
     StateNode,
@@ -36,8 +37,6 @@ from .recipe import (
 )
 
 MAX_REVISION_SOFT = 24
-
-_R5 = Relation.parse("{m}")
 
 
 def _negated(w: BoundWindow) -> BoundWindow:
@@ -255,12 +254,9 @@ def inject(h: HybridNetwork, k: DomainKnowledge) -> TaggedNetwork:
             c = replace(c, cell=c.cell & hard[c.id].cell)
         hard[c.id] = c
     constraints += hard.values()
-    for nid, w in k.durations:
+    for nid, w in list(k.durations) + [(t.id, t.window) for t in k.timers]:
         constraints.append(TaggedConstraint.metric(start_of(nid), end_of(nid),
                                                    w, "domain-hard"))
-    for t in k.timers:
-        constraints.append(TaggedConstraint.metric(start_of(t.id), end_of(t.id),
-                                                   t.window, "domain-hard"))
     labels = tuple((s.id, " ".join((s.verb,) + s.objects)) for s in k.steps)
     return TaggedNetwork.build(tuple(h.intervals) + new_ids, constraints,
                                h.anon_points, labels, k.anchors)
@@ -281,14 +277,12 @@ class RevisionResult:
 def _witness_keeps(witness: HybridNetwork, c: TaggedConstraint) -> Optional[HybridNetwork]:
     """The witness of conjoining `c` when the atomic `witness` already
     satisfies it, else None: the witness itself when its atom lies in an
-    Allen cell, and its STP closed with a metric window its minimal
-    window meets."""
+    Allen cell, and its minimal STP closed with a metric window when that
+    is consistent, exactly when the window meets the minimal one."""
     if c.kind == "allen":
         return witness if witness.relation(c.frm, c.to) <= c.cell else None
-    if witness.stp.window(c.frm, c.to).intersect(c.window) is None:
-        return None
-    return HybridNetwork._raw(witness.qcn, _close_with(witness.stp, c.frm, c.to, c.window),
-                              witness.anon_points)
+    stp = _close_with(witness.stp, c.frm, c.to, c.window)
+    return None if stp.inconsistent else HybridNetwork._raw(witness.qcn, stp, witness.anon_points)
 
 
 def revise(t: TaggedNetwork) -> RevisionResult:

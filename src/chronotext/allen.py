@@ -688,19 +688,14 @@ def scenario_search(start: QCN, leaf: Callable[[QCN], Optional[W]]) -> Optional[
     closed by propagating from that pair alone, and one that empties a
     cell is dropped.  Every closed atomic network is handed to `leaf`,
     and the first witness it returns (not None) ends the search; None
-    when no leaf yields one.
+    when no leaf yields one.  The open levels are a stack of generators
+    that close each child when it is reached, so no recursion limit applies.
     """
     n = len(start.intervals)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
 
-    def refine(current: QCN) -> Optional[W]:
+    def children(current: QCN, i: int, j: int, mask: int):
         rows = current._matrix
-        for i, j in pairs:
-            mask = rows[i][j]
-            if mask & (mask - 1):
-                break
-        else:
-            return leaf(current)
         while mask:
             bit = mask & -mask
             mask ^= bit
@@ -709,12 +704,25 @@ def scenario_search(start: QCN, leaf: Callable[[QCN], Optional[W]]) -> Optional[
             m[j] = rows[j][:i] + (ALLEN.converse(bit),) + rows[j][i + 1:]
             tightened = close(QCN._raw(current.intervals, m, current._index), changed=[(i, j)])
             if not tightened.inconsistent:
-                found = refine(tightened)
-                if found is not None:
-                    return found
-        return None
+                yield tightened
 
-    return refine(start)
+    stack = [iter((start,))]
+    while stack:
+        current = next(stack[-1], None)
+        if current is None:
+            stack.pop()
+            continue
+        rows = current._matrix
+        for i, j in pairs:
+            mask = rows[i][j]
+            if mask & (mask - 1):
+                stack.append(children(current, i, j, mask))
+                break
+        else:
+            found = leaf(current)
+            if found is not None:
+                return found
+    return None
 
 
 def atomic_consistent(net: QCN) -> tuple[bool, Optional[QCN]]:

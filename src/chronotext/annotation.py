@@ -312,10 +312,6 @@ def _at_line(lineno, read, *args):
         raise RecipeSyntaxError(str(exc), lineno) from None
 
 
-def _timer(id_, phrase):
-    return TimerNode(id_, encode_duration(phrase))
-
-
 def _action_from_text(id_, text, span, kind, meanwhile, lineno):
     words = text.split()
     if not words:
@@ -454,7 +450,7 @@ def parse_dsl(source: str, header: str) -> tuple[str, dict[str, tuple]]:
                 phrase, ref = said["last"]
                 timer_id = f"{id_}.timer"
                 declare(timer_id, lineno)
-                out["timers"].append(_at_line(lineno, _timer, timer_id, phrase))
+                out["timers"].append(TimerNode(timer_id, _at_line(lineno, encode_duration, phrase)))
                 out["last_links"].append((id_, timer_id, ref))
             if "until" in said:
                 state_id = f"{id_}.until"
@@ -468,7 +464,7 @@ def parse_dsl(source: str, header: str) -> tuple[str, dict[str, tuple]]:
             if len(parts) != len(tokens) - 2 or not parts:
                 raise RecipeSyntaxError("'timer <id> <duration>' expected", lineno)
             declare(id_, lineno)
-            out["timers"].append(_at_line(lineno, _timer, id_, " ".join(parts)))
+            out["timers"].append(TimerNode(id_, _at_line(lineno, encode_duration, " ".join(parts))))
 
         elif head == "rel":
             a = _expect_id(tokens, 1, "an id", lineno)

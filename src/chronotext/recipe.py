@@ -180,7 +180,7 @@ class Recipe:
 # ---------------------------------------------------------------------------
 # duration phrases
 
-_NUMBER = r"(?:\d+\.\d+|\d+/\d+|\d+)"
+_NUMBER = r"(?:\d+\.\d+|\d+/0*[1-9]\d*|\d+)"  # no zero denominator
 _DURATION_RE = re.compile(
     rf"^\s*(?P<about>about\s+)?(?P<a>{_NUMBER})\s*"
     rf"(?:(?:-|–|—|to)\s*(?P<b>{_NUMBER})\s*)?"

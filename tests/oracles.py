@@ -19,8 +19,9 @@ through their input one character at a time; the earlier recursion of
 the hybrid scenario search, the scenario search that re-closes every pair at every
 node, the path consistency that composes on every revision, the
 revision and TCSP searches that close every node's network from scratch,
-and the recipe encoder that derives every rule again in each scenario
-(with its own chain and interval rules, not the package's helpers).
+the revision witness test that decodes and intersects windows, and the
+recipe encoder that derives every rule again in each scenario (with its
+own chain and interval rules, not the package's helpers).
 `exact_hybrid` states what a hybrid network means, with no closure or
 table of the package: endpoint orders, atoms by definition and the plain
 integer Floyd-Warshall.
@@ -64,6 +65,7 @@ from chronotext.metric import (
     STP,
     ScaleBoundExceeded,
     BoundWindow,
+    _close_with,
     allen_atom_to_points,
     end_of,
     metric_to_allen,
@@ -808,6 +810,18 @@ def rebuild_revise(t):
 
     dfs(0, [], base_witness)
     return result_for(best, best_witness)
+
+
+def window_witness_keeps(witness, c):
+    """`adaptation._witness_keeps` as it decided a metric candidate before
+    closing: decode the witness's minimal window on the pair, intersect
+    it with the candidate's, and close only when they meet."""
+    if c.kind == "allen":
+        return witness if witness.relation(c.frm, c.to) <= c.cell else None
+    if witness.stp.window(c.frm, c.to).intersect(c.window) is None:
+        return None
+    return HybridNetwork._raw(witness.qcn, _close_with(witness.stp, c.frm, c.to, c.window),
+                              witness.anon_points)
 
 
 def rebuild_tcsp_consistent(t):

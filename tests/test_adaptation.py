@@ -3,6 +3,7 @@ and the span edits mapping results back onto the text."""
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from chronotext.adaptation import (
     revise,
     tag_soft,
     _network_from,
+    _witness_keeps,
 )
 from chronotext.allen import Relation
 from chronotext.annotation import RecipeSyntaxError, parse_recipe_dsl
@@ -31,11 +33,11 @@ from chronotext.hybrid import (
     hybrid_atomic_consistent,
     hybrid_close,
 )
-from chronotext.metric import BoundWindow, ScaleBoundExceeded, end_of, start_of
+from chronotext.metric import STP, BoundWindow, ScaleBoundExceeded, end_of, start_of
 from chronotext.recipe import encode_recipe
 
 import recipes
-from oracles import object_tag_soft, rebuild_revise
+from oracles import object_tag_soft, random_window, rebuild_revise, window_witness_keeps
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -242,6 +244,21 @@ class TestInject:
         t = inject(h, DomainKnowledge("nothing"))
         assert t.network == h
         assert all(c.provenance == "recipe-soft" for c in t.constraints)
+
+    def test_knowledge_timer_window_is_hard(self):
+        """A `.know` timer's window is a domain-hard duration like a
+        step's `for`: tied to bake, it outranks bake's recipe window,
+        which is the one constraint relaxed and flagged."""
+        source = (FIXTURES / "lutheran.rcp").read_text()
+        k = parse_knowledge('knowledge "k"\nanchor bake\ntimer t 100 min\nrel t {e} bake\n')
+        result, edits = adapt_recipe(parse_recipe_dsl(source), k)
+        timer = next(c for c in result.tagged.constraints if c.id == "t.end~t.start:hard")
+        assert (timer.frm, timer.to, timer.window) == ("t.end", "t.start", BoundWindow.exact(-100))
+        assert format_revision(result).startswith("retained 12 of 13 soft constraints\n")
+        assert result.relaxed == ("bake.end~bake.start:soft",)
+        flag = [e for e in edits if e.op == "flag-review"]
+        assert [e.payload for e in flag] == ["bake.end~bake.start:soft"]
+        assert source[flag[0].span[0]:flag[0].span[1]].startswith("step bake")
 
     def test_anchor_must_resolve(self):
         h = remove_entities(lutheran_network(), ["drain_beans"])
@@ -605,3 +622,88 @@ class TestReviseAgainstRebuild:
             assert len(runs) <= 2
             searched += bool(result.relaxed)
         assert searched >= 10
+
+
+def touching_windows(rng, w):
+    """Windows outside the minimal window `w` that share one of its
+    finite end values, each side closed or open at random, each with
+    whether it meets `w`: only when both are closed at that value."""
+    out = []
+    if w.hi is not None:
+        t = BoundWindow(w.hi, w.hi + rng.randint(1, 3), rng.random() < 0.5, rng.random() < 0.5)
+        out.append((t, not (t.lo_strict or w.hi_strict)))
+    if w.lo is not None:
+        t = BoundWindow(w.lo - rng.randint(1, 3), w.lo, rng.random() < 0.5, rng.random() < 0.5)
+        out.append((t, not (t.hi_strict or w.lo_strict)))
+    return out
+
+
+class TestWitnessKeeps:
+    def test_matches_window_reference(self):
+        """Keeping a metric candidate when closing the witness's minimal
+        STP with it stays consistent agrees with decoding the pair's
+        minimal window and intersecting it with the candidate's, and
+        gives the same closed witness.  The windows include new
+        denominators (the rescaling close), strict and unbounded sides,
+        and windows touching the minimal one at a closed or an open end."""
+        rng = random.Random(61)
+        seen = Counter()
+        for _ in range(60):
+            ok, witness = hybrid_atomic_consistent(random_tagged(rng).network)
+            if not ok:
+                continue
+            for _ in range(10):
+                frm, to = rng.sample(witness.stp.points, 2)
+                minimal = witness.stp.window(frm, to)
+                for w, meets in [(random_window(rng, 8), None)] + touching_windows(rng, minimal):
+                    c = TaggedConstraint.metric(frm, to, w, "recipe-soft")
+                    got = _witness_keeps(witness, c)
+                    assert got == window_witness_keeps(witness, c)
+                    kept = got is not None
+                    assert not (kept and got.inconsistent)
+                    if any(v is not None and witness.stp._d % v.denominator
+                           for v in (w.lo, w.hi)):
+                        seen["rescaled", kept] += 1
+                    if w.lo is None or w.hi is None:
+                        seen["unbounded", kept] += 1
+                    if w.lo_strict and w.lo is not None or w.hi_strict and w.hi is not None:
+                        seen["strict", kept] += 1
+                    if meets is not None:
+                        assert kept == meets
+                        seen["touching", kept] += 1
+        for kept in (True, False):
+            for case in ("rescaled", "unbounded", "strict", "touching"):
+                assert seen[case, kept], (case, kept)
+
+    def test_revise_decodes_no_window(self, monkeypatch):
+        """`revise` decides every candidate on the encoded STP: neither
+        `STP.window` nor `BoundWindow.intersect` runs, on the lentil case
+        and on random tagged networks whose witnesses keep and drop
+        metric candidates."""
+        lentils = inject(remove_entities(lutheran_network(), ["drain_beans"]),
+                         lentil_knowledge())
+        rng = random.Random(83)
+        cases = [random_tagged(rng) for _ in range(60)]
+        events = revision_events(monkeypatch)
+        decodes = Counter()
+
+        def count(cls, name):
+            real = getattr(cls, name)
+
+            def counted(*args):
+                decodes[name] += 1
+                return real(*args)
+            monkeypatch.setattr(cls, name, counted)
+
+        count(STP, "window")
+        count(BoundWindow, "intersect")
+        for t in [lentils] + cases:
+            try:
+                revise(t)
+            except ValueError:
+                continue
+        assert ("witness", "metric", True) in events
+        assert ("witness", "metric", False) in events
+        assert decodes == {}
+        tag_soft(lentils.network)  # the counters do count
+        assert decodes["window"] > 0

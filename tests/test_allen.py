@@ -473,6 +473,16 @@ class TestAtomicConsistent:
         assert ok
         assert scenario.cell("x", "y") == Relation.of("b")
 
+    def test_unconstrained_beyond_the_recursion_limit(self):
+        """60 unconstrained intervals leave 1,770 pairs to split, one
+        search level each: the witness is atomic and closed."""
+        net = QCN([f"x{i}" for i in range(60)])
+        ok, scenario = atomic_consistent(net)
+        assert ok
+        ids = scenario.intervals
+        assert all(scenario.cell(a, b).is_atomic for i, a in enumerate(ids) for b in ids[i + 1:])
+        assert close(scenario) == scenario
+
     def test_agrees_with_realize_small(self):
         rng = random.Random(42)
         for _ in range(60):

@@ -530,6 +530,26 @@ class TestSerializeRecipeDsl:
         source = (FIXTURES / name).read_text()
         assert serialize_recipe_dsl(parse_recipe_dsl(source)) == source
 
+    @pytest.mark.parametrize("source", [
+        'recipe "T"\nstep a "simmer" for 20 min until "thick"\n',
+        'recipe "T"\nstep a "bake"\ntimer t 10-15 min\nrel t {s} a\n',
+        'recipe "T"\nstep a "stir"\nstep b "fold"\nalternate a with b\n',
+    ], ids=["mixed-duration", "timer", "alternate"])
+    def test_canonical_form_is_a_fixed_point(self, source):
+        assert serialize_recipe_dsl(parse_recipe_dsl(source)) == source
+
+    @pytest.mark.parametrize("source, window, message", [
+        ('recipe "T"\nstep a "simmer" for 20 min until "thick"\n',
+         BoundWindow.closed(5, 20), "not of the form"),
+        ('recipe "T"\nstep a "simmer" for 20 min\n',
+         BoundWindow.above(5), "no DSL duration form"),
+    ], ids=["mixed-duration", "open-window"])
+    def test_window_without_a_phrase(self, source, window, message):
+        r = parse_recipe_dsl(source)
+        r = dataclasses.replace(r, durations=(("a", window),))
+        with pytest.raises(ValueError, match=message):
+            serialize_recipe_dsl(r)
+
     def test_round_trip_stable(self):
         # sloppy spacing and alias atoms normalize after one pass
         source = ('recipe "T"\n'

@@ -82,10 +82,13 @@ class TestCheck:
         ("duplicate_alt.rcp", "error: line 6: duplicate branch id 'pasta'\n"),
         ("meanwhile_head.rcp",
          "error: line 5: step 'b' is marked meanwhile but has no antecedent\n"),
+        ("zero_denominator.rcp",
+         "error: line 2: cannot parse duration phrase '1/0 min'\n"),
     ])
     def test_malformed_fixture_is_a_syntax_error(self, capsys, name, message):
-        """Two faults the parser once passed on to the recipe and the
-        encoder, which exited 1 (inconsistent) and named no line."""
+        """Faults the parser once passed on to the recipe and the encoder,
+        which exited 1 (inconsistent) and named no line, or crashed with
+        a traceback (a zero denominator)."""
         assert run(["check", str(FIXTURES / name)]) == 2
         assert capsys.readouterr() == ("", message)
 
@@ -191,6 +194,20 @@ class TestAdapt:
         assert run(["adapt", str(recipe), str(know)]) == 3
         assert "error" in capsys.readouterr().err
 
+    def test_many_unordered_preliminaries(self, capsys, tmp_path):
+        """48 preliminaries leave 1,128 undecided pairs, each split by the
+        scenario search, more levels than the interpreter's recursion
+        limit allows calls."""
+        recipe = tmp_path / "prep.rcp"
+        recipe.write_text('recipe "prep"\n'
+                          + "".join(f'prelim p{i:02d} "chop item {i}"\n' for i in range(48))
+                          + 'step cook "cook everything"\n')
+        know = tmp_path / "rinse.know"
+        know.write_text('knowledge "k"\nanchor cook\nstep z "rinse"\nrel z {b} cook\n')
+        assert run(["adapt", str(recipe), str(know)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("retained 48 of 48 soft constraints\n")
+
     def test_contradiction_in_a_branch_scenario(self, capsys, tmp_path):
         """`adapt` revises the base scenario only, but like `check` it
         rejects a recipe whose branch scenario states contradictory
@@ -217,6 +234,10 @@ class TestAdapt:
          "line 4: relation 'combine'/'bake' touches no knowledge node"),
         ('anchor combine\nstep bake "bake it"\nrel bake {b} combine\n',
          "line 3: knowledge node 'bake' already in network"),
+        ('anchor combine\nstep z "soak" for 1/0 min\nrel z {b} combine\n',
+         "line 3: cannot parse duration phrase '1/0 min'"),
+        ('anchor combine\ntimer t 2-1/0 h\nrel t {b} combine\n',
+         "line 3: cannot parse duration phrase '2-1/0 h'"),
     ])
     def test_malformed_knowledge_exit_code(self, capsys, tmp_path, body, message):
         know = tmp_path / "bad.know"

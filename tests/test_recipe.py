@@ -44,6 +44,7 @@ class TestEncodeDuration:
         assert encode_duration("60 min") == encode_duration("1hr")
         assert encode_duration("1.5 hours") == BoundWindow.exact(90)
         assert encode_duration("1/2 hour") == BoundWindow.exact(30)
+        assert encode_duration("1/02 hour") == BoundWindow.exact(30)
         assert encode_duration("90 mins") == BoundWindow.exact(90)
 
     def test_about_factor_configurable(self):
@@ -56,7 +57,7 @@ class TestEncodeDuration:
 
     @pytest.mark.parametrize("bad", [
         "25", "soon", "3-2 hours", "about 2-3 hours", "0 min", "five minutes",
-        "10 sec",
+        "10 sec", "1/0 min", "2-1/0 h", "about 1/0 min", "1/00 min",
     ])
     def test_rejects(self, bad):
         with pytest.raises(ValueError):

@@ -142,6 +142,16 @@ class TestScenariosAndLoops:
         assert branches == {"base:chop", "hot:chop"}
         assert ("hot:chop", "hot:add_chillis", "") in w.edges
 
+    def test_scenarios_ending_in_one_step(self):
+        """Each scenario whose flow ends in a single step joins the xor
+        through that step, with no and-join."""
+        w = recipe_workflow(parse_recipe_dsl(
+            'recipe "T"\nstep a "chop"\nstep b "fry"\n'
+            'alt extra {\n  step c "garnish"\n  rel c {bi} b\n}\n'))
+        into_join = {f for f, t, _ in w.edges if t == "xor-join"}
+        assert into_join == {"base:b", "extra:c"}
+        assert not any(n.kind == "and-join" for n in w.nodes)
+
     def test_sporadic_loop_nodes(self):
         w = recipe_workflow(recipes.hot_relish())
         loop = w.node("base:loop:stir")

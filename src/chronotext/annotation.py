@@ -409,6 +409,8 @@ def parse_dsl(source: str, header: str) -> tuple[str, dict[str, tuple]]:
                 word = _expect(tokens, idx, "word", "a step clause", lineno)
                 if word not in clauses:
                     raise RecipeSyntaxError(f"unknown step clause {word!r}", lineno)
+                if word in said:
+                    raise RecipeSyntaxError(f"repeated step clause {word!r}", lineno)
                 if word == "meanwhile":
                     said[word] = True
                     idx += 1
@@ -417,7 +419,7 @@ def parse_dsl(source: str, header: str) -> tuple[str, dict[str, tuple]]:
                                          "a quoted state after 'until'", lineno)
                     idx += 2
                 else:  # for, last: the duration is every word up to a stop word
-                    stops = ("of",) if word == "last" else ("until", "last", "meanwhile")
+                    stops = ("of",) if word == "last" else ("for", "until", "last", "meanwhile")
                     start = idx = idx + 1
                     while idx < len(tokens) and tokens[idx][0] == "word" \
                             and tokens[idx][1] not in stops:

@@ -7,7 +7,7 @@ All quantities are exact rationals in canonical units of minutes.
 Strict inequalities are carried as explicit flags on windows.  An STP
 stores only an exact integer encoding of its bounds, a (value, strict)
 upper bound kept as value*D*M - strict under a common denominator D and
-a multiplier M larger than the number of points; the one shortest-path
+the fixed strictness multiplier M = 5 (see `STP`); the one shortest-path
 kernel (Floyd-Warshall through a set of pivot points), the read-back to
 Allen atoms and the atom export all work on that encoding, and bounds
 become `Fraction`s again only when a window is read.  A network already
@@ -136,6 +136,7 @@ def end_of(interval: str) -> str:
 
 Bound = tuple[Optional[Fraction], bool]
 _INF: Bound = (None, True)
+_M = 5  # the strictness multiplier of the stored encoding (see `STP`)
 
 
 def _bounds_to_window(fwd: Bound, bwd: Bound) -> Optional[BoundWindow]:
@@ -149,31 +150,26 @@ def _bounds_to_window(fwd: Bound, bwd: Bound) -> Optional[BoundWindow]:
     return BoundWindow(lo, hi, lo_strict, hi_strict)
 
 
-def _scaled(u: Sequence[Sequence[Bound]]) -> tuple[list[list[Optional[int]]], int, int]:
-    """Encode a bound matrix as integers, with the scale factors D and M.
-
-    A bound (v, strict) becomes v*D*M - strict, where D is the least
-    common multiple of the finite values' denominators and
-    M = max(n + 1, 5); +infinity becomes None.
-    """
-    m = max(len(u) + 1, 5)
+def _scaled(u: Sequence[Sequence[Bound]]) -> tuple[list[list[Optional[int]]], int]:
+    """A bound matrix encoded as integers v*D*M - strict, +infinity as None,
+    and D, the least common multiple of the finite values' denominators."""
     d = 1
     for row in u:
         for v, _ in row:
             if v is not None and d % v.denominator:
                 d = lcm(d, v.denominator)
-    dm = d * m
+    dm = d * _M
     enc = [[None if v is None else v.numerator * (dm // v.denominator) - strict
             for v, strict in row] for row in u]
-    return enc, d, m
+    return enc, d
 
 
-def _decoded(e: Optional[int], d: int, m: int) -> Bound:
+def _decoded(e: Optional[int], d: int) -> Bound:
     """The (value, strict) bound of a stored entry e = q*M - strict."""
     if e is None:
         return _INF
-    q = -(-e // m)  # ceil(e / m)
-    return Fraction(q, d), q * m != e
+    q = -(-e // _M)  # ceil(e / M)
+    return Fraction(q, d), q * _M != e
 
 
 def _window_edges(pairs: Iterable[tuple[int, int, BoundWindow]], dm: int) -> list[tuple[int, int, int]]:
@@ -194,12 +190,13 @@ class STP:
     What is stored is one integer matrix `_e`, with `_e[i][j]` the upper
     bound on t_j - t_i: a bound (v, strict) is kept as v*D*M - strict,
     None meaning +infinity, under the scale D (the least common multiple
-    of the denominators seen so far) and the multiplier M >= max(n + 1, 5).
-    Every stored entry carries at most one strict unit, so a simple path,
-    of at most n - 1 < M legs, sums to at most M - 1 of them: integer sums
-    order paths exactly as (value, strict) arithmetic does.  Decoding back
-    to `Fraction`s happens only in `window` and in the read-only view
-    `_u`; equality and hashing are by value, whatever the scale.
+    of the denominators seen so far) and the fixed multiplier M = 5.  Each
+    stored entry carries at most one strict unit, and a sum is of two
+    entries (the kernel) or around a four-point cycle (the read-back, see
+    `metric_to_allen`), so M bounds every carry: integer sums order bounds
+    exactly as (value, strict) arithmetic does.  Decoding back to
+    `Fraction`s happens only in `window` and in the read-only view `_u`;
+    equality and hashing are by value, whatever the scale.
 
     Instances are immutable.  `stp_close` returns the minimal network,
     every window the tightest implied one, by Floyd-Warshall through
@@ -210,7 +207,7 @@ class STP:
     drops both.
     """
 
-    __slots__ = ("points", "_index", "_e", "_d", "_m", "inconsistent", "minimal")
+    __slots__ = ("points", "_index", "_e", "_d", "inconsistent", "minimal")
 
     def __init__(self, points: Sequence[str], matrix, inconsistent: bool = False,
                  minimal: bool = False):
@@ -219,11 +216,11 @@ class STP:
         points = tuple(points)
         if len(matrix) != len(points) or any(len(row) != len(points) for row in matrix):
             raise ValueError(f"bound matrix must be {len(points)}x{len(points)}")
-        e, d, m = _scaled(matrix)
+        e, d = _scaled(matrix)
         self._init(points, {p: i for i, p in enumerate(points)},
-                   tuple(map(tuple, e)), d, m, inconsistent, minimal)
+                   tuple(map(tuple, e)), d, inconsistent, minimal)
 
-    def _init(self, points, index, e, d, m, inconsistent, minimal) -> None:
+    def _init(self, points, index, e, d, inconsistent, minimal) -> None:
         if len(index) != len(points):
             raise ValueError("duplicate point ids")
         put = object.__setattr__
@@ -231,15 +228,14 @@ class STP:
         put(self, "_index", index)
         put(self, "_e", e)
         put(self, "_d", d)
-        put(self, "_m", m)
         put(self, "inconsistent", inconsistent)
         put(self, "minimal", minimal)
 
     @classmethod
-    def _raw(cls, points, index, e, d, m, inconsistent=False, minimal=False) -> "STP":
+    def _raw(cls, points, index, e, d, inconsistent=False, minimal=False) -> "STP":
         # from an encoded matrix that already holds the invariant
         self = object.__new__(cls)
-        self._init(points, index, e, d, m, inconsistent, minimal)
+        self._init(points, index, e, d, inconsistent, minimal)
         return self
 
     def __setattr__(self, name, value):
@@ -257,8 +253,8 @@ class STP:
         """This network on its points plus `new_points`, with the
         (from, to, window) triples conjoined in.
 
-        The stored entries are rescaled, exactly, only when a new
-        denominator or new points change D or M.
+        The stored entries are rescaled (`_rescaled`) only when a new
+        denominator changes D; new points add unbounded rows and columns.
         """
         points = self.points + tuple(p for p in new_points if p not in self._index)
         index = self._index if len(points) == len(self.points) else \
@@ -274,24 +270,26 @@ class STP:
                 if v is not None and d % v.denominator:
                     d = lcm(d, v.denominator)
             pairs.append((index[frm], index[to], w))
-        m = max(self._m, n + 1)
-        if d == self._d and m == self._m:
-            rows = [list(row) for row in self._e]
-        else:
-            # q*M - s becomes q*(D'/D)*M' - s
-            f, old_m = d // self._d * m, self._m
-            rows = [[None if v is None else -(-v // old_m) * (f - old_m) + v for v in row]
-                    for row in self._e]
+        rows = [list(row) for row in self._rescaled(d)]
         for row in rows:
             row += [None] * (n - old)
         for i in range(old, n):
             rows.append([None] * n)
             rows[i][i] = 0
-        for i, j, w in _window_edges(pairs, d * m):
+        for i, j, w in _window_edges(pairs, d * _M):
             if rows[i][j] is None or w < rows[i][j]:
                 rows[i][j] = w
-        return STP._raw(points, index, tuple(map(tuple, rows)), d, m,
+        return STP._raw(points, index, tuple(map(tuple, rows)), d,
                         inconsistent=self.inconsistent)
+
+    def _rescaled(self, d: int) -> tuple[tuple[Optional[int], ...], ...]:
+        """The stored matrix at the scale `d`, a multiple of D, each entry
+        q*M - s as q*(d/D)*M - s: the same values, so minimality holds."""
+        if d == self._d:
+            return self._e
+        f = (d // self._d - 1) * _M
+        return tuple(tuple(None if v is None else -(-v // _M) * f + v for v in row)
+                     for row in self._e)
 
     def _with_edges(self, edges: Iterable[tuple[int, int, int]]) -> tuple["STP", list[tuple[int, int]]]:
         """This network with encoded edges (i, j, w), each bounding t_j - t_i
@@ -311,22 +309,21 @@ class STP:
         for i, _ in tightened:
             rows[i] = tuple(rows[i])
         return (STP._raw(self.points, self._index, tuple(rows) if tightened else e, self._d,
-                         self._m, inconsistent=self.inconsistent),
+                         inconsistent=self.inconsistent),
                 list(tightened))
 
     @property
     def _u(self) -> tuple[tuple[Bound, ...], ...]:
         """The stored matrix decoded to (value, strict) upper bounds."""
-        d, m = self._d, self._m
-        return tuple(tuple(_decoded(v, d, m) for v in row) for row in self._e)
+        d = self._d
+        return tuple(tuple(_decoded(v, d) for v in row) for row in self._e)
 
     def window(self, frm: str, to: str) -> BoundWindow:
         """The window currently recorded for t_to - t_from."""
         if self.inconsistent:
             raise ValueError("windows are undefined on an inconsistent network")
         i, j = self._index[frm], self._index[to]
-        w = _bounds_to_window(_decoded(self._e[i][j], self._d, self._m),
-                              _decoded(self._e[j][i], self._d, self._m))
+        w = _bounds_to_window(_decoded(self._e[i][j], self._d), _decoded(self._e[j][i], self._d))
         if w is None:
             raise ValueError(f"pair {frm!r}/{to!r} admits no value; close the network")
         return w
@@ -342,15 +339,14 @@ class STP:
         points = tuple(points)
         keep = [self._index[p] for p in points]
         e = tuple(tuple(map(row.__getitem__, keep)) for row in map(self._e.__getitem__, keep))
-        return STP._raw(points, {p: i for i, p in enumerate(points)}, e, self._d, self._m)
+        return STP._raw(points, {p: i for i, p in enumerate(points)}, e, self._d)
 
     def __eq__(self, other) -> bool:
         if not (isinstance(other, STP) and self.points == other.points
                 and self.inconsistent == other.inconsistent):
             return False
-        if self._d == other._d and self._m == other._m:
-            return self._e == other._e
-        return self._u == other._u
+        d = lcm(self._d, other._d)
+        return self._rescaled(d) == other._rescaled(d)
 
     def __hash__(self) -> int:
         return hash((self.points, self._u, self.inconsistent))
@@ -360,7 +356,7 @@ class STP:
         return f"STP(<{len(self.points)} points>{flag})"
 
 
-def _int_shortest_paths(e: list[list[Optional[int]]], m: int,
+def _int_shortest_paths(e: list[list[Optional[int]]],
                         pivots: Optional[Iterable[int]] = None) -> bool:
     """Floyd-Warshall, in place, over an integer distance matrix (None is
     +infinity) through the points `pivots` in order, all when None.  An
@@ -381,7 +377,7 @@ def _int_shortest_paths(e: list[list[Optional[int]]], m: int,
                 c = eik + w
                 eij = ei[j]
                 if eij is None or c < eij:
-                    ei[j] = c if not c % m else c - c % m + m - 1
+                    ei[j] = c if not c % _M else c - c % _M + _M - 1
     return True
 
 
@@ -404,7 +400,7 @@ def stp_close(s: STP, *, changed: Optional[Sequence[tuple[int, int]]] = None) ->
     any pass; with no pivot the input's rows are shared; an input
     flagged inconsistent is returned as it is.
     """
-    e, m, pivots = s._e, s._m, None
+    e, pivots = s._e, None
     if changed is not None:
         if s.inconsistent:
             return s
@@ -413,15 +409,15 @@ def stp_close(s: STP, *, changed: Optional[Sequence[tuple[int, int]]] = None) ->
             w, back = e[i][j], e[j][i]
             if w is not None:
                 if back is not None and w + back < 0:
-                    return STP._raw(s.points, s._index, e, s._d, m, inconsistent=True)
+                    return STP._raw(s.points, s._index, e, s._d, inconsistent=True)
                 pivots.update((i, j))
         if not pivots:
-            return STP._raw(s.points, s._index, e, s._d, m, minimal=True)
+            return STP._raw(s.points, s._index, e, s._d, minimal=True)
         pivots = sorted(pivots)
     rows = [list(row) for row in e]
-    if not _int_shortest_paths(rows, m, pivots):
-        return STP._raw(s.points, s._index, e, s._d, m, inconsistent=True)
-    return STP._raw(s.points, s._index, tuple(map(tuple, rows)), s._d, m, minimal=True)
+    if not _int_shortest_paths(rows, pivots):
+        return STP._raw(s.points, s._index, e, s._d, inconsistent=True)
+    return STP._raw(s.points, s._index, tuple(map(tuple, rows)), s._d, minimal=True)
 
 
 @dataclass(frozen=True)
@@ -466,12 +462,13 @@ MAX_TCSP_DISJUNCTIVE = 12
 
 def _close_with(s: STP, frm: str, to: str, w: BoundWindow) -> STP:
     """Minimal `s` plus one window on t_to - t_from, closed from the entries
-    `_with_edges` tightened at the scale of `s` (none: the rows of `s` are
-    shared), or from its two entries when its denominator rescales."""
+    `_with_edges` tightened (none: the rows of `s` are shared).  A window
+    whose denominator D does not divide rescales `s` first, still minimal."""
     i, j = s._index[frm], s._index[to]
-    if any(v is not None and s._d % v.denominator for v in (w.lo, w.hi)):
-        return stp_close(s.with_constraints([(frm, to, w)]), changed=[(i, j), (j, i)])
-    child, tightened = s._with_edges(_window_edges([(i, j, w)], s._d * s._m))
+    d = lcm(s._d, *(v.denominator for v in (w.lo, w.hi) if v is not None))
+    if d != s._d:
+        s = STP._raw(s.points, s._index, s._rescaled(d), d, s.inconsistent, s.minimal)
+    child, tightened = s._with_edges(_window_edges([(i, j, w)], d * _M))
     return stp_close(child, changed=tightened)
 
 
@@ -485,11 +482,13 @@ def tcsp_consistent(t: TCSP) -> tuple[bool, Optional[STP]]:
     bound; Schwalb & Dechter), in which every selection's windows lie: it
     cuts only subtrees without a witness, leaves a witness's closure and
     scale as they are, and a one-window constraint in it is not searched.
-    Each child conjoins one window (`_close_with`).  Unknown points and
-    instances beyond 4 windows per constraint or 12 disjunctive
-    constraints are rejected before the search.
+    A one-window constraint with a fractional bound is conjoined into that
+    root (`_close_with`), so the levels are the disjunctive constraints,
+    and each child conjoins one window.  Unknown points and instances
+    beyond 4 windows per constraint or 12 disjunctive constraints are
+    rejected before the search.
     """
-    hulls, levels = [], []
+    hulls, levels, fractional = [], [], []
     for c in sorted(t.constraints, key=lambda c: (c.frm, c.to)):
         if len(c.windows) > MAX_TCSP_WINDOWS:
             raise ScaleBoundExceeded(
@@ -499,11 +498,12 @@ def tcsp_consistent(t: TCSP) -> tuple[bool, Optional[STP]]:
         # FOREVER conjoins nothing, but `STP.build` still checks its points
         hull = BoundWindow(first.lo, last.hi, first.lo_strict, last.hi_strict)
         hulls.append((c.frm, c.to, hull if integral else FOREVER))
-        if len(c.windows) > 1 or not integral:
+        if len(c.windows) > 1:
             levels.append(c)
-    disjunctive = [c for c in levels if len(c.windows) > 1]
-    if len(disjunctive) > MAX_TCSP_DISJUNCTIVE:
-        raise ScaleBoundExceeded(f"{len(disjunctive)} disjunctive constraints")
+        elif not integral:
+            fractional.append(c)
+    if len(levels) > MAX_TCSP_DISJUNCTIVE:
+        raise ScaleBoundExceeded(f"{len(levels)} disjunctive constraints")
 
     def search(k: int, closed: STP) -> Optional[STP]:
         if closed.inconsistent or k == len(levels):
@@ -512,7 +512,10 @@ def tcsp_consistent(t: TCSP) -> tuple[bool, Optional[STP]]:
         found = (search(k + 1, _close_with(closed, c.frm, c.to, w)) for w in c.windows)
         return next((f for f in found if f is not None), None)
 
-    witness = search(0, stp_close(STP.build(t.points, hulls)))
+    root = stp_close(STP.build(t.points, hulls))
+    for c in fractional:
+        root = _close_with(root, c.frm, c.to, c.windows[0])
+    witness = search(0, root)
     return (witness is not None), witness
 
 
@@ -612,12 +615,12 @@ def metric_to_allen(s: STP, x: str, y: str, within: Optional[Relation] = None) -
     D leg, which is no weaker; D alone and an atom's edges alone have no
     negative cycle; a cycle on four points carries at most four strict
     units (a stored entry holds at most one, an atom edge is 0 or -1),
-    fewer than the multiplier M >= 5.  So the atom is excluded exactly
+    fewer than the multiplier M = 5.  So the atom is excluded exactly
     when the D legs of such a cycle sum below k, its strict atom legs
     (k <= 3).  One pass over the 14 D-leg sets (`_LEG_SETS`: 10 of one
     leg, 4 of two) decides all atoms, since every sum is in one of two
     classes: each stored entry is q*M - [strict], so one or two of them
-    sum to at most 0 or to at least M - 2 >= 3 >= k.  A sum below 0
+    sum to at most 0 or to at least M - 2 = 3 >= k.  A sum below 0
     excludes every atom the set bears on, a sum of 0 those with a strict
     atom leg on it, and a positive sum none.
     """

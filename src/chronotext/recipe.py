@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 from .allen import Relation
 from .hybrid import HybridNetwork
-from .metric import BoundWindow, end_of, start_of
+from .metric import BoundWindow, ScaleBoundExceeded, end_of, start_of
 
 
 class PhenomenonTag(enum.Enum):
@@ -258,13 +258,19 @@ def _chain_steps(r: Recipe) -> list[ActionNode]:
     return [s for s in r.steps if s.id not in skip]
 
 
+MAX_ALT_BLOCKS = 12
+
+
 def encode_recipe(r: Recipe) -> list[tuple[str, HybridNetwork]]:
     """One (label, network) pair per branch combination, the base
     scenario first; rules R1 through R8 applied as documented above.
     The constraints are derived once, so a contradiction in any branch
-    combination is reported before any scenario is built."""
-    build = _scenario_builder(r)
+    combination is reported before any scenario is built, and so is a
+    recipe of more than 12 alt blocks (2**12 scenarios)."""
     ids = sorted(br.id for br in r.branches)
+    if len(ids) > MAX_ALT_BLOCKS:
+        raise ScaleBoundExceeded(f"{len(ids)} alt blocks exceed the bound of {MAX_ALT_BLOCKS}")
+    build = _scenario_builder(r)
     return [("+".join(chosen) or "base", build(chosen))
             for k in range(len(ids) + 1) for chosen in itertools.combinations(ids, k)]
 

@@ -19,7 +19,8 @@ through their input one character at a time; the earlier recursion of
 the hybrid scenario search, the scenario search that re-closes every pair at every
 node, the path consistency that composes on every revision, the
 revision and TCSP searches that close every node's network from scratch,
-the revision witness test that decodes and intersects windows, and the
+the revision witness test that decodes and intersects windows, the
+one-window conjoin that rescales through `STP.with_constraints`, and the
 recipe encoder that derives every rule again in each scenario (with its
 own chain and interval rules, not the package's helpers).
 `exact_hybrid` states what a hybrid network means, with no closure or
@@ -844,6 +845,14 @@ def rebuild_tcsp_consistent(t):
 
     witness = search(0, STP.build(t.points))
     return witness is not None, witness
+
+
+def rescaling_close_with(s, frm, to, w):
+    """`metric._close_with` as it was for a window with a new denominator:
+    conjoined into a full copy by `with_constraints`, then closed from the
+    window's two entries, whether they tightened or not."""
+    i, j = s._index[frm], s._index[to]
+    return stp_close(s.with_constraints([(frm, to, w)]), changed=[(i, j), (j, i)])
 
 
 _RULE = {name: Relation.parse(text) for name, text in (

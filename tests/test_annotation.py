@@ -309,6 +309,19 @@ class TestParseRecipeDsl:
             parse_recipe_dsl(f'recipe "T"\nstep b "rest"\nstep a "stir" {clause}\n')
         assert str(err.value) == f"line 3: {message}"
 
+    @pytest.mark.parametrize("clause, word", [
+        ('until "s" until "t"', "until"),
+        ("last 5 min of b last 6 min of b", "last"),
+        ("meanwhile meanwhile", "meanwhile"),
+        ("for 5 min for 6 min", "for"),
+    ])
+    def test_repeated_clause(self, clause, word):
+        """A clause given twice is an error at its line, not a silent
+        override by the second; `for` also ends a `for` phrase."""
+        with pytest.raises(RecipeSyntaxError) as err:
+            parse_recipe_dsl(f'recipe "T"\nstep b "rest"\nstep a "stir" {clause}\n')
+        assert str(err.value) == f"line 3: repeated step clause {word!r}"
+
     def test_mixed_duration_window(self):
         r = parse_recipe_dsl('recipe "T"\n'
                              'step bake "bake" for 25 min until "brown"\n')

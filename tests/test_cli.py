@@ -84,6 +84,7 @@ class TestCheck:
          "error: line 5: step 'b' is marked meanwhile but has no antecedent\n"),
         ("zero_denominator.rcp",
          "error: line 2: cannot parse duration phrase '1/0 min'\n"),
+        ("repeated_clause.rcp", "error: line 3: repeated step clause 'until'\n"),
     ])
     def test_malformed_fixture_is_a_syntax_error(self, capsys, name, message):
         """Faults the parser once passed on to the recipe and the encoder,
@@ -91,6 +92,22 @@ class TestCheck:
         a traceback (a zero denominator)."""
         assert run(["check", str(FIXTURES / name)]) == 2
         assert capsys.readouterr() == ("", message)
+
+    def test_too_many_alt_blocks_build_nothing(self, capsys, monkeypatch):
+        """13 alt blocks would make 8,192 scenarios: every command that
+        encodes them all exits 3 with one error line, and no scenario
+        network is built first."""
+        from chronotext.hybrid import HybridNetwork
+        builds = []
+        real = HybridNetwork.build.__func__
+        monkeypatch.setattr(HybridNetwork, "build", classmethod(
+            lambda cls, *args, **kw: builds.append(args) or real(cls, *args, **kw)))
+        path = str(FIXTURES / "many_alts.rcp")
+        for argv in (["check", path], ["close", path], ["workflow", path],
+                     ["query", path, "cook", "serve"]):
+            assert run(argv) == 3
+            assert capsys.readouterr() == ("", "error: 13 alt blocks exceed the bound of 12\n")
+        assert builds == []
 
     @pytest.mark.parametrize("line", ["rel x {b} zz", "sporadic x in y extra"])
     def test_undeclared_id_or_trailing_tokens(self, capsys, tmp_path, line):
@@ -238,6 +255,10 @@ class TestAdapt:
          "line 3: cannot parse duration phrase '1/0 min'"),
         ('anchor combine\ntimer t 2-1/0 h\nrel t {b} combine\n',
          "line 3: cannot parse duration phrase '2-1/0 h'"),
+        ('anchor combine\nstep z "soak" for 5 min for 6 min\nrel z {b} combine\n',
+         "line 3: repeated step clause 'for'"),
+        ('anchor combine\nstep z "soak" until "soft" until "mushy"\nrel z {b} combine\n',
+         "line 3: repeated step clause 'until'"),
     ])
     def test_malformed_knowledge_exit_code(self, capsys, tmp_path, body, message):
         know = tmp_path / "bad.know"

@@ -32,6 +32,7 @@ from oracles import (
     overlay_metric_to_allen,
     random_window,
     rebuild_tcsp_consistent,
+    rescaling_close_with,
     stp_minimal_by_paths,
     tuple_conjoin,
     tuple_shortest_paths,
@@ -575,10 +576,11 @@ class TestIntegerShortestPaths:
                 assert closed.minimal
         assert verdicts == {True, False}
 
-    @pytest.mark.parametrize("n", [2, 5, 12])
+    @pytest.mark.parametrize("n", [2, 5, 12, 40])
     def test_strict_chain_does_not_carry_into_value(self, n):
         # n - 1 strict legs of value 0, then of value 1/3: the strictness
-        # count must stay below the value scale
+        # count must stay below the value scale, even with far more legs
+        # than the multiplier M
         points = [f"p{i}" for i in range(n)]
         for step in (F(0), F(1, 3)):
             leg = BoundWindow(step, None, lo_strict=True)
@@ -600,6 +602,23 @@ class TestIntegerShortestPaths:
         closed = stp_close(cycle(False))
         assert not closed.inconsistent
         assert closed.window("a", "c") == BoundWindow.exact(F(1, 2))
+
+    @pytest.mark.parametrize("strict", [None, 0, 17, 39])
+    def test_forty_point_zero_cycles(self, strict):
+        """A cycle through 40 points whose legs sum to exactly 0 over mixed
+        denominators is inconsistent with one strict leg, wherever it is,
+        and consistent with none, as the tuple reference finds."""
+        points = [f"p{i}" for i in range(40)]
+        legs = [F((-1) ** k * (k % 7 + 1), k % 5 + 1) for k in range(39)]
+        legs.append(-sum(legs))
+        s = STP.build(points, [
+            (a, b, BoundWindow(None, v, hi_strict=k == strict))
+            for k, (a, b, v) in enumerate(zip(points, points[1:] + points[:1], legs))])
+        closed, ref = stp_close(s), tuple_stp_close(s)
+        assert closed.inconsistent == ref.inconsistent == (strict is not None)
+        if strict is None:
+            assert closed._u == ref._u
+            assert closed.window("p0", "p39") == BoundWindow.exact(sum(legs[:39]))
 
     def test_inconsistent_input_left_unchanged(self):
         s = STP.build(["x", "y", "z"], [
@@ -713,7 +732,7 @@ class TestReadBackAgainstFloydWarshall:
 
 def random_minimal_stps(rng, count):
     """Closed consistent STPs with their interval names: two intervals and
-    an anonymous point, or two to six intervals (multipliers 5 to 13),
+    an anonymous point, or two to six intervals (4 to 12 points),
     under random windows with mixed denominators and strict and unbounded
     sides."""
     made = 0
@@ -749,16 +768,16 @@ class TestLegSets:
         rng = random.Random(103)
         seen = set()
         for closed, names in random_minimal_stps(rng, 300):
-            m = closed._m
+            m, n = metric._M, len(closed.points)
             x, y = rng.sample(names, 2)
             idx = [closed._index[p] for p in (start_of(x), end_of(x), start_of(y), end_of(y))]
             entries = [closed._e[i][j] for i in idx for j in idx if i != j]
             entries = [v for v in entries if v is not None]
             sums = entries + [a + b for k, a in enumerate(entries) for b in entries[k + 1:]]
             assert all(v <= 0 or v >= m - 2 for v in sums)
-            seen.update((v > 0, v == 0, v < 0, m) for v in sums)
-        assert {(False, True, False, 5), (False, False, True, 5), (True, False, False, 5)} <= seen
-        assert {m for *_, m in seen} == {5, 6, 7, 9, 11, 13}
+            seen.update((v > 0, v == 0, v < 0, n) for v in sums)
+        assert {(False, True, False, 4), (False, False, True, 4), (True, False, False, 4)} <= seen
+        assert {n for *_, n in seen} == {4, 5, 6, 8, 10, 12}
 
     def test_matches_per_atom_cycle_tests_on_minimal_stps(self):
         rng = random.Random(107)
@@ -771,18 +790,18 @@ class TestLegSets:
 
     def test_matches_per_atom_cycle_tests_on_any_encoded_entries(self):
         """The table and the per-atom tests agree on every 4x4 matrix of
-        encoded entries q*M - [strict], M >= 5, minimal or not: the two
+        encoded entries q*M - [strict], M = 5, minimal or not: the two
         classes of sums are a property of the encoding alone.  Sums of 0
         occur often, so treating them as positive would disagree."""
         rng = random.Random(109)
         points = [start_of("x"), end_of("x"), start_of("y"), end_of("y")]
         zeros = 0
         for _ in range(3000):
-            m = rng.choice((5, 6, 9))
+            m = metric._M
             e = tuple(tuple(0 if i == j else None if rng.random() < 0.25
                             else rng.randint(-2, 2) * m - (rng.random() < 0.5)
                             for j in range(4)) for i in range(4))
-            s = STP._raw(tuple(points), {p: i for i, p in enumerate(points)}, e, 1, m,
+            s = STP._raw(tuple(points), {p: i for i, p in enumerate(points)}, e, 1,
                          minimal=True)
             within = Relation(rng.randint(0, FULL.mask))
             assert metric_to_allen(s, "x", "y") == cycle_test_metric_to_allen(s, "x", "y")
@@ -804,7 +823,7 @@ class TestRestrictedRows:
             cut = closed.restricted(keep)
             idx = [closed.points.index(p) for p in keep]
             assert cut._e == tuple(tuple(closed._e[i][j] for j in idx) for i in idx)
-            assert (cut.points, cut._d, cut._m) == (tuple(keep), closed._d, closed._m)
+            assert (cut.points, cut._d) == (tuple(keep), closed._d)
             assert not (cut.minimal or cut.inconsistent)
         with pytest.raises(ValueError, match="duplicate point ids"):
             closed.restricted([closed.points[0]] * 2)
@@ -829,10 +848,10 @@ class TestStoredEncoding:
         `restricted` and `stp_close`: after every step the verdict, the
         decoded matrix and every window equal those of a (value, strict)
         tuple reference, and closing gives what a fresh `tuple_stp_close`
-        of the same bounds gives.  Rescaling, for a new denominator or new
-        points, keeps every entry exact."""
+        of the same bounds gives.  Rescaling, for a new denominator, keeps
+        every entry exact."""
         rng = random.Random(61)
-        scales, multipliers, verdicts = set(), set(), set()
+        scales, sizes, verdicts = set(), set(), set()
         rescaled = 0
         for _ in range(150):
             names = (f"p{k}" for k in range(100))
@@ -851,7 +870,7 @@ class TestStoredEncoding:
                     s = s.with_constraints(cons, new)
                     # a tightening keeps an inconsistent network flagged
                     ref_points, ref = tuple_conjoin(ref_points, ref, cons, new)
-                    if (s._d, s._m) != (before._d, before._m) and any(
+                    if s._d != before._d and any(
                             v is not None for row in before._e for v in row if v):
                         rescaled += 1
                 elif action < 0.65 and len(ref_points) > 2:
@@ -875,11 +894,10 @@ class TestStoredEncoding:
                 assert list(s.points) == ref_points
                 assert s.inconsistent == ref_bad
                 assert s._u == tuple(map(tuple, ref))
-                m = s._m
-                assert m >= max(len(ref_points) + 1, 5)
+                m = metric._M
                 assert all(v is None or v % m in (0, m - 1) for row in s._e for v in row)
                 scales.add(s._d)
-                multipliers.add(m)
+                sizes.add(len(ref_points))
                 if not ref_bad:
                     for i, a in enumerate(ref_points):
                         for j, b in enumerate(ref_points):
@@ -892,14 +910,14 @@ class TestStoredEncoding:
         assert verdicts == {True, False}
         assert rescaled > 100
         assert {1, 2, 3, 5, 6, 7, 105, 210} <= scales
-        assert max(multipliers) == 13
+        assert max(sizes) == 12
 
     def test_read_back_on_larger_networks(self):
-        """The cycle tests read the stored matrix of 4 to 12 points, with
-        multipliers above 5, exactly as one integer Floyd-Warshall per
-        atom on the decoded 4x4 sub-matrix at its own scale does."""
+        """The cycle tests read the stored matrix of 4 to 12 points exactly
+        as one integer Floyd-Warshall per atom on the decoded 4x4
+        sub-matrix at its own scale does."""
         rng = random.Random(67)
-        multipliers = set()
+        sizes = set()
         checked = 0
         while checked < 400:
             names = [f"i{k}" for k in range(rng.randint(2, 6))]
@@ -910,13 +928,50 @@ class TestStoredEncoding:
             closed = stp_close(STP.build(points, cons))
             if closed.inconsistent:
                 continue
-            multipliers.add(closed._m)
+            sizes.add(len(closed.points))
             x, y = rng.sample(names, 2)
             within = Relation(rng.randint(0, FULL.mask))
             assert metric_to_allen(closed, x, y) == fw_metric_to_allen(closed, x, y)
             assert metric_to_allen(closed, x, y, within) == fw_metric_to_allen(closed, x, y, within)
             checked += 1
-        assert multipliers == {5, 7, 9, 11, 13}
+        assert sizes == {4, 6, 8, 10, 12}
+
+    def test_adding_points_keeps_every_stored_entry(self):
+        """New points, and integer windows that each touch one of them,
+        leave the scale and every entry among the old points as stored."""
+        rng = random.Random(131)
+        for _ in range(200):
+            s = stp_close(random_stp(rng, rng.randint(2, 7)))
+            new = [f"q{k}" for k in range(rng.randint(1, 6))]
+            cons = [(rng.choice(new), rng.choice(s.points + tuple(new)),
+                     BoundWindow.closed(lo, lo + rng.randint(0, 5)))
+                    for lo in (rng.randint(-9, 9) for _ in range(rng.randint(0, 4)))]
+            if rng.random() < 0.5:
+                cons = [(b, a, w) for a, b, w in cons]
+            t = s.with_constraints(cons, new)
+            n = len(s.points)
+            assert t._d == s._d and t.inconsistent == s.inconsistent
+            assert all(t._e[i][:n] == s._e[i] for i in range(n))
+
+    def test_equality_agrees_with_decoded_view(self):
+        """Equality across scales, neither of which divides the other,
+        holds exactly when the decoded matrices agree."""
+        rng = random.Random(137)
+        outcomes = set()
+        for _ in range(300):
+            s = stp_close(random_stp(rng, rng.randint(2, 6)))
+            p = s.points[0]
+            a = s.with_constraints([(p, p, BoundWindow.closed(F(-1, 11), F(1, 11)))])
+            b = s.with_constraints([(p, p, BoundWindow.closed(F(-1, 13), F(1, 13)))])
+            if rng.random() < 0.5:
+                b = b.with_constraints([(*rng.sample(s.points, 2), random_window(rng))])
+            assert (a._d % 11, b._d % 13) == (0, 0)
+            equal = a == b
+            assert equal == (a._u == b._u) == (b == a)
+            if equal:
+                assert hash(a) == hash(b)
+            outcomes.add(equal)
+        assert outcomes == {True, False}
 
     def test_equality_is_by_value_across_scales(self):
         a = STP.build(["x", "y"], [("x", "y", BoundWindow.closed(1, 2))])
@@ -976,7 +1031,7 @@ class TestIncrementalClose:
             verdicts.add(inc.inconsistent)
             if not full.inconsistent:
                 assert inc.minimal
-                assert (inc._e, inc._d, inc._m) == (full._e, full._d, full._m)
+                assert (inc._e, inc._d) == (full._e, full._d)
                 assert inc == full
         assert verdicts == {True, False}
         assert rescaled >= 40 and several >= 100
@@ -1005,6 +1060,27 @@ class TestIncrementalClose:
                 assert inc.minimal and inc._e == full._e
         assert verdicts == {True, False}
 
+    def test_close_with_new_denominators_matches_rescaling_route(self):
+        """`_close_with` a window over denominators 11 and 13 rescales the
+        minimal network and closes from what the window tightened: the
+        same verdict, exact entries, scale and flags as conjoining into a
+        full copy and closing from the window's two entries."""
+        rng = random.Random(139)
+        verdicts, rescaled = set(), 0
+        for _ in range(400):
+            s = stp_close(random_stp(rng, rng.randint(2, 7)))
+            if s.inconsistent:
+                continue
+            frm, to = rng.sample(s.points, 2)
+            w = _new_denominator_window(rng) if rng.random() < 0.7 else random_window(rng)
+            got, ref = metric._close_with(s, frm, to, w), rescaling_close_with(s, frm, to, w)
+            assert (got._e, got._d) == (ref._e, ref._d)
+            assert (got.inconsistent, got.minimal) == (ref.inconsistent, ref.minimal)
+            verdicts.add(got.inconsistent)
+            rescaled += got._d != s._d
+        assert verdicts == {True, False}
+        assert rescaled > 150
+
     def test_conjoining_keeps_the_inconsistent_flag(self):
         s = stp_close(STP.build(["a", "b"], [("a", "b", BoundWindow.closed(5, 6)),
                                              ("b", "a", BoundWindow.closed(0, 1))]))
@@ -1029,7 +1105,7 @@ class TestIncrementalClose:
         ten = BoundWindow.closed(0, 10)
         s = stp_close(STP.build(["a", "b", "c"], [("a", "b", ten), ("b", "c", ten), ("a", "c", ten)]))
         t, tightened = s._with_edges(metric._window_edges(
-            [(0, 1, BoundWindow.closed(6, 10)), (1, 2, BoundWindow.closed(6, 10))], s._d * s._m))
+            [(0, 1, BoundWindow.closed(6, 10)), (1, 2, BoundWindow.closed(6, 10))], s._d * metric._M))
         assert len(tightened) == 2 and all(t._e[i][j] + t._e[j][i] >= 0 for i, j in tightened)
         for got in (stp_close(t, changed=tightened), stp_close(t)):
             assert got.inconsistent and got._e is t._e
@@ -1063,7 +1139,7 @@ class TestIncrementalClose:
             assert ok == ref_ok
             verdicts.add(ok)
             if ok:
-                assert (witness._e, witness._d, witness._m) == (ref._e, ref._d, ref._m)
+                assert (witness._e, witness._d) == (ref._e, ref._d)
                 assert witness.minimal
         assert verdicts == {True, False}
 
@@ -1106,7 +1182,7 @@ class TestHullSearch:
         for (ok, witness), (ref_ok, ref) in zip(got, refs):
             assert ok == ref_ok
             if ok:
-                assert (witness._e, witness._d, witness._m) == (ref._e, ref._d, ref._m)
+                assert (witness._e, witness._d) == (ref._e, ref._d)
 
     def test_hulls_refute_at_the_root(self, monkeypatch):
         """Each window pair alone fits, but the hulls [0, 11] + [0, 11]
@@ -1137,9 +1213,26 @@ class TestHullSearch:
                                     for j, v in enumerate(row) if i != j)
         ref_ok, ref = rebuild_tcsp_consistent(t)
         assert ok and ref_ok
-        assert (witness._e, witness._d, witness._m) == (ref._e, ref._d, ref._m)
+        assert (witness._e, witness._d) == (ref._e, ref._d)
         assert witness._d == 30
         assert witness.window("x", "y") == BoundWindow.closed(F(1, 2), 1)
+
+    def test_fractional_one_window_constraints_are_not_levels(self, monkeypatch):
+        """One window with fractional bounds on each of the 780 pairs of 40
+        points: each is conjoined into the root before the search, so the
+        search has no level to recurse through, and the witness is the
+        chain's tightest closure."""
+        points = [f"p{i}" for i in range(40)]
+        w = BoundWindow.closed(F(1, 2), F(1000000, 3))
+        t = TCSP(tuple(points), tuple(MetricConstraint(a, b, (w,))
+                                      for i, a in enumerate(points) for b in points[i + 1:]))
+        closed = count_stp_closes(monkeypatch)
+        ok, witness = tcsp_consistent(t)
+        assert ok and witness.minimal and witness._d == 6
+        assert len(closed) == 1 + 780
+        assert witness.window("p0", "p39") == BoundWindow.closed(F(39, 2), F(1000000, 3))
+        # the other 37 legs take at least 1/2 each of p39 - p0's upper bound
+        assert witness.window("p3", "p5") == BoundWindow.closed(1, F(1000000, 3) - F(37, 2))
 
     def test_implied_window_shares_the_parent(self, monkeypatch):
         """A child whose window the parent already implies tightens no
@@ -1163,7 +1256,7 @@ class TestHullSearch:
         shared = copied = 0
         for _ in range(300):
             s = stp_close(random_stp(rng, rng.randint(2, 7)))
-            n, dm = len(s.points), s._d * s._m
+            n, dm = len(s.points), s._d * metric._M
             edges = [(*rng.sample(range(n), 2), rng.randint(-3 * dm, 3 * dm))
                      for _ in range(rng.randint(0, 4))]
             rows, tightened = [list(row) for row in s._e], {}

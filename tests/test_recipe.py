@@ -6,7 +6,7 @@ import pytest
 
 from chronotext.allen import FULL, Relation, close
 from chronotext.hybrid import hybrid_atomic_consistent, hybrid_close
-from chronotext.metric import BoundWindow
+from chronotext.metric import BoundWindow, ScaleBoundExceeded
 from chronotext.recipe import (
     ActionNode,
     AlternativeBranch,
@@ -15,6 +15,7 @@ from chronotext.recipe import (
     RepetitionMarker,
     StateNode,
     TimerNode,
+    MAX_ALT_BLOCKS,
     duration_cap,
     encode_duration,
     encode_recipe,
@@ -297,6 +298,18 @@ class TestChilliRelish:
         )
         labels = [label for label, _ in encode_recipe(extra)]
         assert labels == ["base", "fancy", "hot", "fancy+hot"]
+
+
+    def test_alt_blocks_are_bounded(self):
+        """Scenarios double with each alt block; beyond 12 blocks the
+        encoder refuses before deriving a constraint."""
+        steps = tuple(ActionNode(f"s{k}", "stir") for k in range(MAX_ALT_BLOCKS + 2))
+        branches = tuple(AlternativeBranch(f"b{k}", (f"s{k + 1}",))
+                         for k in range(MAX_ALT_BLOCKS + 1))
+        with pytest.raises(ScaleBoundExceeded, match="13 alt blocks exceed the bound of 12"):
+            encode_recipe(Recipe("t", steps=steps, branches=branches))
+        few = Recipe("t", steps=steps[:4], branches=branches[:3])
+        assert len(encode_recipe(few)) == 8
 
 
 class TestOtherMarkers:

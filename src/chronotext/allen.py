@@ -552,8 +552,9 @@ def path_consistency(net: Network, changed: Optional[Sequence[tuple[int, int]]] 
     change anything and is skipped without composing: a popped pair with
     a full cell, the (i, k) revision when C[j][k] is full and the (k, j)
     revision when C[k][i] is full.  The other revisions run in the same
-    order, so closed and inconsistent results are those of revising
-    every triple.
+    order, so closed results are those of revising every triple; so are
+    inconsistent ones unless an input cell is empty (empty composed with
+    full is empty, so such a run may stop at another empty cell).
 
     No revision calls `Calculus.compose`: the compositions are read from
     the calculus's split tables in line (after GQR, and van Beek &

@@ -169,13 +169,6 @@ class Recipe:
                 if c < b:
                     raise ValueError(f"overlapping {kind} spans {a, b} and {c, d}")
 
-    def find(self, id_: str):
-        for group in (self.preliminaries, self.steps, self.states, self.timers):
-            for n in group:
-                if n.id == id_:
-                    return n
-        raise KeyError(id_)
-
 
 # ---------------------------------------------------------------------------
 # duration phrases
@@ -209,15 +202,15 @@ def _parse_duration(text: str):
     return a, b, about
 
 
-def encode_duration(text: str, about_factor: Fraction = ABOUT_FACTOR) -> BoundWindow:
+def encode_duration(text: str) -> BoundWindow:
     """Normalize a duration phrase to a window in minutes.
 
-    "N unit" is exact, "N-M unit" closed, "about N unit" widened by the
-    given factor on each side.
+    "N unit" is exact, "N-M unit" closed, "about N unit" widened by
+    `ABOUT_FACTOR` (1/5) on each side.
     """
     a, b, about = _parse_duration(text)
     if about:
-        return BoundWindow.closed(a * (1 - about_factor), a * (1 + about_factor))
+        return BoundWindow.closed(a * (1 - ABOUT_FACTOR), a * (1 + ABOUT_FACTOR))
     return BoundWindow.closed(a, b if b is not None else a)
 
 

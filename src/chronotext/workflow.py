@@ -80,17 +80,11 @@ class WorkflowGraph:
 
 def _precedence(h: HybridNetwork) -> dict[str, set[str]]:
     ids = h.intervals
-    # a diagonal cell is {e}, never inside {b,m}
     after = {a: {b for b, cell in zip(ids, row) if cell and not cell & _NOT_BM}
              for a, row in zip(ids, h.qcn._matrix)}
-    for a in ids:
-        if a in after[a]:
-            raise ValueError("precedence is not irreflexive")
-        for b in after[a]:
-            if a in after[b]:
-                raise ValueError("precedence is not antisymmetric")
-            if not after[b] <= after[a]:
-                raise ValueError("precedence is not transitive")
+    # {e} diagonals and converse mirror cells leave only transitivity to check
+    if any(not after[b] <= after[a] for a in ids for b in after[a]):
+        raise ValueError("precedence is not transitive")
     return after
 
 
@@ -126,7 +120,7 @@ def _scenario_flow(h: HybridNetwork, markers: Sequence[RepetitionMarker],
                     if len(members) > 1))
 
     nodes = [WorkflowNode(prefix + a, "action", a) for a in ids]
-    edges: list[tuple[str, str, str]] = []
+    edges: set[tuple[str, str, str]] = set()
     loops: list[tuple[str, tuple[str, ...]]] = []
 
     head = {a: prefix + a for a in ids}  # where incoming flow enters
@@ -138,28 +132,23 @@ def _scenario_flow(h: HybridNetwork, markers: Sequence[RepetitionMarker],
         for a in members:
             head[a] = split.id
             tail[a] = join.id
-            edges.append((split.id, prefix + a, ""))
-            edges.append((prefix + a, join.id, ""))
+            edges |= {(split.id, prefix + a, ""), (prefix + a, join.id, "")}
     for target, marker in marked.items():
         loop = WorkflowNode(f"{prefix}loop:{target}", "loop",
                             _loop_label(marker, guards))
         nodes.append(loop)
         head[target] = tail[target] = loop.id
         body = [prefix + target]
-        edges.append((loop.id, prefix + target, ""))
-        edges.append((prefix + target, loop.id, "back"))
+        edges |= {(loop.id, prefix + target, ""),
+                  (prefix + target, loop.id, "back")}
         if marker.mode in ("sporadic", "alternation"):
             noop = WorkflowNode(f"{prefix}noop:{target}", "no-op", "no-op")
             nodes.append(noop)
             body.append(noop.id)
-            edges.append((loop.id, noop.id, ""))
-            edges.append((noop.id, loop.id, "back"))
+            edges |= {(loop.id, noop.id, ""), (noop.id, loop.id, "back")}
         loops.append((loop.id, tuple(body)))
 
-    for a, b in reduced:
-        edge = (tail[a], head[b], "")
-        if edge not in edges:
-            edges.append(edge)
+    edges |= {(tail[a], head[b], "") for a, b in reduced}
 
     inner = {member for _, body in loops for member in body}
     frontier = sorted({head[a] for a in ids} | {tail[a] for a in ids})
@@ -176,50 +165,42 @@ def to_workflow(scenarios: Sequence[tuple[str, HybridNetwork]],
                 markers: Sequence[RepetitionMarker] = (),
                 guards: Optional[Mapping[str, str]] = None) -> WorkflowGraph:
     """Merge closed, action-only scenario networks into one workflow
-    graph with a single source and sink."""
+    graph with a single source and sink.  One scenario hangs between
+    them; several hang between an xor-split and an xor-join, with ids
+    prefixed by their label, each entered (left) through its own
+    and-split (and-join) when it has several first (last) nodes."""
     guards = guards or {}
     scenarios = [(label, h) for label, h in scenarios if h.intervals]
     nodes = [WorkflowNode("source", "no-op", "source"),
              WorkflowNode("sink", "no-op", "sink")]
-    edges: list[tuple[str, str, str]] = []
+    edges: set[tuple[str, str, str]] = set()
     loops: list[tuple[str, tuple[str, ...]]] = []
-
-    if not scenarios:
-        edges.append(("source", "sink", ""))
-    elif len(scenarios) == 1:
+    split, join, several = "source", "sink", len(scenarios) > 1
+    if several:
+        split, join = "xor-split", "xor-join"
+        nodes += [WorkflowNode(split, split, "xor"),
+                  WorkflowNode(join, join, "xor")]
+        edges |= {("source", split, ""), (join, "sink", "")}
+    elif not scenarios:
+        edges.add(("source", "sink", ""))
+    for label, h in scenarios:
+        prefix = f"{label}:" if several else ""
         sub_nodes, sub_edges, sub_loops, minimal, maximal = _scenario_flow(
-            scenarios[0][1], markers, "", guards)
+            h, markers, prefix, guards)
         nodes += sub_nodes
-        edges += sub_edges
+        edges |= sub_edges
         loops += sub_loops
-        edges += [("source", n, "") for n in minimal]
-        edges += [(n, "sink", "") for n in maximal]
-    else:
-        split = WorkflowNode("xor-split", "xor-split", "xor")
-        join = WorkflowNode("xor-join", "xor-join", "xor")
-        nodes += [split, join]
-        edges += [("source", split.id, ""), (join.id, "sink", "")]
-        for label, h in scenarios:
-            prefix = f"{label}:"
-            sub_nodes, sub_edges, sub_loops, minimal, maximal = _scenario_flow(
-                h, markers, prefix, guards)
-            nodes += sub_nodes
-            edges += sub_edges
-            loops += sub_loops
-            if len(minimal) > 1:
-                enter = WorkflowNode(f"{prefix}enter", "and-split")
-                nodes.append(enter)
-                edges += [(split.id, enter.id, "")]
-                edges += [(enter.id, n, "") for n in minimal]
-            else:
-                edges += [(split.id, n, "") for n in minimal]
-            if len(maximal) > 1:
-                leave = WorkflowNode(f"{prefix}leave", "and-join")
-                nodes.append(leave)
-                edges += [(n, leave.id, "") for n in maximal]
-                edges += [(leave.id, join.id, "")]
-            else:
-                edges += [(n, join.id, "") for n in maximal]
+        enter, leave = split, join
+        if several and len(minimal) > 1:
+            enter = f"{prefix}enter"
+            nodes.append(WorkflowNode(enter, "and-split"))
+            edges.add((split, enter, ""))
+        if several and len(maximal) > 1:
+            leave = f"{prefix}leave"
+            nodes.append(WorkflowNode(leave, "and-join"))
+            edges.add((leave, join, ""))
+        edges |= {(enter, n, "") for n in minimal}
+        edges |= {(n, leave, "") for n in maximal}
 
     return WorkflowGraph(tuple(sorted(nodes, key=lambda n: n.id)),
                          tuple(sorted(edges)), tuple(sorted(loops)))

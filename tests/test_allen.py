@@ -331,6 +331,32 @@ class TestUniversalBoundSkip:
         assert verdicts == {True, False}
         assert sizes == set(range(1, len(slots)))
 
+    @pytest.mark.parametrize("calc", [ALLEN, INDU], ids=["allen", "indu"])
+    def test_cycle_law(self, calc):
+        """c in a;b iff b in a~;c iff a in c;b~ for all atoms a, b, c.  So
+        while the popped cell is nonempty a (k, j) revision never empties a
+        cell: the (i, k) revision of the same k would have emptied one."""
+        bits = [1 << slot for slot in atom_slots(calc)]
+        comp = {(a, b): calc.compose(a, b) for a in bits for b in bits}
+        conv = {a: calc.converse(a) for a in bits}
+        for (a, b), ab in comp.items():
+            for c in bits:
+                assert bool(ab & c) == bool(comp[conv[a], c] & b) \
+                    == bool(comp[c, conv[b]] & a), (a, b, c)
+
+    @pytest.mark.parametrize("changed", [None, [(0, 1)]], ids=["every-pair", "popped-pair"])
+    def test_empty_input_cell_stops_at_the_first_emptied_cell(self, changed):
+        """From an input that already holds an empty cell, the kernel stops
+        at the first cell it empties, here in a (k, j) revision: (y, z)."""
+        rel = INDURelation.parse
+        net = INDUNetwork.build("xyzw", [
+            ("x", rel("{b^<,b^=,b^>}"), "y"), ("x", rel("{bi^<,bi^=,bi^>}"), "y"),
+            ("z", rel("{d^<}"), "x"), ("w", rel("{d^<}"), "z")])
+        closed = path_consistency(net, changed)
+        assert closed.inconsistent
+        assert [(a, b) for i, a in enumerate(closed.intervals) for b in closed.intervals[i + 1:]
+                if not closed.cell(a, b).mask] == [("x", "y"), ("y", "z")]
+
     def test_close_never_composes_a_full_cell(self):
         self.check_table_reads(Relation, QCN)
 

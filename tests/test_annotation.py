@@ -309,6 +309,16 @@ class TestParseRecipeDsl:
             parse_recipe_dsl(f'recipe "T"\nstep b "rest"\nstep a "stir" {clause}\n')
         assert str(err.value) == f"line 3: {message}"
 
+    @pytest.mark.parametrize("line, message", [
+        ('step a ""', "empty action text"),
+        ('prelim p "x" extra', "trailing tokens after prelim"),
+        ('timer t "5 min"', "'timer <id> <duration>' expected"),
+    ], ids=["empty-text", "prelim-extra", "timer-string"])
+    def test_line_shape_errors(self, line, message):
+        with pytest.raises(RecipeSyntaxError) as err:
+            parse_recipe_dsl(f'recipe "T"\n{line}\n')
+        assert str(err.value) == f"line 2: {message}"
+
     @pytest.mark.parametrize("clause, word", [
         ('until "s" until "t"', "until"),
         ("last 5 min of b last 6 min of b", "last"),

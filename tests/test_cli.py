@@ -329,6 +329,10 @@ class TestWorkflow:
         assert run(["workflow", CYCLIC]) == 1
         assert "inconsistent" in capsys.readouterr().err
 
+    def test_inconsistent_annotation(self, capsys):
+        assert run(["workflow", str(FIXTURES / "inconsistent.tml")]) == 1
+        assert capsys.readouterr() == ("", "error: annotation network is inconsistent\n")
+
     def test_annotation_workflow(self, capsys):
         assert run(["workflow", SNIPPET]) == 0
         out = capsys.readouterr().out

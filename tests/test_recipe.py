@@ -48,8 +48,9 @@ class TestEncodeDuration:
         assert encode_duration("1/02 hour") == BoundWindow.exact(30)
         assert encode_duration("90 mins") == BoundWindow.exact(90)
 
-    def test_about_factor_configurable(self):
-        assert encode_duration("about 10 min", F(1, 10)) == BoundWindow.closed(9, 11)
+    def test_about_factor_configurable(self, monkeypatch):
+        monkeypatch.setattr("chronotext.recipe.ABOUT_FACTOR", F(1, 10))
+        assert encode_duration("about 10 min") == BoundWindow.closed(9, 11)
 
     def test_cap_ignores_widening(self):
         assert duration_cap("about 25 minutes") == 25

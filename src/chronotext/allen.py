@@ -31,11 +31,12 @@ from __future__ import annotations
 import enum
 import re
 from collections import deque
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import or_
-from typing import Callable, Iterator, Optional, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence, TypeVar
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class BaseRelation(enum.IntEnum):
@@ -156,7 +157,6 @@ def _shared(rows) -> list[list[int]]:
     return [list(map(canon, row, row)) for row in rows]
 
 
-@dataclass(frozen=True)
 class Calculus:
     """A qualitative calculus over bitmask relations: the atom at each bit
     position, the composition row of each atom, the converse atom of each
@@ -185,11 +185,10 @@ class Calculus:
     cell that shrinks.
     """
 
-    atoms: tuple
-    rows: tuple[tuple[int, ...], ...]
-    conv: tuple[int, ...]
-    identity: int
-    full: int
+    def __init__(self, atoms: tuple, rows: tuple[tuple[int, ...], ...], conv: tuple[int, ...],
+                 identity: int, full: int):
+        self.atoms, self.rows, self.conv = atoms, rows, conv
+        self.identity, self.full = identity, full
 
     def compose(self, m1: int, m2: int) -> int:
         halves = self._halves
@@ -388,10 +387,7 @@ FULL = Relation(FULL_MASK)
 IDENTITY = Relation.of(BaseRelation.e)
 
 
-Endpoints = tuple[Fraction, Fraction]
-
-
-def base_relation_of(x: Endpoints, y: Endpoints) -> BaseRelation:
+def base_relation_of(x: tuple[Fraction, Fraction], y: tuple[Fraction, Fraction]) -> BaseRelation:
     """The unique atom holding between two realized intervals: the one
     whose `ENDPOINT_SIGNS` entry the four endpoint differences show.
 
@@ -483,13 +479,18 @@ class Network:
         i, j = self._index[a], self._index[b]
         if i == j:
             raise ValueError("cannot replace a diagonal cell")
-        calc = self.relation.calculus
-        if rel.calculus is not calc:
+        if rel.calculus is not self.relation.calculus:
             raise ValueError(f"{rel!r} is of another calculus than {self.relation.__name__}")
-        m = [list(row) for row in self._matrix]
-        m[i][j] = rel.mask
-        m[j][i] = calc.converse(rel.mask)
-        return self._raw(self.intervals, m, self._index)
+        return self._with_mask(i, j, rel.mask)
+
+    def _with_mask(self, i: int, j: int, mask: int):
+        """This network with cell (i, j) set to `mask` and (j, i) to its
+        converse: those two rows are replaced, the others shared."""
+        rows = list(self._matrix)
+        ri, rj = rows[i], rows[j]
+        rows[i] = ri[:j] + (mask,) + ri[j + 1:]
+        rows[j] = rj[:i] + (self.relation.calculus.converse(mask),) + rj[i + 1:]
+        return self._raw(self.intervals, rows, self._index)
 
     def restricted(self, keep: Sequence[str]):
         """The induced subnetwork on the given intervals (order preserved),
@@ -696,14 +697,10 @@ def scenario_search(start: QCN, leaf: Callable[[QCN], Optional[W]]) -> Optional[
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
 
     def children(current: QCN, i: int, j: int, mask: int):
-        rows = current._matrix
         while mask:
             bit = mask & -mask
             mask ^= bit
-            m = list(rows)
-            m[i] = rows[i][:j] + (bit,) + rows[i][j + 1:]
-            m[j] = rows[j][:i] + (ALLEN.converse(bit),) + rows[j][i + 1:]
-            tightened = close(QCN._raw(current.intervals, m, current._index), changed=[(i, j)])
+            tightened = close(current._with_mask(i, j, bit), changed=[(i, j)])
             if not tightened.inconsistent:
                 yield tightened
 

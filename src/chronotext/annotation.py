@@ -224,16 +224,15 @@ DEFAULT_RELTYPE_MAP: dict[str, Relation] = {
 }
 
 
-def doc_to_qcn(doc: AnnotatedDoc, mapping: Optional[dict[str, Relation]] = None) -> QCN:
+def doc_to_qcn(doc: AnnotatedDoc) -> QCN:
     """One interval per event instance; each TLINK constrains its
-    instance against the instance it relates to.
+    instance against the instance it relates to, by the relation
+    `DEFAULT_RELTYPE_MAP` gives its relType.
 
     Intervals take the underlying event's id when that event has a
     single instance (the common case and the one the snippet uses),
     otherwise the instance id.
     """
-    if mapping is None:
-        mapping = DEFAULT_RELTYPE_MAP
     per_event: dict[str, int] = {}
     for inst in doc.instances:
         per_event[inst.event_id] = per_event.get(inst.event_id, 0) + 1
@@ -242,12 +241,9 @@ def doc_to_qcn(doc: AnnotatedDoc, mapping: Optional[dict[str, Relation]] = None)
 
     constraints = []
     for link in doc.tlinks:
-        rel = mapping.get(link.rel_type)
+        rel = DEFAULT_RELTYPE_MAP.get(link.rel_type)
         if rel is None:
             raise AnnotationError(f"no Allen image for relType {link.rel_type!r}",
-                                  link.offset)
-        if rel.is_empty:
-            raise AnnotationError(f"relType {link.rel_type!r} maps to the empty relation",
                                   link.offset)
         constraints.append((name[link.event_instance_id], rel,
                             name[link.related_to_event]))

@@ -164,7 +164,7 @@ def hybrid_close(h: HybridNetwork, *,
 
         # atomic cells were exported above, so the metric layer cannot
         # tighten them; the others keep only the atoms it still admits
-        # (with_cell changes no cell the loop has yet to read)
+        # (_with_mask changes no cell the loop has yet to read)
         e = stp._e
         moved = [seen is None or e[i] != seen[i] or e[j] != seen[j] for i, j in ends]
         seen = e
@@ -177,7 +177,7 @@ def hybrid_close(h: HybridNetwork, *,
                     continue
                 refined = metric_to_allen(stp, ids[ai], ids[bi], Relation(mask))
                 if refined.mask != mask:
-                    qcn = qcn.with_cell(ids[ai], ids[bi], refined)
+                    qcn = qcn._with_mask(ai, bi, refined.mask)
                     changed.append((ai, bi))
         if qcn.inconsistent or not changed:
             return HybridNetwork._raw(qcn, stp, h.anon_points)

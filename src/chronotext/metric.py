@@ -4,13 +4,15 @@ translations that connect interval relations to endpoint constraints,
 which take each Allen atom's endpoint signs from `allen.ENDPOINT_SIGNS`.
 
 All quantities are exact rationals in canonical units of minutes.
-Strict inequalities are carried as explicit flags on windows.  An STP
-stores only an exact integer encoding of its bounds, a (value, strict)
-upper bound kept as value*D*M - strict under a common denominator D and
-the fixed strictness multiplier M = 5 (see `STP`); the one shortest-path
-kernel (Floyd-Warshall through a set of pivot points), the read-back to
-Allen atoms and the atom export all work on that encoding, and bounds
-become `Fraction`s again only when a window is read.  A network already
+Strict inequalities are carried as explicit flags on windows.  Bounds
+have two forms: `BoundWindow`s at the API, and inside an `STP` one exact
+integer encoding, an upper bound v, strict or not, kept as v*D*M -
+[strict] under a common denominator D and the fixed strictness
+multiplier M = 5 (see `STP`).  Windows enter through one encoder
+(`_window_edges`); the one shortest-path kernel (Floyd-Warshall through
+a set of pivot points), the read-back to Allen atoms and the atom export
+all work on the encoding, and bounds become `Fraction`s again only when
+`STP.window` reads one.  A network already
 minimal is extended, not re-closed: `stp_close(s, changed=...)` pivots
 only on the endpoints of the entries tightened since, which the TCSP
 search, the hybrid closure rounds and search leaves, and revision all
@@ -108,8 +110,7 @@ class BoundWindow:
     def intersect(self, other: "BoundWindow") -> Optional["BoundWindow"]:
         """The common window, or None when the overlap is empty."""
         lo, hi = max(self, other, key=_lo_rank), min(self, other, key=_hi_rank)
-        bwd = _INF if lo.lo is None else (-lo.lo, lo.lo_strict)
-        return _bounds_to_window((hi.hi, hi.hi_strict), bwd)
+        return _window_or_none(lo.lo, hi.hi, lo.lo_strict, hi.hi_strict)
 
     def __str__(self) -> str:
         left = "(" if self.lo_strict else "["
@@ -131,45 +132,18 @@ def end_of(interval: str) -> str:
     return f"{interval}.end"
 
 
-# ---------------------------------------------------------------------------
-# bounds: (value, strict) pairs for t_to - t_from <= value; None = +infinity
-
-Bound = tuple[Optional[Fraction], bool]
-_INF: Bound = (None, True)
-_M = 5  # the strictness multiplier of the stored encoding (see `STP`)
-
-
-def _bounds_to_window(fwd: Bound, bwd: Bound) -> Optional[BoundWindow]:
-    """The window on t_to - t_from under the upper bound `fwd` and the
-    upper bound `bwd` on t_from - t_to, or None when no value fits."""
-    hi, hi_strict = fwd
-    lo, lo_strict = (None, True) if bwd[0] is None else (-bwd[0], bwd[1])
-    if lo is not None and hi is not None:
-        if lo > hi or (lo == hi and (lo_strict or hi_strict)):
-            return None
+def _window_or_none(lo: Optional[Fraction], hi: Optional[Fraction],
+                    lo_strict: bool, hi_strict: bool) -> Optional[BoundWindow]:
+    """The window with these bounds, or None when no value fits."""
+    if lo is not None and hi is not None and (lo > hi or lo == hi and (lo_strict or hi_strict)):
+        return None
     return BoundWindow(lo, hi, lo_strict, hi_strict)
 
 
-def _scaled(u: Sequence[Sequence[Bound]]) -> tuple[list[list[Optional[int]]], int]:
-    """A bound matrix encoded as integers v*D*M - strict, +infinity as None,
-    and D, the least common multiple of the finite values' denominators."""
-    d = 1
-    for row in u:
-        for v, _ in row:
-            if v is not None and d % v.denominator:
-                d = lcm(d, v.denominator)
-    dm = d * _M
-    enc = [[None if v is None else v.numerator * (dm // v.denominator) - strict
-            for v, strict in row] for row in u]
-    return enc, d
+# ---------------------------------------------------------------------------
+# simple temporal problems
 
-
-def _decoded(e: Optional[int], d: int) -> Bound:
-    """The (value, strict) bound of a stored entry e = q*M - strict."""
-    if e is None:
-        return _INF
-    q = -(-e // _M)  # ceil(e / M)
-    return Fraction(q, d), q * _M != e
+_M = 5  # the strictness multiplier of the stored encoding (see `STP`)
 
 
 def _window_edges(pairs: Iterable[tuple[int, int, BoundWindow]], dm: int) -> list[tuple[int, int, int]]:
@@ -188,37 +162,35 @@ class STP:
     """A simple temporal problem: one window per ordered point pair.
 
     What is stored is one integer matrix `_e`, with `_e[i][j]` the upper
-    bound on t_j - t_i: a bound (v, strict) is kept as v*D*M - strict,
-    None meaning +infinity, under the scale D (the least common multiple
-    of the denominators seen so far) and the fixed multiplier M = 5.  Each
-    stored entry carries at most one strict unit, and a sum is of two
-    entries (the kernel) or around a four-point cycle (the read-back, see
-    `metric_to_allen`), so M bounds every carry: integer sums order bounds
-    exactly as (value, strict) arithmetic does.  Decoding back to
-    `Fraction`s happens only in `window` and in the read-only view `_u`;
-    equality and hashing are by value, whatever the scale.
+    bound on t_j - t_i: a bound v, strict or not, is kept as v*D*M -
+    [strict], None meaning +infinity, under the scale D (the least common
+    multiple of the denominators seen so far) and the fixed multiplier
+    M = 5.  Each stored entry carries at most one strict unit, and a sum
+    is of two entries (the kernel) or around a four-point cycle (the
+    read-back, see `metric_to_allen`), so M bounds every carry: integer
+    sums order bounds exactly as exact values with strictness flags do.
+    Decoding back to `Fraction`s happens only in `window`; equality is by
+    value, whatever the scale, and hashing by what no rescale changes.
 
-    Instances are immutable.  `stp_close` returns the minimal network,
-    every window the tightest implied one, by Floyd-Warshall through
-    every point or, from a minimal network since tightened, through the
-    tightened entries' endpoints; a negative cycle flags it inconsistent.
-    Conjoining constraints keeps the inconsistent flag, since a
-    tightening keeps the cycle, and drops the minimal one; `restricted`
-    drops both.
+    `STP(points, constraints)`, the same as `STP.build`, conjoins (from,
+    to, window) triples into the network on `points` with no other bound.
+    Instances are immutable.  Only closure establishes the two flags:
+    `stp_close` returns the minimal network, every window the tightest
+    implied one, by Floyd-Warshall through every point or, from a minimal
+    network since tightened, through the tightened entries' endpoints; a
+    negative cycle flags it inconsistent.  Conjoining constraints keeps
+    the inconsistent flag, since a tightening keeps the cycle, and drops
+    the minimal one; `restricted` drops both.
     """
 
     __slots__ = ("points", "_index", "_e", "_d", "inconsistent", "minimal")
 
-    def __init__(self, points: Sequence[str], matrix, inconsistent: bool = False,
-                 minimal: bool = False):
-        """`matrix` holds (value, strict) upper bounds, value None for
-        +infinity, row i column j bounding t_j - t_i."""
-        points = tuple(points)
-        if len(matrix) != len(points) or any(len(row) != len(points) for row in matrix):
-            raise ValueError(f"bound matrix must be {len(points)}x{len(points)}")
-        e, d = _scaled(matrix)
-        self._init(points, {p: i for i, p in enumerate(points)},
-                   tuple(map(tuple, e)), d, inconsistent, minimal)
+    def __init__(self, points: Sequence[str],
+                 constraints: Iterable[tuple[str, str, BoundWindow]] = ()):
+        """The network on `points` with the (from, to, window) triples
+        conjoined in; repeated windows on a pair conjoin by intersection."""
+        s = STP._raw((), {}, (), 1).with_constraints(constraints, points)
+        self._init(s.points, s._index, s._e, s._d, False, False)
 
     def _init(self, points, index, e, d, inconsistent, minimal) -> None:
         if len(index) != len(points):
@@ -244,9 +216,8 @@ class STP:
     @classmethod
     def build(cls, points: Sequence[str],
               constraints: Iterable[tuple[str, str, BoundWindow]] = ()) -> "STP":
-        """Construct from (from, to, window) triples; repeated windows on
-        a pair conjoin by intersection."""
-        return cls((), ()).with_constraints(constraints, points)
+        """`STP(points, constraints)`."""
+        return cls(points, constraints)
 
     def with_constraints(self, constraints: Iterable[tuple[str, str, BoundWindow]],
                          new_points: Sequence[str] = ()) -> "STP":
@@ -312,18 +283,18 @@ class STP:
                          inconsistent=self.inconsistent),
                 list(tightened))
 
-    @property
-    def _u(self) -> tuple[tuple[Bound, ...], ...]:
-        """The stored matrix decoded to (value, strict) upper bounds."""
-        d = self._d
-        return tuple(tuple(_decoded(v, d) for v in row) for row in self._e)
-
     def window(self, frm: str, to: str) -> BoundWindow:
-        """The window currently recorded for t_to - t_from."""
+        """The window currently recorded for t_to - t_from: the upper
+        bound from the stored entry on it, the lower bound negated from
+        the one on t_from - t_to, each entry q*M - [strict] read as q/D,
+        strict when off a multiple of M."""
         if self.inconsistent:
             raise ValueError("windows are undefined on an inconsistent network")
         i, j = self._index[frm], self._index[to]
-        w = _bounds_to_window(_decoded(self._e[i][j], self._d), _decoded(self._e[j][i], self._d))
+        fwd, bwd = self._e[i][j], self._e[j][i]
+        w = _window_or_none(None if bwd is None else Fraction(-bwd // _M, self._d),
+                            None if fwd is None else Fraction(-(-fwd // _M), self._d),
+                            bwd is not None and bwd % _M > 0, fwd is not None and fwd % _M > 0)
         if w is None:
             raise ValueError(f"pair {frm!r}/{to!r} admits no value; close the network")
         return w
@@ -349,7 +320,9 @@ class STP:
         return self._rescaled(d) == other._rescaled(d)
 
     def __hash__(self) -> int:
-        return hash((self.points, self._u, self.inconsistent))
+        # by each entry's sign and strict unit, which no rescale changes
+        return hash((self.points, self.inconsistent, tuple(
+            None if v is None else (v > 0, v % _M) for row in self._e for v in row)))
 
     def __repr__(self) -> str:
         flag = " inconsistent" if self.inconsistent else ""

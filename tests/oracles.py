@@ -7,7 +7,8 @@ versions of the metric layer's earlier algorithms (the tuple
 Floyd-Warshall, the 13-overlay read-back and the read-back by one
 integer Floyd-Warshall per atom), which reuse the package's network
 types and atom-to-endpoint table to check its fast paths, but keep
-their own copies of the per-call bound encoder (`_scaled`), of a plain
+their own copies of the per-call bound encoder (`_scaled`), of the
+decoder of the stored matrix (`decoded`), of a plain
 integer Floyd-Warshall (`int_shortest_paths`, not the package's
 pivoted kernel) and of the window-based atom export
 (`_forced_atom_constraints`); the read-back by per-atom cycle tests
@@ -63,6 +64,7 @@ from chronotext.hybrid import (
 from chronotext.metric import (
     _ATOM_EDGES,
     _CYCLE_SPLITS,
+    _M,
     STP,
     ScaleBoundExceeded,
     BoundWindow,
@@ -269,6 +271,32 @@ def _btighter(a, b):
     return a if a[1] else b
 
 
+def _unscaled(e, d, m):
+    """The (value, strict) bound of an entry e = v*D*M - strict; None is
+    +infinity."""
+    if e is None:
+        return _INF
+    q = -(-e // m)
+    return Fraction(q, d), q * m != e
+
+
+def decoded(s):
+    """The stored matrix of an STP as (value, strict) bounds, row i
+    column j bounding t_j - t_i, each entry read at the package's
+    strictness multiplier `_M`."""
+    return [[_unscaled(v, s._d, _M) for v in row] for row in s._e]
+
+
+def stp_of_bounds(points, u, **flags):
+    """The STP over `points` that `STP.build` makes of a (value, strict)
+    bound matrix, each finite entry as a window with that upper bound;
+    `flags` (`minimal`, `inconsistent`) set through `STP._raw`."""
+    s = STP.build(points, [(a, b, BoundWindow(None, v, hi_strict=strict))
+                           for a, row in zip(points, u)
+                           for b, (v, strict) in zip(points, row) if v is not None])
+    return STP._raw(s.points, s._index, s._e, s._d, **flags)
+
+
 def tuple_shortest_paths(u):
     """Floyd-Warshall over a matrix of (value, strict) bounds, in place,
     with lexicographic tuple arithmetic.  False when some cycle has
@@ -373,10 +401,10 @@ def fw_metric_to_allen(s, x, y, within=None):
     (`int_shortest_paths`; a simple cycle on four points sums at most
     four strict units, fewer than M = 5): the atom's encoded edges laid
     over a copy of the encoded 4x4 endpoint sub-matrix, the atom kept
-    when no negative cycle closes.  The sub-matrix is read through the
-    decoded view and encoded afresh at its own scale on every call."""
+    when no negative cycle closes.  The sub-matrix is decoded and
+    encoded afresh at its own scale on every call."""
     idx = [s._index[p] for p in (start_of(x), end_of(x), start_of(y), end_of(y))]
-    sub, _, _ = _scaled([[s._u[i][j] for j in idx] for i in idx])
+    sub, _, _ = _scaled([[_unscaled(s._e[i][j], s._d, _M) for j in idx] for i in idx])
     candidates = FULL_MASK if within is None else within.mask
     mask = 0
     for atom in BaseRelation:
@@ -445,11 +473,10 @@ def random_window(rng, span=12):
 
 def tuple_stp_close(s, *, changed=None):
     """`stp_close` on the tuple Floyd-Warshall, which closes every pair
-    whatever `changed` lists."""
-    u = [list(row) for row in s._u]
-    if not tuple_shortest_paths(u):
-        return STP(s.points, u, inconsistent=True)
-    return STP(s.points, u, minimal=True)
+    whatever `changed` lists; the result is flagged as the verdict says."""
+    u = decoded(s)
+    ok = tuple_shortest_paths(u)
+    return stp_of_bounds(s.points, u, minimal=ok, inconsistent=not ok)
 
 
 def _forced_atom_constraints(qcn):
@@ -1156,15 +1183,6 @@ def reference_parse_timeml(source):
 # ---------------------------------------------------------------------------
 # what a hybrid network means
 
-def _unscaled(e, d, m):
-    """The (value, strict) bound of an entry e = v*D*M - strict; None is
-    +infinity."""
-    if e is None:
-        return None, True
-    q = -(-e // m)
-    return Fraction(q, d), q * m != e
-
-
 def exact_hybrid(h):
     """Decide a hybrid network of at most 4 intervals by what it means.
 
@@ -1186,7 +1204,7 @@ def exact_hybrid(h):
     endpoint = [index[f(i)] for i in ids for f in (start_of, end_of)]
     pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]]
     masks = [h.relation(a, b).mask for a, b in pairs]
-    base, d, m = _scaled([list(row) for row in h.stp._u])
+    base, d, m = _scaled(decoded(h.stp))
     hull = None
     atoms_seen = [0] * len(pairs)
     for ranks, atoms in _order_profiles(n):

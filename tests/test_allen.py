@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -399,7 +398,7 @@ def recording(network, log):
     log their reads: a half-table row as ((half, left half), key), a
     per-atom chunk table as (atom slot, key)."""
     calc = network.relation.calculus
-    copy = dataclasses.replace(calc)
+    copy = Calculus(calc.atoms, calc.rows, calc.conv, calc.identity, calc.full)
     if calc._halves:
         t0, t1, *shape = calc._halves
         copy.__dict__["_halves"] = (
@@ -603,6 +602,33 @@ class TestRestricted:
             net.restricted(["a", "b", "a"])
         with pytest.raises(KeyError):
             net.restricted(["a", "z"])
+
+
+class TestWithCell:
+    @pytest.mark.parametrize("relation, network", [(Relation, QCN), (INDURelation, INDUNetwork)])
+    def test_matches_validating_constructor_and_shares_rows(self, relation, network):
+        """A replaced cell gives the network the validating constructor
+        builds from the edited matrix; only the two rows it touches are
+        new, the others are the input's own row objects."""
+        rng = random.Random(97)
+        calc = relation.calculus
+
+        def random_mask():
+            return rng.getrandbits(calc.full.bit_length()) & calc.full
+
+        for _ in range(200):
+            ids = [f"n{k}" for k in range(rng.randint(2, 7))]
+            net = network.build(ids, [(a, relation(random_mask()), b)
+                                      for i, a in enumerate(ids) for b in ids[i + 1:]
+                                      if rng.random() < 0.6])
+            i, j = rng.sample(range(len(ids)), 2)
+            mask = random_mask()
+            got = net.with_cell(ids[i], ids[j], relation(mask))
+            m = [list(row) for row in net._matrix]
+            m[i][j], m[j][i] = mask, calc.converse(mask)
+            assert got == network(ids, m)
+            assert [new is old for new, old in zip(got._matrix, net._matrix)] == [
+                k not in (i, j) for k in range(len(ids))]
 
 
 class TestSerialization:

@@ -11,6 +11,7 @@ import pytest
 from chronotext.adaptation import parse_knowledge
 from chronotext.allen import FULL, Relation, close
 from chronotext.annotation import (
+    DEFAULT_RELTYPE_MAP,
     AnnotationError,
     RecipeSyntaxError,
     _tokenize,
@@ -205,15 +206,18 @@ class TestDocToQcn:
         with pytest.raises(ValueError, match="DURING"):
             doc_to_qcn(doc)
 
-    @pytest.mark.parametrize("mapping, message", [
-        ({}, "no Allen image for relType 'IS_INCLUDED'"),
-        ({"IS_INCLUDED": Relation(0)}, "relType 'IS_INCLUDED' maps to the empty relation"),
-    ], ids=["unmapped", "empty"])
-    def test_reltype_errors_name_the_tlink(self, mapping, message):
+    @pytest.mark.parametrize("source, message", [
+        (SNIPPET.replace("IS_INCLUDED", "DURING"), "no Allen image for relType 'DURING'"),
+    ], ids=["unmapped"])
+    def test_reltype_errors_name_the_tlink(self, source, message):
         with pytest.raises(AnnotationError) as err:
-            doc_to_qcn(parse_timeml(SNIPPET), mapping)
-        assert err.value.offset == SNIPPET.index("<TLINK")
+            doc_to_qcn(parse_timeml(source))
+        assert err.value.offset == source.index("<TLINK")
         assert str(err.value) == f"offset {err.value.offset}: {message}"
+
+    def test_every_reltype_image_is_nonempty(self):
+        # so no TLINK of a known relType empties a cell before closure
+        assert DEFAULT_RELTYPE_MAP and not any(r.is_empty for r in DEFAULT_RELTYPE_MAP.values())
 
     def test_multi_instance_event_uses_instance_ids(self):
         doc = parse_timeml(

@@ -10,8 +10,6 @@ from pathlib import Path
 import pytest
 
 import chronotext
-from chronotext.allen import Relation
-from chronotext.annotation import AnnotationError, doc_to_qcn, parse_timeml
 from chronotext.cli import _parser, run
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -368,13 +366,6 @@ class TestTimeml:
         assert run([command, str(doc)]) == 2
         assert capsys.readouterr().err == (f"error: offset {text.index('<TLINK')}: "
                                            "no Allen image for relType 'DURING'\n")
-
-    def test_empty_reltype_image_is_an_annotation_error(self):
-        doc = parse_timeml(Path(SNIPPET).read_text())
-        with pytest.raises(AnnotationError, match="maps to the empty relation"):
-            doc_to_qcn(doc, {"IS_INCLUDED": Relation(0)})
-        with pytest.raises(ValueError, match="no Allen image"):
-            doc_to_qcn(doc, {})
 
 
 class TestUsage:

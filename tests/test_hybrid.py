@@ -435,7 +435,7 @@ class TestWorkCounts:
 
         for name in ("stp_close", "metric_to_allen", "allen_atom_to_points"):
             count(hybrid, name)
-        for name in ("_scaled", "allen_atom_to_points"):
+        for name in ("_window_edges", "allen_atom_to_points"):
             count(metric, name)
         hybrid_close(h)
         assert calls == {"stp_close": 2, "metric_to_allen": 6}

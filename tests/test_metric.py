@@ -26,7 +26,9 @@ from chronotext.metric import (
 )
 from oracles import (
     atom_by_definition,
+    _unscaled,
     cycle_test_metric_to_allen,
+    decoded,
     per_atom_cycle_tests,
     fw_metric_to_allen,
     overlay_metric_to_allen,
@@ -34,6 +36,7 @@ from oracles import (
     rebuild_tcsp_consistent,
     rescaling_close_with,
     stp_minimal_by_paths,
+    stp_of_bounds,
     tuple_conjoin,
     tuple_shortest_paths,
     tuple_stp_close,
@@ -127,13 +130,37 @@ class TestSTPBuild:
         with pytest.raises(ValueError):
             STP.build(["x", "x"])
 
-    def test_public_constructor_checks_the_shape(self):
-        zero, inf = (F(0), False), (None, True)
-        for matrix in ([[zero]], [[zero, inf], [inf]], [[zero, inf, inf], [inf, zero, inf]],
-                       [[zero, inf], [inf, zero], [inf, inf]]):
-            with pytest.raises(ValueError, match="must be 2x2"):
-                STP(["a", "b"], matrix)
-        assert STP(["a", "b"], [[zero, inf], [inf, zero]]) == STP.build(["a", "b"])
+    def test_constructor_is_build_and_sets_no_flag(self):
+        """`STP(points, constraints)` stores what `STP.build` stores, the
+        bounds a (value, strict) tuple reference conjoins, on random
+        networks over denominators 1, 2, 3, 5 and 7, and flags the
+        result neither minimal nor inconsistent, whatever its windows:
+        only closure establishes either flag."""
+        rng = random.Random(149)
+        verdicts = set()
+        for _ in range(300):
+            points = [f"p{i}" for i in range(rng.randint(2, 7))]
+            cons = [(*rng.sample(points, 2), random_window(rng))
+                    for _ in range(rng.randint(1, 2 * len(points)))]
+            s, built = STP(points, cons), STP.build(points, cons)
+            assert s == built and (s._e, s._d) == (built._e, built._d)
+            assert decoded(s) == tuple_conjoin([], [], cons, points)[1]
+            assert not (s.minimal or s.inconsistent)
+            verdicts.add(stp_close(s).inconsistent)
+        assert verdicts == {True, False}
+
+    def test_metric_to_allen_waits_for_closure(self):
+        """The read-back refuses a constructed network, consistent or not,
+        until `stp_close` has flagged it minimal."""
+        xs, xe, ys, ye = start_of("x"), end_of("x"), start_of("y"), end_of("y")
+        cons = [(xs, xe, POSITIVE), (ys, ye, POSITIVE), (xe, ys, BoundWindow.closed(1, 2))]
+        clash = (ys, xe, BoundWindow.closed(1, 2))  # contradicts the gap
+        ok, bad = STP([xs, xe, ys, ye], cons), STP([xs, xe, ys, ye], cons + [clash])
+        assert stp_close(bad).inconsistent
+        for net in (ok, bad, stp_close(bad)):
+            with pytest.raises(ValueError, match="requires a minimal consistent network"):
+                metric_to_allen(net, "x", "y")
+        assert metric_to_allen(stp_close(ok), "x", "y") == Relation.parse("{b}")
 
     def test_with_constraints_names_unknown_point(self):
         with pytest.raises(KeyError, match="unknown point 'z'"):
@@ -572,7 +599,7 @@ class TestIntegerShortestPaths:
             assert closed.inconsistent == ref.inconsistent
             verdicts.add(closed.inconsistent)
             if not closed.inconsistent:
-                assert closed._u == ref._u
+                assert closed == ref
                 assert closed.minimal
         assert verdicts == {True, False}
 
@@ -586,7 +613,7 @@ class TestIntegerShortestPaths:
             leg = BoundWindow(step, None, lo_strict=True)
             s = STP.build(points, [(a, b, leg) for a, b in zip(points, points[1:])])
             closed = stp_close(s)
-            assert closed._u == tuple_stp_close(s)._u
+            assert closed == tuple_stp_close(s)
             assert closed.window(points[0], points[-1]) == BoundWindow(
                 step * (n - 1), None, lo_strict=True)
 
@@ -617,7 +644,7 @@ class TestIntegerShortestPaths:
         closed, ref = stp_close(s), tuple_stp_close(s)
         assert closed.inconsistent == ref.inconsistent == (strict is not None)
         if strict is None:
-            assert closed._u == ref._u
+            assert closed == ref
             assert closed.window("p0", "p39") == BoundWindow.exact(sum(legs[:39]))
 
     def test_inconsistent_input_left_unchanged(self):
@@ -629,7 +656,7 @@ class TestIntegerShortestPaths:
         assert tuple_stp_close(s).inconsistent
         closed = stp_close(s)
         assert closed.inconsistent
-        assert closed._u == s._u
+        assert decoded(closed) == decoded(s)
 
     def test_tcsp_matches_tuple_floyd_warshall(self, monkeypatch):
         rng = random.Random(23)
@@ -881,7 +908,7 @@ class TestStoredEncoding:
                            for a in keep]
                     ref_points = keep
                 else:
-                    fresh = tuple_stp_close(STP(ref_points, ref))
+                    fresh = tuple_stp_close(stp_of_bounds(ref_points, ref))
                     s = stp_close(s)
                     u = [list(row) for row in ref]
                     if tuple_shortest_paths(u):
@@ -889,11 +916,11 @@ class TestStoredEncoding:
                     ref_bad = fresh.inconsistent
                     assert s.inconsistent == ref_bad
                     if not ref_bad:
-                        assert s._u == fresh._u
+                        assert s == fresh
                     verdicts.add(s.inconsistent)
                 assert list(s.points) == ref_points
                 assert s.inconsistent == ref_bad
-                assert s._u == tuple(map(tuple, ref))
+                assert decoded(s) == ref
                 m = metric._M
                 assert all(v is None or v % m in (0, m - 1) for row in s._e for v in row)
                 scales.add(s._d)
@@ -955,7 +982,9 @@ class TestStoredEncoding:
 
     def test_equality_agrees_with_decoded_view(self):
         """Equality across scales, neither of which divides the other,
-        holds exactly when the decoded matrices agree."""
+        holds exactly when the decoded matrices agree; a network and its
+        copy at a new scale, conjoined with a window it implies, are equal
+        and hash equal."""
         rng = random.Random(137)
         outcomes = set()
         for _ in range(300):
@@ -966,8 +995,9 @@ class TestStoredEncoding:
             if rng.random() < 0.5:
                 b = b.with_constraints([(*rng.sample(s.points, 2), random_window(rng))])
             assert (a._d % 11, b._d % 13) == (0, 0)
+            assert a == s and hash(a) == hash(s) and a._d != s._d
             equal = a == b
-            assert equal == (a._u == b._u) == (b == a)
+            assert equal == (decoded(a) == decoded(b)) == (b == a)
             if equal:
                 assert hash(a) == hash(b)
             outcomes.add(equal)
@@ -982,14 +1012,6 @@ class TestStoredEncoding:
         c = b.with_constraints([("x", "y", BoundWindow(None, F(2), hi_strict=True))])
         assert c != a
         assert c.window("x", "y") == BoundWindow(F(1), F(2), hi_strict=True)
-
-    def test_tuple_rows_round_trip(self):
-        """`STP(points, rows)` takes (value, strict) rows and gives them
-        back through the decoded view."""
-        rows = [[(F(0), False), (F(5, 2), True)], [(F(-1, 3), False), (None, True)]]
-        s = STP(["a", "b"], rows)
-        assert s._u == tuple(map(tuple, rows))
-        assert s.window("a", "b") == BoundWindow(F(1, 3), F(5, 2), hi_strict=True)
 
 
 # ---------------------------------------------------------------------------
@@ -1111,15 +1133,16 @@ class TestIncrementalClose:
             assert got.inconsistent and got._e is t._e
 
     def test_none_diagonal(self):
-        """The public constructor admits +infinity on the diagonal; both
-        verdicts and the consistent closure match the tuple reference."""
-        inf = (None, True)
-        for back in (F(-1), F(-4)):
-            s = STP(["a", "b"], [[inf, (F(3), False)], [(back, False), inf]])
-            got, ref = stp_close(s), tuple_stp_close(s)
-            assert got.inconsistent == ref.inconsistent == (back < -3)
-            if not got.inconsistent:
-                assert got._u == ref._u
+        """The kernel admits +infinity on the diagonal; both verdicts and
+        the consistent closure match the tuple reference."""
+        m, inf = metric._M, (None, True)
+        for back in (-1, -4):
+            e = [[None, 3 * m], [back * m, None]]
+            u = [[inf, (F(3), False)], [(F(back), False), inf]]
+            ok = metric._int_shortest_paths(e)
+            assert ok == tuple_shortest_paths(u) == (back >= -3)
+            if ok:
+                assert [[_unscaled(v, 1, m) for v in row] for row in e] == u
 
     def test_tcsp_witnesses_match_rebuilt_search(self):
         """The search closing each child from its parent's minimal STP

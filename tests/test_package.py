@@ -94,13 +94,14 @@ class TestCallsResolveAtCallTime:
 
 
 def _loaded_after(code: str) -> set[str]:
-    """The `chronotext` modules and `argparse`, if loaded, in a fresh
-    interpreter after `code` has run."""
+    """The `chronotext` modules, `argparse`, `dataclasses` and `fractions`,
+    if loaded, in a fresh interpreter after `code` has run."""
     src = str(Path(chronotext.__file__).resolve().parent.parent)
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     report = ("import json, sys\nprint(json.dumps(sorted(m for m in sys.modules"
-              " if m == 'argparse' or m.split('.')[0] == 'chronotext')))")
+              " if m in ('argparse', 'dataclasses', 'fractions')"
+              " or m.split('.')[0] == 'chronotext')))")
     done = subprocess.run([sys.executable, "-c", f"{code}\n{report}"], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
@@ -112,6 +113,7 @@ class TestStartUp:
         assert _loaded_after("import chronotext") == {"chronotext"}
 
     def test_public_names_load_only_their_module(self):
+        # and so neither `dataclasses` nor `fractions`, which `allen` does not need
         assert _loaded_after("from chronotext import QCN, close") == {
             "chronotext", "chronotext.allen"}
 

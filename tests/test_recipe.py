@@ -459,8 +459,7 @@ class TestEncoderAgainstPerScenarioOracle:
             for (label, g), (_, w) in zip(got, want):
                 assert g.intervals == w.intervals, (r, label)
                 assert g.qcn._matrix == w.qcn._matrix, (r, label)
-                assert g.stp.points == w.stp.points, (r, label)
-                assert g.stp._u == w.stp._u, (r, label)
+                assert g.stp == w.stp, (r, label)
         for feature in list(_features(lutheran())) + [
                 "contradictory pairs: 1", "contradictory pairs: 2", "encoded"]:
             assert seen[feature] >= 10, (feature, seen)

@@ -22,8 +22,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "allen": "BaseRelation Relation QCN EMPTY FULL IDENTITY close atomic_consistent"
              " format_qcn parse_qcn",
-    "indu": "INDUAtom INDURelation INDUNetwork INDU_IDENTITY INDU_TAUTOLOGY indu_converse"
-            " indu_compose indu_close project_allen project_relation valid_atoms",
+    "indu": "INDUAtom INDURelation INDUNetwork INDU_IDENTITY INDU_TAUTOLOGY indu_close"
+            " project_allen valid_atoms",
     "metric": "BoundWindow STP TCSP MetricConstraint POSITIVE FOREVER ScaleBoundExceeded"
               " start_of end_of stp_close tcsp_consistent metric_to_allen format_stp",
     "hybrid": "HybridNetwork hybrid_close hybrid_atomic_consistent format_hybrid",

@@ -128,10 +128,6 @@ class TaggedNetwork:
         network = _network_from(intervals, anon_points, constraints)
         return cls(network, constraints, tuple(new_nodes), tuple(anchors))
 
-    def soft_ids(self) -> tuple[str, ...]:
-        return tuple(c.id for c in self.constraints
-                     if c.provenance == "recipe-soft")
-
 
 def _network_from(intervals: Sequence[str], anon_points: Sequence[str],
                   constraints: Iterable[TaggedConstraint]) -> HybridNetwork:

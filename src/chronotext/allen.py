@@ -405,57 +405,26 @@ def base_relation_of(x: tuple[Fraction, Fraction], y: tuple[Fraction, Fraction])
 class Network:
     """A constraint network over named intervals for one calculus.
 
-    The matrix is converse-symmetric with the identity on the diagonal;
-    cells are masks, read back as the subclass's relation type.
-    Instances are immutable; tightening operations return new networks.
+    `QCN(intervals, constraints)`, the same as `QCN.build`, conjoins (a,
+    relation, b) triples into the network on `intervals` with no other
+    constraint.  The matrix is converse-symmetric with the identity on
+    the diagonal; cells are masks, read back as the subclass's relation
+    type.  Instances are immutable; tightening operations return new
+    networks.
     """
 
     __slots__ = ("intervals", "_index", "_matrix")
     relation: type[BitmaskRelation]
 
-    def __init__(self, intervals: Sequence[str], matrix: Sequence[Sequence[int]] | None = None):
-        intervals = tuple(intervals)
-        if len(set(intervals)) != len(intervals):
-            raise ValueError("duplicate interval ids")
-        calc = self.relation.calculus
-        n = len(intervals)
-        if matrix is None:
-            rows = tuple(tuple(calc.identity if i == j else calc.full for j in range(n))
-                         for i in range(n))
-        else:
-            rows = tuple(tuple(row) for row in matrix)
-            if len(rows) != n or any(len(row) != n for row in rows):
-                raise ValueError(f"constraint matrix must be {n}x{n}")
-            for i in range(n):
-                if rows[i][i] != calc.identity:
-                    raise ValueError(f"diagonal cells must be {self.relation(calc.identity)}")
-                for j in range(n):
-                    if rows[i][j] & ~calc.full:
-                        raise ValueError(f"relation mask out of range: {rows[i][j]}")
-                    if rows[j][i] != calc.converse(rows[i][j]):
-                        raise ValueError("constraint matrix must be converse-symmetric")
-        self._init(intervals, rows, {name: i for i, name in enumerate(intervals)})
-
-    def _init(self, intervals, rows, index) -> None:
-        object.__setattr__(self, "intervals", intervals)
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_matrix", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    @classmethod
-    def build(cls, intervals: Sequence[str], constraints=()):
-        """Construct a network, intersecting repeated constraints on a pair.
-
-        A self-constraint that excludes the identity is an error; one that
-        admits it says nothing and is dropped.
-        """
+    def __init__(self, intervals: Sequence[str], constraints=()):
+        """Repeated constraints on a pair intersect.  A self-constraint that
+        excludes the identity is an error; one that admits it says nothing
+        and is dropped."""
         intervals = tuple(intervals)
         idx = {name: i for i, name in enumerate(intervals)}
         if len(idx) != len(intervals):
             raise ValueError("duplicate interval ids")
-        calc = cls.relation.calculus
+        calc = self.relation.calculus
         m = [[calc.full] * len(intervals) for _ in intervals]
         for i, row in enumerate(m):
             row[i] = calc.identity
@@ -470,7 +439,20 @@ class Network:
                 continue
             m[i][j] &= rel.mask
             m[j][i] = calc.converse(m[i][j])
-        return cls._raw(intervals, m, idx)
+        self._init(intervals, tuple(map(tuple, m)), idx)
+
+    def _init(self, intervals, rows, index) -> None:
+        object.__setattr__(self, "intervals", intervals)
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_matrix", rows)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def build(cls, intervals: Sequence[str], constraints=()):
+        """`cls(intervals, constraints)`."""
+        return cls(intervals, constraints)
 
     def cell(self, a: str, b: str):
         return self.relation(self._matrix[self._index[a]][self._index[b]])
@@ -521,9 +503,9 @@ class Network:
 
     @classmethod
     def _raw(cls, intervals, matrix, index):
-        # bypass invariant checks for matrices produced by trusted internal
-        # code; `index` is the {name: position} map of `intervals`, shared
-        # with the network the matrix was derived from
+        # from a matrix that already holds the invariant; `index` is the
+        # {name: position} map of `intervals`, shared with the network the
+        # matrix was derived from
         self = object.__new__(cls)
         self._init(intervals, tuple(map(tuple, matrix)), index)
         return self

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .allen import QCN, Relation
-from .metric import BoundWindow
+from .metric import BoundWindow, end_of, start_of
 from .recipe import (
     ActionNode,
     AlternativeBranch,
@@ -254,6 +254,9 @@ def doc_to_qcn(doc: AnnotatedDoc) -> QCN:
 # recipe DSL
 
 _ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
+# a declared x.end would share its name with the end of x, in the metric
+# layer and in the ids revision gives constraints
+_ENDPOINT_SUFFIXES = (start_of(""), end_of(""))
 
 
 # One alternative per token kind; characters no alternative takes are blanks
@@ -354,6 +357,9 @@ def parse_dsl(source: str, header: str) -> tuple[str, dict[str, tuple]]:
     def declare(id_, lineno):
         if id_ in declared:
             raise RecipeSyntaxError(f"duplicate id {id_!r}", lineno)
+        if id_.endswith(_ENDPOINT_SUFFIXES):
+            raise RecipeSyntaxError(f"id {id_!r} ends in '.{id_.rpartition('.')[2]}',"
+                                    " reserved for interval endpoints", lineno)
         declared[id_] = lineno
 
     offset = 0

@@ -79,13 +79,6 @@ class HybridNetwork:
     def duration_window(self, interval: str) -> BoundWindow:
         return self.stp.window(start_of(interval), end_of(interval))
 
-    def with_relation(self, a: str, b: str, r: Relation) -> "HybridNetwork":
-        return HybridNetwork._raw(self.qcn.with_cell(a, b, r), self.stp, self.anon_points)
-
-    def with_metric(self, constraints: Iterable[tuple[str, str, BoundWindow]]) -> "HybridNetwork":
-        return HybridNetwork._raw(self.qcn, self.stp.with_constraints(constraints),
-                                  self.anon_points)
-
     def restricted(self, intervals: Sequence[str]) -> "HybridNetwork":
         """Sub-network on the given intervals; anonymous points survive."""
         pts = [p for i in intervals for p in (start_of(i), end_of(i))]

@@ -137,17 +137,9 @@ INDU_IDENTITY = INDURelation(INDU.identity)
 INDU_TAUTOLOGY = INDURelation(VALID_MASK)
 
 
-def indu_converse(rel: INDURelation) -> INDURelation:
-    return rel.converse()
-
-
-def indu_compose(r1: INDURelation, r2: INDURelation) -> INDURelation:
-    return r1.compose(r2)
-
-
 class INDUNetwork(Network):
-    """Interval network with INDU cells; same shape contract as QCN
-    (diagonal identity, converse symmetry, immutable)."""
+    """Interval network with INDU cells; the same constructor and shape
+    contract as QCN (diagonal identity, converse symmetry, immutable)."""
 
     __slots__ = ()
     relation = INDURelation
@@ -170,8 +162,5 @@ def _allen_part(mask: int) -> int:
 
 def project_allen(net: INDUNetwork) -> QCN:
     """Drop the duration signs, keeping the union of Allen parts per cell."""
-    return QCN(net.intervals, [[_allen_part(c) for c in row] for row in net._matrix])
-
-
-def project_relation(rel: INDURelation) -> Relation:
-    return Relation(_allen_part(rel.mask))
+    return QCN._raw(net.intervals, [[_allen_part(c) for c in row] for row in net._matrix],
+                    net._index)

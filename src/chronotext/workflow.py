@@ -62,21 +62,6 @@ class WorkflowGraph:
     def node(self, id_: str) -> WorkflowNode:
         return next(n for n in self.nodes if n.id == id_)
 
-    def successors(self, id_: str) -> tuple[str, ...]:
-        return tuple(sorted(t for f, t, style in self.edges
-                            if f == id_ and style == ""))
-
-    def reachable(self, frm: str, to: str) -> bool:
-        seen, queue = {frm}, [frm]
-        while queue:
-            for nxt in self.successors(queue.pop()):
-                if nxt == to:
-                    return True
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        return False
-
 
 def _precedence(h: HybridNetwork) -> dict[str, set[str]]:
     ids = h.intervals

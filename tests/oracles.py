@@ -579,7 +579,7 @@ def full_queue_scenario_search(start, leaf):
             m = [list(row) for row in rows]
             m[i][j] = Relation.of(atom).mask
             m[j][i] = Relation.of(atom.converse).mask
-            tightened = close(QCN(current.intervals, m))
+            tightened = close(QCN._raw(current.intervals, m, current._index))
             if not tightened.inconsistent:
                 found = refine(tightened)
                 if found is not None:
@@ -724,6 +724,31 @@ def converse_by_atoms(conv, mask):
     """The converse of a mask, atom by atom: `conv[a]` is the converse
     atom of a."""
     return sum(1 << conv[a] for a in range(len(conv)) if mask >> a & 1)
+
+
+def successors(g, id_):
+    """The targets of the workflow graph's flow edges (style "") out of
+    `id_`, sorted."""
+    return tuple(sorted(t for f, t, style in g.edges if f == id_ and style == ""))
+
+
+def reachable(g, frm, to):
+    """Whether some path of flow edges leads from `frm` to `to`."""
+    seen, stack = {frm}, [frm]
+    while stack:
+        for nxt in successors(g, stack.pop()):
+            if nxt == to:
+                return True
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return False
+
+
+def allen_part_by_atoms(rel):
+    """The Allen relation of an INDU relation's atoms, its duration signs
+    dropped."""
+    return Relation.of(*(atom.allen for atom in rel))
 
 
 def sweep_closure(matrix, table, conv):

@@ -198,6 +198,14 @@ class TestParseKnowledge:
             parse_knowledge(text)
         assert err.value.line == 5
 
+    @pytest.mark.parametrize("line", ['step k.start "stir"', "timer t.end 5 min"])
+    def test_endpoint_suffixed_id_reports_line(self, line):
+        # an id ending in .start or .end would share its name with an
+        # endpoint of another id in the metric layer
+        with pytest.raises(RecipeSyntaxError, match="reserved for interval endpoints") as err:
+            parse_knowledge(f'knowledge "k"\nanchor combine\n{line}\n')
+        assert err.value.line == 3
+
     def test_anchors_and_forward_references_resolve(self):
         k = parse_knowledge('knowledge "k"\nrel k0 {b} k1\n'
                             'rel k1 {b} combine\nanchor combine\n'
@@ -299,7 +307,8 @@ class TestRevise:
         t = inject(h, lentil_knowledge())
         result = revise(t)
         assert result.relaxed == ()
-        assert set(result.retained) == set(t.soft_ids())
+        assert set(result.retained) == {c.id for c in t.constraints
+                                        if c.provenance == "recipe-soft"}
         assert not hybrid_close(result.revised).inconsistent
         ok, _ = hybrid_atomic_consistent(result.revised)
         assert ok

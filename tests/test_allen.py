@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from chronotext import allen
 from chronotext.allen import (
-    ALLEN, COMPOSITION, FULL, FULL_MASK, EMPTY, IDENTITY, N_ATOMS, BaseRelation, Calculus, QCN,
+    ALLEN, COMPOSITION, FULL, FULL_MASK, EMPTY, N_ATOMS, BaseRelation, Calculus, QCN,
     Relation, atomic_consistent, base_relation_of, close, format_qcn, parse_qcn,
     path_consistency,
 )
@@ -244,7 +244,7 @@ class TestCloseAgainstSweep:
             expected = sweep_closure(matrix, ALLEN.rows, ALLEN.conv)
             assert closed.inconsistent == (expected is None)
             if expected is not None:
-                assert closed == QCN(names, expected)
+                assert closed._matrix == tuple(map(tuple, expected))
             verdicts.append(closed.inconsistent)
         assert 10 <= sum(verdicts) <= 110
 
@@ -560,29 +560,41 @@ class TestRealizeSmall:
             assert (realize_small(net) is not None) == (t in triples)
 
 
-class TestPublicConstructor:
-    def test_public_constructor_validates(self):
-        ident, before = IDENTITY.mask, Relation.of("b").mask
-        with pytest.raises(ValueError, match="converse-symmetric"):
-            QCN(["x", "y"], [[ident, before], [before, ident]])
-        with pytest.raises(ValueError, match="diagonal"):
-            QCN(["x", "y"], [[before, before], [Relation.of("bi").mask, ident]])
-        with pytest.raises(ValueError, match="relation mask out of range"):
-            QCN(["a", "b"], [[ident, 1 << 13], [1 << 13, ident]])
-
-    def test_public_constructor_checks_the_shape(self):
-        ident, full = IDENTITY.mask, FULL.mask
-        for matrix in ([[ident]], [[ident, full], [full]], [[ident, full, 1], [full, ident, 1]],
-                       [[ident, full], [full, ident], [full, full]]):
-            with pytest.raises(ValueError, match="must be 2x2"):
-                QCN(["a", "b"], matrix)
+class TestConstructor:
+    @pytest.mark.parametrize("relation, network", [(Relation, QCN), (INDURelation, INDUNetwork)])
+    def test_build_is_the_constructor(self, relation, network):
+        """`network(ids, constraints)` is `network.build(ids, constraints)`
+        on any list, repeated pairs and self-constraints included, and each
+        cell is the intersection of the constraints on its pair, read in
+        either direction."""
+        rng = random.Random(53)
+        calc = relation.calculus
+        for _ in range(200):
+            ids = [f"n{k}" for k in range(rng.randint(1, 6))]
+            cs = []
+            for _ in range(rng.randint(0, 12)):
+                a, b = rng.choice(ids), rng.choice(ids)
+                mask = rng.getrandbits(calc.full.bit_length()) & calc.full
+                # a self-constraint that admits the identity, the one kind allowed
+                cs.append((a, relation(mask | calc.identity if a == b else mask), b))
+            net = network(ids, cs)
+            assert type(net) is network and net == network.build(ids, cs)
+            for a in ids:
+                for b in ids:
+                    want = calc.identity if a == b else calc.full
+                    for x, rel, y in cs:
+                        if a != b and (x, y) == (a, b):
+                            want &= rel.mask
+                        elif a != b and (x, y) == (b, a):
+                            want &= rel.converse().mask
+                    assert net.cell(a, b).mask == want
 
 
 class TestRestricted:
     @pytest.mark.parametrize("relation, network", [(Relation, QCN), (INDURelation, INDUNetwork)])
     def test_matches_validating_constructor(self, relation, network):
         """A restriction, in any order and to any subset, is the network the
-        validating constructor builds from the same sub-matrix."""
+        constructor builds from the same cells."""
         rng = random.Random(89)
         full = relation.calculus.full
         for _ in range(200):
@@ -592,8 +604,8 @@ class TestRestricted:
                                       if rng.random() < 0.6])
             keep = rng.sample(ids, rng.randint(0, len(ids)))
             cut = net.restricted(keep)
-            idx = [ids.index(k) for k in keep]
-            assert cut == network(keep, [[net._matrix[i][j] for j in idx] for i in idx])
+            assert cut == network.build(keep, [(a, net.cell(a, b), b) for x, a in enumerate(keep)
+                                               for b in keep[x + 1:]])
             assert type(cut) is network and cut._index == {k: i for i, k in enumerate(keep)}
 
     def test_rejects_duplicate_and_unknown_ids(self):
@@ -607,9 +619,9 @@ class TestRestricted:
 class TestWithCell:
     @pytest.mark.parametrize("relation, network", [(Relation, QCN), (INDURelation, INDUNetwork)])
     def test_matches_validating_constructor_and_shares_rows(self, relation, network):
-        """A replaced cell gives the network the validating constructor
-        builds from the edited matrix; only the two rows it touches are
-        new, the others are the input's own row objects."""
+        """A replaced cell gives the network the constructor builds from
+        the edited matrix's upper triangle; only the two rows it touches
+        are new, the others are the input's own row objects."""
         rng = random.Random(97)
         calc = relation.calculus
 
@@ -626,7 +638,9 @@ class TestWithCell:
             got = net.with_cell(ids[i], ids[j], relation(mask))
             m = [list(row) for row in net._matrix]
             m[i][j], m[j][i] = mask, calc.converse(mask)
-            assert got == network(ids, m)
+            assert got == network.build(ids, [(a, relation(m[x][y]), b)
+                                              for x, a in enumerate(ids)
+                                              for y, b in enumerate(ids) if x < y])
             assert [new is old for new, old in zip(got._matrix, net._matrix)] == [
                 k not in (i, j) for k in range(len(ids))]
 

@@ -83,11 +83,14 @@ class TestCheck:
         ("zero_denominator.rcp",
          "error: line 2: cannot parse duration phrase '1/0 min'\n"),
         ("repeated_clause.rcp", "error: line 3: repeated step clause 'until'\n"),
+        ("endpoint_id.rcp",
+         "error: line 3: id 'x.end' ends in '.end', reserved for interval endpoints\n"),
     ])
     def test_malformed_fixture_is_a_syntax_error(self, capsys, name, message):
         """Faults the parser once passed on to the recipe and the encoder,
-        which exited 1 (inconsistent) and named no line, or crashed with
-        a traceback (a zero denominator)."""
+        which exited 1 (inconsistent) and named no line, crashed with a
+        traceback (a zero denominator), or let `adapt` exit 1 on a recipe
+        `check` found consistent (an id ending in `.end`)."""
         assert run(["check", str(FIXTURES / name)]) == 2
         assert capsys.readouterr() == ("", message)
 

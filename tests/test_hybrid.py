@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +21,9 @@ from chronotext.hybrid import (
     hybrid_atomic_consistent,
     hybrid_close,
 )
+from chronotext.annotation import parse_recipe_dsl
 from chronotext.metric import STP, BoundWindow, POSITIVE, end_of, start_of
+from chronotext.recipe import encode_recipe
 
 import oracles
 from oracles import (
@@ -36,6 +39,7 @@ from oracles import (
 
 F = Fraction
 R = Relation.parse
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 class TestBuild:
@@ -57,13 +61,13 @@ class TestBuild:
             HybridNetwork(qcn, stp)
 
     def test_internal_constructions_skip_the_endpoint_check(self, monkeypatch):
-        h = HybridNetwork.build(["a", "b", "c"], [("a", R("{b,m}"), "b")],
-                                [("a.start", "c.end", BoundWindow.closed(1, 9))])
         calls = []
         real = STP.has_point
         monkeypatch.setattr(STP, "has_point", lambda stp, p: calls.append(p) or real(stp, p))
-        closed = hybrid_close(h.with_relation("b", "c", R("{o,d}"))
-                              .with_metric([("b.start", "b.end", BoundWindow.closed(2, 3))]))
+        h = HybridNetwork.build(["a", "b", "c"], [("a", R("{b,m}"), "b"), ("b", R("{o,d}"), "c")],
+                                [("a.start", "c.end", BoundWindow.closed(1, 9)),
+                                 ("b.start", "b.end", BoundWindow.closed(2, 3))])
+        closed = hybrid_close(h)
         assert hybrid_atomic_consistent(closed)[0]
         assert closed.restricted(["a", "c"]).intervals == ("a", "c")
         assert calls == []
@@ -234,7 +238,9 @@ class TestRestriction:
         assert closed.point_window("a.end", "c.start") == BoundWindow(None, None)
 
 
-def random_hybrid(rng):
+def random_hybrid_input(rng):
+    """The intervals, Allen constraints, metric constraints and anonymous
+    points of a random network, as `HybridNetwork.build` takes them."""
     ids = [f"i{k}" for k in range(rng.randint(2, 5))]
     allen = [(a, Relation(rng.randint(1, FULL_MASK)), b)
              for ai, a in enumerate(ids) for b in ids[ai + 1:]
@@ -242,7 +248,11 @@ def random_hybrid(rng):
     points = [p for i in ids for p in (start_of(i), end_of(i))]
     metric = [(*rng.sample(points, 2), random_window(rng, 10))
               for _ in range(rng.randint(0, len(ids)))]
-    return HybridNetwork.build(ids, allen, metric)
+    return ids, allen, metric, []
+
+
+def random_hybrid(rng):
+    return HybridNetwork.build(*random_hybrid_input(rng))
 
 
 class TestCloseAgainstOverlay:
@@ -265,7 +275,7 @@ class TestCloseAgainstOverlay:
 ORDERINGS = [R(t) for t in ("{b,bi}", "{b,m,bi,mi}", "{b,m,bi}", "{b,bi,o,oi}", "{b,bi,d,di}")]
 
 
-def random_schedule(rng):
+def random_schedule_input(rng):
     """A small disjunctive schedule: mostly order disjunctions, bounded
     durations, and every interval inside [0, horizon] after an anonymous
     origin.  Pairwise read-back often leaves atoms no joint scenario
@@ -280,7 +290,11 @@ def random_schedule(rng):
         metric += [(start_of(i), end_of(i), BoundWindow.closed(rng.randint(1, 3), rng.randint(3, 5))),
                    ("origin", start_of(i), BoundWindow.above(0, strict=False)),
                    ("origin", end_of(i), BoundWindow.at_most(horizon, lo_strict=False))]
-    return HybridNetwork.build(ids, allen, metric, anon_points=["origin"])
+    return ids, allen, metric, ["origin"]
+
+
+def random_schedule(rng):
+    return HybridNetwork.build(*random_schedule_input(rng))
 
 
 class TestSearchAgainstRecursion:
@@ -445,6 +459,11 @@ class TestWorkCounts:
         assert calls == {"stp_close": 66, "metric_to_allen": 6}
 
 
+def with_cell(h, a, b, rel):
+    """`h` with its Allen cell (a, b) replaced by `rel`."""
+    return HybridNetwork(h.qcn.with_cell(a, b, rel), h.stp, h.anon_points)
+
+
 class TestFromClosedNetwork:
     def test_tightened_cell_matches_rebuilt_network(self, full_closes):
         """Closing a closed network tightened at one cell, from that cell
@@ -463,8 +482,8 @@ class TestFromClosedNetwork:
             ai, bi = sorted(rng.sample(range(len(ids)), 2))
             a, b = ids[ai], ids[bi]
             r = Relation(rng.randint(1, FULL_MASK))
-            tightened = closed.with_relation(a, b, closed.relation(a, b) & r)
-            rebuilt = h.with_relation(a, b, h.relation(a, b) & r)
+            tightened = with_cell(closed, a, b, closed.relation(a, b) & r)
+            rebuilt = with_cell(h, a, b, h.relation(a, b) & r)
             got, ref = hybrid_close(tightened, changed=[(ai, bi)]), hybrid_close(rebuilt)
             assert got.inconsistent == ref.inconsistent
             if not ref.inconsistent:
@@ -530,8 +549,8 @@ class TestExactOracle:
         assert ok and cells == {("x", "y"): R("{m}").mask}
         assert windows["x.start", "y.start"] == (2, False, 3, False)
         assert windows["x.end", "y.end"] == (0, True, None, True)
-        ok, _, _ = oracles.exact_hybrid(h.with_metric(
-            [("x.start", "y.start", BoundWindow(None, 2, hi_strict=True))]))
+        ok, _, _ = oracles.exact_hybrid(HybridNetwork(h.qcn, h.stp.with_constraints(
+            [("x.start", "y.start", BoundWindow(None, 2, hi_strict=True))])))
         assert not ok
 
     def test_random_three_interval_hybrids_are_sound(self):
@@ -554,3 +573,70 @@ class TestExactOracle:
             for (p, q), w in windows.items():
                 assert window_inside(w, closed.point_window(p, q)), (p, q, w)
         assert verdicts[True] >= 50 and verdicts[False] >= 20
+
+
+def raw_input(h):
+    """Constraint lists that rebuild the unclosed network `h`: its Allen
+    cells above the diagonal and its window on every point pair."""
+    ids, points = h.intervals, h.stp.points
+    allen = [(a, h.relation(a, b), b) for x, a in enumerate(ids) for b in ids[x + 1:]]
+    metric = [(p, q, h.point_window(p, q)) for x, p in enumerate(points) for q in points[x + 1:]]
+    return ids, allen, metric, list(h.anon_points)
+
+
+def metamorphic_inputs():
+    """300 random networks, then every scenario of three recipe fixtures,
+    as the (intervals, Allen, metric, anonymous points) lists they are
+    built from."""
+    rng = random.Random(5)
+    for make in [random_hybrid_input] * 150 + [random_schedule_input] * 150:
+        yield make(rng)
+    for name in ("lutheran.rcp", "hot_relish.rcp", "cyclic.rcp"):
+        for _, h in encode_recipe(parse_recipe_dsl((FIXTURES / name).read_text())):
+            yield raw_input(h)
+
+
+class TestMetamorphic:
+    """Two runs of the package that must agree at any size, with no
+    oracle: the closure is the one fixpoint of sound, monotone
+    tightenings, so neither the order of its input nor a constraint that
+    input already implies can change it."""
+
+    def test_order_of_intervals_and_constraints(self):
+        """Building from the same lists in another order gives the same
+        closed cells and windows and the same search verdict."""
+        rng = random.Random(7)
+        verdicts = Counter()
+        for ids, allen, metric, anon in metamorphic_inputs():
+            h = HybridNetwork.build(ids, allen, metric, anon)
+            other = HybridNetwork.build(*[rng.sample(x, len(x)) for x in (ids, allen, metric, anon)])
+            closed, closed_other = hybrid_close(h), hybrid_close(other)
+            assert closed.inconsistent == closed_other.inconsistent
+            if not closed.inconsistent:
+                assert all(closed.relation(a, b) == closed_other.relation(a, b)
+                           for a in ids for b in ids)
+                points = closed.stp.points
+                assert all(closed.point_window(p, q) == closed_other.point_window(p, q)
+                           for p in points for q in points)
+            verdict = hybrid_atomic_consistent(h)[0]
+            assert hybrid_atomic_consistent(other)[0] == verdict
+            verdicts[closed.inconsistent, verdict] += 1
+        assert set(verdicts) == {(True, False), (False, False), (False, True)}
+
+    def test_implied_addition(self):
+        """Conjoining one closed cell, or one closed window, into the
+        input re-closes to the same network."""
+        rng = random.Random(11)
+        checked = 0
+        for ids, allen, metric, anon in metamorphic_inputs():
+            closed = hybrid_close(HybridNetwork.build(ids, allen, metric, anon))
+            if closed.inconsistent:
+                continue
+            a, b = rng.sample(ids, 2)
+            p, q = rng.sample(closed.stp.points, 2)
+            cell = (a, closed.relation(a, b), b)
+            window = (p, q, closed.point_window(p, q))
+            assert hybrid_close(HybridNetwork.build(ids, allen + [cell], metric, anon)) == closed
+            assert hybrid_close(HybridNetwork.build(ids, allen, metric + [window], anon)) == closed
+            checked += 1
+        assert checked >= 150

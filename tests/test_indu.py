@@ -5,12 +5,11 @@ from hypothesis import given, strategies as st
 
 from chronotext.allen import FULL_MASK, QCN, BaseRelation, Relation, close
 from chronotext.indu import (
-    INDU, INDU_IDENTITY, INDU_TAUTOLOGY, VALID_MASK, INDUAtom, INDUNetwork,
-    INDURelation, indu_close, indu_compose, indu_converse, project_allen,
-    project_relation, valid_atoms,
+    INDU, INDU_IDENTITY, INDU_TAUTOLOGY, N_SLOTS, VALID_MASK, INDUAtom, INDUNetwork,
+    INDURelation, indu_close, project_allen, valid_atoms,
 )
 from oracles import (
-    compose_by_atoms, converse_by_atoms, indu_pairs_by_enumeration,
+    allen_part_by_atoms, compose_by_atoms, converse_by_atoms, indu_pairs_by_enumeration,
     indu_triples_by_enumeration, sweep_closure,
 )
 
@@ -102,14 +101,14 @@ class TestSharedRelationType:
 
 class TestConverse:
     def test_examples(self):
-        assert indu_converse(INDURelation.of(("m", "<"))) == INDURelation.of(("mi", ">"))
-        assert indu_converse(INDU_IDENTITY) == INDU_IDENTITY
+        assert INDURelation.of(("m", "<")).converse() == INDURelation.of(("mi", ">"))
+        assert INDU_IDENTITY.converse() == INDU_IDENTITY
 
     def test_involution(self):
         rng = random.Random(3)
         for _ in range(200):
             rel = INDURelation(rng.randrange(VALID_MASK + 1) & VALID_MASK)
-            assert indu_converse(indu_converse(rel)) == rel
+            assert rel.converse().converse() == rel
 
 
 class TestCompose:
@@ -117,17 +116,17 @@ class TestCompose:
         rng = random.Random(11)
         for _ in range(100):
             rel = INDURelation(rng.randrange(VALID_MASK + 1) & VALID_MASK)
-            assert indu_compose(INDU_IDENTITY, rel) == rel
-            assert indu_compose(rel, INDU_IDENTITY) == rel
+            assert INDU_IDENTITY.compose(rel) == rel
+            assert rel.compose(INDU_IDENTITY) == rel
 
     def test_meets_shorter_chain(self):
         # frozen from the endpoint+duration enumeration oracle
-        got = indu_compose(INDURelation.of(("m", "<")), INDURelation.of(("m", "<")))
+        got = INDURelation.of(("m", "<")).compose(INDURelation.of(("m", "<")))
         assert got == INDURelation.of(("b", "<"))
 
     def test_validity_filter_discards_incoherent_pairs(self):
         # d composed content can never carry dur >
-        got = indu_compose(INDURelation.of(("d", "<")), INDURelation.of(("s", "<")))
+        got = INDURelation.of(("d", "<")).compose(INDURelation.of(("s", "<")))
         for atom in got:
             assert atom.valid
         with pytest.raises(ValueError):
@@ -138,7 +137,7 @@ class TestCompose:
             for a2 in BaseRelation:
                 r1 = INDURelation.from_allen(Relation.of(a1))
                 r2 = INDURelation.from_allen(Relation.of(a2))
-                got = project_relation(indu_compose(r1, r2))
+                got = allen_part_by_atoms(r1.compose(r2))
                 want = Relation.of(a1).compose(Relation.of(a2))
                 assert got == want, f"{a1.name} ; {a2.name}"
 
@@ -257,7 +256,7 @@ class TestClose:
             expected = sweep_closure(matrix, INDU.rows, INDU.conv)
             assert closed.inconsistent == (expected is None)
             if expected is not None:
-                assert closed == INDUNetwork(names, expected)
+                assert closed._matrix == tuple(map(tuple, expected))
             verdicts.append(closed.inconsistent)
         assert 5 <= sum(verdicts) <= 55
 
@@ -271,6 +270,8 @@ class TestBuild:
         assert INDUNetwork.build(["x", "y"], [("x", loose, "x")]) == INDUNetwork(["x", "y"])
 
     def test_results_pass_the_public_validation(self):
+        # valid atoms only, and the network the constructor builds from the
+        # upper triangle, so the diagonal and the converse cells hold too
         rng = random.Random(19)
         for _ in range(20):
             names = ["w", "x", "y", "z"]
@@ -279,7 +280,9 @@ class TestBuild:
             net = INDUNetwork.build(names, [(a, rel(), b) for a in names for b in names
                                             if a != b and rng.random() < 0.4])
             net = net.with_cell(*rng.sample(names, 2), rel())
-            assert INDUNetwork(net.intervals, net._matrix) == net
+            assert all(cell & ~VALID_MASK == 0 for row in net._matrix for cell in row)
+            assert INDUNetwork(names, [(a, net.cell(a, b), b) for x, a in enumerate(names)
+                                       for b in names[x + 1:]]) == net
 
     def test_with_cell_rejects_diagonal_and_other_calculus(self):
         net = INDUNetwork(["x", "y"])
@@ -290,35 +293,31 @@ class TestBuild:
         with pytest.raises(ValueError, match="another calculus than Relation"):
             QCN(["x", "y"]).with_cell("x", "y", INDURelation.of(("b", "<")))
 
-    def test_public_constructor_validates(self):
-        ident, before = INDU_IDENTITY.mask, INDURelation.of(("b", "<")).mask
-        after = indu_converse(INDURelation(before)).mask
-        with pytest.raises(ValueError, match="converse-symmetric"):
-            INDUNetwork(["x", "y"], [[ident, before], [before, ident]])
-        with pytest.raises(ValueError, match="diagonal"):
-            INDUNetwork(["x", "y"], [[before, before], [after, ident]])
-        # d^= is not a valid atom; the matrix is converse-symmetric, so only
-        # the range check rejects it
-        invalid, converse = 1 << A("d", "=").index, 1 << A("di", "=").index
-        with pytest.raises(ValueError, match="relation mask out of range"):
-            INDUNetwork(["x", "y"], [[ident, invalid], [converse, ident]])
-
-    def test_public_constructor_checks_the_shape(self):
-        ident, before = INDU_IDENTITY.mask, INDURelation.of(("b", "<")).mask
-        after = indu_converse(INDURelation(before)).mask
-        for matrix in ([[ident]], [[ident, before], [after]],
-                       [[ident, before, 1], [after, ident, 1]]):
-            with pytest.raises(ValueError, match="must be 2x2"):
-                INDUNetwork(["x", "y"], matrix)
-
 
 class TestProjection:
     def test_examples(self):
         rel = INDURelation.of(("m", "<"), ("m", "="))
-        assert project_relation(rel) == Relation.of("m")
-        net = INDUNetwork(["x", "y"])
-        q = project_allen(net)
+        q = project_allen(INDUNetwork(["x", "y"], [("x", rel, "y")]))
+        assert q.cell("x", "y") == Relation.of("m")
         assert q.cell("x", "x") == Relation.of("e")
+
+    def test_every_cell_and_converse_symmetric(self):
+        """`project_allen` gives, cell by cell, the Allen parts of the
+        cell's atoms, so its QCN is converse-symmetric with {e} on the
+        diagonal, on closed and unclosed networks alike."""
+        rng = random.Random(29)
+        for k in range(100):
+            names = [f"v{i}" for i in range(rng.randint(1, 5))]
+            net = INDUNetwork(names, [(a, INDURelation(rng.getrandbits(N_SLOTS) & VALID_MASK), b)
+                                      for x, a in enumerate(names) for b in names[x + 1:]])
+            if k % 2:
+                net = indu_close(net)
+            q = project_allen(net)
+            assert type(q) is QCN and q.intervals == net.intervals
+            for a in names:
+                for b in names:
+                    assert q.cell(a, b) == allen_part_by_atoms(net.cell(a, b))
+                    assert q.cell(b, a) == q.cell(a, b).converse()
 
     def test_close_then_project_tightens_at_least_as_much(self):
         rng = random.Random(23)
@@ -343,7 +342,7 @@ class TestProjection:
             rel = Relation(mask)
             want = INDURelation.of(*(a for a in valid_atoms() if a.allen in rel))
             assert INDURelation.from_allen(rel) == want, mask
-            assert project_relation(want) == rel
+            assert project_allen(INDUNetwork(["x", "y"], [("x", want, "y")])).cell("x", "y") == rel
 
 
 class TestSerialization:

@@ -13,10 +13,9 @@ outcome back onto the source text are span-based only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
 from typing import Iterable, Optional, Sequence
 
-from .allen import FULL_MASK, Relation
+from .allen import FULL_MASK, Relation, Value, _put
 from .annotation import RecipeSyntaxError, parse_dsl
 from .hybrid import HybridNetwork, _endpoint_indices, hybrid_atomic_consistent
 from .metric import (
@@ -27,11 +26,13 @@ from .metric import (
     start_of,
 )
 from .recipe import (
+    _ENDPOINT_SUFFIXES,
     _R5,
     ActionNode,
     Recipe,
     StateNode,
     TimerNode,
+    _node_id,
     _scenario_builder,
     _scenario_intervals,
 )
@@ -45,31 +46,32 @@ def _negated(w: BoundWindow) -> BoundWindow:
                        w.hi_strict, w.lo_strict)
 
 
-@dataclass(frozen=True)
-class TaggedConstraint:
+class TaggedConstraint(Value):
     """One constraint with provenance.  The id is deterministic: the
     two endpoint ids in lexicographic order plus the provenance layer,
     so identical pipelines always produce identical ids."""
 
-    id: str
-    kind: str  # "allen" | "metric"
-    frm: str
-    to: str
-    cell: Optional[Relation] = None
-    window: Optional[BoundWindow] = None
-    provenance: str = "recipe-soft"
+    __slots__ = ("id", "kind", "frm", "to", "cell", "window", "provenance")
 
-    def __post_init__(self):
-        if self.provenance not in ("domain-hard", "recipe-soft"):
-            raise ValueError(f"bad provenance {self.provenance!r}")
-        if self.kind == "allen":
-            if self.cell is None or self.window is not None:
+    def __init__(self, id: str, kind: str, frm: str, to: str, cell: Optional[Relation] = None,
+                 window: Optional[BoundWindow] = None, provenance: str = "recipe-soft"):
+        if provenance not in ("domain-hard", "recipe-soft"):
+            raise ValueError(f"bad provenance {provenance!r}")
+        if kind == "allen":
+            if cell is None or window is not None:
                 raise ValueError("allen constraint needs a cell only")
-        elif self.kind == "metric":
-            if self.window is None or self.cell is not None:
+        elif kind == "metric":
+            if window is None or cell is not None:
                 raise ValueError("metric constraint needs a window only")
         else:
-            raise ValueError(f"bad kind {self.kind!r}")
+            raise ValueError(f"bad kind {kind!r}")
+        _put(self, "id", id)
+        _put(self, "kind", kind)
+        _put(self, "frm", frm)
+        _put(self, "to", to)
+        _put(self, "cell", cell)
+        _put(self, "window", window)
+        _put(self, "provenance", provenance)
 
     @staticmethod
     def _layer(provenance: str) -> str:
@@ -97,8 +99,7 @@ class TaggedConstraint:
         return f"[{self.id}] {body}"
 
 
-@dataclass(frozen=True)
-class TaggedNetwork:
+class TaggedNetwork(Value):
     """A hybrid network whose constraints are individually addressable.
 
     `new_nodes` lists injected action nodes as (id, label) pairs and
@@ -107,16 +108,15 @@ class TaggedNetwork:
     `network` is the network of `constraints`, as `build` makes it.
     """
 
-    network: HybridNetwork
-    constraints: tuple[TaggedConstraint, ...]
-    new_nodes: tuple[tuple[str, str], ...] = ()
-    anchors: tuple[str, ...] = ()
+    __slots__ = ("network", "constraints", "new_nodes", "anchors")
 
-    def __post_init__(self):
-        ids = [c.id for c in self.constraints]
+    def __init__(self, network: HybridNetwork, constraints: tuple[TaggedConstraint, ...],
+                 new_nodes: tuple[tuple[str, str], ...] = (), anchors: tuple[str, ...] = ()):
+        ids = [c.id for c in constraints]
         if len(set(ids)) != len(ids):
             dup = next(i for i in ids if ids.count(i) > 1)
             raise ValueError(f"duplicate constraint id {dup!r}")
+        self._set(network, constraints, new_nodes, anchors)
 
     @classmethod
     def build(cls, intervals: Sequence[str],
@@ -179,39 +179,37 @@ def remove_entities(h: HybridNetwork, ids: Iterable[str]) -> HybridNetwork:
 # ---------------------------------------------------------------------------
 # domain knowledge
 
-@dataclass(frozen=True)
-class DomainKnowledge:
+class DomainKnowledge(Value):
     """A named sub-network to graft onto a recipe: new nodes, hard
     constraints among them and toward anchors, plus the entities the
     substitution removes.  `lines` maps each node id to the `.know` line
     declaring it, when the knowledge was parsed from text."""
 
-    name: str
-    removals: tuple[str, ...] = ()
-    anchors: tuple[str, ...] = ()
-    steps: tuple[ActionNode, ...] = ()
-    states: tuple[StateNode, ...] = ()
-    timers: tuple[TimerNode, ...] = ()
-    relations: tuple[tuple[str, Relation, str], ...] = ()
-    durations: tuple[tuple[str, BoundWindow], ...] = ()
-    until_links: tuple[tuple[str, str], ...] = ()
-    lines: tuple[tuple[str, int], ...] = ()
+    __slots__ = ("name", "removals", "anchors", "steps", "states", "timers", "relations",
+                 "durations", "until_links", "lines")
 
-    def __post_init__(self):
-        new = [n.id for n in self.steps + self.states + self.timers]
+    def __init__(self, name: str, removals: tuple[str, ...] = (),
+                 anchors: tuple[str, ...] = (), steps: tuple[ActionNode, ...] = (),
+                 states: tuple[StateNode, ...] = (), timers: tuple[TimerNode, ...] = (),
+                 relations: tuple[tuple[str, Relation, str], ...] = (),
+                 durations: tuple[tuple[str, BoundWindow], ...] = (),
+                 until_links: tuple[tuple[str, str], ...] = (),
+                 lines: tuple[tuple[str, int], ...] = ()):
+        new = [_node_id(n.id) for n in steps + states + timers]
         if len(set(new)) != len(new):
             raise ValueError("duplicate node id in knowledge")
-        known = set(new) | set(self.anchors)
-        for a, _, b in self.relations:
+        known = set(new) | set(anchors)
+        for a, _, b in relations:
             if a not in known or b not in known:
                 missing = a if a not in known else b
                 raise ValueError(f"relation mentions unknown id {missing!r}")
             if a not in set(new) and b not in set(new):
-                raise ValueError(
-                    f"relation {a!r}/{b!r} touches no knowledge node")
-        for nid, _ in list(self.durations) + list(self.until_links):
+                raise ValueError(f"relation {a!r}/{b!r} touches no knowledge node")
+        for nid, _ in list(durations) + list(until_links):
             if nid not in set(new):
                 raise ValueError(f"duration/link on unknown node {nid!r}")
+        self._set(name, removals, anchors, steps, states, timers, relations, durations,
+                  until_links, lines)
 
     def new_ids(self) -> tuple[str, ...]:
         return tuple(n.id for n in self.steps + self.timers + self.states)
@@ -224,7 +222,7 @@ def parse_knowledge(source: str) -> DomainKnowledge:
     `until` clauses.  Knowledge steps are not chained: only the stated
     relations hold."""
     name, f = parse_dsl(source, "knowledge")
-    return DomainKnowledge(name, **{x.name: f[x.name] for x in fields(DomainKnowledge)[1:]})
+    return DomainKnowledge(name, **{n: f[n] for n in DomainKnowledge.__slots__[1:]})
 
 
 def inject(h: HybridNetwork, k: DomainKnowledge) -> TaggedNetwork:
@@ -247,7 +245,7 @@ def inject(h: HybridNetwork, k: DomainKnowledge) -> TaggedNetwork:
     for a, rel, b in list(k.relations) + [(x, _R5, s) for x, s in k.until_links]:
         c = TaggedConstraint.allen(a, rel, b, "domain-hard")
         if c.id in hard:
-            c = replace(c, cell=c.cell & hard[c.id].cell)
+            c = c.replace(cell=c.cell & hard[c.id].cell)
         hard[c.id] = c
     constraints += hard.values()
     for nid, w in list(k.durations) + [(t.id, t.window) for t in k.timers]:
@@ -261,13 +259,12 @@ def inject(h: HybridNetwork, k: DomainKnowledge) -> TaggedNetwork:
 # ---------------------------------------------------------------------------
 # revision
 
-@dataclass(frozen=True)
-class RevisionResult:
-    revised: HybridNetwork
-    retained: tuple[str, ...]
-    relaxed: tuple[str, ...]
-    witness: HybridNetwork
-    tagged: TaggedNetwork
+class RevisionResult(Value):
+    __slots__ = ("revised", "retained", "relaxed", "witness", "tagged")
+
+    def __init__(self, revised: HybridNetwork, retained: tuple[str, ...],
+                 relaxed: tuple[str, ...], witness: HybridNetwork, tagged: TaggedNetwork):
+        self._set(revised, retained, relaxed, witness, tagged)
 
 
 def _witness_keeps(witness: HybridNetwork, c: TaggedConstraint) -> Optional[HybridNetwork]:
@@ -376,11 +373,11 @@ def format_revision(r: RevisionResult) -> str:
 # ---------------------------------------------------------------------------
 # text edits
 
-@dataclass(frozen=True)
-class Edit:
-    span: tuple[int, int]
-    op: str  # "delete" | "insert-after" | "flag-review"
-    payload: str = ""
+class Edit(Value):
+    __slots__ = ("span", "op", "payload")  # op: "delete" | "insert-after" | "flag-review"
+
+    def __init__(self, span: tuple[int, int], op: str, payload: str = ""):
+        self._set(span, op, payload)
 
 
 _OP_ORDER = {"delete": 0, "insert-after": 1, "flag-review": 2}
@@ -395,10 +392,7 @@ def _span_table(r: Recipe) -> dict[str, tuple[int, int]]:
 
 
 def _interval_of_point(p: str) -> str:
-    for suffix in (".start", ".end"):
-        if p.endswith(suffix):
-            return p[:-len(suffix)]
-    return p
+    return p.rpartition(".")[0] if p.endswith(_ENDPOINT_SUFFIXES) else p
 
 
 def adapt_text_edits(result: RevisionResult, source: Recipe) -> tuple[Edit, ...]:

@@ -32,6 +32,7 @@ import enum
 import re
 from collections import deque
 from functools import cached_property, lru_cache
+from itertools import repeat
 from operator import or_
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence, TypeVar
 
@@ -270,7 +271,56 @@ ALLEN = Calculus(tuple(BaseRelation), COMPOSITION,
                  1 << BaseRelation.e, FULL_MASK)
 
 
-class BitmaskRelation:
+_put = object.__setattr__
+
+
+class Value:
+    """Base of the package's immutable values.  A record's `__slots__` name
+    its fields in constructor order; `__init__` validates, then stores them
+    (`_set`, or `_put` per field in records built in bulk).  Records of one
+    class are equal, and hash alike, by their fields but those in `_uncompared`;
+    `replace` goes through the constructor.  Pickling restores every slot."""
+
+    __slots__ = ()
+    _uncompared: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _set(self, *values) -> None:
+        # `_put` returns None, so `any` stores every field
+        any(map(_put, repeat(self), self.__slots__, values))
+
+    def _compared(self) -> tuple:
+        return tuple([getattr(self, n) for n in self.__slots__ if n not in self._uncompared])
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._compared() == other._compared()
+
+    def __hash__(self) -> int:
+        return hash(self._compared())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def replace(self, **changes):
+        return type(self)(**{n: getattr(self, n) for n in self.__slots__} | changes)
+
+    def __reduce__(self):
+        slots = [n for c in type(self).__mro__ for n in c.__dict__.get("__slots__", ())]
+        return _restored, (type(self), {n: getattr(self, n) for n in slots})
+
+
+def _restored(cls, slots: dict):
+    self = object.__new__(cls)
+    any(map(_put, repeat(self), slots, slots.values()))
+    return self
+
+
+class BitmaskRelation(Value):
     """An immutable set of atoms of one calculus, held as a bitmask over
     the calculus's atom table; the empty set is the contradiction.
 
@@ -285,10 +335,7 @@ class BitmaskRelation:
     def __init__(self, mask: int):
         if mask & ~self.calculus.full:
             raise ValueError(f"relation mask out of range: {mask}")
-        object.__setattr__(self, "mask", mask)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+        _put(self, "mask", mask)
 
     @classmethod
     def of(cls, *atoms):
@@ -402,7 +449,7 @@ def base_relation_of(x: tuple[Fraction, Fraction], y: tuple[Fraction, Fraction])
                           (xe > ys) - (xe < ys), (xe > ye) - (xe < ye)]
 
 
-class Network:
+class Network(Value):
     """A constraint network over named intervals for one calculus.
 
     `QCN(intervals, constraints)`, the same as `QCN.build`, conjoins (a,
@@ -442,12 +489,9 @@ class Network:
         self._init(intervals, tuple(map(tuple, m)), idx)
 
     def _init(self, intervals, rows, index) -> None:
-        object.__setattr__(self, "intervals", intervals)
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_matrix", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+        _put(self, "intervals", intervals)
+        _put(self, "_index", index)
+        _put(self, "_matrix", rows)
 
     @classmethod
     def build(cls, intervals: Sequence[str], constraints=()):

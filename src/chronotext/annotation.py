@@ -7,19 +7,20 @@ it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields
 from typing import Optional
 
-from .allen import QCN, Relation
-from .metric import BoundWindow, end_of, start_of
+from .allen import QCN, Relation, Value
+from .metric import BoundWindow
 from .recipe import (
     ActionNode,
     AlternativeBranch,
     Recipe,
     RepetitionMarker,
+    Span,
     StateNode,
     TimerNode,
     _chain_steps,
+    _node_id,
     duration_cap,
     encode_duration,
 )
@@ -44,50 +45,47 @@ class RecipeSyntaxError(ValueError):
 # ---------------------------------------------------------------------------
 # TimeML subset
 
-@dataclass(frozen=True)
-class Event:
-    eid: str
-    eclass: str
-    text: str
-    span: tuple[int, int]
-    offset: Optional[int] = field(default=None, compare=False)
+class Event(Value):
+    __slots__ = ("eid", "eclass", "text", "span", "offset")
+    _uncompared = ("offset",)
+
+    def __init__(self, eid: str, eclass: str, text: str, span: Span, offset: Optional[int] = None):
+        self._set(eid, eclass, text, span, offset)
 
 
-@dataclass(frozen=True)
-class Instance:
-    eiid: str
-    event_id: str
-    tense: str
-    aspect: str
-    pos: str
-    offset: Optional[int] = field(default=None, compare=False)
+class Instance(Value):
+    __slots__ = ("eiid", "event_id", "tense", "aspect", "pos", "offset")
+    _uncompared = ("offset",)
+
+    def __init__(self, eiid: str, event_id: str, tense: str, aspect: str, pos: str,
+                 offset: Optional[int] = None):
+        self._set(eiid, event_id, tense, aspect, pos, offset)
 
 
-@dataclass(frozen=True)
-class Signal:
-    sid: str
-    text: str
-    span: tuple[int, int]
-    offset: Optional[int] = field(default=None, compare=False)
+class Signal(Value):
+    __slots__ = ("sid", "text", "span", "offset")
+    _uncompared = ("offset",)
+
+    def __init__(self, sid: str, text: str, span: Span, offset: Optional[int] = None):
+        self._set(sid, text, span, offset)
 
 
-@dataclass(frozen=True)
-class TLink:
-    event_instance_id: str
-    signal_id: Optional[str]
-    related_to_event: str
-    rel_type: str
-    offset: Optional[int] = field(default=None, compare=False)
+class TLink(Value):
+    __slots__ = ("event_instance_id", "signal_id", "related_to_event", "rel_type", "offset")
+    _uncompared = ("offset",)
+
+    def __init__(self, event_instance_id: str, signal_id: Optional[str],
+                 related_to_event: str, rel_type: str, offset: Optional[int] = None):
+        self._set(event_instance_id, signal_id, related_to_event, rel_type, offset)
 
 
-@dataclass(frozen=True)
-class AnnotatedDoc:
-    source: str
-    text: str  # the input with markup removed; spans index into this
-    events: tuple[Event, ...]
-    instances: tuple[Instance, ...]
-    signals: tuple[Signal, ...]
-    tlinks: tuple[TLink, ...]
+class AnnotatedDoc(Value):
+    __slots__ = ("source", "text", "events", "instances", "signals", "tlinks")
+
+    def __init__(self, source: str, text: str,  # the input without markup; spans index it
+                 events: tuple[Event, ...], instances: tuple[Instance, ...],
+                 signals: tuple[Signal, ...], tlinks: tuple[TLink, ...]):
+        self._set(source, text, events, instances, signals, tlinks)
 
 
 _WRAPPING = {"EVENT", "SIGNAL"}
@@ -254,9 +252,6 @@ def doc_to_qcn(doc: AnnotatedDoc) -> QCN:
 # recipe DSL
 
 _ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
-# a declared x.end would share its name with the end of x, in the metric
-# layer and in the ids revision gives constraints
-_ENDPOINT_SUFFIXES = (start_of(""), end_of(""))
 
 
 # One alternative per token kind; characters no alternative takes are blanks
@@ -303,8 +298,8 @@ def _expect_id(tokens, idx, what, lineno):
 
 
 def _at_line(lineno, read, *args):
-    """`read(*args)`, a value read from line `lineno` (a duration phrase or
-    a relation set), with any `ValueError` it raises reported at that line."""
+    """`read(*args)`, a value read from line `lineno` (a duration phrase, a
+    relation set or an id), with any `ValueError` it raises reported there."""
     try:
         return read(*args)
     except ValueError as exc:
@@ -357,9 +352,7 @@ def parse_dsl(source: str, header: str) -> tuple[str, dict[str, tuple]]:
     def declare(id_, lineno):
         if id_ in declared:
             raise RecipeSyntaxError(f"duplicate id {id_!r}", lineno)
-        if id_.endswith(_ENDPOINT_SUFFIXES):
-            raise RecipeSyntaxError(f"id {id_!r} ends in '.{id_.rpartition('.')[2]}',"
-                                    " reserved for interval endpoints", lineno)
+        _at_line(lineno, _node_id, id_)
         declared[id_] = lineno
 
     offset = 0
@@ -542,7 +535,7 @@ def parse_recipe_dsl(source: str) -> Recipe:
     A `meanwhile` step that heads the text-order chain (`_chain_steps`),
     with no step before it to run alongside, is an error at its line."""
     title, f = parse_dsl(source, "recipe")
-    recipe = Recipe(title, **{x.name: f[x.name] for x in fields(Recipe)[1:]})
+    recipe = Recipe(title, **{name: f[name] for name in Recipe.__slots__[1:]})
     head = _chain_steps(recipe)[:1]
     if head and head[0].meanwhile:
         raise RecipeSyntaxError(f"step {head[0].id!r} is marked meanwhile but has no "

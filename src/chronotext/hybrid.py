@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from .allen import QCN, Relation, close, format_qcn, scenario_search
+from .allen import QCN, Relation, Value, close, format_qcn, scenario_search
 from .metric import (
     _ATOM_EDGES,
     BoundWindow,
@@ -24,7 +24,7 @@ from .metric import (
 )
 
 
-class HybridNetwork:
+class HybridNetwork(Value):
     """Immutable pairing of a QCN with an endpoint STP."""
 
     __slots__ = ("qcn", "stp", "anon_points")
@@ -33,23 +33,15 @@ class HybridNetwork:
         for i in qcn.intervals:
             if not (stp.has_point(start_of(i)) and stp.has_point(end_of(i))):
                 raise ValueError(f"interval {i!r} lacks endpoints in the metric layer")
-        self._init(qcn, stp, tuple(anon_points))
-
-    def _init(self, qcn: QCN, stp: STP, anon_points: tuple[str, ...]) -> None:
-        object.__setattr__(self, "qcn", qcn)
-        object.__setattr__(self, "stp", stp)
-        object.__setattr__(self, "anon_points", anon_points)
+        self._set(qcn, stp, tuple(anon_points))
 
     @classmethod
     def _raw(cls, qcn: QCN, stp: STP, anon_points: tuple[str, ...]) -> "HybridNetwork":
         # skip the endpoint check for parts that trusted internal code
         # built to match: every interval of `qcn` has both endpoints in `stp`
         self = object.__new__(cls)
-        self._init(qcn, stp, anon_points)
+        self._set(qcn, stp, anon_points)
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HybridNetwork is immutable")
 
     @classmethod
     def build(cls, intervals: Sequence[str],

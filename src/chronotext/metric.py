@@ -21,13 +21,12 @@ use.  There are no epsilon approximations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
-from .allen import ENDPOINT_SIGNS, FULL_MASK, BaseRelation, Relation
+from .allen import ENDPOINT_SIGNS, FULL_MASK, BaseRelation, Relation, Value, _put
 
 
 class ScaleBoundExceeded(ValueError):
@@ -48,48 +47,42 @@ def _hi_rank(w: BoundWindow) -> tuple:
     return (w.hi is None, w.hi or 0, not w.hi_strict)
 
 
-@dataclass(frozen=True)
-class BoundWindow:
+class BoundWindow(Value):
     """An interval of admissible values for a point difference, with
     per-bound strictness; None means unbounded on that side."""
 
-    lo: Optional[Fraction]
-    hi: Optional[Fraction]
-    lo_strict: bool = False
-    hi_strict: bool = False
+    __slots__ = ("lo", "hi", "lo_strict", "hi_strict")
 
-    def __post_init__(self):
-        lo = None if self.lo is None else _frac(self.lo)
-        hi = None if self.hi is None else _frac(self.hi)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        # infinite bounds are open by convention
-        if lo is None:
-            object.__setattr__(self, "lo_strict", True)
-        if hi is None:
-            object.__setattr__(self, "hi_strict", True)
+    def __init__(self, lo: Optional[Fraction], hi: Optional[Fraction],
+                 lo_strict: bool = False, hi_strict: bool = False):
+        lo = None if lo is None else _frac(lo)
+        hi = None if hi is None else _frac(hi)
         if lo is not None and hi is not None:
             if lo > hi:
                 raise ValueError(f"empty window: lo {lo} > hi {hi}")
-            if lo == hi and (self.lo_strict or self.hi_strict):
+            if lo == hi and (lo_strict or hi_strict):
                 raise ValueError("a zero-width window must be closed on both sides")
+        _put(self, "lo", lo)
+        _put(self, "hi", hi)
+        # infinite bounds are open by convention
+        _put(self, "lo_strict", True if lo is None else lo_strict)
+        _put(self, "hi_strict", True if hi is None else hi_strict)
 
     @classmethod
     def closed(cls, lo, hi) -> "BoundWindow":
-        return cls(_frac(lo), _frac(hi))
+        return cls(lo, hi)
 
     @classmethod
     def exact(cls, v) -> "BoundWindow":
-        v = _frac(v)
         return cls(v, v)
 
     @classmethod
     def above(cls, lo, strict: bool = True) -> "BoundWindow":
-        return cls(_frac(lo), None, lo_strict=strict)
+        return cls(lo, None, lo_strict=strict)
 
     @classmethod
     def at_most(cls, hi, lo=0, lo_strict: bool = True, hi_strict: bool = False) -> "BoundWindow":
-        return cls(_frac(lo), _frac(hi), lo_strict=lo_strict, hi_strict=hi_strict)
+        return cls(lo, hi, lo_strict=lo_strict, hi_strict=hi_strict)
 
     @property
     def unbounded(self) -> bool:
@@ -158,7 +151,7 @@ def _window_edges(pairs: Iterable[tuple[int, int, BoundWindow]], dm: int) -> lis
     return out
 
 
-class STP:
+class STP(Value):
     """A simple temporal problem: one window per ordered point pair.
 
     What is stored is one integer matrix `_e`, with `_e[i][j]` the upper
@@ -190,28 +183,16 @@ class STP:
         """The network on `points` with the (from, to, window) triples
         conjoined in; repeated windows on a pair conjoin by intersection."""
         s = STP._raw((), {}, (), 1).with_constraints(constraints, points)
-        self._init(s.points, s._index, s._e, s._d, False, False)
-
-    def _init(self, points, index, e, d, inconsistent, minimal) -> None:
-        if len(index) != len(points):
-            raise ValueError("duplicate point ids")
-        put = object.__setattr__
-        put(self, "points", points)
-        put(self, "_index", index)
-        put(self, "_e", e)
-        put(self, "_d", d)
-        put(self, "inconsistent", inconsistent)
-        put(self, "minimal", minimal)
+        self._set(s.points, s._index, s._e, s._d, False, False)
 
     @classmethod
     def _raw(cls, points, index, e, d, inconsistent=False, minimal=False) -> "STP":
         # from an encoded matrix that already holds the invariant
+        if len(index) != len(points):
+            raise ValueError("duplicate point ids")
         self = object.__new__(cls)
-        self._init(points, index, e, d, inconsistent, minimal)
+        self._set(points, index, e, d, inconsistent, minimal)
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("STP is immutable")
 
     @classmethod
     def build(cls, points: Sequence[str],
@@ -393,19 +374,16 @@ def stp_close(s: STP, *, changed: Optional[Sequence[tuple[int, int]]] = None) ->
     return STP._raw(s.points, s._index, tuple(map(tuple, rows)), s._d, minimal=True)
 
 
-@dataclass(frozen=True)
-class MetricConstraint:
+class MetricConstraint(Value):
     """A disjunctive metric constraint: the difference must fall in one
     of several windows.  Windows are normalized sorted and disjoint."""
 
-    frm: str
-    to: str
-    windows: tuple[BoundWindow, ...]
+    __slots__ = ("frm", "to", "windows")
 
-    def __post_init__(self):
-        if not self.windows:
+    def __init__(self, frm: str, to: str, windows: tuple[BoundWindow, ...]):
+        if not windows:
             raise ValueError("a constraint needs at least one window")
-        object.__setattr__(self, "windows", _normalize_windows(self.windows))
+        self._set(frm, to, _normalize_windows(windows))
 
 
 def _normalize_windows(windows: Sequence[BoundWindow]) -> tuple[BoundWindow, ...]:
@@ -423,10 +401,11 @@ def _normalize_windows(windows: Sequence[BoundWindow]) -> tuple[BoundWindow, ...
     return tuple(merged)
 
 
-@dataclass(frozen=True)
-class TCSP:
-    points: tuple[str, ...]
-    constraints: tuple[MetricConstraint, ...]
+class TCSP(Value):
+    __slots__ = ("points", "constraints")
+
+    def __init__(self, points: tuple[str, ...], constraints: tuple[MetricConstraint, ...]):
+        self._set(points, constraints)
 
 
 MAX_TCSP_WINDOWS = 4

@@ -23,11 +23,10 @@ from __future__ import annotations
 import enum
 import itertools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .allen import Relation
+from .allen import Relation, Value, _put
 from .hybrid import HybridNetwork
 from .metric import BoundWindow, ScaleBoundExceeded, end_of, start_of
 
@@ -46,114 +45,115 @@ class PhenomenonTag(enum.Enum):
 
 
 Span = tuple[int, int]
+_ENDPOINT_SUFFIXES = (start_of(""), end_of(""))
 
 
-@dataclass(frozen=True)
-class ActionNode:
-    id: str
-    verb: str
-    objects: tuple[str, ...] = ()
-    span: Optional[Span] = None
-    kind: str = "step"  # "preliminary" | "step"
-    meanwhile: bool = False
+def _node_id(id_: str) -> str:
+    # x.end would share its name with the end of x, as a point and in constraint ids
+    if id_.endswith(_ENDPOINT_SUFFIXES):
+        raise ValueError(f"id {id_!r} ends in '.{id_.rpartition('.')[2]}',"
+                         " reserved for interval endpoints")
+    return id_
 
-    def __post_init__(self):
-        if self.kind not in ("preliminary", "step"):
-            raise ValueError(f"bad action kind {self.kind!r}")
-        if self.meanwhile and self.kind != "step":
+
+class ActionNode(Value):
+    __slots__ = ("id", "verb", "objects", "span", "kind", "meanwhile")
+
+    def __init__(self, id: str, verb: str, objects: tuple[str, ...] = (),
+                 span: Optional[Span] = None, kind: str = "step", meanwhile: bool = False):
+        if kind not in ("preliminary", "step"):
+            raise ValueError(f"bad action kind {kind!r}")
+        if meanwhile and kind != "step":
             raise ValueError("meanwhile applies to steps only")
+        _put(self, "id", id)
+        _put(self, "verb", verb)
+        _put(self, "objects", objects)
+        _put(self, "span", span)
+        _put(self, "kind", kind)
+        _put(self, "meanwhile", meanwhile)
 
 
-@dataclass(frozen=True)
-class StateNode:
-    id: str
-    predicate: str
-    span: Optional[Span] = None
+class StateNode(Value):
+    __slots__ = ("id", "predicate", "span")
+
+    def __init__(self, id: str, predicate: str, span: Optional[Span] = None):
+        self._set(id, predicate, span)
 
 
-@dataclass(frozen=True)
-class TimerNode:
-    id: str
-    window: BoundWindow
+class TimerNode(Value):
+    __slots__ = ("id", "window")
 
-    def __post_init__(self):
-        if self.window.lo is None or self.window.lo <= 0:
+    def __init__(self, id: str, window: BoundWindow):
+        if window.lo is None or window.lo <= 0:
             raise ValueError("timer durations must be positively bounded below")
+        self._set(id, window)
 
 
-@dataclass(frozen=True)
-class RepetitionMarker:
-    target: str
-    mode: str  # "sporadic" | "alternation" | "count"
-    ref: Optional[str] = None  # container, partner, or until-state id
-    count: Optional[int] = None
+class RepetitionMarker(Value):
+    __slots__ = ("target", "mode", "ref", "count")  # ref: container, partner or until-state id
 
-    def __post_init__(self):
-        if self.mode in ("sporadic", "alternation"):
-            if self.ref is None or self.count is not None:
-                raise ValueError(f"{self.mode} markers take a reference id only")
-        elif self.mode == "count":
-            if (self.ref is None) == (self.count is None):
+    def __init__(self, target: str, mode: str, ref: Optional[str] = None,
+                 count: Optional[int] = None):
+        if mode in ("sporadic", "alternation"):
+            if ref is None or count is not None:
+                raise ValueError(f"{mode} markers take a reference id only")
+        elif mode == "count":
+            if (ref is None) == (count is None):
                 raise ValueError("count markers take a count or an until-state id")
         else:
-            raise ValueError(f"bad marker mode {self.mode!r}")
+            raise ValueError(f"bad marker mode {mode!r}")
+        self._set(target, mode, ref, count)
 
 
-@dataclass(frozen=True)
-class AlternativeBranch:
-    id: str
-    members: tuple[str, ...]
-    guard: str = ""
+class AlternativeBranch(Value):
+    __slots__ = ("id", "members", "guard")
+
+    def __init__(self, id: str, members: tuple[str, ...], guard: str = ""):
+        self._set(id, members, guard)
 
 
-@dataclass(frozen=True)
-class Recipe:
-    title: str
-    preliminaries: tuple[ActionNode, ...] = ()
-    steps: tuple[ActionNode, ...] = ()
-    states: tuple[StateNode, ...] = ()
-    timers: tuple[TimerNode, ...] = ()
-    relations: tuple[tuple[str, Relation, str], ...] = ()
-    markers: tuple[RepetitionMarker, ...] = ()
-    branches: tuple[AlternativeBranch, ...] = ()
-    durations: tuple[tuple[str, BoundWindow], ...] = ()
-    until_links: tuple[tuple[str, str], ...] = ()
-    last_links: tuple[tuple[str, str, str], ...] = ()  # (action, timer, ref)
+class Recipe(Value):
+    __slots__ = ("title", "preliminaries", "steps", "states", "timers", "relations",
+                 "markers", "branches", "durations", "until_links", "last_links")
 
-    def __post_init__(self):
-        ids = [n.id for n in self.preliminaries] + [n.id for n in self.steps] \
-            + [n.id for n in self.states] + [n.id for n in self.timers]
+    def __init__(self, title: str, preliminaries: tuple[ActionNode, ...] = (),
+                 steps: tuple[ActionNode, ...] = (), states: tuple[StateNode, ...] = (),
+                 timers: tuple[TimerNode, ...] = (),
+                 relations: tuple[tuple[str, Relation, str], ...] = (),
+                 markers: tuple[RepetitionMarker, ...] = (),
+                 branches: tuple[AlternativeBranch, ...] = (),
+                 durations: tuple[tuple[str, BoundWindow], ...] = (),
+                 until_links: tuple[tuple[str, str], ...] = (),
+                 last_links: tuple[tuple[str, str, str], ...] = ()):  # (action, timer, ref)
+        ids = [_node_id(n.id) for nodes in (preliminaries, steps, states, timers) for n in nodes]
         seen = set()
         for i in ids:
             if i in seen:
                 raise ValueError(f"duplicate id {i!r}")
             seen.add(i)
-        for p in self.preliminaries:
-            if p.kind != "preliminary":
-                raise ValueError(f"{p.id!r} listed as preliminary but kind is {p.kind!r}")
-        for s in self.steps:
-            if s.kind != "step":
-                raise ValueError(f"{s.id!r} listed as step but kind is {s.kind!r}")
+        for kind, nodes in (("preliminary", preliminaries), ("step", steps)):
+            for n in nodes:
+                if n.kind != kind:
+                    raise ValueError(f"{n.id!r} listed as {kind} but kind is {n.kind!r}")
 
         def need(i):
             if i not in seen:
                 raise ValueError(f"unknown id {i!r}")
 
-        for a, _, b in self.relations:
+        for a, _, b in relations:
             need(a), need(b)
-        for m in self.markers:
+        for m in markers:
             need(m.target)
             if m.ref is not None:
                 need(m.ref)
-        for a, s in self.until_links:
+        for a, s in until_links:
             need(a), need(s)
-        for i, _ in self.durations:
+        for i, _ in durations:
             need(i)
-        for a, t, ref in self.last_links:
+        for a, t, ref in last_links:
             need(a), need(t), need(ref)
-        claimed = set()
-        branch_ids = set()
-        for br in self.branches:
+        claimed, branch_ids = set(), set()
+        for br in branches:
             if br.id in branch_ids:
                 raise ValueError(f"duplicate branch id {br.id!r}")
             branch_ids.add(br.id)
@@ -163,11 +163,13 @@ class Recipe:
                     raise ValueError(f"{m!r} belongs to two branches")
                 claimed.add(m)
         for kind in ("preliminary", "step"):
-            spans = sorted(n.span for n in self.preliminaries + self.steps
+            spans = sorted(n.span for n in preliminaries + steps
                            if n.kind == kind and n.span is not None)
             for (a, b), (c, d) in zip(spans, spans[1:]):
                 if c < b:
                     raise ValueError(f"overlapping {kind} spans {a, b} and {c, d}")
+        self._set(title, preliminaries, steps, states, timers, relations, markers,
+                  branches, durations, until_links, last_links)
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,9 @@ pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .allen import Relation
+from .allen import Relation, Value
 from .hybrid import HybridNetwork, hybrid_close
 from .recipe import Recipe, RepetitionMarker, encode_recipe
 
@@ -25,39 +24,36 @@ _KINDS = ("action", "and-split", "and-join", "xor-split", "xor-join",
           "loop", "no-op")
 
 
-@dataclass(frozen=True)
-class WorkflowNode:
-    id: str
-    kind: str
-    label: str = ""
+class WorkflowNode(Value):
+    __slots__ = ("id", "kind", "label")
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"bad node kind {self.kind!r}")
+    def __init__(self, id: str, kind: str, label: str = ""):
+        if kind not in _KINDS:
+            raise ValueError(f"bad node kind {kind!r}")
+        self._set(id, kind, label)
 
 
-@dataclass(frozen=True)
-class WorkflowGraph:
+class WorkflowGraph(Value):
     """Nodes, directed edges (style "" for flow, "back" for loop
     returns) and the loop-body membership used for rendering."""
 
-    nodes: tuple[WorkflowNode, ...]
-    edges: tuple[tuple[str, str, str], ...]
-    loops: tuple[tuple[str, tuple[str, ...]], ...] = ()
+    __slots__ = ("nodes", "edges", "loops")
 
-    def __post_init__(self):
-        ids = [n.id for n in self.nodes]
+    def __init__(self, nodes: tuple[WorkflowNode, ...], edges: tuple[tuple[str, str, str], ...],
+                 loops: tuple[tuple[str, tuple[str, ...]], ...] = ()):
+        ids = [n.id for n in nodes]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate node id")
         known = set(ids)
-        for frm, to, style in self.edges:
+        for frm, to, style in edges:
             if frm not in known or to not in known:
                 raise ValueError(f"edge endpoint missing: {frm} -> {to}")
             if style not in ("", "back"):
                 raise ValueError(f"bad edge style {style!r}")
-        for head, body in self.loops:
+        for head, body in loops:
             if head not in known or not set(body) <= known:
                 raise ValueError("loop body mentions unknown node")
+        self._set(nodes, edges, loops)
 
     def node(self, id_: str) -> WorkflowNode:
         return next(n for n in self.nodes if n.id == id_)

@@ -34,7 +34,7 @@ from chronotext.hybrid import (
     hybrid_close,
 )
 from chronotext.metric import STP, BoundWindow, ScaleBoundExceeded, end_of, start_of
-from chronotext.recipe import encode_recipe
+from chronotext.recipe import ActionNode, Recipe, encode_recipe
 
 import recipes
 from oracles import object_tag_soft, random_window, rebuild_revise, window_witness_keeps
@@ -205,6 +205,16 @@ class TestParseKnowledge:
         with pytest.raises(RecipeSyntaxError, match="reserved for interval endpoints") as err:
             parse_knowledge(f'knowledge "k"\nanchor combine\n{line}\n')
         assert err.value.line == 3
+
+    def test_programmatic_endpoint_suffixed_id_is_rejected(self):
+        # built without the DSL, such a step used to reach `adapt_recipe`,
+        # which failed on the duplicate id 'y.end~y.start:hard'
+        with pytest.raises(ValueError) as err:
+            DomainKnowledge("k", steps=(ActionNode("y", "soak"), ActionNode("y.end", "drain"),
+                                        ActionNode("y.start", "cook")),
+                            relations=(("y.end", R("{b}"), "y.start"),),
+                            durations=(("y", BoundWindow.exact(5)),))
+        assert err.value.args == ("id 'y.end' ends in '.end', reserved for interval endpoints",)
 
     def test_anchors_and_forward_references_resolve(self):
         k = parse_knowledge('knowledge "k"\nrel k0 {b} k1\n'
@@ -438,6 +448,15 @@ class TestAdaptTextEdits:
         recipe = parse_recipe_dsl((FIXTURES / "lutheran.rcp").read_text())
         _, edits = adapt_recipe(recipe, DomainKnowledge("noop"))
         assert edits == ()
+
+    def test_programmatic_endpoint_suffixed_step_is_rejected(self):
+        # such a recipe used to reach `adapt_recipe`, which failed on the
+        # duplicate id 'x.end~x.start:soft' (exit 1, "inconsistent", in `adapt`)
+        with pytest.raises(ValueError) as err:
+            Recipe("t", steps=(ActionNode("x", "boil"), ActionNode("x.end", "drain"),
+                               ActionNode("x.start", "serve")),
+                   durations=(("x", BoundWindow.exact(5)),))
+        assert err.value.args == ("id 'x.end' ends in '.end', reserved for interval endpoints",)
 
     def test_relaxed_constraint_flagged(self):
         source = ('recipe "T"\n'

@@ -1,6 +1,5 @@
 """Front-end parsers: TimeML-subset markup and the recipe DSL."""
 
-import dataclasses
 import random
 import re
 from fractions import Fraction
@@ -164,8 +163,8 @@ class TestParseTimeml:
         assert link == TLink("ei2", "s1", "ei1", "IS_INCLUDED")
         assert hash(link) == hash(TLink("ei2", "s1", "ei1", "IS_INCLUDED"))
         doc = parse_timeml(SNIPPET)
-        without_offsets = dataclasses.replace(doc, tlinks=tuple(
-            dataclasses.replace(t, offset=None) for t in doc.tlinks))
+        without_offsets = doc.replace(tlinks=tuple(
+            t.replace(offset=None) for t in doc.tlinks))
         assert without_offsets == doc
 
 
@@ -230,9 +229,8 @@ class TestDocToQcn:
 
 
 def strip_spans(r: Recipe) -> Recipe:
-    wipe = lambda nodes: tuple(dataclasses.replace(n, span=None) for n in nodes)
-    return dataclasses.replace(
-        r,
+    wipe = lambda nodes: tuple(n.replace(span=None) for n in nodes)
+    return r.replace(
         preliminaries=wipe(r.preliminaries),
         steps=wipe(r.steps),
         states=wipe(r.states),
@@ -573,7 +571,7 @@ class TestSerializeRecipeDsl:
     ], ids=["mixed-duration", "open-window"])
     def test_window_without_a_phrase(self, source, window, message):
         r = parse_recipe_dsl(source)
-        r = dataclasses.replace(r, durations=(("a", window),))
+        r = r.replace(durations=(("a", window),))
         with pytest.raises(ValueError, match=message):
             serialize_recipe_dsl(r)
 
@@ -597,7 +595,7 @@ class TestSerializeRecipeDsl:
     def test_count_marker_not_serializable(self):
         r = parse_recipe_dsl('recipe "T"\nstep a "dip"\n')
         from chronotext.recipe import RepetitionMarker
-        r = dataclasses.replace(
-            r, markers=(RepetitionMarker("a", "count", count=3),))
+        r = r.replace(
+            markers=(RepetitionMarker("a", "count", count=3),))
         with pytest.raises(ValueError, match="no DSL form"):
             serialize_recipe_dsl(r)

@@ -94,13 +94,13 @@ class TestCallsResolveAtCallTime:
 
 
 def _loaded_after(code: str) -> set[str]:
-    """The `chronotext` modules, `argparse`, `dataclasses` and `fractions`,
-    if loaded, in a fresh interpreter after `code` has run."""
+    """The `chronotext` modules, `argparse`, `dataclasses`, `fractions` and
+    `inspect`, if loaded, in a fresh interpreter after `code` has run."""
     src = str(Path(chronotext.__file__).resolve().parent.parent)
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     report = ("import json, sys\nprint(json.dumps(sorted(m for m in sys.modules"
-              " if m in ('argparse', 'dataclasses', 'fractions')"
+              " if m in ('argparse', 'dataclasses', 'fractions', 'inspect')"
               " or m.split('.')[0] == 'chronotext')))")
     done = subprocess.run([sys.executable, "-c", f"{code}\n{report}"], env=env,
                           capture_output=True, text=True, timeout=60)
@@ -130,6 +130,20 @@ class TestStartUp:
             f"from chronotext import cli\ncli.run(['adapt', {LUTHERAN!r}, {LENTILS!r}])")
         assert "chronotext.adaptation" in loaded
         assert "chronotext.workflow" not in loaded
+
+    @pytest.mark.parametrize("argv", [
+        ["check", LUTHERAN], ["close", LUTHERAN], ["query", LUTHERAN, "brown", "bake"],
+        ["workflow", LUTHERAN], ["timeml", str(FIXTURES / "snippet.tml")],
+        ["adapt", LUTHERAN, LENTILS],
+    ], ids=lambda argv: argv[0])
+    def test_commands_load_neither_dataclasses_nor_inspect(self, argv):
+        loaded = _loaded_after(f"from chronotext import cli\ncli.run({argv!r})")
+        assert not loaded & {"dataclasses", "inspect"}
+
+    def test_star_import_loads_neither_dataclasses_nor_inspect(self):
+        loaded = _loaded_after("from chronotext import *")
+        assert "chronotext.workflow" in loaded
+        assert not loaded & {"dataclasses", "inspect"}
 
     def test_search_modules_load_no_text_layer(self):
         loaded = _loaded_after("from chronotext import allen, cli, indu, metric")

@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 from .allen import FULL_MASK, Relation, Value, _put
 from .annotation import RecipeSyntaxError, parse_dsl
-from .hybrid import HybridNetwork, _endpoint_indices, hybrid_atomic_consistent
+from .hybrid import HybridNetwork, hybrid_atomic_consistent
 from .metric import (
     BoundWindow,
     ScaleBoundExceeded,
@@ -155,8 +155,8 @@ def tag_soft(h: HybridNetwork) -> list[TaggedConstraint]:
             if mask != FULL_MASK:
                 out.append(TaggedConstraint.allen(a, Relation(mask), b, "recipe-soft"))
     pts, e = h.stp.points, h.stp._e
-    structural = {(min(s, t), max(s, t)) for s, t in _endpoint_indices(h)
-                  if (e[s][t], e[t][s]) == (None, -1)}  # (0, inf) at every scale
+    structural = {(s, s + 1) for s in range(0, 2 * len(ids), 2)
+                  if (e[s][s + 1], e[s + 1][s]) == (None, -1)}  # (0, inf) at every scale
     for i, x in enumerate(pts):
         for j in range(i + 1, len(pts)):
             if (e[i][j] is None and e[j][i] is None) or (i, j) in structural:
@@ -275,7 +275,7 @@ def _witness_keeps(witness: HybridNetwork, c: TaggedConstraint) -> Optional[Hybr
     if c.kind == "allen":
         return witness if witness.relation(c.frm, c.to) <= c.cell else None
     stp = _close_with(witness.stp, c.frm, c.to, c.window)
-    return None if stp.inconsistent else HybridNetwork._raw(witness.qcn, stp, witness.anon_points)
+    return None if stp.inconsistent else HybridNetwork._raw(witness.qcn, stp)
 
 
 def revise(t: TaggedNetwork) -> RevisionResult:
@@ -334,7 +334,7 @@ def revise(t: TaggedNetwork) -> RevisionResult:
                 changed.append(tuple(sorted((cells[c.frm], cells[c.to]))))
             else:
                 stp = _close_with(stp, c.frm, c.to, c.window)
-        return hybrid_atomic_consistent(HybridNetwork._raw(qcn, stp, anon), changed=changed)
+        return hybrid_atomic_consistent(HybridNetwork._raw(qcn, stp), changed=changed)
 
     best: Optional[list[TaggedConstraint]] = None
     best_witness = base_witness

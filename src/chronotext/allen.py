@@ -180,7 +180,7 @@ class Calculus:
     chunk.  Equal values in a table share one int object.
 
     `compose` is the one composition of relation objects.
-    `path_consistency` reads the same tables in line instead: it fetches
+    `close` reads the same tables in line instead: it fetches
     the popped cell's rows and keys once and, per third interval, ORs
     the entries, running its converse and queue bookkeeping only for a
     cell that shrinks.
@@ -563,16 +563,21 @@ class QCN(Network):
     relation = Relation
 
 
-def path_consistency(net: Network, changed: Optional[Sequence[tuple[int, int]]] = None) -> Network:
-    """Queue-driven path consistency (PC-2) over the network's calculus.
+def close(net: Network, *, changed: Optional[Sequence[tuple[int, int]]] = None) -> Network:
+    """Queue-driven path consistency (PC-2) over the network's calculus:
+    the largest fixpoint of C[i][j] <- C[i][j] & compose(C[i][k], C[k][j])
+    over all triples.  Output cells are subsets of input cells and the
+    operation is idempotent.
 
     The pairs (i, j), i < j, of `changed` start on a FIFO queue, or every
     pair when it is None.  Popping (i, j) revises (i, k) with
     C[i][j] C[j][k] and (k, j) with C[k][i] C[i][j] for every other k; a
     pair whose cell shrinks is queued again unless it is already waiting.
-    Stops at the first empty cell.  Starting from `changed` alone is
-    exact only when the network was closed before those cells were
-    tightened: every cell outside `changed` must already be closed.
+    Stops at the first empty cell, which marks the network inconsistent;
+    the other cells of such a result are only partially tightened.
+    Starting from `changed` alone is exact only when the network was
+    closed before those cells were tightened: every cell outside
+    `changed` must already be closed.
 
     Composing a nonempty relation with the full one gives the full one,
     so a revision whose bound would be composed from a full cell cannot
@@ -690,20 +695,6 @@ def path_consistency(net: Network, changed: Optional[Sequence[tuple[int, int]]] 
                     if new != cur and not tighten(k, j, new):
                         return net._raw(net.intervals, m, net._index)
     return net._raw(net.intervals, m, net._index)
-
-
-def close(net: QCN, *, changed: Optional[Sequence[tuple[int, int]]] = None) -> QCN:
-    """Path-consistency closure: the largest fixpoint of
-    C[i][j] <- C[i][j] & compose(C[i][k], C[k][j]) over all triples.
-
-    Output cells are subsets of input cells and the operation is
-    idempotent.  An empty cell marks the network inconsistent; closure
-    stops there, so the other cells of an inconsistent result are only
-    partially tightened and depend on the revision order.  Given
-    `changed`, propagation starts from its pairs (i, j), i < j, alone,
-    which requires every cell outside them to be closed already.
-    """
-    return path_consistency(net, changed)
 
 
 W = TypeVar("W")

@@ -45,8 +45,10 @@ def _scenarios(path: Path) -> list[tuple[str, HybridNetwork]]:
         return encode_recipe(parse_recipe_dsl(text))
     if path.suffix == ".tml":
         from .hybrid import HybridNetwork
+        from .metric import STP, end_of, start_of
         qcn = doc_to_qcn(parse_timeml(text))
-        return [("document", HybridNetwork(qcn, HybridNetwork.build(qcn.intervals).stp))]
+        points = [p for i in qcn.intervals for p in (start_of(i), end_of(i))]
+        return [("document", HybridNetwork(qcn, STP(points)))]
     raise RecipeSyntaxError(f"unsupported file extension {path.suffix!r}")
 
 

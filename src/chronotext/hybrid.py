@@ -1,10 +1,11 @@
 """Combined qualitative and metric networks over the same intervals.
 
 A hybrid network keeps an Allen constraint network over intervals next
-to a simple temporal problem over their endpoints, with the linkage
-constraint end - start in (0, inf) for every interval.  Closure
-alternates propagation in each layer with translation across them until
-neither layer changes.
+to a simple temporal problem over their endpoints, in one layout: the
+start and end of interval k of `qcn.intervals` are STP points 2k and
+2k + 1, any anonymous points follow, and every interval's end - start
+lies within (0, inf).  Closure alternates propagation in each layer
+with translation across them until neither layer changes.
 """
 
 from __future__ import annotations
@@ -25,22 +26,31 @@ from .metric import (
 
 
 class HybridNetwork(Value):
-    """Immutable pairing of a QCN with an endpoint STP."""
+    """Immutable pairing of a QCN with an endpoint STP, in the layout above."""
 
-    __slots__ = ("qcn", "stp", "anon_points")
+    __slots__ = ("qcn", "stp")
 
-    def __init__(self, qcn: QCN, stp: STP, anon_points: tuple[str, ...] = ()):
+    def __init__(self, qcn: QCN, stp: STP):
+        """Pair two built layers.  An STP whose points are in another
+        order is reordered (`STP.restricted`, which keeps every bound of a
+        permutation), and end - start > 0 is conjoined for each interval
+        whose entry does not state it; an STP already in the layout with
+        every link is kept as it is, flags included."""
+        endpoints = []
         for i in qcn.intervals:
             if not (stp.has_point(start_of(i)) and stp.has_point(end_of(i))):
                 raise ValueError(f"interval {i!r} lacks endpoints in the metric layer")
-        self._set(qcn, stp, tuple(anon_points))
+            endpoints += (start_of(i), end_of(i))
+        if stp.points[:len(endpoints)] != tuple(endpoints):  # then the rest as they were
+            stp = stp.restricted(list(dict.fromkeys(endpoints + list(stp.points))))
+        linked, missing = stp._with_edges([(k + 1, k, -1) for k in range(0, len(endpoints), 2)])
+        self._set(qcn, linked if missing else stp)
 
     @classmethod
-    def _raw(cls, qcn: QCN, stp: STP, anon_points: tuple[str, ...]) -> "HybridNetwork":
-        # skip the endpoint check for parts that trusted internal code
-        # built to match: every interval of `qcn` has both endpoints in `stp`
+    def _raw(cls, qcn: QCN, stp: STP) -> "HybridNetwork":
+        # no layout check: internal code builds both layers to match
         self = object.__new__(cls)
-        self._set(qcn, stp, anon_points)
+        self._set(qcn, stp)
         return self
 
     @classmethod
@@ -52,7 +62,12 @@ class HybridNetwork(Value):
         linkage = [(start_of(i), end_of(i), POSITIVE) for i in qcn.intervals]
         points = [p for frm, to, _ in linkage for p in (frm, to)] + list(anon_points)
         stp = STP.build(points, linkage + list(metric_constraints))
-        return cls._raw(qcn, stp, tuple(anon_points))
+        return cls._raw(qcn, stp)
+
+    @property
+    def anon_points(self) -> tuple[str, ...]:
+        """Every STP point that is not an interval's endpoint."""
+        return self.stp.points[2 * len(self.qcn.intervals):]
 
     @property
     def intervals(self) -> tuple[str, ...]:
@@ -73,48 +88,33 @@ class HybridNetwork(Value):
 
     def restricted(self, intervals: Sequence[str]) -> "HybridNetwork":
         """Sub-network on the given intervals; anonymous points survive."""
-        pts = [p for i in intervals for p in (start_of(i), end_of(i))]
-        pts += [p for p in self.anon_points if self.stp.has_point(p)]
-        return HybridNetwork._raw(self.qcn.restricted(intervals),
-                                  self.stp.restricted(pts), self.anon_points)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, HybridNetwork)
-                and self.qcn == other.qcn and self.stp == other.stp)
-
-    def __hash__(self) -> int:
-        return hash((self.qcn, self.stp))
+        pts = [p for i in intervals for p in (start_of(i), end_of(i))] + list(self.anon_points)
+        return HybridNetwork._raw(self.qcn.restricted(intervals), self.stp.restricted(pts))
 
     def __repr__(self) -> str:
         flag = " inconsistent" if self.inconsistent else ""
         return f"HybridNetwork(<{len(self.intervals)} intervals>{flag})"
 
 
-def _endpoint_indices(h: HybridNetwork) -> list[tuple[int, int]]:
-    """Per interval, the STP indices of its start and end points."""
-    index = h.stp._index
-    return [(index[start_of(i)], index[end_of(i)]) for i in h.intervals]
-
-
-def _forced_atom_edges(qcn: QCN, ends: list[tuple[int, int]]) -> list[tuple[int, int, int]]:
+def _forced_atom_edges(qcn: QCN) -> list[tuple[int, int, int]]:
     """The encoded endpoint edges (`_ATOM_EDGES`) of every atomic cell,
-    upper triangle only, over the STP indices `ends` of each interval."""
+    upper triangle only, over the endpoint rows 2k, 2k + 1 of interval k."""
     out = []
     rows = qcn._matrix
     for a, row in enumerate(rows):
         for b in range(a + 1, len(rows)):
             mask = row[b]
             if not mask & (mask - 1):
-                pts = ends[a] + ends[b]
+                pts = (2 * a, 2 * a + 1, 2 * b, 2 * b + 1)
                 out += [(pts[i], pts[j], w) for i, j, w in _ATOM_EDGES[mask.bit_length() - 1]]
     return out
 
 
-def _export_close(qcn: QCN, stp: STP, ends: list[tuple[int, int]]) -> STP:
+def _export_close(qcn: QCN, stp: STP) -> STP:
     """`stp` with the atomic cells of `qcn` exported, closed: when `stp`
     is minimal, from the entries the export tightened alone, and when it
     is flagged inconsistent, still so."""
-    exported, tightened = stp._with_edges(_forced_atom_edges(qcn, ends))
+    exported, tightened = stp._with_edges(_forced_atom_edges(qcn))
     return stp_close(exported, changed=tightened if stp.minimal or stp.inconsistent else None)
 
 
@@ -132,29 +132,29 @@ def hybrid_close(h: HybridNetwork, *,
     round after the first, its closure pivots only on the endpoints of
     the entries the atom export tightened (`stp_close` with `changed`);
     one flagged inconsistent stays so.  Later rounds read back only the
-    cells with an endpoint whose metric row moved since the last round
-    (by value: rounds never rescale); the others' read-backs are as they were.
+    cells of an interval k whose metric row 2k or 2k + 1 moved since the
+    last round (by value: rounds never rescale); the others' read-backs
+    are as they were.
     """
     qcn, stp = h.qcn, h.stp
-    ends = _endpoint_indices(h)
+    ids = qcn.intervals
     seen = None  # the metric rows the last round read back
     while True:
         qcn = close(qcn, changed=changed)
         if qcn.inconsistent:
-            return HybridNetwork._raw(qcn, stp, h.anon_points)
+            return HybridNetwork._raw(qcn, stp)
 
-        stp = _export_close(qcn, stp, ends)
+        stp = _export_close(qcn, stp)
         if stp.inconsistent:
-            return HybridNetwork._raw(qcn, stp, h.anon_points)
+            return HybridNetwork._raw(qcn, stp)
 
         # atomic cells were exported above, so the metric layer cannot
         # tighten them; the others keep only the atoms it still admits
         # (_with_mask changes no cell the loop has yet to read)
         e = stp._e
-        moved = [seen is None or e[i] != seen[i] or e[j] != seen[j] for i, j in ends]
+        moved = [seen is None or e[k:k + 2] != seen[k:k + 2] for k in range(0, 2 * len(ids), 2)]
         seen = e
         changed = []
-        ids = qcn.intervals
         for ai, row in enumerate(qcn._matrix):
             for bi in range(ai + 1, len(ids)):
                 mask = row[bi]
@@ -165,7 +165,7 @@ def hybrid_close(h: HybridNetwork, *,
                     qcn = qcn._with_mask(ai, bi, refined.mask)
                     changed.append((ai, bi))
         if qcn.inconsistent or not changed:
-            return HybridNetwork._raw(qcn, stp, h.anon_points)
+            return HybridNetwork._raw(qcn, stp)
 
 
 class Verdict(tuple):
@@ -196,11 +196,9 @@ def hybrid_atomic_consistent(h: HybridNetwork, *,
     if start.inconsistent:
         return Verdict(False, None, start)
 
-    ends = _endpoint_indices(start)
-
     def leaf(qcn: QCN) -> Optional[HybridNetwork]:
-        stp = _export_close(qcn, start.stp, ends)
-        return None if stp.inconsistent else HybridNetwork._raw(qcn, stp, h.anon_points)
+        stp = _export_close(qcn, start.stp)
+        return None if stp.inconsistent else HybridNetwork._raw(qcn, stp)
 
     witness = scenario_search(start.qcn, leaf)
     return Verdict(witness is not None, witness, start)
@@ -213,9 +211,9 @@ def format_hybrid(h: HybridNetwork) -> str:
     if h.inconsistent:
         return "inconsistent\n"
     lines = [format_qcn(h.qcn).rstrip("\n")]
-    e, index = h.stp._e, h.stp._index
+    e, index = h.stp._e, h.qcn._index
     for i in sorted(h.intervals):
-        s, t = index[start_of(i)], index[end_of(i)]
-        if (e[s][t], e[t][s]) != (None, -1):  # (0, inf) at every scale
+        s = 2 * index[i]
+        if (e[s][s + 1], e[s + 1][s]) != (None, -1):  # (0, inf) at every scale
             lines.append(f"duration {i} in {h.duration_window(i)}")
     return "\n".join(lines) + "\n"

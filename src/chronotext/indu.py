@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .allen import (
     COMPOSITION, ENDPOINT_SIGNS, N_ATOMS, QCN, BaseRelation, BitmaskRelation, Calculus,
-    Network, Relation, path_consistency,
+    Network, Relation, close,
 )
 
 SIGNS = ("<", "=", ">")
@@ -149,7 +149,7 @@ def indu_close(net: INDUNetwork) -> INDUNetwork:
     """Triangle fixpoint with INDU composition; cells only shrink, the
     result is idempotent, and an empty cell flags inconsistency (the
     other cells of an inconsistent result are only partially tightened)."""
-    return path_consistency(net)
+    return close(net)
 
 
 def _allen_part(mask: int) -> int:

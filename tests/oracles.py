@@ -56,7 +56,6 @@ from chronotext.annotation import (
 )
 from chronotext.hybrid import (
     HybridNetwork,
-    _endpoint_indices,
     _export_close,
     hybrid_atomic_consistent,
     hybrid_close,
@@ -500,7 +499,7 @@ def overlay_hybrid_close(h):
     while True:
         qcn = close(qcn)
         if qcn.inconsistent:
-            return HybridNetwork(qcn, stp, h.anon_points)
+            return HybridNetwork(qcn, stp)
         ids = qcn.intervals
         pairs = [(a, b) for ai, a in enumerate(ids) for b in ids[ai + 1:]]
         forced = []
@@ -510,7 +509,7 @@ def overlay_hybrid_close(h):
                 forced.extend(allen_atom_to_points(cell.atoms[0], a, b))
         stp = tuple_stp_close(stp.with_constraints(forced))
         if stp.inconsistent:
-            return HybridNetwork(qcn, stp, h.anon_points)
+            return HybridNetwork(qcn, stp)
         changed = False
         for a, b in pairs:
             cell = qcn.cell(a, b)
@@ -519,7 +518,7 @@ def overlay_hybrid_close(h):
                 qcn = qcn.with_cell(a, b, refined)
                 changed = True
         if qcn.inconsistent or not changed:
-            return HybridNetwork(qcn, stp, h.anon_points)
+            return HybridNetwork(qcn, stp)
 
 
 def descend_hybrid_atomic_consistent(h):
@@ -550,7 +549,7 @@ def descend_hybrid_atomic_consistent(h):
             leaf = stp_close(stp.with_constraints(forced))
             if leaf.inconsistent:
                 return None
-            return HybridNetwork(qcn, leaf, h.anon_points)
+            return HybridNetwork(qcn, leaf)
         a, b = pair
         for atom in qcn.cell(a, b).atoms:
             found = descend(qcn.with_cell(a, b, Relation.of(atom)), stp)
@@ -604,10 +603,10 @@ def full_queue_hybrid_close(h):
     while True:
         qcn = close(qcn)
         if qcn.inconsistent:
-            return HybridNetwork(qcn, stp, h.anon_points)
+            return HybridNetwork(qcn, stp)
         stp = stp_close(stp.with_constraints(_forced_atom_constraints(qcn)))
         if stp.inconsistent:
-            return HybridNetwork(qcn, stp, h.anon_points)
+            return HybridNetwork(qcn, stp)
         ids = qcn.intervals
         changed = False
         for a, b in [(a, b) for ai, a in enumerate(ids) for b in ids[ai + 1:]]:
@@ -618,7 +617,7 @@ def full_queue_hybrid_close(h):
                     qcn = qcn.with_cell(a, b, refined)
                     changed = True
         if qcn.inconsistent or not changed:
-            return HybridNetwork(qcn, stp, h.anon_points)
+            return HybridNetwork(qcn, stp)
 
 
 def every_cell_hybrid_close(h):
@@ -626,14 +625,13 @@ def every_cell_hybrid_close(h):
     not only those with an endpoint whose metric row moved; the rounds
     are otherwise the package's (incremental closure in both layers)."""
     qcn, stp, changed = h.qcn, h.stp, None
-    ends = _endpoint_indices(h)
     while True:
         qcn = close(qcn, changed=changed)
         if qcn.inconsistent:
-            return HybridNetwork(qcn, stp, h.anon_points)
-        stp = _export_close(qcn, stp, ends)
+            return HybridNetwork(qcn, stp)
+        stp = _export_close(qcn, stp)
         if stp.inconsistent:
-            return HybridNetwork(qcn, stp, h.anon_points)
+            return HybridNetwork(qcn, stp)
         changed = []
         ids = qcn.intervals
         for ai, a in enumerate(ids):
@@ -645,7 +643,7 @@ def every_cell_hybrid_close(h):
                         qcn = qcn.with_cell(a, ids[bi], refined)
                         changed.append((ai, bi))
         if qcn.inconsistent or not changed:
-            return HybridNetwork(qcn, stp, h.anon_points)
+            return HybridNetwork(qcn, stp)
 
 
 def full_queue_hybrid_atomic_consistent(h):
@@ -657,7 +655,7 @@ def full_queue_hybrid_atomic_consistent(h):
 
     def leaf(qcn):
         stp = stp_close(start.stp.with_constraints(_forced_atom_constraints(qcn)))
-        return None if stp.inconsistent else HybridNetwork(qcn, stp, h.anon_points)
+        return None if stp.inconsistent else HybridNetwork(qcn, stp)
 
     witness = full_queue_scenario_search(start.qcn, leaf)
     return witness is not None, witness
@@ -873,8 +871,7 @@ def window_witness_keeps(witness, c):
         return witness if witness.relation(c.frm, c.to) <= c.cell else None
     if witness.stp.window(c.frm, c.to).intersect(c.window) is None:
         return None
-    return HybridNetwork._raw(witness.qcn, _close_with(witness.stp, c.frm, c.to, c.window),
-                              witness.anon_points)
+    return HybridNetwork._raw(witness.qcn, _close_with(witness.stp, c.frm, c.to, c.window))
 
 
 def rebuild_tcsp_consistent(t):

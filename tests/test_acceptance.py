@@ -135,7 +135,7 @@ def test_03_worked_recipe_network():
         # every remaining atom must be realizable, none spurious
         for atom in cell:
             refined = HybridNetwork(h.qcn.with_cell("combine", "prepare_pasta", Relation.of(atom)),
-                                    h.stp, h.anon_points)
+                                    h.stp)
             ok, witness = hybrid_atomic_consistent(refined)
             assert ok and witness is not None
 

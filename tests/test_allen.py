@@ -8,7 +8,6 @@ from chronotext import allen
 from chronotext.allen import (
     ALLEN, COMPOSITION, FULL, FULL_MASK, EMPTY, N_ATOMS, BaseRelation, Calculus, QCN,
     Relation, atomic_consistent, base_relation_of, close, format_qcn, parse_qcn,
-    path_consistency,
 )
 from chronotext.indu import INDU, INDUNetwork, INDURelation
 from oracles import (
@@ -320,12 +319,12 @@ class TestUniversalBoundSkip:
             density = rng.uniform(0.2, 0.9)
             net = network.build(names, [(names[i], label(), names[j]) for i in range(n)
                                         for j in range(i + 1, n) if rng.random() < density])
-            got = path_consistency(net)
+            got = close(net)
             assert got == compose_all_path_consistency(net)
             verdicts.add(got.inconsistent)
             pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
             changed = rng.sample(pairs, rng.randint(1, len(pairs)))
-            assert path_consistency(net, changed) \
+            assert close(net, changed=changed) \
                 == compose_all_path_consistency(net, changed)
         assert verdicts == {True, False}
         assert sizes == set(range(1, len(slots)))
@@ -351,7 +350,7 @@ class TestUniversalBoundSkip:
         net = INDUNetwork.build("xyzw", [
             ("x", rel("{b^<,b^=,b^>}"), "y"), ("x", rel("{bi^<,bi^=,bi^>}"), "y"),
             ("z", rel("{d^<}"), "x"), ("w", rel("{d^<}"), "z")])
-        closed = path_consistency(net, changed)
+        closed = close(net, changed=changed)
         assert closed.inconsistent
         assert [(a, b) for i, a in enumerate(closed.intervals) for b in closed.intervals[i + 1:]
                 if not closed.cell(a, b).mask] == [("x", "y"), ("y", "z")]
@@ -370,7 +369,7 @@ class TestUniversalBoundSkip:
         calc = relation.calculus
         net = random_network_with_gaps(random.Random(5), 9, relation, network)
         reads = []
-        closed = path_consistency(recording(network, reads)._raw(
+        closed = close(recording(network, reads)._raw(
             net.intervals, net._matrix, net._index))
         made = []
         assert closed._matrix == compose_all_path_consistency(net, log=made)._matrix

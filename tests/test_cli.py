@@ -3,14 +3,20 @@
 import argparse
 import os
 import random
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import chronotext
+from chronotext.allen import Relation
+from chronotext.annotation import DEFAULT_RELTYPE_MAP, parse_recipe_dsl
 from chronotext.cli import _parser, run
+from chronotext.metric import BoundWindow
+from chronotext.recipe import encode_recipe
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -154,6 +160,107 @@ class TestQuery:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err == "error: unknown interval 'add_chillis'\n"
+
+
+def parse_window(text):
+    """The BoundWindow that prints as `text`."""
+    left, lo, hi, right = re.fullmatch(r"([\[(])(\S+), (\S+)([\])])", text).groups()
+    return BoundWindow(None if lo == "-inf" else Fraction(lo), None if hi == "inf" else Fraction(hi),
+                       left == "(", right == ")")
+
+
+def query(capsys, path, a, b):
+    """The exit code of `query path a b`, and per scenario its label and
+    either None (inconsistent) or the printed relation and window."""
+    code = run(["query", path, a, b])
+    answers = re.findall(r"scenario (\S+)\n(?:inconsistent|(\S+)\nstart\((\S+)\) - start\((\S+)\) in (.+))\n",
+                         capsys.readouterr().out)
+    out = []
+    for label, rel, later, earlier, window in answers:
+        assert (later, earlier) == ((b, a) if rel else ("", ""))
+        out.append((label, (Relation.parse(rel), parse_window(window)) if rel else None))
+    return code, out
+
+
+# relType -> the relType of the converse relation
+INVERSE_RELTYPE = {name: next(other for other, rel in DEFAULT_RELTYPE_MAP.items()
+                              if rel == image.converse())
+                   for name, image in DEFAULT_RELTYPE_MAP.items()}
+
+
+def reversed_tlinks(source):
+    """The markup with every TLINK `a R b` written as `b R⁻¹ a`."""
+    attr = r'(\w+)="([^"]*)"'
+
+    def flip(tag):
+        values = dict(re.findall(attr, tag[0]))
+        swap = {"eventInstanceID": values["relatedToEvent"],
+                "relatedToEvent": values["eventInstanceID"],
+                "relType": INVERSE_RELTYPE[values["relType"]]}
+        return re.sub(attr, lambda m: f'{m[1]}="{swap.get(m[1], m[2])}"', tag[0])
+    return re.sub(r"<TLINK\b[^>]*>", flip, source)
+
+
+def random_timeml(rng):
+    """Three to six events, each with one instance, and random TLINKs
+    between them; some documents are inconsistent."""
+    n = rng.randint(3, 6)
+    parts = [f'<EVENT eid="e{i}" class="OCCURRENCE"> step{i} </EVENT> <MAKEINSTANCE eiid="ei{i}"'
+             f' eventID="e{i}" tense="NONE" aspect="NONE" pos="VERB"/>' for i in range(n)]
+    for _ in range(rng.randint(1, n + 2)):
+        a, b = rng.sample(range(n), 2)
+        parts.append(f'<TLINK eventInstanceID="ei{a}" relatedToEvent="ei{b}"'
+                     f' relType="{rng.choice(sorted(DEFAULT_RELTYPE_MAP))}"/>')
+    return "\n".join(parts) + "\n"
+
+
+class TestMetamorphic:
+    """Two runs of a command that must agree, with no recorded output."""
+
+    @pytest.mark.parametrize("path", [LUTHERAN, RELISH, CYCLIC],
+                             ids=lambda path: Path(path).name)
+    def test_query_in_both_directions(self, capsys, path):
+        """`query b a` prints the converse of the relation `query a b`
+        prints and its window negated, for every pair of intervals of
+        the first scenario."""
+        (_, h), *_ = encode_recipe(parse_recipe_dsl(Path(path).read_text()))
+        ids = h.intervals
+        for x, a in enumerate(ids):
+            for b in ids[x + 1:]:
+                code, forward = query(capsys, path, a, b)
+                assert forward
+                back_code, backward = query(capsys, path, b, a)
+                assert back_code == code
+                assert [label for label, _ in backward] == [label for label, _ in forward]
+                for (_, there), (_, back) in zip(forward, backward):
+                    if there is None:
+                        assert back is None
+                        continue
+                    (rel, w), (back_rel, back_w) = there, back
+                    assert back_rel == rel.converse()
+                    assert back_w == BoundWindow(None if w.hi is None else -w.hi,
+                                                 None if w.lo is None else -w.lo,
+                                                 w.hi_strict, w.lo_strict)
+
+    def test_reversed_tlinks(self, capsys, tmp_path):
+        """Writing every TLINK `a R b` as `b R⁻¹ a` changes neither the
+        `timeml` output nor its exit code."""
+        rng = random.Random(29)
+        sources = [(FIXTURES / name).read_text() for name in ("snippet.tml", "inconsistent.tml")]
+        sources += [random_timeml(rng) for _ in range(40)]
+        codes = set()
+        for k, source in enumerate(sources):
+            flipped = reversed_tlinks(source)
+            assert flipped != source
+            given, reversed_ = tmp_path / f"d{k}.tml", tmp_path / f"r{k}.tml"
+            given.write_text(source)
+            reversed_.write_text(flipped)
+            code = run(["timeml", str(given)])
+            out = capsys.readouterr().out
+            assert run(["timeml", str(reversed_)]) == code
+            assert capsys.readouterr().out == out
+            codes.add(code)
+        assert codes == {0, 1}
 
 
 class TestClose:

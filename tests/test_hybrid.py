@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -15,6 +16,7 @@ from chronotext.allen import (
     atomic_consistent,
     close,
 )
+from chronotext.adaptation import inject, parse_knowledge, remove_entities, revise
 from chronotext.hybrid import (
     HybridNetwork,
     format_hybrid,
@@ -349,7 +351,8 @@ class TestFormatHybrid:
     def test_duration_lines_match_decoded_windows(self, scale):
         """Only a duration other than (0, inf) prints, at every scale: the
         skip on its encoded entries agrees with decoding every window.  The
-        metric layer here has no linkage, so [0, inf) is stored as given."""
+        metric layer here has no linkage, so the constructor conjoins it and
+        [0, inf) becomes (0, inf)."""
         windows = {"a": POSITIVE, "b": BoundWindow.above(0, strict=False),
                    "c": BoundWindow.at_most(5), "d": BoundWindow.above(2),
                    "e": BoundWindow.above(scale)}
@@ -360,7 +363,7 @@ class TestFormatHybrid:
         text = format_hybrid(h)
         assert text == object_format_hybrid(h)
         assert [ln for ln in text.splitlines() if ln.startswith("duration")] == [
-            "duration b in [0, inf)", "duration c in (0, 5]", "duration d in (2, inf)",
+            "duration c in (0, 5]", "duration d in (2, inf)",
             f"duration e in ({scale}, inf)"]
 
     def test_random_hybrids_match_decoded_windows(self):
@@ -461,7 +464,7 @@ class TestWorkCounts:
 
 def with_cell(h, a, b, rel):
     """`h` with its Allen cell (a, b) replaced by `rel`."""
-    return HybridNetwork(h.qcn.with_cell(a, b, rel), h.stp, h.anon_points)
+    return HybridNetwork(h.qcn.with_cell(a, b, rel), h.stp)
 
 
 class TestFromClosedNetwork:
@@ -640,3 +643,146 @@ class TestMetamorphic:
             assert hybrid_close(HybridNetwork.build(ids, allen, metric + [window], anon)) == closed
             checked += 1
         assert checked >= 150
+
+    def test_unit_scaling(self):
+        """Multiplying every input window by 60, as writing each `min` as
+        `hour` does, multiplies every closed window by 60 and changes no
+        cell and no search verdict.  The windows are conjoined one at a
+        time, so a new denominator rescales the stored entries, and 60
+        clears the denominators 2, 3 and 5 that the minutes need."""
+        verdicts = Counter()
+        for ids, allen, metric, anon in metamorphic_inputs():
+            h = one_window_at_a_time(ids, allen, metric, anon)
+            hours = one_window_at_a_time(ids, allen, [(p, q, times_60(w)) for p, q, w in metric], anon)
+            assert_times_60(hybrid_close(h), hybrid_close(hours))
+            verdict = hybrid_atomic_consistent(h)[0]
+            assert hybrid_atomic_consistent(hours)[0] == verdict
+            verdicts[verdict] += 1
+        assert verdicts[True] >= 250 and verdicts[False] >= 20
+
+    @pytest.mark.parametrize("name", ["lutheran.rcp", "hot_relish.rcp"])
+    def test_minutes_written_as_hours(self, name):
+        text = (FIXTURES / name).read_text()
+        hours = re.sub(r"\bmin\b", "hour", text)
+        assert hours != text
+        scenarios = encode_recipe(parse_recipe_dsl(text))
+        scenarios_in_hours = encode_recipe(parse_recipe_dsl(hours))
+        assert [label for label, _ in scenarios] == [label for label, _ in scenarios_in_hours]
+        for (_, h), (_, h_hours) in zip(scenarios, scenarios_in_hours):
+            closed = hybrid_close(h)
+            assert not closed.inconsistent
+            assert_times_60(closed, hybrid_close(h_hours))
+
+
+def one_window_at_a_time(ids, allen, metric, anon):
+    """The network of the lists through the public constructor, its STP
+    built by conjoining one window after the other."""
+    stp = STP.build([p for i in ids for p in (start_of(i), end_of(i))] + anon)
+    for window in metric:
+        stp = stp.with_constraints([window])
+    return HybridNetwork(QCN.build(ids, allen), stp)
+
+
+def times_60(w):
+    return BoundWindow(None if w.lo is None else w.lo * 60, None if w.hi is None else w.hi * 60,
+                       w.lo_strict, w.hi_strict)
+
+
+def assert_times_60(closed, closed_in_hours):
+    """The same verdict and cells, and every window multiplied by 60."""
+    assert closed.inconsistent == closed_in_hours.inconsistent
+    if not closed.inconsistent:
+        assert closed.qcn == closed_in_hours.qcn
+        points = closed.stp.points
+        assert closed_in_hours.stp.points == points
+        assert all(closed_in_hours.point_window(p, q) == times_60(closed.point_window(p, q))
+                   for p in points for q in points)
+
+
+def assert_layout(h):
+    """Interval k's endpoints are STP points 2k and 2k + 1, and the stored
+    entry on start - end states end - start > 0."""
+    n, e = len(h.intervals), h.stp._e
+    assert h.stp.points[:2 * n] == tuple(p for i in h.intervals for p in (start_of(i), end_of(i)))
+    for k in range(0, 2 * n, 2):
+        assert e[k + 1][k] is not None and e[k + 1][k] < 0
+
+
+def adapt_fixtures():
+    """The two fixture substitutions as (encoded base scenario, knowledge)."""
+    for rcp, know in (("lutheran.rcp", "lentils.know"), ("hot_relish.rcp", "slow_cooker.know")):
+        (_, h), *_ = encode_recipe(parse_recipe_dsl((FIXTURES / rcp).read_text()))
+        yield h, parse_knowledge((FIXTURES / know).read_text())
+
+
+class TestLayout:
+    """Every `HybridNetwork` holds the one layout, whoever built it."""
+
+    def test_every_returned_network(self):
+        rng = random.Random(13)
+        for ids, allen, metric, anon in list(metamorphic_inputs())[::3]:
+            h = HybridNetwork.build(ids, allen, metric, anon)
+            verdict = hybrid_atomic_consistent(h)
+            for got in (h, h.restricted(rng.sample(ids, rng.randint(1, len(ids)))),
+                        hybrid_close(h), verdict.closed) + ((verdict[1],) if verdict[0] else ()):
+                assert_layout(got)
+        for name in ("lutheran.rcp", "hot_relish.rcp", "cyclic.rcp"):
+            for _, h in encode_recipe(parse_recipe_dsl((FIXTURES / name).read_text())):
+                assert_layout(h)
+        for h, k in adapt_fixtures():
+            t = inject(remove_entities(h, k.removals), k)
+            result = revise(t)
+            for got in (t.network, result.revised, result.witness):
+                assert_layout(got)
+
+    def test_constructor_reorders_and_links(self):
+        """The public constructor over a shuffled STP, with or without the
+        start < end links, makes and closes to the network `build` makes."""
+        rng = random.Random(17)
+        for ids, allen, metric, anon in metamorphic_inputs():
+            points = [p for i in ids for p in (start_of(i), end_of(i))] + anon
+            rng.shuffle(points)
+            links = [(start_of(i), end_of(i), POSITIVE) for i in ids if rng.random() < 0.5]
+            h = HybridNetwork(QCN.build(ids, allen), STP.build(points, metric + links))
+            assert_layout(h)
+            built = HybridNetwork.build(ids, allen, metric, [p for p in points if p in anon])
+            assert h == built
+            assert hybrid_close(h) == hybrid_close(built)
+
+    def test_network_in_the_layout_is_kept(self):
+        closed = hybrid_close(random_schedule(random.Random(3)))
+        assert closed.stp.minimal
+        assert HybridNetwork(closed.qcn, closed.stp).stp is closed.stp
+
+    def test_negative_duration_is_inconsistent(self):
+        """An STP with no start < end link whose one bound makes a's start
+        5 after b's, against a {b} b: the constructor conjoins the links,
+        so both closure and search refute it, as they do the built network."""
+        qcn = QCN.build(["a", "b"], [("a", R("{b}"), "b")])
+        late = ("b.start", "a.start", BoundWindow.exact(5))
+        h = HybridNetwork(qcn, STP.build(["a.start", "a.end", "b.start", "b.end"], [late]))
+        built = HybridNetwork.build(["a", "b"], [("a", R("{b}"), "b")], [late])
+        assert h == built
+        for net in (h, built):
+            assert hybrid_close(net).inconsistent
+            assert format_hybrid(hybrid_close(net)) == "inconsistent\n"
+            assert not hybrid_atomic_consistent(net)[0]
+
+    def test_undeclared_point_is_anonymous(self):
+        """A point of the STP that is no interval's endpoint is anonymous:
+        restriction keeps it, and injection and revision run with it."""
+        qcn = QCN.build(["a", "b"], [("a", R("{b}"), "b")])
+        stp = STP.build(["o", "a.start", "a.end", "b.start", "b.end"],
+                        [("o", "a.start", BoundWindow.exact(5))])
+        h = HybridNetwork(qcn, stp)
+        assert h.anon_points == ("o",)
+        cut = h.restricted(["a"])
+        assert cut.stp.points == ("a.start", "a.end", "o")
+        assert hybrid_close(cut).point_window("o", "a.start") == BoundWindow.exact(5)
+        k = parse_knowledge('knowledge "k"\nanchor a\nstep z "stir"\nrel z {b} a\n')
+        t = inject(h, k)
+        assert t.network.anon_points == ("o",)
+        result = revise(t)
+        assert result.relaxed == ()
+        assert "a.start~o:soft" in result.retained
+        assert result.revised.point_window("o", "a.start") == BoundWindow.exact(5)

@@ -250,6 +250,15 @@ class TestSmallCases:
             for b in step_ids[i + 1:]:
                 assert c_full.relation(a, b) == c_trim.relation(a, b), (a, b)
 
+    def test_timer_listed_as_a_branch_member(self):
+        """A programmatic recipe may list a timer in a branch, which the
+        DSL cannot write: the timer is then in that branch's scenario only."""
+        r = Recipe("t", steps=(ActionNode("a", "stir"),),
+                   timers=(TimerNode("tm", BoundWindow.closed(5, 10)),),
+                   branches=(AlternativeBranch("x", ("tm",)),))
+        assert [(label, h.intervals) for label, h in encode_recipe(r)] == [
+            ("base", ("a",)), ("x", ("a", "tm"))]
+
 
 class TestChilliRelish:
     def test_two_scenarios(self):

@@ -242,3 +242,33 @@ def test_round_trip_keeps_the_value(value, roundtrip):
     slots = [n for c in type(value).__mro__ for n in c.__dict__.get("__slots__", ())]
     for name in slots:
         assert getattr(twin, name) == getattr(value, name)
+
+
+class TestPrintedForms:
+    """The string forms and inequalities of the values outside the record table."""
+
+    def test_tagged_constraint_str(self):
+        assert str(TaggedConstraint.allen("a", R("{b,m}"), "b", "recipe-soft")) \
+            == "[a~b:soft] a {b,m} b"
+        assert str(TaggedConstraint.metric("b.start", "a.end", BoundWindow.closed(-10, -5),
+                                           "domain-hard")) \
+            == "[a.end~b.start:hard] b.start - a.end in [5, 10]"
+
+    def test_network_repr_and_len(self):
+        net = QCN(["a", "b"], [("a", R("{b}"), "b")])
+        assert repr(net) == "QCN(['a', 'b'], <2x2>)"
+        assert len(net) == 2
+
+    def test_stp_repr(self):
+        stp = STP(["p", "q"], [("p", "q", W)])
+        assert repr(stp) == "STP(<2 points>)"
+        broken = stp_close(STP(["p", "q"], [("p", "q", W), ("q", "p", W)]))
+        assert repr(broken) == "STP(<2 points> inconsistent)"
+
+    def test_stp_inequality(self):
+        stp = STP(["p", "q"], [("p", "q", W)])
+        assert stp != STP(["p", "r"], [("p", "r", W)])
+        assert stp != STP(["q", "p"], [("p", "q", W)])
+        broken = stp_close(STP(["p", "q"], [("p", "q", W), ("q", "p", W)]))
+        assert broken.inconsistent
+        assert broken != STP._raw(broken.points, broken._index, broken._e, broken._d)

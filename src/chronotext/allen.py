@@ -139,17 +139,20 @@ def _lift(row: Sequence[int], lo: int, width: int) -> list[int]:
     return table
 
 
-def _chunk_keys(mask: int) -> list[int]:
+@lru_cache(maxsize=1 << 12)
+def _chunk_keys(mask: int) -> tuple[int, ...]:
     """The entry p·256 + chunk value of each nonzero 8-bit chunk p of
     the mask, the keys of a right operand in a per-atom chunk table."""
-    keys = []
-    offset = 0
-    while mask:
-        if mask & 255:
-            keys.append(offset | mask & 255)
-        mask >>= 8
-        offset += 256
-    return keys
+    return tuple(lo // 8 * 256 | mask >> lo & 255 for lo in range(0, mask.bit_length(), 8)
+                 if mask >> lo & 255)
+
+
+@lru_cache(maxsize=1 << 12)
+def _atom_rows(calc: Calculus, mask: int) -> tuple[list[int], ...]:
+    """The per-atom chunk tables of the mask's atoms, in ascending order,
+    the rows of a left operand; never mutated."""
+    tables = calc._atom_chunks
+    return tuple(tables[a] for a in range(mask.bit_length()) if mask >> a & 1)
 
 
 def _shared(rows) -> list[list[int]]:
@@ -179,11 +182,11 @@ class Calculus:
     `converse` ORs one table per 8-bit chunk, over every value of the
     chunk.  Equal values in a table share one int object.
 
-    `compose` is the one composition of relation objects.
-    `close` reads the same tables in line instead: it fetches
-    the popped cell's rows and keys once and, per third interval, ORs
-    the entries, running its converse and queue bookkeeping only for a
-    cell that shrinks.
+    `compose` is the one composition of relation objects.  `close` reads
+    the same tables in line instead: it fetches the tables of the popped
+    cell and of its converse once and, per third interval, ORs their
+    entries at cells already loaded.  A mask's per-atom tables and chunk
+    keys are memoized (`_atom_rows`, `_chunk_keys`) in bounded caches.
     """
 
     def __init__(self, atoms: tuple, rows: tuple[tuple[int, ...], ...], conv: tuple[int, ...],
@@ -198,12 +201,8 @@ class Calculus:
             r0, r1 = t0[m1 & low], t1[m1 >> cut]
             b0, b1 = m2 & low, m2 >> cut | high
             return r0[b0] | r0[b1] | r1[b0] | r1[b1]
-        keys = _chunk_keys(m2)
-        out, tables, full = 0, self._atom_chunks, self.full
-        while m1:
-            bit = m1 & -m1
-            m1 ^= bit
-            table = tables[bit.bit_length() - 1]
+        keys, out, full = _chunk_keys(m2), 0, self.full
+        for table in _atom_rows(self, m1):
             for key in keys:
                 out |= table[key]
             if out == full:
@@ -571,7 +570,8 @@ def close(net: Network, *, changed: Optional[Sequence[tuple[int, int]]] = None) 
 
     The pairs (i, j), i < j, of `changed` start on a FIFO queue, or every
     pair when it is None.  Popping (i, j) revises (i, k) with
-    C[i][j] C[j][k] and (k, j) with C[k][i] C[i][j] for every other k; a
+    C[i][j] C[j][k] and then (k, j) as its converse, (j, k) with
+    C[j][i] C[i][k], for every other k (conv(A B) = conv(B) conv(A)); a
     pair whose cell shrinks is queued again unless it is already waiting.
     Stops at the first empty cell, which marks the network inconsistent;
     the other cells of such a result are only partially tightened.
@@ -583,7 +583,7 @@ def close(net: Network, *, changed: Optional[Sequence[tuple[int, int]]] = None) 
     so a revision whose bound would be composed from a full cell cannot
     change anything and is skipped without composing: a popped pair with
     a full cell, the (i, k) revision when C[j][k] is full and the (k, j)
-    revision when C[k][i] is full.  The other revisions run in the same
+    revision when C[i][k] is full.  The other revisions run in the same
     order, so closed results are those of revising every triple; so are
     inconsistent ones unless an input cell is empty (empty composed with
     full is empty, so such a run may stop at another empty cell).
@@ -591,26 +591,28 @@ def close(net: Network, *, changed: Optional[Sequence[tuple[int, int]]] = None) 
     No revision calls `Calculus.compose`: the compositions are read from
     the calculus's split tables in line (after GQR, and van Beek &
     Manchak, JAIR 1996), in the shape `Calculus._halves` selects.  The
-    popped cell's tables are fetched once, both as a left operand (its
-    rows) and as a right operand (its keys).  Each revision then ORs four
-    half-table entries (Allen), or, left atom by left atom in ascending
-    order, the entries at the right operand's nonzero chunks (INDU),
-    stopping once the bound covers the cell, which the full mask always
-    does.  Only a cell that really shrinks runs `tighten`: its converse,
-    its place on the queue and the empty-cell test.
+    left operands, C[i][j] and C[j][i], have their tables fetched once
+    per pop; the right operands, C[j][k] and C[i][k], are already loaded.
+    Each revision then ORs four half-table entries (Allen), or, left atom
+    by left atom in ascending order, the entries at the right operand's
+    nonzero chunks (INDU), stopping once the bound covers the cell, which
+    the full mask always does.  Only a cell that really shrinks runs
+    `tighten`: its converse, its place on the queue and the empty-cell
+    test.
     """
     calc = net.relation.calculus
     converse, full = calc.converse, calc.full
     n = len(net.intervals)
     if n < 3:
         return net  # no triangle, and no table to build
+    halves = calc._halves
     m = [list(row) for row in net._matrix]
     if changed is None:
         changed = [(i, j) for i in range(n) for j in range(i + 1, n)]
     queue = deque(changed)
-    waiting = [[False] * n for _ in range(n)]
+    waiting = bytearray(n * n)  # waiting[a·n + b] for a queued pair (a, b), a < b
     for i, j in changed:
-        waiting[i][j] = True
+        waiting[i * n + j] = 1
 
     def tighten(a: int, b: int, new: int) -> bool:
         """Store C[a][b] = new, a strict subset of the cell; False when
@@ -619,80 +621,66 @@ def close(net: Network, *, changed: Optional[Sequence[tuple[int, int]]] = None) 
         m[b][a] = converse(new)
         if a > b:
             a, b = b, a
-        if not waiting[a][b]:
-            waiting[a][b] = True
+        if not waiting[a * n + b]:
+            waiting[a * n + b] = 1
             queue.append((a, b))
         return new != 0
 
     while queue:
         i, j = queue.popleft()
-        waiting[i][j] = False
+        waiting[i * n + j] = 0
         rel = m[i][j]
         if rel == full:
             continue
         mi, mj = m[i], m[j]
-        halves = calc._halves
         if halves:
             t0, t1, cut, low, high = halves
             r0, r1 = t0[rel & low], t1[rel >> cut]
-            y0, y1 = rel & low, rel >> cut | high
+            ji = mj[i]
+            c0, c1 = t0[ji & low], t1[ji >> cut]
             for k in range(n):
                 if k == i or k == j:
                     continue
-                jk = mj[k]
+                jk, ik = mj[k], mi[k]
                 if jk != full:
                     x0, x1 = jk & low, jk >> cut | high
-                    cur = mi[k]
-                    new = cur & (r0[x0] | r0[x1] | r1[x0] | r1[x1])
-                    if new != cur and not tighten(i, k, new):
-                        return net._raw(net.intervals, m, net._index)
-                mk = m[k]
-                ki = mk[i]
-                if ki != full:
-                    l0, l1 = t0[ki & low], t1[ki >> cut]
-                    cur = mk[j]
-                    new = cur & (l0[y0] | l0[y1] | l1[y0] | l1[y1])
-                    if new != cur and not tighten(k, j, new):
+                    new = ik & (r0[x0] | r0[x1] | r1[x0] | r1[x1])
+                    if new != ik:
+                        if not tighten(i, k, new):
+                            return net._raw(net.intervals, m, net._index)
+                        ik = new
+                if ik != full:
+                    x0, x1 = ik & low, ik >> cut | high
+                    new = jk & (c0[x0] | c0[x1] | c1[x0] | c1[x1])
+                    if new != jk and not tighten(j, k, new):
                         return net._raw(net.intervals, m, net._index)
         else:
-            tables = calc._atom_chunks
-            rows, keys = [], _chunk_keys(rel)
-            x = rel
-            while x:
-                bit = x & -x
-                x ^= bit
-                rows.append(tables[bit.bit_length() - 1])
+            rows, crows = _atom_rows(calc, rel), _atom_rows(calc, mj[i])
             for k in range(n):
                 if k == i or k == j:
                     continue
-                jk = mj[k]
+                jk, ik = mj[k], mi[k]
                 if jk != full:
-                    cur = mi[k]
-                    jkeys = _chunk_keys(jk)
-                    out = 0
+                    keys, out = _chunk_keys(jk), 0
                     for row in rows:
-                        for key in jkeys:
-                            out |= row[key]
-                        if out & cur == cur:
-                            break
-                    new = cur & out
-                    if new != cur and not tighten(i, k, new):
-                        return net._raw(net.intervals, m, net._index)
-                mk = m[k]
-                ki = mk[i]
-                if ki != full:
-                    cur = mk[j]
-                    out = 0
-                    while ki:
-                        bit = ki & -ki
-                        ki ^= bit
-                        row = tables[bit.bit_length() - 1]
                         for key in keys:
                             out |= row[key]
-                        if out & cur == cur:
+                        if out & ik == ik:
                             break
-                    new = cur & out
-                    if new != cur and not tighten(k, j, new):
+                    new = ik & out
+                    if new != ik:
+                        if not tighten(i, k, new):
+                            return net._raw(net.intervals, m, net._index)
+                        ik = new
+                if ik != full:
+                    keys, out = _chunk_keys(ik), 0
+                    for row in crows:
+                        for key in keys:
+                            out |= row[key]
+                        if out & jk == jk:
+                            break
+                    new = jk & out
+                    if new != jk and not tighten(j, k, new):
                         return net._raw(net.intervals, m, net._index)
     return net._raw(net.intervals, m, net._index)
 

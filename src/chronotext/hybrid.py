@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from .allen import QCN, Relation, Value, close, format_qcn, scenario_search
+from .allen import QCN, Relation, Value, _put, close, format_qcn, scenario_search
 from .metric import (
     _ATOM_EDGES,
     BoundWindow,
@@ -50,7 +50,8 @@ class HybridNetwork(Value):
     def _raw(cls, qcn: QCN, stp: STP) -> "HybridNetwork":
         # no layout check: internal code builds both layers to match
         self = object.__new__(cls)
-        self._set(qcn, stp)
+        _put(self, "qcn", qcn)
+        _put(self, "stp", stp)
         return self
 
     @classmethod

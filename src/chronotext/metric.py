@@ -191,7 +191,12 @@ class STP(Value):
         if len(index) != len(points):
             raise ValueError("duplicate point ids")
         self = object.__new__(cls)
-        self._set(points, index, e, d, inconsistent, minimal)
+        _put(self, "points", points)
+        _put(self, "_index", index)
+        _put(self, "_e", e)
+        _put(self, "_d", d)
+        _put(self, "inconsistent", inconsistent)
+        _put(self, "minimal", minimal)
         return self
 
     @classmethod

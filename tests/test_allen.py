@@ -151,6 +151,17 @@ class TestClose:
         net = QCN(["solo"])
         assert close(net) == net
 
+    @pytest.mark.parametrize("network", [QCN, INDUNetwork], ids=["allen", "indu"])
+    def test_two_intervals_derive_no_table(self, network):
+        """No triangle, so closing fewer than three intervals derives none
+        of the calculus's split tables."""
+        calc = network.relation.calculus
+        copy = Calculus(calc.atoms, calc.rows, calc.conv, calc.identity, calc.full)
+        relation = type("Fresh", (network.relation,), {"__slots__": (), "calculus": copy})
+        net = type("Fresh", (network,), {"__slots__": (), "relation": relation})(["a", "b"])
+        assert close(net) is net
+        assert not {"_halves", "_atom_chunks", "_converse_chunks"} & copy.__dict__.keys()
+
     def test_cyclic_precedence_inconsistent(self):
         net = QCN.build(
             ["x", "y", "z"],
@@ -342,6 +353,21 @@ class TestUniversalBoundSkip:
                 assert bool(ab & c) == bool(comp[conv[a], c] & b) \
                     == bool(comp[c, conv[b]] & a), (a, b, c)
 
+    @pytest.mark.parametrize("calc", [ALLEN, INDU], ids=["allen", "indu"])
+    def test_converse_of_composition_swaps_the_operands(self, calc):
+        """conv(a b) = conv(b) conv(a) for all atom pairs and random mask
+        pairs: the premise of making the (k, j) revision as its converse,
+        the (j, k) revision with C[j][i] C[i][k]."""
+        rng = random.Random(29)
+        bits = [1 << slot for slot in atom_slots(calc)]
+        width = calc.full.bit_length()
+        pairs = [(a, b) for a in bits for b in bits] + [
+            (rng.getrandbits(width) & calc.full, rng.getrandbits(width) & calc.full)
+            for _ in range(2000)]
+        for a, b in pairs:
+            assert calc.converse(calc.compose(a, b)) \
+                == calc.compose(calc.converse(b), calc.converse(a)), (a, b)
+
     @pytest.mark.parametrize("changed", [None, [(0, 1)]], ids=["every-pair", "popped-pair"])
     def test_empty_input_cell_stops_at_the_first_emptied_cell(self, changed):
         """From an input that already holds an empty cell, the kernel stops
@@ -365,19 +391,30 @@ class TestUniversalBoundSkip:
     def check_table_reads(relation, network):
         """The kernel reads the tables of exactly the compositions without
         a full operand that the path consistency composing on every
-        revision makes, in its order, and nothing else."""
+        revision makes, in its order, and nothing else, each (k, j)
+        revision C[k][i] C[i][j] of C[k][j] made as its converse
+        C[j][i] C[i][k] of C[j][k].  Labels of 9 atoms leave the network
+        as it is; labels of 5 atoms make revisions that tighten, so a
+        right operand C[i][k] is read after its own (i, k) revision."""
         calc = relation.calculus
-        net = random_network_with_gaps(random.Random(5), 9, relation, network)
-        reads = []
-        closed = close(recording(network, reads)._raw(
-            net.intervals, net._matrix, net._index))
-        made = []
-        assert closed._matrix == compose_all_path_consistency(net, log=made)._matrix
-        assert not closed.inconsistent
-        composed = [c for c in made if calc.full not in c[:2]]
-        assert len(composed) > 100
-        assert len(composed) < len(made)
-        assert reads == table_reads(calc, composed)
+        conv = calc.converse
+        for size in (9, 5):
+            net = random_network_with_gaps(random.Random(5), 9, relation, network, size)
+            reads = []
+            closed = close(recording(network, reads)._raw(
+                net.intervals, net._matrix, net._index))
+            made = []
+            assert closed._matrix == compose_all_path_consistency(net, log=made)._matrix
+            assert not closed.inconsistent
+            assert (closed._matrix != net._matrix) == (size == 5)
+            # a consistent run logs, per third interval k, the (i, k)
+            # composition and then the (k, j) one
+            made[1::2] = [(conv(right), conv(left), conv(cell))
+                          for left, right, cell in made[1::2]]
+            composed = [c for c in made if calc.full not in c[:2]]
+            assert len(composed) > 100
+            assert len(composed) < len(made)
+            assert reads == table_reads(calc, composed)
 
 
 class RecordedRow(list):
@@ -439,14 +476,68 @@ def atom_slots(calc):
     return [slot for slot in range(calc.full.bit_length()) if calc.full >> slot & 1]
 
 
-def random_network_with_gaps(rng, n, relation=Relation, network=QCN):
+def random_network_with_gaps(rng, n, relation=Relation, network=QCN, size=9):
     """A network on n intervals with about half its cells unconstrained
-    and the others labelled by 9 random atoms."""
+    and the others labelled by `size` random atoms."""
     names = [f"v{i}" for i in range(n)]
     slots = atom_slots(relation.calculus)
-    return network.build(names, [(names[i], relation(sum(1 << s for s in rng.sample(slots, 9))),
+    return network.build(names, [(names[i], relation(sum(1 << s for s in rng.sample(slots, size))),
                                   names[j]) for i in range(n) for j in range(i + 1, n)
                                  if rng.random() < 0.5])
+
+
+def clear_memos():
+    allen._chunk_keys.cache_clear()
+    allen._atom_rows.cache_clear()
+
+
+class TestMemos:
+    """`_chunk_keys` and `_atom_rows` memoize a mask's chunk keys and its
+    per-atom tables for `close` and `Calculus.compose` (INDU's shape)."""
+
+    def test_cached_values_are_tuples_over_unchanged_tables(self):
+        """Each value is a tuple, the rows are the calculus's own tables,
+        and no close or composition through the caches alters a table."""
+        rng = random.Random(37)
+        tables = [row and list(row) for row in INDU._atom_chunks]
+        for _ in range(50):
+            close(random_network_with_gaps(rng, rng.randint(3, 9), INDURelation, INDUNetwork,
+                                           rng.randint(3, 12)))
+        for _ in range(500):
+            mask = rng.getrandbits(INDU.full.bit_length()) & INDU.full
+            keys, rows = allen._chunk_keys(mask), allen._atom_rows(INDU, mask)
+            assert type(keys) is tuple and type(rows) is tuple
+            assert keys == tuple(p // 8 * 256 + (mask >> p & 255) for p in range(0, 40, 8)
+                                 if mask >> p & 255)
+            assert all(row is INDU._atom_chunks[slot] for row, slot in zip(
+                rows, [slot for slot in atom_slots(INDU) if mask >> slot & 1], strict=True))
+            INDU.compose(mask, rng.getrandbits(40) & INDU.full)
+        assert INDU._atom_chunks == tables
+
+    def test_indu_close_alike_with_cold_and_warm_caches(self):
+        rng = random.Random(41)
+        verdicts = set()
+        for _ in range(200):
+            net = random_network_with_gaps(rng, rng.randint(3, 9), INDURelation, INDUNetwork,
+                                           rng.randint(3, 12))
+            clear_memos()
+            cold = close(net)
+            assert close(net)._matrix == cold._matrix
+            verdicts.add((cold.inconsistent, cold == net))
+        assert verdicts == {(True, False), (False, False), (False, True)}
+
+    def test_compose_is_the_union_of_the_atom_rows(self):
+        """From cleared caches, on random masks drawn from a small pool so
+        that most lookups hit: INDU's path ORs `rows[a][b]` over the atoms
+        a of the left mask and b of the right one."""
+        rng = random.Random(43)
+        pool = [rng.getrandbits(INDU.full.bit_length()) & INDU.full for _ in range(60)]
+        clear_memos()
+        for _ in range(2000):
+            m1, m2 = rng.choice(pool), rng.choice(pool)
+            assert INDU.compose(m1, m2) == compose_by_atoms(INDU.rows, m1, m2)
+        assert allen._atom_rows.cache_info().hits > 0
+        assert allen._chunk_keys.cache_info().hits > 0
 
 
 class TestSearchAgainstFullQueue:

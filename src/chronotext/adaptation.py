@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from .allen import FULL_MASK, Relation, Value, _put
+from .allen import FULL_MASK, IDENTITY, Relation, Value, _put
 from .annotation import RecipeSyntaxError, parse_dsl
 from .hybrid import HybridNetwork, hybrid_atomic_consistent
 from .metric import (
+    POSITIVE,
     BoundWindow,
     ScaleBoundExceeded,
     _close_with,
@@ -73,24 +74,19 @@ class TaggedConstraint(Value):
         _put(self, "window", window)
         _put(self, "provenance", provenance)
 
-    @staticmethod
-    def _layer(provenance: str) -> str:
-        return "hard" if provenance == "domain-hard" else "soft"
-
+    # the id's layer is the provenance's last word, "hard" or "soft"
     @classmethod
-    def allen(cls, a: str, cell: Relation, b: str,
-              provenance: str) -> "TaggedConstraint":
+    def allen(cls, a: str, cell: Relation, b: str, provenance: str) -> "TaggedConstraint":
         if b < a:
             a, b, cell = b, a, cell.converse()
-        return cls(f"{a}~{b}:{cls._layer(provenance)}", "allen", a, b,
+        return cls(f"{a}~{b}:{provenance.partition('-')[2]}", "allen", a, b,
                    cell=cell, provenance=provenance)
 
     @classmethod
-    def metric(cls, frm: str, to: str, window: BoundWindow,
-               provenance: str) -> "TaggedConstraint":
+    def metric(cls, frm: str, to: str, window: BoundWindow, provenance: str) -> "TaggedConstraint":
         if to < frm:
             frm, to, window = to, frm, _negated(window)
-        return cls(f"{frm}~{to}:{cls._layer(provenance)}", "metric", frm, to,
+        return cls(f"{frm}~{to}:{provenance.partition('-')[2]}", "metric", frm, to,
                    window=window, provenance=provenance)
 
     def __str__(self) -> str:
@@ -130,14 +126,9 @@ class TaggedNetwork(Value):
 
 
 def _network_from(intervals: Sequence[str], anon_points: Sequence[str],
-                  constraints: Iterable[TaggedConstraint]) -> HybridNetwork:
-    allen = []
-    metric = []
-    for c in constraints:
-        if c.kind == "allen":
-            allen.append((c.frm, c.cell, c.to))
-        else:
-            metric.append((c.frm, c.to, c.window))
+                  constraints: Sequence[TaggedConstraint]) -> HybridNetwork:
+    allen = [(c.frm, c.cell, c.to) for c in constraints if c.kind == "allen"]
+    metric = [(c.frm, c.to, c.window) for c in constraints if c.kind == "metric"]
     return HybridNetwork.build(intervals, allen, metric, anon_points)
 
 
@@ -148,12 +139,10 @@ def tag_soft(h: HybridNetwork) -> list[TaggedConstraint]:
     not constraints and are skipped; rebuilding a network from the
     extraction reproduces the original.
     """
-    out = []
     ids = h.intervals
-    for i, (a, row) in enumerate(zip(ids, h.qcn._matrix)):
-        for b, mask in zip(ids[i + 1:], row[i + 1:]):
-            if mask != FULL_MASK:
-                out.append(TaggedConstraint.allen(a, Relation(mask), b, "recipe-soft"))
+    out = [TaggedConstraint.allen(a, Relation(mask), b, "recipe-soft")
+           for i, (a, row) in enumerate(zip(ids, h.qcn._matrix))
+           for b, mask in zip(ids[i + 1:], row[i + 1:]) if mask != FULL_MASK]
     pts, e = h.stp.points, h.stp._e
     structural = {(s, s + 1) for s in range(0, 2 * len(ids), 2)
                   if (e[s][s + 1], e[s + 1][s]) == (None, -1)}  # (0, inf) at every scale
@@ -166,14 +155,19 @@ def tag_soft(h: HybridNetwork) -> list[TaggedConstraint]:
     return out
 
 
-def remove_entities(h: HybridNetwork, ids: Iterable[str]) -> HybridNetwork:
-    """Drop the named intervals, their endpoints and every constraint
-    mentioning them."""
-    gone = set(ids)
-    unknown = gone - set(h.intervals)
-    if unknown:
-        raise KeyError(f"unknown id {min(unknown)!r}")
-    return h.restricted([i for i in h.intervals if i not in gone])
+def _merged(triples: Iterable[tuple[str, Relation, str]], provenance: str) -> list[TaggedConstraint]:
+    """One Allen constraint per pair, as a network build makes its cell: a
+    pair stated twice holds both statements, and a self-constraint that
+    excludes equality is an error."""
+    out: dict[str, TaggedConstraint] = {}
+    for a, rel, b in triples:
+        if a == b and not rel.mask & IDENTITY.mask:
+            raise ValueError(f"self-constraint on {a!r} excludes equality")
+        c = TaggedConstraint.allen(a, rel, b, provenance)
+        if c.id in out:
+            c = c.replace(cell=c.cell & out[c.id].cell)
+        out[c.id] = c
+    return list(out.values())
 
 
 # ---------------------------------------------------------------------------
@@ -225,11 +219,13 @@ def parse_knowledge(source: str) -> DomainKnowledge:
     return DomainKnowledge(name, **{n: f[n] for n in DomainKnowledge.__slots__[1:]})
 
 
-def inject(h: HybridNetwork, k: DomainKnowledge) -> TaggedNetwork:
-    """Union the knowledge sub-network into the recipe network.  The
-    result tags the knowledge constraints domain-hard and everything
-    pre-existing recipe-soft; consistency is revise's job, not ours."""
-    existing = set(h.intervals)
+def inject(intervals: Sequence[str], soft: Iterable[TaggedConstraint], k: DomainKnowledge,
+           anon_points: Sequence[str] = ()) -> TaggedNetwork:
+    """Graft the knowledge sub-network onto a recipe: its intervals and
+    its recipe-soft constraints (`tag_soft` lists those of a network that
+    comes with no recipe).  The knowledge constraints are tagged
+    domain-hard; consistency is revise's job, not ours."""
+    existing = set(intervals)
     for a in k.anchors:
         if a not in existing:
             raise KeyError(f"anchor {a!r} not in network")
@@ -240,20 +236,12 @@ def inject(h: HybridNetwork, k: DomainKnowledge) -> TaggedNetwork:
         raise RecipeSyntaxError(f"knowledge node {nid!r} already in network",
                                 dict(k.lines).get(nid))
 
-    constraints = tag_soft(h)
-    hard: dict[str, TaggedConstraint] = {}  # a pair stated twice holds both
-    for a, rel, b in list(k.relations) + [(x, _R5, s) for x, s in k.until_links]:
-        c = TaggedConstraint.allen(a, rel, b, "domain-hard")
-        if c.id in hard:
-            c = c.replace(cell=c.cell & hard[c.id].cell)
-        hard[c.id] = c
-    constraints += hard.values()
-    for nid, w in list(k.durations) + [(t.id, t.window) for t in k.timers]:
-        constraints.append(TaggedConstraint.metric(start_of(nid), end_of(nid),
-                                                   w, "domain-hard"))
+    hard = _merged(list(k.relations) + [(x, _R5, s) for x, s in k.until_links], "domain-hard")
+    hard += [TaggedConstraint.metric(start_of(nid), end_of(nid), w, "domain-hard")
+             for nid, w in list(k.durations) + [(t.id, t.window) for t in k.timers]]
     labels = tuple((s.id, " ".join((s.verb,) + s.objects)) for s in k.steps)
-    return TaggedNetwork.build(tuple(h.intervals) + new_ids, constraints,
-                               h.anon_points, labels, k.anchors)
+    return TaggedNetwork.build(tuple(intervals) + new_ids, [*soft, *hard],
+                               anon_points, labels, k.anchors)
 
 
 # ---------------------------------------------------------------------------
@@ -384,11 +372,7 @@ _OP_ORDER = {"delete": 0, "insert-after": 1, "flag-review": 2}
 
 
 def _span_table(r: Recipe) -> dict[str, tuple[int, int]]:
-    table = {}
-    for node in r.preliminaries + r.steps + r.states:
-        if node.span is not None:
-            table[node.id] = node.span
-    return table
+    return {n.id: n.span for n in r.preliminaries + r.steps + r.states if n.span is not None}
 
 
 def _interval_of_point(p: str) -> str:
@@ -427,11 +411,27 @@ def adapt_text_edits(result: RevisionResult, source: Recipe) -> tuple[Edit, ...]
 
 def adapt_recipe(r: Recipe, k: DomainKnowledge) -> tuple[RevisionResult,
                                                          tuple[Edit, ...]]:
-    """Whole pipeline on the base scenario, the only one built: encode,
-    remove the substituted entities, inject the knowledge, revise, map
-    to edits.  A contradiction in any branch combination still raises."""
-    h = _scenario_builder(r)(chosen=())
-    result = revise(inject(remove_entities(h, k.removals), k))
+    """Whole pipeline on the base scenario, listed and never built alone:
+    drop the substituted entities, make the recipe-soft constraints from
+    the rest as a network of them holds them, inject the knowledge,
+    revise, map to edits.  A contradiction in any branch still raises."""
+    intervals, allen, metric = _scenario_builder(r)(chosen=())
+    gone = set(k.removals)
+    if not gone.issubset(intervals):
+        raise KeyError(f"unknown id {min(gone.difference(intervals))!r}")
+    soft = [c for c in _merged(allen, "recipe-soft") if c.frm != c.to
+            and c.cell.mask != FULL_MASK and c.frm not in gone and c.to not in gone]
+    windows = {}  # (start, end) -> duration window, conjoined with end - start > 0
+    for start, end, w in metric:
+        if _interval_of_point(start) not in gone:
+            if (start, end) in windows or w.lo is None or w.lo <= 0:  # else w is in (0, inf)
+                w = windows.get((start, end), POSITIVE).intersect(w)
+            if w is None:
+                raise ValueError(f"pair {end!r}/{start!r} admits no value; close the network")
+            windows[start, end] = w
+    soft += [TaggedConstraint.metric(start, end, w, "recipe-soft")
+             for (start, end), w in windows.items() if w != POSITIVE]
+    result = revise(inject([i for i in intervals if i not in gone], soft, k))
     return result, adapt_text_edits(result, r)
 
 

@@ -265,8 +265,8 @@ def encode_recipe(r: Recipe) -> list[tuple[str, HybridNetwork]]:
     ids = sorted(br.id for br in r.branches)
     if len(ids) > MAX_ALT_BLOCKS:
         raise ScaleBoundExceeded(f"{len(ids)} alt blocks exceed the bound of {MAX_ALT_BLOCKS}")
-    build = _scenario_builder(r)
-    return [("+".join(chosen) or "base", build(chosen))
+    scenario = _scenario_builder(r)
+    return [("+".join(chosen) or "base", HybridNetwork.build(*scenario(chosen)))
             for k in range(len(ids) + 1) for chosen in itertools.combinations(ids, k)]
 
 
@@ -294,7 +294,9 @@ def _scenario_builder(r: Recipe):
     """Derive every constraint of the recipe once, each with the intervals
     it needs, and reject a contradiction on any pair: the all-branches
     scenario holds every scenario's constraints on it.  Returns the
-    function that builds the scenario of the chosen branch ids."""
+    function that lists the scenario of the chosen branch ids: its
+    interval ids, its Allen triples and one (start, end, window) triple
+    per duration, the arguments of `HybridNetwork.build`."""
     chain = _chain_steps(r)
     if chain and chain[0].meanwhile:
         raise ValueError(f"step {chain[0].id!r} is marked meanwhile but has no antecedent")
@@ -333,17 +335,14 @@ def _scenario_builder(r: Recipe):
 
     metric = list(r.durations) + [(t.id, t.window) for t in r.timers]
 
-    def build(chosen: Sequence[str]) -> HybridNetwork:
+    def scenario(chosen: Sequence[str]):
         intervals = _scenario_intervals(
             r, {m for br in r.branches if br.id not in chosen for m in br.members})
         live = set(intervals)
-        return HybridNetwork.build(
-            intervals,
-            [c for c, need in allen if need <= live],
-            [(start_of(i), end_of(i), w) for i, w in metric if i in live],
-        )
+        return (intervals, [c for c, need in allen if need <= live],
+                [(start_of(i), end_of(i), w) for i, w in metric if i in live])
 
-    return build
+    return scenario
 
 
 def phenomena_coverage(r: Recipe) -> frozenset[PhenomenonTag]:

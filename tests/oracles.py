@@ -20,6 +20,8 @@ through their input one character at a time; the earlier recursion of
 the hybrid scenario search, the scenario search that re-closes every pair at every
 node, the path consistency that composes on every revision, the
 revision and TCSP searches that close every node's network from scratch,
+the adaptation that encodes the base scenario, restricts it and reads its
+constraints back before grafting the knowledge,
 the revision witness test that decodes and intersects windows, the
 one-window conjoin that rescales through `STP.with_constraints`, and the
 recipe encoder that derives every rule again in each scenario (with its
@@ -41,6 +43,10 @@ from chronotext.adaptation import (
     RevisionResult,
     TaggedConstraint,
     _network_from,
+    adapt_text_edits,
+    inject,
+    revise,
+    tag_soft,
 )
 from chronotext.allen import FULL_MASK, QCN, BaseRelation, Relation, close
 from chronotext.annotation import (
@@ -74,6 +80,7 @@ from chronotext.metric import (
     start_of,
     stp_close,
 )
+from chronotext.recipe import encode_recipe
 
 ATOM_NAMES = ("b", "bi", "m", "mi", "o", "oi", "d", "di", "s", "si", "f", "fi", "e")
 
@@ -861,6 +868,27 @@ def rebuild_revise(t):
 
     dfs(0, [], base_witness)
     return result_for(best, best_witness)
+
+
+def graft(h, k):
+    """`inject` of a network that comes with no recipe: its intervals, its
+    constraints read back by `tag_soft` and its anonymous points."""
+    return inject(h.intervals, tag_soft(h), k, h.anon_points)
+
+
+def rebuild_adapt(r, k):
+    """`adapt_recipe` through a network of the recipe: encode the base
+    scenario, restrict it to the intervals the knowledge keeps, read its
+    constraints back and graft the knowledge onto them.  Returns the
+    tagged network, the revision and the edits."""
+    (_, h), *_ = encode_recipe(r)
+    gone = set(k.removals)
+    unknown = gone - set(h.intervals)
+    if unknown:
+        raise KeyError(f"unknown id {min(unknown)!r}")
+    t = graft(h.restricted([i for i in h.intervals if i not in gone]), k)
+    result = revise(t)
+    return t, result, adapt_text_edits(result, r)
 
 
 def window_witness_keeps(witness, c):

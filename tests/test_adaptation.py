@@ -18,9 +18,7 @@ from chronotext.adaptation import (
     adapt_text_edits,
     format_edits,
     format_revision,
-    inject,
     parse_knowledge,
-    remove_entities,
     revise,
     tag_soft,
     _network_from,
@@ -37,7 +35,14 @@ from chronotext.metric import STP, BoundWindow, ScaleBoundExceeded, end_of, star
 from chronotext.recipe import ActionNode, Recipe, encode_recipe
 
 import recipes
-from oracles import object_tag_soft, random_window, rebuild_revise, window_witness_keeps
+from oracles import (
+    graft,
+    object_tag_soft,
+    random_window,
+    rebuild_adapt,
+    rebuild_revise,
+    window_witness_keeps,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -47,6 +52,10 @@ R = Relation.parse
 def lutheran_network() -> HybridNetwork:
     _, h = encode_recipe(recipes.lutheran())[0]
     return h
+
+
+def without(h: HybridNetwork, *ids: str) -> HybridNetwork:
+    return h.restricted([i for i in h.intervals if i not in ids])
 
 
 def lentil_knowledge() -> DomainKnowledge:
@@ -126,7 +135,7 @@ class TestTagSoft:
 class TestRemoveEntities:
     def test_remove_prelim_preserves_step_cells(self):
         h = lutheran_network()
-        trimmed = remove_entities(h, ["drain_beans"])
+        trimmed = without(h, "drain_beans")
         assert "drain_beans" not in trimmed.intervals
         before = hybrid_close(h)
         after = hybrid_close(trimmed)
@@ -136,17 +145,17 @@ class TestRemoveEntities:
 
     def test_remove_nothing(self):
         h = lutheran_network()
-        assert remove_entities(h, []) == h
+        assert without(h) == h
 
     def test_remove_everything(self):
         h = lutheran_network()
-        empty = remove_entities(h, list(h.intervals))
+        empty = without(h, *h.intervals)
         assert empty.intervals == ()
         assert not hybrid_close(empty).inconsistent
 
     def test_unknown_id(self):
         with pytest.raises(KeyError, match="chickpeas"):
-            remove_entities(lutheran_network(), ["chickpeas"])
+            adapt_recipe(recipes.lutheran(), DomainKnowledge("k", removals=("chickpeas",)))
 
 
 class TestParseKnowledge:
@@ -243,8 +252,8 @@ class TestParseKnowledge:
 
 class TestInject:
     def test_lentil_injection(self):
-        h = remove_entities(lutheran_network(), ["drain_beans"])
-        t = inject(h, lentil_knowledge())
+        h = without(lutheran_network(), "drain_beans")
+        t = graft(h, lentil_knowledge())
         hard_cs = [c for c in t.constraints if c.provenance == "domain-hard"]
         assert len(hard_cs) == 3
         assert {c.id for c in hard_cs} == {
@@ -259,7 +268,7 @@ class TestInject:
 
     def test_empty_knowledge_is_identity(self):
         h = lutheran_network()
-        t = inject(h, DomainKnowledge("nothing"))
+        t = graft(h, DomainKnowledge("nothing"))
         assert t.network == h
         assert all(c.provenance == "recipe-soft" for c in t.constraints)
 
@@ -279,22 +288,22 @@ class TestInject:
         assert source[flag[0].span[0]:flag[0].span[1]].startswith("step bake")
 
     def test_anchor_must_resolve(self):
-        h = remove_entities(lutheran_network(), ["drain_beans"])
+        h = without(lutheran_network(), "drain_beans")
         k = DomainKnowledge("k", anchors=("drain_beans",))
         with pytest.raises(KeyError, match="drain_beans"):
-            inject(h, k)
+            graft(h, k)
 
     def test_node_clash(self):
         k = DomainKnowledge(
             "k", steps=(recipes.lutheran().steps[0],), anchors=())
         with pytest.raises(ValueError, match="already in network"):
-            inject(lutheran_network(), k)
+            graft(lutheran_network(), k)
 
     def test_node_clash_names_knowledge_line(self):
         k = parse_knowledge('knowledge "k"\nanchor combine\n'
                             'step bake "bake it"\nrel bake {b} combine\n')
         with pytest.raises(RecipeSyntaxError, match="'bake' already in network") as err:
-            inject(lutheran_network(), k)
+            graft(lutheran_network(), k)
         assert err.value.line == 3
 
 
@@ -313,8 +322,8 @@ def exhaustive_best(intervals, hard_cs, soft_cs):
 
 class TestRevise:
     def test_lentil_case_no_conflict(self):
-        h = remove_entities(lutheran_network(), ["drain_beans"])
-        t = inject(h, lentil_knowledge())
+        h = without(lutheran_network(), "drain_beans")
+        t = graft(h, lentil_knowledge())
         result = revise(t)
         assert result.relaxed == ()
         assert set(result.retained) == {c.id for c in t.constraints
@@ -326,7 +335,7 @@ class TestRevise:
     def test_nothing_relaxed_returns_the_tagged_network(self, monkeypatch):
         """With every soft constraint kept, the revised network is the
         tagged network itself, and revision builds no network."""
-        t = inject(remove_entities(lutheran_network(), ["drain_beans"]), lentil_knowledge())
+        t = graft(without(lutheran_network(), "drain_beans"), lentil_knowledge())
 
         def no_build(*args, **kwargs):
             raise AssertionError("revise built a HybridNetwork")
@@ -337,8 +346,8 @@ class TestRevise:
         assert result.revised is t.network
 
     def test_hard_constraints_untouched(self):
-        h = remove_entities(lutheran_network(), ["drain_beans"])
-        result = revise(inject(h, lentil_knowledge()))
+        h = without(lutheran_network(), "drain_beans")
+        result = revise(graft(h, lentil_knowledge()))
         for c in result.tagged.constraints:
             if c.provenance != "domain-hard":
                 continue
@@ -348,8 +357,8 @@ class TestRevise:
                 assert result.revised.point_window(c.frm, c.to) == c.window
 
     def test_witness_is_atomic_and_consistent(self):
-        h = remove_entities(lutheran_network(), ["drain_beans"])
-        result = revise(inject(h, lentil_knowledge()))
+        h = without(lutheran_network(), "drain_beans")
+        result = revise(graft(h, lentil_knowledge()))
         w = result.witness
         assert not w.inconsistent
         for i, a in enumerate(w.intervals):
@@ -417,8 +426,8 @@ class TestRevise:
 
     def test_deterministic(self):
         def run():
-            h = remove_entities(lutheran_network(), ["drain_beans"])
-            return revise(inject(h, lentil_knowledge()))
+            h = without(lutheran_network(), "drain_beans")
+            return revise(graft(h, lentil_knowledge()))
 
         a, b = run(), run()
         assert a == b
@@ -488,8 +497,10 @@ class TestAdaptTextEdits:
         assert format_edits(()) == ""
 
     def test_adapt_builds_the_base_scenario_only(self, monkeypatch):
-        # hot_relish has one alt block, so encode_recipe builds two scenarios
-        built = []
+        """`adapt` lists the base scenario alone and builds no network of
+        the recipe: its one network is the tagged one.  hot_relish has one
+        alt block, so `encode_recipe` builds two scenarios."""
+        built, listed = [], []
 
         class Counting:
             @staticmethod
@@ -497,12 +508,23 @@ class TestAdaptTextEdits:
                 built.append(list(intervals))
                 return HybridNetwork.build(intervals, *rest)
 
+        def counting_builder(r):
+            scenario = recipe_module._scenario_builder(r)
+
+            def counted(chosen):
+                listed.append(tuple(chosen))
+                return scenario(chosen)
+            return counted
+
         monkeypatch.setattr(recipe_module, "HybridNetwork", Counting)
+        monkeypatch.setattr(adaptation, "_scenario_builder", counting_builder)
         recipe = parse_recipe_dsl((FIXTURES / "hot_relish.rcp").read_text())
         knowledge = parse_knowledge((FIXTURES / "slow_cooker.know").read_text())
         adapt_recipe(recipe, knowledge)
-        assert built == [["chop", "add_onions", "simmer", "stir"]]
-        assert len(encode_recipe(recipe)) == 2 == len(built) - 1
+        assert listed == [()]
+        assert built == []
+        assert len(encode_recipe(recipe)) == 2 == len(built)
+        assert built[0] == ["chop", "add_onions", "simmer", "stir"]
 
 
 def random_tagged(rng):
@@ -627,8 +649,8 @@ class TestReviseAgainstRebuild:
         assert sum(e[0] == "check" for e in events) == 299
 
     def test_lentil_case_matches_rebuild(self):
-        h = remove_entities(lutheran_network(), ["drain_beans"])
-        t = inject(h, lentil_knowledge())
+        h = without(lutheran_network(), "drain_beans")
+        t = graft(h, lentil_knowledge())
         got, ref = revise(t), rebuild_revise(t)
         assert (got.retained, got.relaxed, got.revised, got.witness) == \
             (ref.retained, ref.relaxed, ref.revised, ref.witness)
@@ -708,7 +730,7 @@ class TestWitnessKeeps:
         `STP.window` nor `BoundWindow.intersect` runs, on the lentil case
         and on random tagged networks whose witnesses keep and drop
         metric candidates."""
-        lentils = inject(remove_entities(lutheran_network(), ["drain_beans"]),
+        lentils = graft(without(lutheran_network(), "drain_beans"),
                          lentil_knowledge())
         rng = random.Random(83)
         cases = [random_tagged(rng) for _ in range(60)]
@@ -735,3 +757,133 @@ class TestWitnessKeeps:
         assert decodes == {}
         tag_soft(lentils.network)  # the counters do count
         assert decodes["window"] > 0
+
+
+SUBSTITUTION_CELLS = ("{b}", "{bi}", "{m}", "{b,m}", "{o,d,s}", "{s,si,e}", "{d,f}",
+                      "{bi,mi,oi}", "{di}", "{b,bi,m,mi,o,oi,d,di,s,si,f,fi,e}")
+
+
+def random_substitution(rng):
+    """A `.rcp` and a `.know` text: preliminaries, steps with `for`,
+    `for … until` caps, `until`, `meanwhile` and `last … of`, a timer, a
+    sporadic step, `rel` lines (a tautological one, a pair stated twice,
+    a self-constraint) and an alt block; knowledge that removes recipe ids (reusing one for
+    a new node), anchors the rest and relates new nodes to anchors by
+    random cells, which plants conflicts."""
+    cell = lambda: rng.choice(SUBSTITUTION_CELLS)  # noqa: E731
+    prelims = [f"p{i}" for i in range(rng.randint(0, 2))]
+    steps = [f"s{i}" for i in range(rng.randint(2, 5))]
+    lines = ['recipe "r"'] + [f'prelim {p} "chop {p}"' for p in prelims]
+    for n, s in enumerate(steps):
+        roll, minutes = rng.random(), rng.randint(1, 30)
+        clause = ("" if roll < 0.3 else f" for {minutes} min" if roll < 0.45
+                  else f" for {minutes}-{minutes + rng.randint(1, 9)} min" if roll < 0.55
+                  else f' for {minutes} min until "done"' if roll < 0.7
+                  else ' until "ready"' if roll < 0.8
+                  else " meanwhile" if n and roll < 0.9
+                  else f" last {rng.randint(1, 9)} min of {steps[rng.randrange(n)]}" if n
+                  else "")
+        lines.append(f'step {s} "stir {s}"{clause}')
+    ids = prelims + steps
+    if rng.random() < 0.4:
+        lines += [f"timer t0 {rng.randint(2, 20)} min",
+                  f"rel t0 {rng.choice(('{s}', '{f}', '{d}', '{e}'))} {rng.choice(steps)}"]
+    if rng.random() < 0.3:
+        lines.append(f"sporadic {steps[-1]} in {steps[0]}")
+    for _ in range(rng.randint(0, 3)):
+        a, b = rng.sample(ids, 2)
+        stated = [R(cell())]
+        if rng.random() < 0.3:  # the same pair again, wider, in either order
+            stated.insert(rng.randrange(2), Relation(stated[0].mask | R(cell()).mask))
+        lines += [f"rel {a} {rel} {b}" if rng.random() < 0.5 else f"rel {b} {rel.converse()} {a}"
+                  for rel in stated]
+    if rng.random() < 0.1:  # said nothing when it admits equality, else an error
+        lines.append(f"rel {ids[0]} {rng.choice(('{s,si,e}', '{b}'))} {ids[0]}")
+    if rng.random() < 0.4:
+        lines += ['alt hot "if hot" {', '  step c0 "add chilli" for 2 min',
+                  f"  rel c0 {cell()} {rng.choice(steps)}", "}"]
+
+    removals = rng.sample(ids, rng.randint(0, 2))
+    kept = [i for i in ids if i not in removals]
+    know = ['knowledge "k"'] + [f"remove {i}" for i in removals]
+    anchors = rng.sample(kept, min(len(kept), rng.randint(1, 2)))
+    know += [f"anchor {a}" for a in anchors]
+    new = [f"n{i}" for i in range(rng.randint(1, 2))]
+    if removals and rng.random() < 0.3:
+        new[0] = removals[0]
+    for n in new:
+        know.append(f'step {n} "soak {n}"' + rng.choice(("", " for 10 min", ' until "soft"')))
+        know += [f"rel {n} {cell()} {a}" for a in anchors if rng.random() < 0.7]
+    if rng.random() < 0.3:
+        know += ["timer k0 5 min", f"rel k0 {cell()} {new[0]}"]
+    return "\n".join(lines) + "\n", "\n".join(know) + "\n"
+
+
+class TestAdaptAgainstRebuild:
+    """`adapt_recipe` makes the recipe-soft constraints from the base
+    scenario's lists; `rebuild_adapt` builds the scenario, restricts it
+    and reads them back.  The tagged constraints, in order, the tagged
+    network, the revision and the edits are the same, and so is any error."""
+
+    @staticmethod
+    def outcome(r, k):
+        try:
+            t, ref, ref_edits = rebuild_adapt(r, k)
+        except (KeyError, ValueError) as e:
+            with pytest.raises(type(e)) as err:
+                adapt_recipe(r, k)
+            assert err.value.args == e.args
+            return type(e).__name__
+        result, edits = adapt_recipe(r, k)
+        assert result.tagged.constraints == t.constraints
+        assert result.tagged.network == t.network
+        assert result == ref
+        assert edits == ref_edits
+        return "relaxed" if result.relaxed else "kept all"
+
+    @pytest.mark.parametrize("rcp, know, outcome", [
+        ("lutheran.rcp", "lentils.know", "kept all"),
+        ("hot_relish.rcp", "slow_cooker.know", "relaxed"),
+    ])
+    def test_fixtures(self, rcp, know, outcome):
+        r = parse_recipe_dsl((FIXTURES / rcp).read_text())
+        assert self.outcome(r, parse_knowledge((FIXTURES / know).read_text())) == outcome
+
+    @pytest.mark.parametrize("windows, outcome", [
+        ((BoundWindow.closed(0, 5),), "kept all"),
+        ((BoundWindow.above(0, strict=False),), "kept all"),
+        ((BoundWindow.closed(1, 9), BoundWindow.closed(5, 16)), "kept all"),
+        ((BoundWindow.exact(0),), "ValueError"),
+        ((BoundWindow.closed(1, 2), BoundWindow.closed(5, 6)), "ValueError"),
+    ], ids=["closed-at-0", "nonnegative", "two-meeting", "zero", "two-apart"])
+    def test_programmatic_durations(self, windows, outcome):
+        """Windows the DSL never makes, one closed at 0 or two on one step,
+        are conjoined with end - start > 0; a step they leave no value
+        fails as decoding its pair did, unless the knowledge removes it."""
+        r = Recipe("t", steps=(ActionNode("a", "stir"), ActionNode("b", "fold")),
+                   durations=tuple(("a", w) for w in windows))
+        assert self.outcome(r, DomainKnowledge("k")) == outcome
+        assert self.outcome(r, DomainKnowledge("k", removals=("a",))) == "kept all"
+
+    def test_generated_substitutions(self):
+        rng = random.Random(30)
+        seen, features = Counter(), Counter()
+        while seen["kept all"] + seen["relaxed"] < 200:
+            rcp, know = random_substitution(rng)
+            try:
+                r, k = parse_recipe_dsl(rcp), parse_knowledge(know)
+            except ValueError:
+                seen["unparsed"] += 1
+                continue
+            outcome = self.outcome(r, k)
+            seen[outcome] += 1
+            if outcome in ("kept all", "relaxed"):
+                pairs = Counter(frozenset((a, b)) for a, _, b in r.relations)
+                features.update(f for f, there in (
+                    ("removal", k.removals), ("cap", "until" in rcp and " for " in rcp),
+                    ("timer", r.timers), ("last", r.last_links), ("alt", r.branches),
+                    ("tautology", SUBSTITUTION_CELLS[-1] in rcp),
+                    ("twice", max(pairs.values(), default=1) > 1)) if there)
+        assert seen["relaxed"] >= 40 and seen["kept all"] >= 40, seen
+        assert seen["ValueError"] >= 5 and seen["RecipeSyntaxError"] >= 1, seen
+        assert min(features.values()) >= 20 and len(features) == 7, features

@@ -428,6 +428,50 @@ class TestAdapt:
         assert "self-contradictory" in capsys.readouterr().err
 
 
+class TestAdaptErrors:
+    """The error of each bad `.know` against a recipe, and which error
+    comes first when the recipe is bad too."""
+
+    @staticmethod
+    def adapt(tmp_path, know, recipe=LUTHERAN):
+        path = tmp_path / "k.know"
+        path.write_text('knowledge "k"\n' + know)
+        return run(["adapt", recipe, str(path)])
+
+    def test_absent_removal(self, capsys, tmp_path):
+        assert self.adapt(tmp_path, 'remove chickpeas\nremove bake\nanchor combine\n'
+                                    'step z "zest"\nrel z {b} combine\n') == 2
+        assert capsys.readouterr() == ("", "error: unknown id 'chickpeas'\n")
+
+    @pytest.mark.parametrize("removal", ["", "remove drain_beans\n"])
+    def test_absent_anchor(self, capsys, tmp_path, removal):
+        # a removed node is no anchor either
+        assert self.adapt(tmp_path, removal + 'anchor drain_beans\nstep z "zest"\n'
+                                    'rel z {b} drain_beans\n') == (2 if removal else 0)
+        assert capsys.readouterr().err == \
+            ("error: anchor 'drain_beans' not in network\n" if removal else "")
+
+    def test_knowledge_node_reuses_a_recipe_id(self, capsys, tmp_path):
+        assert self.adapt(tmp_path, 'anchor combine\nstep bake "bake it"\n'
+                                    'rel bake {b} combine\n') == 2
+        assert capsys.readouterr() == \
+            ("", "error: line 3: knowledge node 'bake' already in network\n")
+
+    def test_knowledge_node_reuses_a_removed_id(self, capsys, tmp_path):
+        assert self.adapt(tmp_path, 'remove bake\nanchor pour\nstep bake "bake it"\n'
+                                    'rel bake {bi} pour\n') == 0
+        assert "insert-after bake it" in capsys.readouterr().out
+
+    def test_recipe_contradiction_comes_before_a_bad_removal(self, capsys, tmp_path):
+        recipe = tmp_path / "hot.rcp"
+        recipe.write_text('recipe "hot"\nstep chop "chop"\nstep fry "fry"\n'
+                          'rel fry {b} chop\nrel fry {bi} chop\n')
+        assert self.adapt(tmp_path, 'remove chickpeas\nanchor fry\nstep z "zest"\n'
+                                    'rel z {b} fry\n', str(recipe)) == 1
+        assert capsys.readouterr() == \
+            ("", "error: contradictory relations between 'chop' and 'fry'\n")
+
+
 class TestWorkflow:
     def test_lutheran_matches_golden(self, capsys):
         assert run(["workflow", LUTHERAN]) == 0

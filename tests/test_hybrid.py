@@ -16,7 +16,7 @@ from chronotext.allen import (
     atomic_consistent,
     close,
 )
-from chronotext.adaptation import inject, parse_knowledge, remove_entities, revise
+from chronotext.adaptation import parse_knowledge, revise
 from chronotext.hybrid import (
     HybridNetwork,
     format_hybrid,
@@ -34,6 +34,7 @@ from oracles import (
     object_format_hybrid,
     full_queue_hybrid_atomic_consistent,
     full_queue_hybrid_close,
+    graft,
     overlay_hybrid_close,
     random_window,
 )
@@ -730,7 +731,7 @@ class TestLayout:
             for _, h in encode_recipe(parse_recipe_dsl((FIXTURES / name).read_text())):
                 assert_layout(h)
         for h, k in adapt_fixtures():
-            t = inject(remove_entities(h, k.removals), k)
+            t = graft(h.restricted([i for i in h.intervals if i not in k.removals]), k)
             result = revise(t)
             for got in (t.network, result.revised, result.witness):
                 assert_layout(got)
@@ -780,7 +781,7 @@ class TestLayout:
         assert cut.stp.points == ("a.start", "a.end", "o")
         assert hybrid_close(cut).point_window("o", "a.start") == BoundWindow.exact(5)
         k = parse_knowledge('knowledge "k"\nanchor a\nstep z "stir"\nrel z {b} a\n')
-        t = inject(h, k)
+        t = graft(h, k)
         assert t.network.anon_points == ("o",)
         result = revise(t)
         assert result.relaxed == ()

@@ -32,7 +32,7 @@ _EXPORTS = {
     "annotation": "AnnotatedDoc Event Instance Signal TLink AnnotationError RecipeSyntaxError"
                   " DEFAULT_RELTYPE_MAP parse_timeml doc_to_qcn parse_recipe_dsl"
                   " serialize_recipe_dsl",
-    "adaptation": "TaggedConstraint TaggedNetwork DomainKnowledge RevisionResult Edit tag_soft"
+    "adaptation": "TaggedConstraint TaggedNetwork DomainKnowledge RevisionResult Edit"
                   " parse_knowledge inject revise adapt_recipe adapt_text_edits"
                   " format_revision format_edits",
     "workflow": "WorkflowNode WorkflowGraph to_workflow recipe_workflow emit_dot",

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from .allen import FULL_MASK, IDENTITY, Relation, Value, _put
+from .allen import FULL_MASK, Relation, Value, _put
 from .annotation import RecipeSyntaxError, parse_dsl
 from .hybrid import HybridNetwork, hybrid_atomic_consistent
 from .metric import (
@@ -132,37 +132,11 @@ def _network_from(intervals: Sequence[str], anon_points: Sequence[str],
     return HybridNetwork.build(intervals, allen, metric, anon_points)
 
 
-def tag_soft(h: HybridNetwork) -> list[TaggedConstraint]:
-    """Extract every stated constraint of a raw network as recipe-soft.
-
-    Tautological cells and the structural start-before-end links are
-    not constraints and are skipped; rebuilding a network from the
-    extraction reproduces the original.
-    """
-    ids = h.intervals
-    out = [TaggedConstraint.allen(a, Relation(mask), b, "recipe-soft")
-           for i, (a, row) in enumerate(zip(ids, h.qcn._matrix))
-           for b, mask in zip(ids[i + 1:], row[i + 1:]) if mask != FULL_MASK]
-    pts, e = h.stp.points, h.stp._e
-    structural = {(s, s + 1) for s in range(0, 2 * len(ids), 2)
-                  if (e[s][s + 1], e[s + 1][s]) == (None, -1)}  # (0, inf) at every scale
-    for i, x in enumerate(pts):
-        for j in range(i + 1, len(pts)):
-            if (e[i][j] is None and e[j][i] is None) or (i, j) in structural:
-                continue
-            frm, to = min(x, pts[j]), max(x, pts[j])
-            out.append(TaggedConstraint.metric(frm, to, h.stp.window(frm, to), "recipe-soft"))
-    return out
-
-
 def _merged(triples: Iterable[tuple[str, Relation, str]], provenance: str) -> list[TaggedConstraint]:
     """One Allen constraint per pair, as a network build makes its cell: a
-    pair stated twice holds both statements, and a self-constraint that
-    excludes equality is an error."""
+    pair stated twice holds both; the build checks any self-constraint."""
     out: dict[str, TaggedConstraint] = {}
     for a, rel, b in triples:
-        if a == b and not rel.mask & IDENTITY.mask:
-            raise ValueError(f"self-constraint on {a!r} excludes equality")
         c = TaggedConstraint.allen(a, rel, b, provenance)
         if c.id in out:
             c = c.replace(cell=c.cell & out[c.id].cell)
@@ -222,9 +196,9 @@ def parse_knowledge(source: str) -> DomainKnowledge:
 def inject(intervals: Sequence[str], soft: Iterable[TaggedConstraint], k: DomainKnowledge,
            anon_points: Sequence[str] = ()) -> TaggedNetwork:
     """Graft the knowledge sub-network onto a recipe: its intervals and
-    its recipe-soft constraints (`tag_soft` lists those of a network that
-    comes with no recipe).  The knowledge constraints are tagged
-    domain-hard; consistency is revise's job, not ours."""
+    its recipe-soft constraints (a network with no recipe tags its own
+    with `TaggedConstraint.allen` and `.metric`).  The knowledge
+    constraints are tagged domain-hard; consistency is revise's job."""
     existing = set(intervals)
     for a in k.anchors:
         if a not in existing:
@@ -414,13 +388,14 @@ def adapt_recipe(r: Recipe, k: DomainKnowledge) -> tuple[RevisionResult,
     """Whole pipeline on the base scenario, listed and never built alone:
     drop the substituted entities, make the recipe-soft constraints from
     the rest as a network of them holds them, inject the knowledge,
-    revise, map to edits.  A contradiction in any branch still raises."""
+    revise, map to edits.  Any branch's contradiction or self-constraint
+    that excludes equality raises as in `check`, before a bad removal."""
     intervals, allen, metric = _scenario_builder(r)(chosen=())
     gone = set(k.removals)
     if not gone.issubset(intervals):
         raise KeyError(f"unknown id {min(gone.difference(intervals))!r}")
-    soft = [c for c in _merged(allen, "recipe-soft") if c.frm != c.to
-            and c.cell.mask != FULL_MASK and c.frm not in gone and c.to not in gone]
+    soft = [c for c in _merged(allen, "recipe-soft")
+            if c.cell.mask != FULL_MASK and c.frm not in gone and c.to not in gone]
     windows = {}  # (start, end) -> duration window, conjoined with end - start > 0
     for start, end, w in metric:
         if _interval_of_point(start) not in gone:

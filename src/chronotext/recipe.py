@@ -26,7 +26,7 @@ import re
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .allen import Relation, Value, _put
+from .allen import IDENTITY, Relation, Value, _put
 from .hybrid import HybridNetwork
 from .metric import BoundWindow, ScaleBoundExceeded, end_of, start_of
 
@@ -292,8 +292,8 @@ def _scenario_intervals(r: Recipe, excluded: set[str]) -> list[str]:
 
 def _scenario_builder(r: Recipe):
     """Derive every constraint of the recipe once, each with the intervals
-    it needs, and reject a contradiction on any pair: the all-branches
-    scenario holds every scenario's constraints on it.  Returns the
+    it needs, and reject a contradiction on a pair or a self-constraint
+    that excludes equality in any scenario, pairs first.  Returns the
     function that lists the scenario of the chosen branch ids: its
     interval ids, its Allen triples and one (start, end, window) triple
     per duration, the arguments of `HybridNetwork.build`."""
@@ -332,6 +332,10 @@ def _scenario_builder(r: Recipe):
         merged[key] = merged[key] & cell if key in merged else cell
         if merged[key].is_empty:
             raise ValueError(f"contradictory relations between {key[0]!r} and {key[1]!r}")
+    for a, b in merged:
+        if a == b and not merged[a, b].mask & IDENTITY.mask:
+            raise ValueError(f"self-constraint on {a!r} excludes equality")
+    allen = [(c, need) for c, need in allen if c[0] != c[2]]  # the rest say nothing
 
     metric = list(r.durations) + [(t.id, t.window) for t in r.timers]
 

@@ -14,9 +14,11 @@ pivoted kernel) and of the window-based atom export
 (`_forced_atom_constraints`); the read-back by per-atom cycle tests
 rebuilt from the package's cycle splits; the hybrid closure that reads
 back every cell in every round, over the package's round steps; the
-printing, precedence and soft-tagging passes through relation and
-window objects; the DSL tokenizer and the TimeML reader as they stepped
-through their input one character at a time; the earlier recursion of
+printing and precedence passes through relation and window objects;
+the read-back of a network's constraints as recipe-soft, the one way
+the tests tag a network that comes with no recipe; the DSL tokenizer
+and the TimeML reader as they stepped through their input one
+character at a time; the earlier recursion of
 the hybrid scenario search, the scenario search that re-closes every pair at every
 node, the path consistency that composes on every revision, the
 revision and TCSP searches that close every node's network from scratch,
@@ -46,7 +48,6 @@ from chronotext.adaptation import (
     adapt_text_edits,
     inject,
     revise,
-    tag_soft,
 )
 from chronotext.allen import FULL_MASK, QCN, BaseRelation, Relation, close
 from chronotext.annotation import (
@@ -872,8 +873,8 @@ def rebuild_revise(t):
 
 def graft(h, k):
     """`inject` of a network that comes with no recipe: its intervals, its
-    constraints read back by `tag_soft` and its anonymous points."""
-    return inject(h.intervals, tag_soft(h), k, h.anon_points)
+    constraints read back by `object_tag_soft` and its anonymous points."""
+    return inject(h.intervals, object_tag_soft(h), k, h.anon_points)
 
 
 def rebuild_adapt(r, k):
@@ -1066,9 +1067,11 @@ def object_precedence(h):
 
 
 def object_tag_soft(h):
-    """`tag_soft` through one `Relation` per upper cell and one decoded
-    window per pair with a finite entry, the structural start-end link
-    found by the names of its points."""
+    """Every stated constraint of a network, tagged recipe-soft: one
+    `Relation` per upper cell that is not full and one decoded window per
+    pair with a finite entry, less each interval's structural start-end
+    link, found by the names of its points.  Rebuilding the network from
+    them reproduces it."""
     out = []
     for i, a in enumerate(h.intervals):
         for b in h.intervals[i + 1:]:

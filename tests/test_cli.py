@@ -471,6 +471,27 @@ class TestAdaptErrors:
         assert capsys.readouterr() == \
             ("", "error: contradictory relations between 'chop' and 'fry'\n")
 
+    @pytest.mark.parametrize("argv", [["check", "self_alt.rcp"],
+                                      ["adapt", "self_alt.rcp", "anchor_simmer.know"]],
+                             ids=["check", "adapt"])
+    def test_self_constraint_in_an_alt_branch(self, capsys, argv):
+        # `adapt` builds no scenario, yet rejects what `check` rejects
+        assert run([argv[0], *(str(FIXTURES / f) for f in argv[1:])]) == 1
+        assert capsys.readouterr() == \
+            ("", "error: self-constraint on 'chilli' excludes equality\n")
+
+    def test_recipe_self_constraint_comes_before_a_bad_removal(self, capsys, tmp_path):
+        recipe = tmp_path / "soak.rcp"
+        recipe.write_text('recipe "soak"\nstep soak "soak"\nstep fry "fry"\nrel soak {b} soak\n')
+        assert self.adapt(tmp_path, 'remove chickpeas\nanchor fry\n', str(recipe)) == 1
+        assert capsys.readouterr() == \
+            ("", "error: self-constraint on 'soak' excludes equality\n")
+
+    def test_knowledge_self_constraint(self, capsys, tmp_path):
+        assert self.adapt(tmp_path, 'anchor combine\nstep z "zest"\nrel z {b} z\n') == 1
+        assert capsys.readouterr() == \
+            ("", "error: self-constraint on 'z' excludes equality\n")
+
 
 class TestWorkflow:
     def test_lutheran_matches_golden(self, capsys):

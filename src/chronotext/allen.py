@@ -4,8 +4,8 @@ qualitative constraint networks with path-consistency closure.
 Intervals are convex spans of time with start < end.  Any two intervals
 stand in exactly one of 13 base relations, determined by the ordering of
 their four endpoints.  `ENDPOINT_SIGNS` is the one statement of that
-meaning; converse, `base_relation_of`, the metric export of an atom
-(`metric.allen_atom_to_points`) and INDU's validity rule derive from it.
+meaning; converse, the metric export of an atom (`metric._ATOM_EDGES`)
+and INDU's validity rule derive from it.
 Partial knowledge is a *set* of base relations (a disjunction); networks
 label interval pairs with such sets and are tightened by intersecting
 each label with the composition of any two-leg path around it.
@@ -34,10 +34,7 @@ from collections import deque
 from functools import cached_property, lru_cache
 from itertools import repeat
 from operator import or_
-from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence, TypeVar
-
-if TYPE_CHECKING:
-    from fractions import Fraction
+from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 
 class BaseRelation(enum.IntEnum):
@@ -370,10 +367,6 @@ class BitmaskRelation(Value):
     def is_empty(self) -> bool:
         return self.mask == 0
 
-    @property
-    def is_atomic(self) -> bool:
-        return self.mask != 0 and self.mask & (self.mask - 1) == 0
-
     def __contains__(self, atom) -> bool:
         return bool(self.mask >> self._index(atom) & 1)
 
@@ -431,21 +424,6 @@ class Relation(BitmaskRelation):
 EMPTY = Relation(0)
 FULL = Relation(FULL_MASK)
 IDENTITY = Relation.of(BaseRelation.e)
-
-
-def base_relation_of(x: tuple[Fraction, Fraction], y: tuple[Fraction, Fraction]) -> BaseRelation:
-    """The unique atom holding between two realized intervals: the one
-    whose `ENDPOINT_SIGNS` entry the four endpoint differences show.
-
-    Both intervals must satisfy start < end; the 13 atoms then partition
-    all endpoint configurations.
-    """
-    xs, xe = x
-    ys, ye = y
-    if xs >= xe or ys >= ye:
-        raise ValueError("intervals must satisfy start < end")
-    return _ATOM_OF_SIGNS[(xs > ys) - (xs < ys), (xs > ye) - (xs < ye),
-                          (xe > ys) - (xe < ys), (xe > ye) - (xe < ye)]
 
 
 class Network(Value):

@@ -22,8 +22,9 @@ from pathlib import Path
 
 def _read(path: Path) -> str:
     """An input file's text, decoded as UTF-8 whatever the locale, with
-    newlines translated as `read_text` does; a byte sequence that is not
-    UTF-8 is a parse error naming the file and the line."""
+    one leading byte-order mark dropped and newlines translated as
+    `read_text` does; a byte sequence that is not UTF-8 is a parse error
+    naming the file and the line, counted from the file's first byte."""
     data = path.read_bytes()
     try:
         text = data.decode("utf-8")
@@ -32,7 +33,7 @@ def _read(path: Path) -> str:
         line = data.count(b"\n", 0, exc.start) + 1
         raise RecipeSyntaxError(
             f"{path}: line {line}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _scenarios(path: Path) -> list[tuple[str, HybridNetwork]]:

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .allen import (
     COMPOSITION, ENDPOINT_SIGNS, N_ATOMS, QCN, BaseRelation, BitmaskRelation, Calculus,
-    Network, Relation, close,
+    Network, close,
 )
 
 SIGNS = ("<", "=", ">")
@@ -125,12 +125,6 @@ class INDURelation(BitmaskRelation):
         return int(allen) * 3 + _SIGN_INDEX[dur]
 
     _atom_str = staticmethod(str)
-
-    @classmethod
-    def from_allen(cls, rel: Relation) -> "INDURelation":
-        """All valid atoms whose Allen part lies in the given relation
-        (the reading of a bare interval constraint, signs unknown)."""
-        return cls(_spread(rel.mask) * 7 & VALID_MASK)
 
 
 INDU_IDENTITY = INDURelation(INDU.identity)

@@ -26,7 +26,7 @@ from itertools import permutations
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
-from .allen import ENDPOINT_SIGNS, FULL_MASK, BaseRelation, Relation, Value, _put
+from .allen import ENDPOINT_SIGNS, FULL_MASK, Relation, Value, _put
 
 
 class ScaleBoundExceeded(ValueError):
@@ -92,14 +92,6 @@ class BoundWindow(Value):
     def is_point(self) -> bool:
         return self.lo is not None and self.lo == self.hi
 
-    def contains(self, v) -> bool:
-        v = _frac(v)
-        if self.lo is not None and (v < self.lo or (v == self.lo and self.lo_strict)):
-            return False
-        if self.hi is not None and (v > self.hi or (v == self.hi and self.hi_strict)):
-            return False
-        return True
-
     def intersect(self, other: "BoundWindow") -> Optional["BoundWindow"]:
         """The common window, or None when the overlap is empty."""
         lo, hi = max(self, other, key=_lo_rank), min(self, other, key=_hi_rank)
@@ -157,7 +149,7 @@ class STP(Value):
     What is stored is one integer matrix `_e`, with `_e[i][j]` the upper
     bound on t_j - t_i: a bound v, strict or not, is kept as v*D*M -
     [strict], None meaning +infinity, under the scale D (the least common
-    multiple of the denominators seen so far) and the fixed multiplier
+    multiple of the windows' denominators) and the fixed multiplier
     M = 5.  Each stored entry carries at most one strict unit, and a sum
     is of two entries (the kernel) or around a four-point cycle (the
     read-back, see `metric_to_allen`), so M bounds every carry: integer
@@ -181,9 +173,30 @@ class STP(Value):
     def __init__(self, points: Sequence[str],
                  constraints: Iterable[tuple[str, str, BoundWindow]] = ()):
         """The network on `points` with the (from, to, window) triples
-        conjoined in; repeated windows on a pair conjoin by intersection."""
-        s = STP._raw((), {}, (), 1).with_constraints(constraints, points)
-        self._set(s.points, s._index, s._e, s._d, False, False)
+        conjoined in, encoded once under D the least common multiple of
+        their denominators; repeated windows on a pair conjoin by
+        intersection."""
+        points = tuple(points)
+        index = {p: i for i, p in enumerate(points)}
+        n, d, pairs = len(points), 1, []
+        for frm, to, w in constraints:
+            if frm not in index:
+                raise KeyError(f"unknown point {frm!r}")
+            if to not in index:
+                raise KeyError(f"unknown point {to!r}")
+            for v in (w.lo, w.hi):
+                if v is not None and d % v.denominator:
+                    d = lcm(d, v.denominator)
+            pairs.append((index[frm], index[to], w))
+        if len(index) != n:
+            raise ValueError("duplicate point ids")
+        rows = [[None] * n for _ in range(n)]
+        for i, row in enumerate(rows):
+            row[i] = 0
+        for i, j, w in _window_edges(pairs, d * _M):
+            if rows[i][j] is None or w < rows[i][j]:
+                rows[i][j] = w
+        self._set(points, index, tuple(map(tuple, rows)), d, False, False)
 
     @classmethod
     def _raw(cls, points, index, e, d, inconsistent=False, minimal=False) -> "STP":
@@ -204,40 +217,6 @@ class STP(Value):
               constraints: Iterable[tuple[str, str, BoundWindow]] = ()) -> "STP":
         """`STP(points, constraints)`."""
         return cls(points, constraints)
-
-    def with_constraints(self, constraints: Iterable[tuple[str, str, BoundWindow]],
-                         new_points: Sequence[str] = ()) -> "STP":
-        """This network on its points plus `new_points`, with the
-        (from, to, window) triples conjoined in.
-
-        The stored entries are rescaled (`_rescaled`) only when a new
-        denominator changes D; new points add unbounded rows and columns.
-        """
-        points = self.points + tuple(p for p in new_points if p not in self._index)
-        index = self._index if len(points) == len(self.points) else \
-            {p: i for i, p in enumerate(points)}
-        n, old, d = len(points), len(self.points), self._d
-        pairs = []
-        for frm, to, w in constraints:
-            if frm not in index:
-                raise KeyError(f"unknown point {frm!r}")
-            if to not in index:
-                raise KeyError(f"unknown point {to!r}")
-            for v in (w.lo, w.hi):
-                if v is not None and d % v.denominator:
-                    d = lcm(d, v.denominator)
-            pairs.append((index[frm], index[to], w))
-        rows = [list(row) for row in self._rescaled(d)]
-        for row in rows:
-            row += [None] * (n - old)
-        for i in range(old, n):
-            rows.append([None] * n)
-            rows[i][i] = 0
-        for i, j, w in _window_edges(pairs, d * _M):
-            if rows[i][j] is None or w < rows[i][j]:
-                rows[i][j] = w
-        return STP._raw(points, index, tuple(map(tuple, rows)), d,
-                        inconsistent=self.inconsistent)
 
     def _rescaled(self, d: int) -> tuple[tuple[Optional[int], ...], ...]:
         """The stored matrix at the scale `d`, a multiple of D, each entry
@@ -488,16 +467,6 @@ _DEFINING_SIGNS = tuple(
           if any(other[k] != s and other[:k] + other[k + 1:] == signs[:k] + signs[k + 1:]
                  for other in ENDPOINT_SIGNS))
     for signs in ENDPOINT_SIGNS)
-
-
-def allen_atom_to_points(atom: BaseRelation, x: str, y: str) -> tuple[tuple[str, str, BoundWindow], ...]:
-    """The defining endpoint constraints of an atom, as (from, to, window)
-    triples over the canonical start/end point ids of the two intervals:
-    the signs of its `ENDPOINT_SIGNS` entry that the others do not imply."""
-    pts = (start_of(x), end_of(x), start_of(y), end_of(y))
-    return tuple((pts[q], pts[p], POSITIVE) if s > 0
-                 else (pts[p], pts[q], POSITIVE if s else BoundWindow.exact(0))
-                 for p, q, s in _DEFINING_SIGNS[atom])
 
 
 # Per atom, its endpoint constraints as encoded (i, j, bound) edges, on

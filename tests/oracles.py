@@ -10,9 +10,9 @@ types and atom-to-endpoint table to check its fast paths, but keep
 their own copies of the per-call bound encoder (`_scaled`), of the
 decoder of the stored matrix (`decoded`), of a plain
 integer Floyd-Warshall (`int_shortest_paths`, not the package's
-pivoted kernel) and of the window-based atom export
-(`_forced_atom_constraints`); the read-back by per-atom cycle tests
-rebuilt from the package's cycle splits; the hybrid closure that reads
+pivoted kernel) and of the window-based atom export (`atom_windows`,
+all four endpoint signs of the atom as its definition gives them); the
+read-back by per-atom cycle tests rebuilt from the package's cycle splits; the hybrid closure that reads
 back every cell in every round, over the package's round steps; the
 printing and precedence passes through relation and window objects;
 the read-back of a network's constraints as recipe-soft, the one way
@@ -25,7 +25,8 @@ revision and TCSP searches that close every node's network from scratch,
 the adaptation that encodes the base scenario, restricts it and reads its
 constraints back before grafting the knowledge,
 the revision witness test that decodes and intersects windows, the
-one-window conjoin that rescales through `STP.with_constraints`, and the
+one-window conjoin that rebuilds the network from its decoded bounds
+(`conjoined`, the tuple conjoin, where the package rescales), and the
 recipe encoder that derives every rule again in each scenario (with its
 own chain and interval rules, not the package's helpers).
 `exact_hybrid` states what a hybrid network means, with no closure or
@@ -61,6 +62,7 @@ from chronotext.annotation import (
     TLink,
     _parse_attrs,
 )
+from chronotext.indu import INDURelation, valid_atoms
 from chronotext.hybrid import (
     HybridNetwork,
     _export_close,
@@ -74,8 +76,8 @@ from chronotext.metric import (
     STP,
     ScaleBoundExceeded,
     BoundWindow,
+    POSITIVE,
     _close_with,
-    allen_atom_to_points,
     end_of,
     metric_to_allen,
     start_of,
@@ -110,6 +112,35 @@ def atom_by_definition(x, y):
     holds = [name for name, ok in _atom_defs(x[0], x[1], y[0], y[1]).items() if ok]
     assert len(holds) == 1, f"atoms not a partition at {x}, {y}: {holds}"
     return holds[0]
+
+
+@lru_cache(maxsize=None)
+def atom_signs_by_definition():
+    """Per atom name, the signs of xs - ys, xs - ye, xe - ys and xe - ye,
+    read off the first realization on the grid 0..3 that shows it."""
+    signs = {}
+    for xs, xe, ys, ye in product(range(4), repeat=4):
+        if xs < xe and ys < ye:
+            signs.setdefault(atom_by_definition((xs, xe), (ys, ye)), tuple(
+                (p > q) - (p < q) for p, q in ((xs, ys), (xs, ye), (xe, ys), (xe, ye))))
+    assert len(signs) == 13
+    return signs
+
+
+def atom_windows(atom, x, y):
+    """An atom's endpoint constraints as (from, to, window) triples over
+    the start and end point ids of x and y: all four endpoint signs of
+    `atom_signs_by_definition`, each as a difference > 0 or = 0."""
+    xs, xe, ys, ye = start_of(x), end_of(x), start_of(y), end_of(y)
+    pairs = ((xs, ys), (xs, ye), (xe, ys), (xe, ye))
+    return tuple((q, p, POSITIVE) if s > 0 else (p, q, POSITIVE if s else BoundWindow.exact(0))
+                 for (p, q), s in zip(pairs, atom_signs_by_definition()[atom.name]))
+
+
+def indu_lift(rel):
+    """An Allen relation read as an INDU one, durations unknown: every
+    valid atom whose Allen part the relation holds, atom by atom."""
+    return INDURelation.of(*(a for a in valid_atoms() if a.allen in rel))
 
 
 def three_interval_configs():
@@ -345,6 +376,15 @@ def tuple_conjoin(points, u, constraints, new_points=()):
     return points, u
 
 
+def conjoined(s, constraints):
+    """An STP with the (from, to, window) triples conjoined into its
+    decoded bounds by `tuple_conjoin`, rebuilt by `stp_of_bounds` at the
+    scale of what it then holds; it stays flagged inconsistent, since a
+    tightening keeps a negative cycle, and is not flagged minimal."""
+    return stp_of_bounds(s.points, tuple_conjoin(s.points, decoded(s), constraints)[1],
+                         inconsistent=s.inconsistent)
+
+
 def overlay_metric_to_allen(s, x, y):
     """The atoms whose endpoint constraints, laid over the 4x4 endpoint
     projection of a minimal STP, leave it free of negative cycles: one
@@ -362,7 +402,7 @@ def overlay_metric_to_allen(s, x, y):
     mask = 0
     for atom in BaseRelation:
         u = [row[:] for row in sub]
-        for frm, to, w in allen_atom_to_points(atom, x, y):
+        for frm, to, w in atom_windows(atom, x, y):
             i, j = local[frm], local[to]
             if w.hi is not None:
                 u[i][j] = _btighter(u[i][j], (w.hi, w.hi_strict))
@@ -478,6 +518,13 @@ def random_window(rng, span=12):
     return BoundWindow(lo, hi, rng.random() < 0.5, rng.random() < 0.5)
 
 
+def admits(w, v):
+    """Whether the value v lies in the window, read from its bounds and
+    their strictness flags; None is unbounded."""
+    return ((w.lo is None or w.lo < v or w.lo == v and not w.lo_strict)
+            and (w.hi is None or v < w.hi or v == w.hi and not w.hi_strict))
+
+
 def tuple_stp_close(s, *, changed=None):
     """`stp_close` on the tuple Floyd-Warshall, which closes every pair
     whatever `changed` lists; the result is flagged as the verdict says."""
@@ -488,14 +535,14 @@ def tuple_stp_close(s, *, changed=None):
 
 def _forced_atom_constraints(qcn):
     """Endpoint constraints of every atomic cell, upper triangle only, as
-    (from, to, window) triples from the atom-to-endpoint table."""
+    (from, to, window) triples from `atom_windows`."""
     out = []
     ids = qcn.intervals
     for ai, a in enumerate(ids):
         for b in ids[ai + 1:]:
             cell = qcn.cell(a, b)
-            if cell.is_atomic:
-                out.extend(allen_atom_to_points(cell.atoms[0], a, b))
+            if len(cell) == 1:
+                out.extend(atom_windows(cell.atoms[0], a, b))
     return out
 
 
@@ -513,9 +560,9 @@ def overlay_hybrid_close(h):
         forced = []
         for a, b in pairs:
             cell = qcn.cell(a, b)
-            if cell.is_atomic:
-                forced.extend(allen_atom_to_points(cell.atoms[0], a, b))
-        stp = tuple_stp_close(stp.with_constraints(forced))
+            if len(cell) == 1:
+                forced.extend(atom_windows(cell.atoms[0], a, b))
+        stp = tuple_stp_close(conjoined(stp, forced))
         if stp.inconsistent:
             return HybridNetwork(qcn, stp)
         changed = False
@@ -542,7 +589,7 @@ def descend_hybrid_atomic_consistent(h):
     def first_open(qcn):
         for ai, a in enumerate(ids):
             for b in ids[ai + 1:]:
-                if not qcn.cell(a, b).is_atomic:
+                if len(qcn.cell(a, b)) != 1:
                     return a, b
         return None
 
@@ -553,8 +600,8 @@ def descend_hybrid_atomic_consistent(h):
         pair = first_open(qcn)
         if pair is None:
             forced = [c for ai, a in enumerate(ids) for b in ids[ai + 1:]
-                      for c in allen_atom_to_points(qcn.cell(a, b).atoms[0], a, b)]
-            leaf = stp_close(stp.with_constraints(forced))
+                      for c in atom_windows(qcn.cell(a, b).atoms[0], a, b)]
+            leaf = stp_close(conjoined(stp, forced))
             if leaf.inconsistent:
                 return None
             return HybridNetwork(qcn, leaf)
@@ -578,7 +625,7 @@ def full_queue_scenario_search(start, leaf):
 
     def refine(current):
         rows = current._matrix
-        open_pair = next(((i, j) for i, j in pairs if not Relation(rows[i][j]).is_atomic), None)
+        open_pair = next(((i, j) for i, j in pairs if len(Relation(rows[i][j])) != 1), None)
         if open_pair is None:
             return leaf(current)
         i, j = open_pair
@@ -612,14 +659,14 @@ def full_queue_hybrid_close(h):
         qcn = close(qcn)
         if qcn.inconsistent:
             return HybridNetwork(qcn, stp)
-        stp = stp_close(stp.with_constraints(_forced_atom_constraints(qcn)))
+        stp = stp_close(conjoined(stp, _forced_atom_constraints(qcn)))
         if stp.inconsistent:
             return HybridNetwork(qcn, stp)
         ids = qcn.intervals
         changed = False
         for a, b in [(a, b) for ai, a in enumerate(ids) for b in ids[ai + 1:]]:
             cell = qcn.cell(a, b)
-            if not cell.is_atomic:
+            if len(cell) != 1:
                 refined = metric_to_allen(stp, a, b, cell)
                 if refined != cell:
                     qcn = qcn.with_cell(a, b, refined)
@@ -645,7 +692,7 @@ def every_cell_hybrid_close(h):
         for ai, a in enumerate(ids):
             for bi in range(ai + 1, len(ids)):
                 cell = qcn.cell(a, ids[bi])
-                if not cell.is_atomic:
+                if len(cell) != 1:
                     refined = metric_to_allen(stp, a, ids[bi], cell)
                     if refined != cell:
                         qcn = qcn.with_cell(a, ids[bi], refined)
@@ -662,7 +709,7 @@ def full_queue_hybrid_atomic_consistent(h):
         return False, None
 
     def leaf(qcn):
-        stp = stp_close(start.stp.with_constraints(_forced_atom_constraints(qcn)))
+        stp = stp_close(conjoined(start.stp, _forced_atom_constraints(qcn)))
         return None if stp.inconsistent else HybridNetwork(qcn, stp)
 
     witness = full_queue_scenario_search(start.qcn, leaf)
@@ -916,7 +963,7 @@ def rebuild_tcsp_consistent(t):
             return closed
         c = ordered[k]
         for w in c.windows:
-            found = search(k + 1, acc.with_constraints([(c.frm, c.to, w)]))
+            found = search(k + 1, conjoined(acc, [(c.frm, c.to, w)]))
             if found is not None:
                 return found
         return None
@@ -926,11 +973,11 @@ def rebuild_tcsp_consistent(t):
 
 
 def rescaling_close_with(s, frm, to, w):
-    """`metric._close_with` as it was for a window with a new denominator:
-    conjoined into a full copy by `with_constraints`, then closed from the
-    window's two entries, whether they tightened or not."""
+    """`metric._close_with` with no rescale of the stored matrix: the
+    window conjoined into the decoded bounds (`conjoined`), then closed
+    from the window's two entries, whether they tightened or not."""
     i, j = s._index[frm], s._index[to]
-    return stp_close(s.with_constraints([(frm, to, w)]), changed=[(i, j), (j, i)])
+    return stp_close(conjoined(s, [(frm, to, w)]), changed=[(i, j), (j, i)])
 
 
 _RULE = {name: Relation.parse(text) for name, text in (

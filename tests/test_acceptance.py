@@ -38,7 +38,7 @@ from chronotext.recipe import (
 )
 from chronotext.workflow import emit_dot, recipe_workflow
 
-from oracles import allen_part_by_atoms, reachable, realize_small, successors
+from oracles import allen_part_by_atoms, indu_lift, reachable, realize_small, successors
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -160,8 +160,7 @@ def test_05_indu_atoms_and_projection():
         assert len(valid_atoms()) == 25
         for a1 in BaseRelation:
             for a2 in BaseRelation:
-                lifted = INDURelation.from_allen(Relation.of(a1)).compose(
-                    INDURelation.from_allen(Relation.of(a2)))
+                lifted = indu_lift(Relation.of(a1)).compose(indu_lift(Relation.of(a2)))
                 assert allen_part_by_atoms(lifted) == Relation.of(a1).compose(Relation.of(a2))
 
 
@@ -381,23 +380,23 @@ def _indu_precise_duration():
 
 def _indu_imprecise_duration():
     net = INDUNetwork.build(["bake", "is_brown", "cap"], [
-        ("bake", INDURelation.from_allen(Relation.parse("{m}")), "is_brown"),
+        ("bake", indu_lift(Relation.parse("{m}")), "is_brown"),
         ("bake", _indu_sign("<") | _indu_sign("="), "cap")])
     assert not indu_close(net).inconsistent
 
 
 def _indu_total_order():
     net = indu_close(INDUNetwork.build(["a", "b", "c"], [
-        ("a", INDURelation.from_allen(Relation.parse("{b}")), "b"),
-        ("b", INDURelation.from_allen(Relation.parse("{b}")), "c")]))
+        ("a", indu_lift(Relation.parse("{b}")), "b"),
+        ("b", indu_lift(Relation.parse("{b}")), "c")]))
     assert not net.inconsistent
     assert allen_part_by_atoms(net.cell("a", "c")) == Relation.parse("{b}")
 
 
 def _indu_partial_order():
     net = indu_close(INDUNetwork.build(["slice", "mince", "brown"], [
-        ("slice", INDURelation.from_allen(Relation.parse("{b}")), "brown"),
-        ("mince", INDURelation.from_allen(Relation.parse("{b}")), "brown")]))
+        ("slice", indu_lift(Relation.parse("{b}")), "brown"),
+        ("mince", indu_lift(Relation.parse("{b}")), "brown")]))
     assert not net.inconsistent
     assert allen_part_by_atoms(net.cell("slice", "mince")) == FULL
 

@@ -615,6 +615,43 @@ class TestInputEncoding:
         assert err.startswith(f"error: {recipe}: line 3: not UTF-8")
         assert err.count("\n") == 1
 
+    BOM = b"\xef\xbb\xbf"
+
+    def test_bom_recipe_reads_as_without(self, capsys, tmp_path):
+        """A leading UTF-8 byte-order mark, as Windows Notepad writes it,
+        is skipped."""
+        recipe = tmp_path / "bom.rcp"
+        recipe.write_bytes(self.BOM + Path(LUTHERAN).read_bytes())
+        assert run(["close", LUTHERAN]) == 0
+        want = capsys.readouterr()
+        assert run(["close", str(recipe)]) == 0
+        assert capsys.readouterr() == want
+
+    def test_bom_knowledge_reads_as_without(self, capsys, tmp_path):
+        know = tmp_path / "bom.know"
+        know.write_bytes(self.BOM + Path(LENTILS).read_bytes())
+        assert run(["adapt", LUTHERAN, LENTILS]) == 0
+        want = capsys.readouterr()
+        assert run(["adapt", LUTHERAN, str(know)]) == 0
+        assert capsys.readouterr() == want
+
+    def test_bom_timeml_offsets_count_from_the_text(self, capsys, tmp_path):
+        """The mark is no character of the text, so a TimeML error's
+        offset is the same as in the file without it."""
+        text = Path(SNIPPET).read_text().replace("IS_INCLUDED", "DURING")
+        doc = tmp_path / "bom.tml"
+        doc.write_bytes(self.BOM + text.encode("utf-8"))
+        assert run(["timeml", str(doc)]) == 2
+        assert capsys.readouterr().err == (f"error: offset {text.index('<TLINK')}: "
+                                           "no Allen image for relType 'DURING'\n")
+
+    def test_bom_file_not_utf8_names_the_files_own_line_and_byte(self, capsys, tmp_path):
+        recipe = tmp_path / "bom.rcp"
+        recipe.write_bytes(self.BOM + b"\n\n\xff")
+        assert run(["check", str(recipe)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {recipe}: line 3: not UTF-8 (invalid start byte at byte 5)\n"
+
 
 class TestOutputEncoding:
     """Output is written as UTF-8 whatever the locale."""

@@ -223,7 +223,7 @@ class TestHybridAtomicConsistent:
         ids = witness.intervals
         for i, a in enumerate(ids):
             for b in ids[i + 1:]:
-                assert witness.relation(a, b).is_atomic
+                assert len(witness.relation(a, b)) == 1
                 assert witness.relation(a, b) <= closed.relation(a, b)
 
 
@@ -437,9 +437,9 @@ class TestWorkCounts:
 
     def test_no_bound_encoding_after_build(self, monkeypatch):
         """Closing and searching a built network export atomic cells as
-        encoded edges and read the stored integer matrix back: neither
-        the bound encoder nor the window-triple export runs, and the
-        numbers of `stp_close` and `metric_to_allen` calls are pinned."""
+        encoded edges and read the stored integer matrix back: the bound
+        encoder does not run, and the numbers of `stp_close` and
+        `metric_to_allen` calls are pinned."""
         h = random_schedule(random.Random(0))
         calls = Counter()
 
@@ -451,10 +451,9 @@ class TestWorkCounts:
                 return real(*args, **kwargs)
             monkeypatch.setattr(module, name, counted, raising=False)
 
-        for name in ("stp_close", "metric_to_allen", "allen_atom_to_points"):
+        for name in ("stp_close", "metric_to_allen"):
             count(hybrid, name)
-        for name in ("_window_edges", "allen_atom_to_points"):
-            count(metric, name)
+        count(metric, "_window_edges")
         hybrid_close(h)
         assert calls == {"stp_close": 2, "metric_to_allen": 6}
         calls.clear()
@@ -553,8 +552,8 @@ class TestExactOracle:
         assert ok and cells == {("x", "y"): R("{m}").mask}
         assert windows["x.start", "y.start"] == (2, False, 3, False)
         assert windows["x.end", "y.end"] == (0, True, None, True)
-        ok, _, _ = oracles.exact_hybrid(HybridNetwork(h.qcn, h.stp.with_constraints(
-            [("x.start", "y.start", BoundWindow(None, 2, hi_strict=True))])))
+        ok, _, _ = oracles.exact_hybrid(HybridNetwork(h.qcn, oracles.conjoined(
+            h.stp, [("x.start", "y.start", BoundWindow(None, 2, hi_strict=True))])))
         assert not ok
 
     def test_random_three_interval_hybrids_are_sound(self):
@@ -649,8 +648,9 @@ class TestMetamorphic:
         """Multiplying every input window by 60, as writing each `min` as
         `hour` does, multiplies every closed window by 60 and changes no
         cell and no search verdict.  The windows are conjoined one at a
-        time, so a new denominator rescales the stored entries, and 60
-        clears the denominators 2, 3 and 5 that the minutes need."""
+        time, each step rebuilding the STP from its decoded bounds at a
+        new common denominator, and 60 clears the denominators 2, 3 and
+        5 that the minutes need."""
         verdicts = Counter()
         for ids, allen, metric, anon in metamorphic_inputs():
             h = one_window_at_a_time(ids, allen, metric, anon)
@@ -677,10 +677,10 @@ class TestMetamorphic:
 
 def one_window_at_a_time(ids, allen, metric, anon):
     """The network of the lists through the public constructor, its STP
-    built by conjoining one window after the other."""
+    built by conjoining one window after the other (`oracles.conjoined`)."""
     stp = STP.build([p for i in ids for p in (start_of(i), end_of(i))] + anon)
     for window in metric:
-        stp = stp.with_constraints([window])
+        stp = oracles.conjoined(stp, [window])
     return HybridNetwork(QCN.build(ids, allen), stp)
 
 

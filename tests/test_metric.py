@@ -1,11 +1,13 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from chronotext import metric
-from chronotext.allen import FULL, BaseRelation, Relation
+from chronotext.allen import ENDPOINT_SIGNS, FULL, BaseRelation, Relation
 from chronotext.metric import (
     MAX_TCSP_DISJUNCTIVE,
     MAX_TCSP_WINDOWS,
@@ -15,7 +17,6 @@ from chronotext.metric import (
     STP,
     ScaleBoundExceeded,
     TCSP,
-    allen_atom_to_points,
     end_of,
     format_constraint,
     format_stp,
@@ -25,7 +26,11 @@ from chronotext.metric import (
     tcsp_consistent,
 )
 from oracles import (
+    admits,
     atom_by_definition,
+    atom_signs_by_definition,
+    atom_windows,
+    conjoined,
     _unscaled,
     cycle_test_metric_to_allen,
     decoded,
@@ -48,16 +53,19 @@ F = Fraction
 
 class TestBoundWindow:
     def test_contains_respects_strictness(self):
+        """A finite bound keeps the strictness it is given, and that is
+        what the membership reads (`oracles.admits`)."""
         w = BoundWindow(F(0), F(25), lo_strict=True, hi_strict=False)
-        assert not w.contains(0)
-        assert w.contains(F(1, 100))
-        assert w.contains(25)
-        assert not w.contains(F(2501, 100))
+        assert (w.lo, w.hi, w.lo_strict, w.hi_strict) == (0, 25, True, False)
+        assert not admits(w, 0)
+        assert admits(w, F(1, 100))
+        assert admits(w, 25)
+        assert not admits(w, F(2501, 100))
 
     def test_infinite_bounds_are_open(self):
         w = BoundWindow(None, F(3))
-        assert w.lo_strict
-        assert w.contains(-(10 ** 9))
+        assert w.lo is None and w.lo_strict
+        assert (w.hi, w.hi_strict) == (3, False)
 
     def test_empty_windows_rejected(self):
         with pytest.raises(ValueError):
@@ -68,7 +76,7 @@ class TestBoundWindow:
     def test_point_window(self):
         w = BoundWindow.exact(60)
         assert w.is_point
-        assert w.contains(60) and not w.contains(59)
+        assert (w.lo, w.hi, w.lo_strict, w.hi_strict) == (60, 60, False, False)
 
     def test_intersect(self):
         a = BoundWindow.closed(0, 10)
@@ -88,11 +96,11 @@ class TestBoundWindow:
             a, b = random_window(rng, 4), random_window(rng, 4)
             ends = sorted({v for w in (a, b) for v in (w.lo, w.hi) if v is not None})
             probes = [F(-100), F(100), *ends, *((x + y) / 2 for x, y in zip(ends, ends[1:]))]
-            both = [v for v in probes if a.contains(v) and b.contains(v)]
+            both = [v for v in probes if admits(a, v) and admits(b, v)]
             got = a.intersect(b)
             assert (got is None) == (not both)
             if got is not None:
-                assert all(got.contains(v) == (v in both) for v in probes)
+                assert all(admits(got, v) == (v in both) for v in probes)
                 assert got == b.intersect(a)
 
     def test_str_markers(self):
@@ -162,20 +170,15 @@ class TestSTPBuild:
                 metric_to_allen(net, "x", "y")
         assert metric_to_allen(stp_close(ok), "x", "y") == Relation.parse("{b}")
 
-    def test_with_constraints_names_unknown_point(self):
+    def test_constructor_names_unknown_point(self):
+        """An unknown point is named, a window's `from` before its `to`,
+        and before duplicate point ids are."""
         with pytest.raises(KeyError, match="unknown point 'z'"):
-            STP.build(["x"]).with_constraints([("x", "z", BoundWindow.exact(0))])
-
-    def test_with_constraints_matches_build(self):
-        cons = [("x", "y", BoundWindow.closed(1, 5)),
-                ("y", "z", BoundWindow.closed(0, 2)),
-                ("x", "y", BoundWindow.closed(2, 9))]
-        grown = STP.build(["x", "y"], cons[:1]).with_constraints(cons[1:], ["y", "z"])
-        built = STP.build(["x", "y", "z"], cons)
-        assert grown.points == built.points
-        for a in built.points:
-            for b in built.points:
-                assert grown.window(a, b) == built.window(a, b)
+            STP.build(["x"], [("x", "z", BoundWindow.exact(0))])
+        with pytest.raises(KeyError, match="unknown point 'z'"):
+            STP(["x", "x"], [("x", "x", POSITIVE), ("z", "w", BoundWindow.exact(0))])
+        with pytest.raises(ValueError, match="duplicate point ids"):
+            STP(["x", "x"], [("x", "x", BoundWindow.exact(0))])
 
 
 def simmer_stp():
@@ -438,7 +441,7 @@ class TestTCSP:
             ends = sorted({v for w in wins for v in (w.lo, w.hi) if v is not None})
             probes = [F(-100), F(100), *ends, *((x + y) / 2 for x, y in zip(ends, ends[1:]))]
             for v in probes:
-                assert any(w.contains(v) for w in got) == any(w.contains(v) for w in wins)
+                assert any(admits(w, v) for w in got) == any(admits(w, v) for w in wins)
             for a, b in zip(got, got[1:]):
                 assert a.hi is not None and b.lo is not None
                 assert a.hi < b.lo or (a.hi == b.lo and a.hi_strict and b.lo_strict)
@@ -481,32 +484,39 @@ def realization_for(atom):
 
 
 class TestAtomToPoints:
+    """An atom's metric export, `metric._ATOM_EDGES`: the endpoint
+    constraints that define it, as encoded edges (i, j, w) bounding
+    t_j - t_i over the local points 0-3 (x.start, x.end, y.start,
+    y.end), w 0 for <= 0 and -1 for < 0 at every scale."""
+
     def test_meets(self):
-        cons = allen_atom_to_points(BaseRelation.m, "x", "y")
-        assert cons == (("x.end", "y.start", BoundWindow.exact(0)),)
+        assert set(metric._ATOM_EDGES[BaseRelation.m]) == {(1, 2, 0), (2, 1, 0)}
 
     def test_equals(self):
-        cons = set(allen_atom_to_points(BaseRelation.e, "x", "y"))
-        assert cons == {("x.start", "y.start", BoundWindow.exact(0)),
-                        ("x.end", "y.end", BoundWindow.exact(0))}
+        assert set(metric._ATOM_EDGES[BaseRelation.e]) == {(0, 2, 0), (2, 0, 0),
+                                                           (1, 3, 0), (3, 1, 0)}
 
     def test_during(self):
-        cons = set(allen_atom_to_points(BaseRelation.d, "x", "y"))
-        assert cons == {("y.start", "x.start", POSITIVE),
-                        ("x.end", "y.end", POSITIVE)}
+        # y.start < x.start and x.end < y.end
+        assert set(metric._ATOM_EDGES[BaseRelation.d]) == {(0, 2, -1), (3, 1, -1)}
 
     def test_constraints_characterize_each_atom(self):
-        """The constraint set of an atom holds exactly on that atom's
-        realizations."""
+        """With start < end, the encoded edges of an atom hold exactly on
+        that atom's realizations, and so do the four endpoint windows of
+        the oracles' export, whose signs are `ENDPOINT_SIGNS`."""
+        assert tuple(atom_signs_by_definition()[a.name] for a in BaseRelation) == ENDPOINT_SIGNS
         values = {}
         for atom in BaseRelation:
             (xs, xe), (ys, ye) = realization_for(atom)
             values[atom] = {"x.start": xs, "x.end": xe, "y.start": ys, "y.end": ye}
         for claimed in BaseRelation:
-            cons = allen_atom_to_points(claimed, "x", "y")
+            cons = atom_windows(claimed, "x", "y")
             for actual, env in values.items():
-                sat = all(w.contains(env[to] - env[frm]) for frm, to, w in cons)
-                assert sat == (claimed == actual), (claimed, actual)
+                t = [env[p] for p in ("x.start", "x.end", "y.start", "y.end")]
+                edges = all(t[j] - t[i] < 0 if w else t[j] - t[i] <= 0
+                            for i, j, w in metric._ATOM_EDGES[claimed])
+                windows = all(admits(w, env[to] - env[frm]) for frm, to, w in cons)
+                assert edges == windows == (claimed == actual), (claimed, actual)
 
 
 def interval_stp(names, extra=()):
@@ -530,7 +540,7 @@ class TestMetricToAllen:
 
     def test_atom_roundtrip_all_thirteen(self):
         for atom in BaseRelation:
-            extra = allen_atom_to_points(atom, "x", "y")
+            extra = atom_windows(atom, "x", "y")
             closed = stp_close(interval_stp(["x", "y"], extra))
             assert not closed.inconsistent
             assert metric_to_allen(closed, "x", "y") == Relation.of(atom), atom
@@ -541,8 +551,8 @@ class TestMetricToAllen:
         extra = (
             [(start_of("bake"), end_of("bake"), BoundWindow.exact(60)),
              (start_of("t"), end_of("t"), BoundWindow.exact(15))]
-            + list(allen_atom_to_points(BaseRelation.f, "t", "bake"))
-            + list(allen_atom_to_points(BaseRelation.s, "remove_cover", "t"))
+            + list(atom_windows(BaseRelation.f, "t", "bake"))
+            + list(atom_windows(BaseRelation.s, "remove_cover", "t"))
         )
         closed = stp_close(interval_stp(["bake", "t", "remove_cover"], extra))
         assert not closed.inconsistent
@@ -869,75 +879,102 @@ def tuple_window(u, i, j):
 
 
 class TestStoredEncoding:
-    def test_scale_changes_match_tuple_reference(self):
-        """Random runs of `with_constraints` (new points, windows over
-        denominators 1, 2, 3, 5 and 7, strict and unbounded sides),
-        `restricted` and `stp_close`: after every step the verdict, the
-        decoded matrix and every window equal those of a (value, strict)
-        tuple reference, and closing gives what a fresh `tuple_stp_close`
-        of the same bounds gives.  Rescaling, for a new denominator, keeps
-        every entry exact."""
+    def test_one_call_build_matches_tuple_reference(self):
+        """Random builds of 1 to 8 points and up to 12 windows over the
+        denominators 1, 2, 3, 5 and 7 (strict and unbounded sides,
+        self-windows and repeated pairs): the scale is the least common
+        multiple of every finite bound's denominator, the stored matrix
+        is the tuple reference's conjoin into an empty matrix, every
+        window is its window, and neither flag is set.  With an unknown
+        point or duplicate ids, the first unknown point is named, a
+        window's `from` before its `to`, before duplicates are."""
         rng = random.Random(61)
-        scales, sizes, verdicts = set(), set(), set()
-        rescaled = 0
-        for _ in range(150):
-            names = (f"p{k}" for k in range(100))
-            points = [next(names) for _ in range(rng.randint(2, 3))]
-            s = STP.build(points)
-            ref_points, ref = tuple_conjoin([], [], [], points)
-            ref_bad = False
-            for _ in range(rng.randint(3, 12)):
-                action = rng.random()
-                if action < 0.5:
-                    new = [next(names) for _ in range(rng.randint(0, min(2, 12 - len(ref_points))))]
-                    pool = ref_points + new
-                    cons = [(*rng.sample(pool, 2), random_window(rng))
-                            for _ in range(rng.randint(1, 3))]
-                    before = s
-                    s = s.with_constraints(cons, new)
-                    # a tightening keeps an inconsistent network flagged
-                    ref_points, ref = tuple_conjoin(ref_points, ref, cons, new)
-                    if s._d != before._d and any(
-                            v is not None for row in before._e for v in row if v):
-                        rescaled += 1
-                elif action < 0.65 and len(ref_points) > 2:
-                    keep = rng.sample(ref_points, rng.randint(2, len(ref_points)))
-                    s = s.restricted(keep)
-                    ref_bad = False  # the next closure decides a restriction
-                    ref = [[ref[ref_points.index(a)][ref_points.index(b)] for b in keep]
-                           for a in keep]
-                    ref_points = keep
-                else:
-                    fresh = tuple_stp_close(stp_of_bounds(ref_points, ref))
-                    s = stp_close(s)
-                    u = [list(row) for row in ref]
-                    if tuple_shortest_paths(u):
-                        ref = u
-                    ref_bad = fresh.inconsistent
-                    assert s.inconsistent == ref_bad
-                    if not ref_bad:
-                        assert s == fresh
-                    verdicts.add(s.inconsistent)
-                assert list(s.points) == ref_points
-                assert s.inconsistent == ref_bad
-                assert decoded(s) == ref
-                m = metric._M
-                assert all(v is None or v % m in (0, m - 1) for row in s._e for v in row)
-                scales.add(s._d)
-                sizes.add(len(ref_points))
-                if not ref_bad:
-                    for i, a in enumerate(ref_points):
-                        for j, b in enumerate(ref_points):
-                            expected = tuple_window(ref, i, j)
-                            if expected is None:
-                                with pytest.raises(ValueError):
-                                    s.window(a, b)
-                            else:
-                                assert s.window(a, b) == expected
-        assert verdicts == {True, False}
-        assert rescaled > 100
+        scales, errors = set(), Counter()
+        m = metric._M
+        for _ in range(400):
+            points = [f"p{k}" for k in range(rng.randint(1, 8))]
+            cons = [(rng.choice(points), rng.choice(points), random_window(rng))
+                    for _ in range(rng.randint(0, 12))]
+            if cons and rng.random() < 0.15:
+                k = rng.randrange(len(cons))
+                frm, to, w = cons[k]
+                cons[k] = (frm, "z", w) if rng.random() < 0.5 else ("y", "z", w)
+            if rng.random() < 0.15:
+                points.append(rng.choice(points))
+            unknown = next((p for frm, to, _ in cons for p in (frm, to) if p not in points), None)
+            if unknown is not None:
+                with pytest.raises(KeyError, match=f"unknown point '{unknown}'"):
+                    STP(points, cons)
+                errors[unknown] += 1
+                continue
+            if len(set(points)) != len(points):
+                with pytest.raises(ValueError, match="duplicate point ids"):
+                    STP(points, cons)
+                errors["duplicate"] += 1
+                continue
+            s = STP(points, cons)
+            ref = tuple_conjoin([], [], cons, points)[1]
+            assert s._d == lcm(1, *(v.denominator for _, _, w in cons
+                                    for v in (w.lo, w.hi) if v is not None))
+            assert (s.points, s.minimal, s.inconsistent) == (tuple(points), False, False)
+            assert decoded(s) == ref
+            assert all(v is None or v % m in (0, m - 1) for row in s._e for v in row)
+            scales.add(s._d)
+            for i, a in enumerate(points):
+                for j, b in enumerate(points):
+                    expected = tuple_window(ref, i, j)
+                    if expected is None:
+                        with pytest.raises(ValueError):
+                            s.window(a, b)
+                    else:
+                        assert s.window(a, b) == expected
+        assert errors.keys() == {"y", "z", "duplicate"}
         assert {1, 2, 3, 5, 6, 7, 105, 210} <= scales
-        assert max(sizes) == 12
+
+    def test_scale_changes_match_tuple_reference(self):
+        """Random chains of `_close_with` from closed STPs, windows over
+        the denominators 1, 2, 3, 5, 7, 11 and 13 (strict and unbounded
+        sides), with `restricted` and `stp_close` between: after every
+        step the verdict and the decoded matrix equal those of the
+        reference, which conjoins into the decoded bounds and rebuilds
+        with no rescale (`oracles.rescaling_close_with`, and
+        `tuple_stp_close` after a restriction), and the scale is the least
+        common multiple of the network's and the window's.  So rescaling,
+        for a new denominator, keeps every entry exact."""
+        rng = random.Random(61)
+        scales, verdicts, rescaled = set(), set(), 0
+        for _ in range(300):
+            s = stp_close(random_stp(rng, rng.randint(2, 6)))
+            for _ in range(rng.randint(3, 12)):
+                if s.inconsistent:
+                    break
+                if rng.random() < 0.15 and len(s.points) > 2:
+                    keep = rng.sample(s.points, rng.randint(2, len(s.points) - 1))
+                    u = decoded(s)
+                    ref = tuple_stp_close(stp_of_bounds(keep, [
+                        [u[s._index[a]][s._index[b]] for b in keep] for a in keep]))
+                    s = stp_close(s.restricted(keep))
+                    assert s.inconsistent == ref.inconsistent
+                    if not s.inconsistent:
+                        assert decoded(s) == decoded(ref)
+                    continue
+                frm, to = rng.choice(s.points), rng.choice(s.points)
+                w = _new_denominator_window(rng) if rng.random() < 0.3 else random_window(rng)
+                got, ref = metric._close_with(s, frm, to, w), rescaling_close_with(s, frm, to, w)
+                assert got._d == lcm(s._d, *(v.denominator for v in (w.lo, w.hi) if v is not None))
+                assert (got.inconsistent, got.minimal) == (ref.inconsistent, ref.minimal)
+                assert decoded(got) == decoded(ref)
+                if got._d != s._d and any(v for row in s._e for v in row):
+                    rescaled += 1
+                if not got.inconsistent:
+                    assert all(got.window(a, b) == ref.window(a, b)
+                               for a in got.points for b in got.points)
+                verdicts.add(got.inconsistent)
+                scales.add(got._d)
+                s = got
+        assert verdicts == {True, False}
+        assert rescaled > 200
+        assert {2, 3, 5, 7, 11, 13} <= {p for d in scales for p in (2, 3, 5, 7, 11, 13) if d % p == 0}
 
     def test_read_back_on_larger_networks(self):
         """The cycle tests read the stored matrix of 4 to 12 points exactly
@@ -963,37 +1000,20 @@ class TestStoredEncoding:
             checked += 1
         assert sizes == {4, 6, 8, 10, 12}
 
-    def test_adding_points_keeps_every_stored_entry(self):
-        """New points, and integer windows that each touch one of them,
-        leave the scale and every entry among the old points as stored."""
-        rng = random.Random(131)
-        for _ in range(200):
-            s = stp_close(random_stp(rng, rng.randint(2, 7)))
-            new = [f"q{k}" for k in range(rng.randint(1, 6))]
-            cons = [(rng.choice(new), rng.choice(s.points + tuple(new)),
-                     BoundWindow.closed(lo, lo + rng.randint(0, 5)))
-                    for lo in (rng.randint(-9, 9) for _ in range(rng.randint(0, 4)))]
-            if rng.random() < 0.5:
-                cons = [(b, a, w) for a, b, w in cons]
-            t = s.with_constraints(cons, new)
-            n = len(s.points)
-            assert t._d == s._d and t.inconsistent == s.inconsistent
-            assert all(t._e[i][:n] == s._e[i] for i in range(n))
-
     def test_equality_agrees_with_decoded_view(self):
         """Equality across scales, neither of which divides the other,
-        holds exactly when the decoded matrices agree; a network and its
-        copy at a new scale, conjoined with a window it implies, are equal
-        and hash equal."""
+        holds exactly when the decoded matrices agree; a closed network
+        and its copy at a new scale, closed with a window it implies
+        (`_close_with`), are equal and hash equal."""
         rng = random.Random(137)
         outcomes = set()
         for _ in range(300):
             s = stp_close(random_stp(rng, rng.randint(2, 6)))
             p = s.points[0]
-            a = s.with_constraints([(p, p, BoundWindow.closed(F(-1, 11), F(1, 11)))])
-            b = s.with_constraints([(p, p, BoundWindow.closed(F(-1, 13), F(1, 13)))])
+            a = metric._close_with(s, p, p, BoundWindow.closed(F(-1, 11), F(1, 11)))
+            b = metric._close_with(s, p, p, BoundWindow.closed(F(-1, 13), F(1, 13)))
             if rng.random() < 0.5:
-                b = b.with_constraints([(*rng.sample(s.points, 2), random_window(rng))])
+                b = metric._close_with(b, *rng.sample(s.points, 2), random_window(rng))
             assert (a._d % 11, b._d % 13) == (0, 0)
             assert a == s and hash(a) == hash(s) and a._d != s._d
             equal = a == b
@@ -1004,12 +1024,16 @@ class TestStoredEncoding:
         assert outcomes == {True, False}
 
     def test_equality_is_by_value_across_scales(self):
-        a = STP.build(["x", "y"], [("x", "y", BoundWindow.closed(1, 2))])
-        b = a.with_constraints([("x", "y", BoundWindow(None, F(10, 3)))])
+        """The constructor's scale counts a window's denominator even when
+        a tighter window on the pair hides its bound."""
+        cons = [("x", "y", BoundWindow.closed(1, 2))]
+        a = STP.build(["x", "y"], cons)
+        b = STP.build(["x", "y"], cons + [("x", "y", BoundWindow(None, F(10, 3)))])
         assert (a._d, b._d) == (1, 3)
         assert a == b and hash(a) == hash(b)
         assert b.window("x", "y") == BoundWindow.closed(1, 2)
-        c = b.with_constraints([("x", "y", BoundWindow(None, F(2), hi_strict=True))])
+        c = STP.build(["x", "y"], cons + [("x", "y", BoundWindow(None, F(10, 3))),
+                                          ("x", "y", BoundWindow(None, F(2), hi_strict=True))])
         assert c != a
         assert c.window("x", "y") == BoundWindow(F(1), F(2), hi_strict=True)
 
@@ -1041,7 +1065,7 @@ class TestIncrementalClose:
             cons = [(*rng.sample(s.points, 2),
                      _new_denominator_window(rng) if rng.random() < 0.25 else random_window(rng))
                     for _ in range(rng.randint(1, 3))]
-            t = s.with_constraints(cons)
+            t = conjoined(s, cons)
             rescaled += t._d != s._d
             changed = []
             for frm, to, _ in cons:
@@ -1085,8 +1109,10 @@ class TestIncrementalClose:
     def test_close_with_new_denominators_matches_rescaling_route(self):
         """`_close_with` a window over denominators 11 and 13 rescales the
         minimal network and closes from what the window tightened: the
-        same verdict, exact entries, scale and flags as conjoining into a
-        full copy and closing from the window's two entries."""
+        same verdict, entries and flags as conjoining into the decoded
+        bounds and closing from the window's two entries
+        (`oracles.rescaling_close_with`), at the least common multiple of
+        the network's scale and the window's denominators."""
         rng = random.Random(139)
         verdicts, rescaled = set(), 0
         for _ in range(400):
@@ -1096,7 +1122,8 @@ class TestIncrementalClose:
             frm, to = rng.sample(s.points, 2)
             w = _new_denominator_window(rng) if rng.random() < 0.7 else random_window(rng)
             got, ref = metric._close_with(s, frm, to, w), rescaling_close_with(s, frm, to, w)
-            assert (got._e, got._d) == (ref._e, ref._d)
+            assert got._d == lcm(s._d, *(v.denominator for v in (w.lo, w.hi) if v is not None))
+            assert decoded(got) == decoded(ref)
             assert (got.inconsistent, got.minimal) == (ref.inconsistent, ref.minimal)
             verdicts.add(got.inconsistent)
             rescaled += got._d != s._d
@@ -1107,9 +1134,9 @@ class TestIncrementalClose:
         s = stp_close(STP.build(["a", "b"], [("a", "b", BoundWindow.closed(5, 6)),
                                              ("b", "a", BoundWindow.closed(0, 1))]))
         assert s.inconsistent
-        wider = s.with_constraints([("a", "b", BoundWindow.closed(0, 10))])
+        wider = metric._close_with(s, "a", "b", BoundWindow.closed(0, 10))
         assert wider.inconsistent
-        assert s.with_constraints([("a", "b", BoundWindow(F(1, 3), F(7)))]).inconsistent
+        assert metric._close_with(s, "a", "b", BoundWindow(F(1, 3), F(7))).inconsistent
         assert s._with_edges([(0, 1, 0)])[0].inconsistent
         assert stp_close(wider, changed=[(0, 1), (1, 0)]).inconsistent
         assert stp_close(wider).inconsistent
@@ -1122,7 +1149,7 @@ class TestIncrementalClose:
         self_window = ("a", "a", BoundWindow.closed(1, 2))
         assert stp_close(STP.build(["a", "b"], [self_window])).inconsistent
         base = stp_close(STP.build(["a", "b"]))
-        assert stp_close(base.with_constraints([self_window]), changed=[(0, 0)]).inconsistent
+        assert stp_close(conjoined(base, [self_window]), changed=[(0, 0)]).inconsistent
         assert metric._close_with(base, *self_window).inconsistent
         ten = BoundWindow.closed(0, 10)
         s = stp_close(STP.build(["a", "b", "c"], [("a", "b", ten), ("b", "c", ten), ("a", "c", ten)]))
@@ -1147,7 +1174,8 @@ class TestIncrementalClose:
     def test_tcsp_witnesses_match_rebuilt_search(self):
         """The search closing each child from its parent's minimal STP
         returns the verdict and the exact witness of closing every
-        node's accumulated STP from scratch."""
+        node's accumulated STP from scratch, at the scale of the windows
+        it picked: per constraint, the one that holds the witness's window."""
         rng = random.Random(79)
         verdicts = set()
         for _ in range(120):
@@ -1162,7 +1190,11 @@ class TestIncrementalClose:
             assert ok == ref_ok
             verdicts.add(ok)
             if ok:
-                assert (witness._e, witness._d) == (ref._e, ref._d)
+                assert decoded(witness) == decoded(ref)
+                got = [witness.window(c.frm, c.to) for c in cons]
+                picked = [next(w for w in c.windows if w.intersect(g) == g) for c, g in zip(cons, got)]
+                assert witness._d == lcm(1, *(v.denominator for w in picked
+                                              for v in (w.lo, w.hi) if v is not None))
                 assert witness.minimal
         assert verdicts == {True, False}
 

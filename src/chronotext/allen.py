@@ -23,7 +23,8 @@ not atom by atom.  It derives split tables from its atom tables on first
 use, in a shape that follows from its mask width: four half-by-half
 tables for at most 16 bits (Allen's 13 split 7 + 6), one table per atom
 over 8-bit chunks of the right operand for wider masks (INDU's 39
-slots), and one converse table per 8-bit chunk.
+slots); its converse is one table over every mask for at most 16 bits,
+and one table per 8-bit chunk for wider masks.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import re
 from collections import deque
 from functools import cached_property, lru_cache
 from itertools import repeat
-from operator import or_
+from operator import itemgetter, or_
 from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 
@@ -176,8 +177,10 @@ class Calculus:
       over the 8-bit chunks of the right operand, and a composition ORs
       the entries of each left atom at each nonzero right chunk.
 
-    `converse` ORs one table per 8-bit chunk, over every value of the
-    chunk.  Equal values in a table share one int object.
+    `converse` is one lookup in a table over every mask for w <=
+    SPLIT_MAX_WIDTH (8,192 entries for Allen, no two equal), and wider
+    the OR of one table per 8-bit chunk.  Equal values in a table share
+    one int object.
 
     `compose` is the one composition of relation objects.  `close` reads
     the same tables in line instead: it fetches the tables of the popped
@@ -204,13 +207,6 @@ class Calculus:
                 out |= table[key]
             if out == full:
                 break
-        return out
-
-    def converse(self, mask: int) -> int:
-        out = 0
-        for table in self._converse_chunks:
-            out |= table[mask & 255]
-            mask >>= 8
         return out
 
     def _spans(self, size: int) -> list[tuple[int, int]]:
@@ -256,10 +252,21 @@ class Calculus:
         return tables
 
     @cached_property
-    def _converse_chunks(self) -> list[list[int]]:
-        """Per 8-bit chunk of a mask, the converse of every chunk value."""
+    def converse(self) -> Callable[[int], int]:
+        """The function from a mask to its converse (see above)."""
         bits = [1 << c for c in self.conv]
-        return _shared(_lift(bits, lo, size) for lo, size in self._spans(8))
+        width = self.full.bit_length()
+        if width <= SPLIT_MAX_WIDTH:
+            return _lift(bits, 0, width).__getitem__
+        chunks = _shared(_lift(bits, lo, size) for lo, size in self._spans(8))
+
+        def converse(mask: int) -> int:
+            out = 0
+            for table in chunks:
+                out |= table[mask & 255]
+                mask >>= 8
+            return out
+        return converse
 
 
 ALLEN = Calculus(tuple(BaseRelation), COMPOSITION,
@@ -268,6 +275,13 @@ ALLEN = Calculus(tuple(BaseRelation), COMPOSITION,
 
 
 _put = object.__setattr__
+
+
+def _picker(keep: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """`itemgetter(*keep)`, returning a tuple for any number of keys."""
+    if len(keep) > 1:
+        return itemgetter(*keep)
+    return lambda row: tuple(map(row.__getitem__, keep))
 
 
 class Value:
@@ -503,7 +517,7 @@ class Network(Value):
         index = {name: i for i, name in enumerate(keep)}
         if len(index) != len(keep):
             raise ValueError("duplicate interval ids")
-        return self._raw(keep, [[self._matrix[i][j] for j in idx] for i in idx], index)
+        return self._raw(keep, map(_picker(idx), map(self._matrix.__getitem__, idx)), index)
 
     @property
     def inconsistent(self) -> bool:
@@ -579,11 +593,10 @@ def close(net: Network, *, changed: Optional[Sequence[tuple[int, int]]] = None) 
     test.
     """
     calc = net.relation.calculus
-    converse, full = calc.converse, calc.full
     n = len(net.intervals)
     if n < 3:
         return net  # no triangle, and no table to build
-    halves = calc._halves
+    converse, full, halves = calc.converse, calc.full, calc._halves
     m = [list(row) for row in net._matrix]
     if changed is None:
         changed = [(i, j) for i in range(n) for j in range(i + 1, n)]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from .allen import QCN, Relation, Value, _put, close, format_qcn, scenario_search
+from .allen import ALLEN, QCN, Relation, Value, _put, close, format_qcn, scenario_search
 from .metric import (
     _ATOM_EDGES,
     BoundWindow,
@@ -135,7 +135,9 @@ def hybrid_close(h: HybridNetwork, *,
     one flagged inconsistent stays so.  Later rounds read back only the
     cells of an interval k whose metric row 2k or 2k + 1 moved since the
     last round (by value: rounds never rescale); the others' read-backs
-    are as they were.
+    are as they were.  A round writes the cells it refines, and their
+    converses, into one copy of the qualitative matrix, and builds one
+    network from it when the read-back ends.
     """
     qcn, stp = h.qcn, h.stp
     ids = qcn.intervals
@@ -150,21 +152,27 @@ def hybrid_close(h: HybridNetwork, *,
             return HybridNetwork._raw(qcn, stp)
 
         # atomic cells were exported above, so the metric layer cannot
-        # tighten them; the others keep only the atoms it still admits
-        # (_with_mask changes no cell the loop has yet to read)
+        # tighten them; the others keep only the atoms it still admits.
+        # The loop reads only the upper triangle of the round's rows, so a
+        # refined cell (a, b), a < b, and its converse go to the copy
         e = stp._e
         moved = [seen is None or e[k:k + 2] != seen[k:k + 2] for k in range(0, 2 * len(ids), 2)]
         seen = e
-        changed = []
+        changed, rows = [], None
         for ai, row in enumerate(qcn._matrix):
             for bi in range(ai + 1, len(ids)):
                 mask = row[bi]
                 if not (mask & (mask - 1) and (moved[ai] or moved[bi])):
                     continue
-                refined = metric_to_allen(stp, ids[ai], ids[bi], Relation(mask))
-                if refined.mask != mask:
-                    qcn = qcn._with_mask(ai, bi, refined.mask)
+                refined = metric_to_allen(stp, ids[ai], ids[bi], Relation(mask)).mask
+                if refined != mask:
+                    if rows is None:
+                        rows = [list(r) for r in qcn._matrix]
+                    rows[ai][bi] = refined
+                    rows[bi][ai] = ALLEN.converse(refined)
                     changed.append((ai, bi))
+        if changed:
+            qcn = qcn._raw(ids, rows, qcn._index)
         if qcn.inconsistent or not changed:
             return HybridNetwork._raw(qcn, stp)
 

@@ -26,7 +26,7 @@ from itertools import permutations
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
-from .allen import ENDPOINT_SIGNS, FULL_MASK, Relation, Value, _put
+from .allen import ENDPOINT_SIGNS, FULL_MASK, Relation, Value, _picker, _put
 
 
 class ScaleBoundExceeded(ValueError):
@@ -274,7 +274,7 @@ class STP(Value):
         flagged inconsistent: the next closure decides it."""
         points = tuple(points)
         keep = [self._index[p] for p in points]
-        e = tuple(tuple(map(row.__getitem__, keep)) for row in map(self._e.__getitem__, keep))
+        e = tuple(map(_picker(keep), map(self._e.__getitem__, keep)))
         return STP._raw(points, {p: i for i, p in enumerate(points)}, e, self._d)
 
     def __eq__(self, other) -> bool:
@@ -527,6 +527,14 @@ def _leg_sets() -> tuple[tuple[int, Optional[int], int, int], ...]:
 
 _LEG_SETS = _leg_sets()
 
+# `_LEG_SETS` as `metric_to_allen` reads them, one-entry and two-entry
+# sets apart: the atoms a sum below 0 drops, each entry as (row, column)
+# of the 4x4 sub-matrix, keep_neg and keep_zero
+_ONE_READS = tuple((FULL_MASK & ~neg, p >> 2, p & 3, neg, zero)
+                   for p, q, neg, zero in _LEG_SETS if q is None)
+_TWO_READS = tuple((FULL_MASK & ~neg, p >> 2, p & 3, q >> 2, q & 3, neg, zero)
+                   for p, q, neg, zero in _LEG_SETS if q is not None)
+
 
 def metric_to_allen(s: STP, x: str, y: str, within: Optional[Relation] = None) -> Relation:
     """The atoms of `within` (default: all 13) compatible with a minimal
@@ -543,33 +551,43 @@ def metric_to_allen(s: STP, x: str, y: str, within: Optional[Relation] = None) -
     units (a stored entry holds at most one, an atom edge is 0 or -1),
     fewer than the multiplier M = 5.  So the atom is excluded exactly
     when the D legs of such a cycle sum below k, its strict atom legs
-    (k <= 3).  One pass over the 14 D-leg sets (`_LEG_SETS`: 10 of one
-    leg, 4 of two) decides all atoms, since every sum is in one of two
-    classes: each stored entry is q*M - [strict], so one or two of them
-    sum to at most 0 or to at least M - 2 = 3 >= k.  A sum below 0
-    excludes every atom the set bears on, a sum of 0 those with a strict
-    atom leg on it, and a positive sum none.
+    (k <= 3).  The 14 D-leg sets (`_LEG_SETS`: 10 of one leg, 4 of two)
+    decide all atoms, since every sum is in one of two classes: each
+    stored entry is q*M - [strict], so one or two of them sum to at most
+    0 or to at least M - 2 = 3 >= k.  A sum below 0 excludes every atom
+    the set bears on, a sum of 0 those with a strict atom leg on it, and
+    a positive sum none.  A set is read only when the mask still holds
+    an atom that a sum below 0 drops; otherwise it cannot change the
+    mask, as a sum of 0 drops only some of those atoms.  A `within` of
+    another calculus raises `ValueError`.
     """
     if not s.minimal or s.inconsistent:
         raise ValueError("metric_to_allen requires a minimal consistent network")
+    index = s._index
     try:
-        idx = [s._index[p] for p in (start_of(x), end_of(x), start_of(y), end_of(y))]
+        cols = (index[f"{x}.start"], index[f"{x}.end"], index[f"{y}.start"], index[f"{y}.end"])
     except KeyError as missing:
         raise KeyError(f"interval endpoint {missing.args[0]!r} not in network") from None
+    if within is None:
+        mask = FULL_MASK
+    elif within.calculus is Relation.calculus:
+        mask = within.mask
+    else:
+        raise ValueError(f"{within!r} is of another calculus than Relation")
     e = s._e
-    d = [e[i][j] for i in idx for j in idx]
-    mask = FULL_MASK if within is None else within.mask
-    for p, q, keep_neg, keep_zero in _LEG_SETS:
-        v = d[p]
-        if v is None:
-            continue
-        if q is not None:
-            w = d[q]
-            if w is None:
-                continue
-            v += w
-        if v <= 0:
-            mask &= keep_neg if v else keep_zero
+    rows = (e[cols[0]], e[cols[1]], e[cols[2]], e[cols[3]])
+    for drops, pr, pc, keep_neg, keep_zero in _ONE_READS:
+        if mask & drops:
+            v = rows[pr][cols[pc]]
+            if v is not None and v <= 0:
+                mask &= keep_neg if v else keep_zero
+    for drops, pr, pc, qr, qc, keep_neg, keep_zero in _TWO_READS:
+        if mask & drops:
+            v, w = rows[pr][cols[pc]], rows[qr][cols[qc]]
+            if v is not None and w is not None:
+                v += w
+                if v <= 0:
+                    mask &= keep_neg if v else keep_zero
     return Relation(mask)
 
 

@@ -189,14 +189,21 @@ _UNIT_MINUTES = {"min": 1, "mins": 1, "minute": 1, "minutes": 1,
 ABOUT_FACTOR = Fraction(1, 5)
 
 
+def _minutes(numeral: str, unit: int) -> Fraction:
+    # an integer numeral (`isdecimal` is the Unicode Nd class `\d` matches)
+    # skips the parse of `Fraction(str)`
+    return Fraction(int(numeral) * unit) if numeral.isdecimal() else Fraction(numeral) * unit
+
+
 def _parse_duration(text: str):
     m = _DURATION_RE.match(text)
     if m is None:
         raise ValueError(f"cannot parse duration phrase {text!r}")
-    unit = _UNIT_MINUTES[m.group("unit").lower()]
-    a = Fraction(m.group("a")) * unit
-    b = Fraction(m.group("b")) * unit if m.group("b") else None
-    about = m.group("about") is not None
+    about, a, b, unit = m.group("about", "a", "b", "unit")
+    unit = _UNIT_MINUTES[unit.lower()]
+    a = _minutes(a, unit)
+    b = None if b is None else _minutes(b, unit)
+    about = about is not None
     if about and b is not None:
         raise ValueError(f"'about' does not combine with a range: {text!r}")
     if a <= 0 or (b is not None and b <= a):

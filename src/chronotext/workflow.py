@@ -85,10 +85,9 @@ def _scenario_flow(h: HybridNetwork, markers: Sequence[RepetitionMarker],
     and the attachment frontiers (minimal and maximal flow nodes)."""
     ids = list(h.intervals)
     after = _precedence(h)
-    reduced = {(a, b) for a in ids for b in after[a]
-               if not any(b in after[c] for c in after[a])}
-    preds = {a: frozenset(x for x, y in reduced if y == a) for a in ids}
-    succs = {a: frozenset(y for x, y in reduced if x == a) for a in ids}
+    # the transitive reduction: what follows a, but follows nothing after a
+    succs = {a: frozenset(after[a].difference(*(after[c] for c in after[a]))) for a in ids}
+    preds = {a: frozenset(x for x in ids if a in succs[x]) for a in ids}
 
     marked = {m.target: m for m in markers if m.target in after}
 
@@ -129,7 +128,7 @@ def _scenario_flow(h: HybridNetwork, markers: Sequence[RepetitionMarker],
             edges |= {(loop.id, noop.id, ""), (noop.id, loop.id, "back")}
         loops.append((loop.id, tuple(body)))
 
-    edges |= {(tail[a], head[b], "") for a, b in reduced}
+    edges |= {(tail[a], head[b], "") for a in ids for b in succs[a]}
 
     inner = {member for _, body in loops for member in body}
     frontier = sorted({head[a] for a in ids} | {tail[a] for a in ids})

@@ -28,7 +28,9 @@ the revision witness test that decodes and intersects windows, the
 one-window conjoin that rebuilds the network from its decoded bounds
 (`conjoined`, the tuple conjoin, where the package rescales), and the
 recipe encoder that derives every rule again in each scenario (with its
-own chain and interval rules, not the package's helpers).
+own chain and interval rules, not the package's helpers); the duration
+parse through `Fraction(str)`, restriction one entry at a time and the
+workflow's transitive reduction over every triple.
 `exact_hybrid` states what a hybrid network means, with no closure or
 table of the package: endpoint orders, atoms by definition and the plain
 integer Floyd-Warshall.
@@ -83,7 +85,8 @@ from chronotext.metric import (
     start_of,
     stp_close,
 )
-from chronotext.recipe import encode_recipe
+from chronotext.recipe import _DURATION_RE, _UNIT_MINUTES, encode_recipe
+from chronotext.workflow import WorkflowNode, _loop_label, _precedence
 
 ATOM_NAMES = ("b", "bi", "m", "mi", "o", "oi", "d", "di", "s", "si", "f", "fi", "e")
 
@@ -1336,3 +1339,92 @@ def exact_hybrid(h):
             lo, lo_strict = _unscaled(hull[j][i], d, m)
             windows[p, q] = (None if lo is None else -lo, lo_strict, hi, hi_strict)
     return True, dict(zip(pairs, atoms_seen)), windows
+
+
+# ---------------------------------------------------------------------------
+# the conversions around the kernels as they were before the table reads:
+# durations through `Fraction(str)`, restriction one entry at a time and
+# the transitive reduction over every triple
+
+def fraction_str_parse_duration(text):
+    """`recipe._parse_duration` with every numeral read by `Fraction(str)`."""
+    m = _DURATION_RE.match(text)
+    if m is None:
+        raise ValueError(f"cannot parse duration phrase {text!r}")
+    unit = _UNIT_MINUTES[m.group("unit").lower()]
+    a = Fraction(m.group("a")) * unit
+    b = Fraction(m.group("b")) * unit if m.group("b") else None
+    about = m.group("about") is not None
+    if about and b is not None:
+        raise ValueError(f"'about' does not combine with a range: {text!r}")
+    if a <= 0 or (b is not None and b <= a):
+        raise ValueError(f"bad duration bounds in {text!r}")
+    return a, b, about
+
+
+def per_entry_restricted(rows, keep):
+    """The sub-matrix of `rows` on the positions `keep`, in that order,
+    one entry at a time."""
+    return tuple(tuple(rows[i][j] for j in keep) for i in keep)
+
+
+def triple_loop_scenario_flow(h, markers, prefix, guards):
+    """`workflow._scenario_flow` with the transitive reduction by a loop
+    over every triple and the neighbours read from the reduced pairs."""
+    ids = list(h.intervals)
+    after = _precedence(h)
+    reduced = {(a, b) for a in ids for b in after[a]
+               if not any(b in after[c] for c in after[a])}
+    preds = {a: frozenset(x for x, y in reduced if y == a) for a in ids}
+    succs = {a: frozenset(y for x, y in reduced if x == a) for a in ids}
+
+    marked = {m.target: m for m in markers if m.target in after}
+
+    groups = {}
+    for a in ids:
+        if a in marked or (not preds[a] and not succs[a]):
+            continue
+        groups.setdefault((preds[a], succs[a]), []).append(a)
+    bands = sorted((sorted(members) for members in groups.values()
+                    if len(members) > 1))
+
+    nodes = [WorkflowNode(prefix + a, "action", a) for a in ids]
+    edges = set()
+    loops = []
+
+    head = {a: prefix + a for a in ids}  # where incoming flow enters
+    tail = {a: prefix + a for a in ids}  # where outgoing flow leaves
+    for k, members in enumerate(bands, start=1):
+        split = WorkflowNode(f"{prefix}and-split:{k}", "and-split")
+        join = WorkflowNode(f"{prefix}and-join:{k}", "and-join")
+        nodes += [split, join]
+        for a in members:
+            head[a] = split.id
+            tail[a] = join.id
+            edges |= {(split.id, prefix + a, ""), (prefix + a, join.id, "")}
+    for target, marker in marked.items():
+        loop = WorkflowNode(f"{prefix}loop:{target}", "loop",
+                            _loop_label(marker, guards))
+        nodes.append(loop)
+        head[target] = tail[target] = loop.id
+        body = [prefix + target]
+        edges |= {(loop.id, prefix + target, ""),
+                  (prefix + target, loop.id, "back")}
+        if marker.mode in ("sporadic", "alternation"):
+            noop = WorkflowNode(f"{prefix}noop:{target}", "no-op", "no-op")
+            nodes.append(noop)
+            body.append(noop.id)
+            edges |= {(loop.id, noop.id, ""), (noop.id, loop.id, "back")}
+        loops.append((loop.id, tuple(body)))
+
+    edges |= {(tail[a], head[b], "") for a, b in reduced}
+
+    inner = {member for _, body in loops for member in body}
+    frontier = sorted({head[a] for a in ids} | {tail[a] for a in ids})
+    external = [(f, t) for f, t, style in edges
+                if style == "" and t not in inner]
+    flow_in = {t for _, t in external}
+    flow_out = {f for f, _ in external}
+    minimal = [n for n in frontier if n not in inner and n not in flow_in]
+    maximal = [n for n in frontier if n not in inner and n not in flow_out]
+    return nodes, edges, loops, minimal, maximal

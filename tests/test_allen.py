@@ -18,6 +18,7 @@ from oracles import (
     converse_by_atoms,
     full_queue_atomic_consistent,
     object_format_qcn,
+    per_entry_restricted,
     realizable_atom_triples,
     realize_small,
     sweep_closure,
@@ -155,7 +156,7 @@ class TestClose:
         relation = type("Fresh", (network.relation,), {"__slots__": (), "calculus": copy})
         net = type("Fresh", (network,), {"__slots__": (), "relation": relation})(["a", "b"])
         assert close(net) is net
-        assert not {"_halves", "_atom_chunks", "_converse_chunks"} & copy.__dict__.keys()
+        assert not {"_halves", "_atom_chunks", "converse"} & copy.__dict__.keys()
 
     def test_cyclic_precedence_inconsistent(self):
         net = QCN.build(
@@ -678,17 +679,20 @@ class TestConstructor:
 class TestRestricted:
     @pytest.mark.parametrize("relation, network", [(Relation, QCN), (INDURelation, INDUNetwork)])
     def test_matches_validating_constructor(self, relation, network):
-        """A restriction, in any order and to any subset, is the network the
-        constructor builds from the same cells."""
+        """A restriction, in any order and to any subset (none, one, two,
+        all and any number of ids in turn), is the network the constructor
+        builds from the same cells, and the entry-by-entry copy."""
         rng = random.Random(89)
         full = relation.calculus.full
-        for _ in range(200):
+        for trial in range(200):
             ids = [f"n{k}" for k in range(rng.randint(1, 7))]
             net = network.build(ids, [(a, relation(rng.getrandbits(full.bit_length()) & full), b)
                                       for i, a in enumerate(ids) for b in ids[i + 1:]
                                       if rng.random() < 0.6])
-            keep = rng.sample(ids, rng.randint(0, len(ids)))
+            size = (0, 1, 2, len(ids), rng.randint(0, len(ids)))[trial % 5]
+            keep = rng.sample(ids, min(size, len(ids)))
             cut = net.restricted(keep)
+            assert cut._matrix == per_entry_restricted(net._matrix, [ids.index(k) for k in keep])
             assert cut == network.build(keep, [(a, net.cell(a, b), b) for x, a in enumerate(keep)
                                                for b in keep[x + 1:]])
             assert type(cut) is network and cut._index == {k: i for i, k in enumerate(keep)}

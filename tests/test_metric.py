@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from chronotext import metric
 from chronotext.allen import ENDPOINT_SIGNS, FULL, BaseRelation, Relation
+from chronotext.indu import INDURelation
 from chronotext.metric import (
     MAX_TCSP_DISJUNCTIVE,
     MAX_TCSP_WINDOWS,
@@ -37,6 +38,7 @@ from oracles import (
     per_atom_cycle_tests,
     fw_metric_to_allen,
     overlay_metric_to_allen,
+    per_entry_restricted,
     random_window,
     rebuild_tcsp_consistent,
     rescaling_close_with,
@@ -570,6 +572,14 @@ class TestMetricToAllen:
         with pytest.raises(KeyError):
             metric_to_allen(closed, "x", "z")
 
+    def test_rejects_relation_of_another_calculus(self):
+        """An INDU `within` is refused, as `with_cell` refuses it, rather
+        than its slots read as Allen atoms (slot 7, m^=, is not di)."""
+        closed = stp_close(interval_stp(["x", "y"]))
+        within = INDURelation.of(("b", "<"), ("m", "="))
+        with pytest.raises(ValueError, match="is of another calculus than Relation"):
+            metric_to_allen(closed, "x", "y", within)
+
 
 class TestSerialization:
     def test_constraint_line(self):
@@ -853,13 +863,15 @@ class TestLegSets:
 class TestRestrictedRows:
     def test_matches_entry_by_entry_copy(self):
         """`restricted` copies the kept rows and columns, in the order
-        given, at the same scale, flags dropped, and rejects repeats."""
+        given (none, one, two, all and any number of points in turn), at
+        the same scale, flags dropped, and rejects repeats."""
         rng = random.Random(113)
-        for closed, names in random_minimal_stps(rng, 100):
-            keep = rng.sample(closed.points, rng.randint(0, len(closed.points)))
+        for trial, (closed, names) in enumerate(random_minimal_stps(rng, 100)):
+            size = (0, 1, 2, len(closed.points), rng.randint(0, len(closed.points)))[trial % 5]
+            keep = rng.sample(closed.points, size)
             cut = closed.restricted(keep)
             idx = [closed.points.index(p) for p in keep]
-            assert cut._e == tuple(tuple(closed._e[i][j] for j in idx) for i in idx)
+            assert cut._e == per_entry_restricted(closed._e, idx)
             assert (cut.points, cut._d) == (tuple(keep), closed._d)
             assert not (cut.minimal or cut.inconsistent)
         with pytest.raises(ValueError, match="duplicate point ids"):

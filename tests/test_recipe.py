@@ -16,12 +16,13 @@ from chronotext.recipe import (
     StateNode,
     TimerNode,
     MAX_ALT_BLOCKS,
+    _parse_duration,
     duration_cap,
     encode_duration,
     encode_recipe,
     phenomena_coverage,
 )
-from oracles import contradictory_pairs, per_scenario_encode_recipe
+from oracles import contradictory_pairs, fraction_str_parse_duration, per_scenario_encode_recipe
 from recipes import hot_relish, lutheran
 
 
@@ -56,6 +57,27 @@ class TestEncodeDuration:
         assert duration_cap("about 25 minutes") == 25
         assert duration_cap("2-3 hours") == 180
         assert duration_cap("1hr") == 60
+
+    def test_matches_fraction_parse(self):
+        """Integer numerals skip `Fraction(str)`: every numeral form, range
+        separator and unit spelling parses as `Fraction(str)` parses it,
+        and the bound errors keep their messages."""
+        units = ["min", "mins", "minute", "minutes", "h", "hr", "hrs", "hour", "hours", "MIN", "Hours"]
+        numerals = [("007", "12"), ("\u0663", "\u0661\u0662"), ("1/3", "2/04"), ("1.5", "3")]
+        phrases = [f"{lo} {u}" for u in units for lo, _ in numerals]
+        phrases += [f"about {lo}{u}" for u in units for lo, _ in numerals]
+        phrases += [f"{lo}{sep}{hi} {u}" for u in units for lo, hi in numerals
+                    for sep in ("-", " - ", "\u2013", "\u2014", " to ")]
+        phrases += ["about 3/4 hours", "1/3 hour", "2/04 h", "1.5 h"]
+        for text in phrases:
+            assert _parse_duration(text) == fraction_str_parse_duration(text), text
+            assert all(type(v) is Fraction for v in _parse_duration(text)[:2] if v is not None)
+        for bad in ("0 min", "5-3 min", "about 2-3 min", "1/0 min"):
+            with pytest.raises(ValueError) as got:
+                _parse_duration(bad)
+            with pytest.raises(ValueError) as want:
+                fraction_str_parse_duration(bad)
+            assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("bad", [
         "25", "soon", "3-2 hours", "about 2-3 hours", "0 min", "five minutes",

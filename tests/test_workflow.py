@@ -3,6 +3,7 @@ the dot rendering."""
 
 import itertools
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -10,18 +11,19 @@ import pytest
 from chronotext.allen import Relation
 from chronotext.annotation import parse_recipe_dsl
 from chronotext.hybrid import HybridNetwork, hybrid_atomic_consistent, hybrid_close
-from chronotext.recipe import ActionNode, Recipe, RepetitionMarker
+from chronotext.recipe import ActionNode, Recipe, RepetitionMarker, encode_recipe
 from chronotext.workflow import (
     WorkflowGraph,
     WorkflowNode,
     _precedence,
+    _scenario_flow,
     emit_dot,
     recipe_workflow,
     to_workflow,
 )
 
 import recipes
-from oracles import object_precedence, reachable
+from oracles import object_precedence, reachable, triple_loop_scenario_flow
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -130,6 +132,45 @@ class TestPrecedenceOnMasks:
     def test_empty_cell_is_no_precedence(self):
         h = HybridNetwork.build(["a", "b"], [("a", Relation(0), "b")])
         assert _precedence(h) == object_precedence(h) == {"a": set(), "b": set()}
+
+
+class TestReductionAgainstTripleLoop:
+    def test_flows_match(self):
+        """The flow of one scenario, its reduction read from `after` as
+        set differences, is the flow of the reduction over every triple:
+        the same nodes, edges, loops and frontiers, on random closed
+        networks and scenarios with loop markers, and on the recipes'."""
+        rng = random.Random(211)
+        cases = []
+        for r in (recipes.lutheran(), recipes.hot_relish()):
+            actions = {n.id for n in r.preliminaries + r.steps}
+            guards = {st.id: st.predicate for st in r.states}
+            for label, h in encode_recipe(r):
+                ch = hybrid_close(h)
+                cases.append((ch.restricted([i for i in ch.intervals if i in actions]),
+                              r.markers, f"{label}:", guards))
+        for _ in range(200):
+            ids = [f"a{k}" for k in range(rng.randint(1, 8))]
+            rng.shuffle(ids)
+            cons = [(a, rng.choice(ORDERS), b)
+                    for i, a in enumerate(ids) for b in ids[i + 1:] if rng.random() < 0.7]
+            closed = hybrid_close(HybridNetwork.build(ids, cons))
+            if closed.inconsistent:
+                continue
+            ok, witness = hybrid_atomic_consistent(closed)
+            targets = rng.sample(ids, rng.randint(0, min(2, len(ids))))
+            modes = rng.choices(["sporadic", "alternation", "count"], k=2)
+            markers = tuple(RepetitionMarker(a, "count", count=2) if mode == "count"
+                            else RepetitionMarker(a, mode, ref=ids[0])
+                            for a, mode in zip(targets, modes))
+            for h in [closed] + ([witness] if ok else []):
+                cases.append((h, markers, rng.choice(["", "base:"]), {}))
+        kinds = Counter()
+        for h, markers, prefix, guards in cases:
+            got = _scenario_flow(h, markers, prefix, guards)
+            assert got == triple_loop_scenario_flow(h, markers, prefix, guards)
+            kinds.update({n.kind for n in got[0]})
+        assert len(cases) > 150 and kinds["and-split"] > 15 and kinds["loop"] > 80
 
 
 class TestScenariosAndLoops:

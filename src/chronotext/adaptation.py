@@ -101,13 +101,15 @@ class TaggedNetwork(Value):
     `new_nodes` lists injected action nodes as (id, label) pairs and
     `anchors` the recipe nodes the knowledge attaches to; both exist so
     revision outcomes can be mapped back onto the source text.
-    `network` is the network of `constraints`, as `build` makes it.
+    `network` is the network of `constraints`, as `build` makes it, and
+    `constraints` are kept in id order, the order `revise` walks them in.
     """
 
     __slots__ = ("network", "constraints", "new_nodes", "anchors")
 
     def __init__(self, network: HybridNetwork, constraints: tuple[TaggedConstraint, ...],
                  new_nodes: tuple[tuple[str, str], ...] = (), anchors: tuple[str, ...] = ()):
+        constraints = tuple(sorted(constraints, key=lambda c: c.id))
         ids = [c.id for c in constraints]
         if len(set(ids)) != len(ids):
             dup = next(i for i in ids if ids.count(i) > 1)
@@ -120,7 +122,7 @@ class TaggedNetwork(Value):
               anon_points: Sequence[str] = (),
               new_nodes: Sequence[tuple[str, str]] = (),
               anchors: Sequence[str] = ()) -> "TaggedNetwork":
-        constraints = tuple(sorted(constraints, key=lambda c: c.id))
+        constraints = tuple(constraints)
         network = _network_from(intervals, anon_points, constraints)
         return cls(network, constraints, tuple(new_nodes), tuple(anchors))
 
@@ -142,6 +144,22 @@ def _merged(triples: Iterable[tuple[str, Relation, str]], provenance: str) -> li
             c = c.replace(cell=c.cell & out[c.id].cell)
         out[c.id] = c
     return list(out.values())
+
+
+def _windows(triples: Iterable[tuple[str, str, BoundWindow]],
+             provenance: str) -> list[TaggedConstraint]:
+    """One metric constraint per (start, end) pair, as a network build
+    makes it: the windows stated on the pair, conjoined with end - start
+    > 0; a pair left at exactly that says nothing more."""
+    out: dict[tuple[str, str], BoundWindow] = {}
+    for start, end, w in triples:
+        if (start, end) in out or w.lo is None or w.lo <= 0:  # else w is in (0, inf)
+            w = out.get((start, end), POSITIVE).intersect(w)
+        if w is None:
+            raise ValueError(f"pair {end!r}/{start!r} admits no value; close the network")
+        out[start, end] = w
+    return [TaggedConstraint.metric(start, end, w, provenance)
+            for (start, end), w in out.items() if w != POSITIVE]
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +194,9 @@ class DomainKnowledge(Value):
         for nid, _ in list(durations) + list(until_links):
             if nid not in set(new):
                 raise ValueError(f"duration/link on unknown node {nid!r}")
+        for _, sid in until_links:
+            if sid not in known:
+                raise ValueError(f"until link to unknown id {sid!r}")
         self._set(name, removals, anchors, steps, states, timers, relations, durations,
                   until_links, lines)
 
@@ -211,8 +232,9 @@ def inject(intervals: Sequence[str], soft: Iterable[TaggedConstraint], k: Domain
                                 dict(k.lines).get(nid))
 
     hard = _merged(list(k.relations) + [(x, _R5, s) for x, s in k.until_links], "domain-hard")
-    hard += [TaggedConstraint.metric(start_of(nid), end_of(nid), w, "domain-hard")
-             for nid, w in list(k.durations) + [(t.id, t.window) for t in k.timers]]
+    hard += _windows([(start_of(nid), end_of(nid), w)
+                      for nid, w in list(k.durations) + [(t.id, t.window) for t in k.timers]],
+                     "domain-hard")
     labels = tuple((s.id, " ".join((s.verb,) + s.objects)) for s in k.steps)
     return TaggedNetwork.build(tuple(intervals) + new_ids, [*soft, *hard],
                                anon_points, labels, k.anchors)
@@ -396,16 +418,7 @@ def adapt_recipe(r: Recipe, k: DomainKnowledge) -> tuple[RevisionResult,
         raise KeyError(f"unknown id {min(gone.difference(intervals))!r}")
     soft = [c for c in _merged(allen, "recipe-soft")
             if c.cell.mask != FULL_MASK and c.frm not in gone and c.to not in gone]
-    windows = {}  # (start, end) -> duration window, conjoined with end - start > 0
-    for start, end, w in metric:
-        if _interval_of_point(start) not in gone:
-            if (start, end) in windows or w.lo is None or w.lo <= 0:  # else w is in (0, inf)
-                w = windows.get((start, end), POSITIVE).intersect(w)
-            if w is None:
-                raise ValueError(f"pair {end!r}/{start!r} admits no value; close the network")
-            windows[start, end] = w
-    soft += [TaggedConstraint.metric(start, end, w, "recipe-soft")
-             for (start, end), w in windows.items() if w != POSITIVE]
+    soft += _windows([m for m in metric if _interval_of_point(m[0]) not in gone], "recipe-soft")
     result = revise(inject([i for i in intervals if i not in gone], soft, k))
     return result, adapt_text_edits(result, r)
 

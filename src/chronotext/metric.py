@@ -414,30 +414,27 @@ def tcsp_consistent(t: TCSP) -> tuple[bool, Optional[STP]]:
     Selections are explored in deterministic order: constraints sorted by
     (from, to) id pair, windows in normalized order; the first surviving
     combination is returned as witness.  The search starts from the minimal
-    STP of the integer hulls (first window's lower to last window's upper
-    bound; Schwalb & Dechter), in which every selection's windows lie: it
-    cuts only subtrees without a witness, leaves a witness's closure and
-    scale as they are, and a one-window constraint in it is not searched.
-    A one-window constraint with a fractional bound is conjoined into that
-    root (`_close_with`), so the levels are the disjunctive constraints,
-    and each child conjoins one window.  Unknown points and instances
-    beyond 4 windows per constraint or 12 disjunctive constraints are
-    rejected before the search.
+    STP of the hulls (first window's lower to last window's upper bound;
+    Schwalb & Dechter), in which every selection's windows lie: it cuts
+    only subtrees without a witness.  A one-window constraint's hull is
+    its window, so the levels are the disjunctive constraints, each child
+    conjoining one window; a disjunctive hull with a fractional bound is
+    left out, so each witness keeps the scale of the windows it chose.
+    Unknown points and instances beyond 4 windows per constraint or 12
+    disjunctive constraints are rejected before the search.
     """
-    hulls, levels, fractional = [], [], []
+    hulls, levels = [], []
     for c in sorted(t.constraints, key=lambda c: (c.frm, c.to)):
         if len(c.windows) > MAX_TCSP_WINDOWS:
             raise ScaleBoundExceeded(
                 f"constraint {c.frm}->{c.to} has {len(c.windows)} windows")
         first, last = c.windows[0], c.windows[-1]
-        integral = all(v is None or v.denominator == 1 for v in (first.lo, last.hi))
-        # FOREVER conjoins nothing, but `STP.build` still checks its points
         hull = BoundWindow(first.lo, last.hi, first.lo_strict, last.hi_strict)
-        hulls.append((c.frm, c.to, hull if integral else FOREVER))
         if len(c.windows) > 1:
             levels.append(c)
-        elif not integral:
-            fractional.append(c)
+            if any(v is not None and v.denominator != 1 for v in (first.lo, last.hi)):
+                hull = FOREVER  # conjoins nothing, but `STP.build` still checks its points
+        hulls.append((c.frm, c.to, hull))
     if len(levels) > MAX_TCSP_DISJUNCTIVE:
         raise ScaleBoundExceeded(f"{len(levels)} disjunctive constraints")
 
@@ -448,10 +445,7 @@ def tcsp_consistent(t: TCSP) -> tuple[bool, Optional[STP]]:
         found = (search(k + 1, _close_with(closed, c.frm, c.to, w)) for w in c.windows)
         return next((f for f in found if f is not None), None)
 
-    root = stp_close(STP.build(t.points, hulls))
-    for c in fractional:
-        root = _close_with(root, c.frm, c.to, c.windows[0])
-    witness = search(0, root)
+    witness = search(0, stp_close(STP.build(t.points, hulls)))
     return (witness is not None), witness
 
 
@@ -502,13 +496,14 @@ def _cycle_splits() -> tuple[tuple[tuple[int, ...], tuple[tuple[int, int], ...]]
 _CYCLE_SPLITS = _cycle_splits()
 
 
-def _leg_sets() -> tuple[tuple[int, Optional[int], int, int], ...]:
+def _leg_sets() -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """The D-leg sets of `_CYCLE_SPLITS` that decide every atom at once
-    against the integer-encoded 4x4 sub-matrix D of a minimal STP.
+    against the integer-encoded 4x4 sub-matrix D of a minimal STP, the
+    one-entry and two-entry sets apart.
 
-    Each (p, q, keep_neg, keep_zero) reads D by flat index: when D[p]
-    (+ D[q], unless q is None), both entries finite, sums below 0, only
-    the atoms of `keep_neg` stay, and at 0 only those of `keep_zero`.  An
+    Each (drops, row, column[, row, column], keep_neg, keep_zero) reads
+    D by (row, column): its entry, or the sum of both when finite, drops
+    the atoms of `drops` below 0 and those not in `keep_zero` at 0.  An
     atom leaves on a set when a split with those D legs has all its atom
     legs among the atom's edges: below 0, and at 0 too when one is strict.
     """
@@ -520,20 +515,14 @@ def _leg_sets() -> tuple[tuple[int, Optional[int], int, int], ...]:
             if None not in weights:
                 neg, zero = drops.get(d_legs, (0, 0))
                 drops[d_legs] = (neg | 1 << atom, zero | any(weights) << atom)
-    return tuple((legs[0], legs[1] if len(legs) > 1 else None,
-                  FULL_MASK & ~neg, FULL_MASK & ~zero)
-                 for legs, (neg, zero) in sorted(drops.items()))
+    reads: tuple[list, list] = ([], [])
+    for legs, (neg, zero) in sorted(drops.items()):
+        entries = (x for leg in legs for x in divmod(leg, 4))
+        reads[len(legs) - 1].append((neg, *entries, FULL_MASK & ~neg, FULL_MASK & ~zero))
+    return tuple(reads[0]), tuple(reads[1])
 
 
-_LEG_SETS = _leg_sets()
-
-# `_LEG_SETS` as `metric_to_allen` reads them, one-entry and two-entry
-# sets apart: the atoms a sum below 0 drops, each entry as (row, column)
-# of the 4x4 sub-matrix, keep_neg and keep_zero
-_ONE_READS = tuple((FULL_MASK & ~neg, p >> 2, p & 3, neg, zero)
-                   for p, q, neg, zero in _LEG_SETS if q is None)
-_TWO_READS = tuple((FULL_MASK & ~neg, p >> 2, p & 3, q >> 2, q & 3, neg, zero)
-                   for p, q, neg, zero in _LEG_SETS if q is not None)
+_ONE_READS, _TWO_READS = _leg_sets()
 
 
 def metric_to_allen(s: STP, x: str, y: str, within: Optional[Relation] = None) -> Relation:
@@ -551,7 +540,7 @@ def metric_to_allen(s: STP, x: str, y: str, within: Optional[Relation] = None) -
     units (a stored entry holds at most one, an atom edge is 0 or -1),
     fewer than the multiplier M = 5.  So the atom is excluded exactly
     when the D legs of such a cycle sum below k, its strict atom legs
-    (k <= 3).  The 14 D-leg sets (`_LEG_SETS`: 10 of one leg, 4 of two)
+    (k <= 3).  The 14 D-leg sets (`_leg_sets`: 10 of one leg, 4 of two)
     decide all atoms, since every sum is in one of two classes: each
     stored entry is q*M - [strict], so one or two of them sum to at most
     0 or to at least M - 2 = 3 >= k.  A sum below 0 excludes every atom

@@ -82,7 +82,8 @@ def _loop_label(m: RepetitionMarker, guards: Mapping[str, str]) -> str:
 def _scenario_flow(h: HybridNetwork, markers: Sequence[RepetitionMarker],
                    prefix: str, guards: Mapping[str, str]):
     """One scenario's internal flow; returns nodes, edges, loop bodies
-    and the attachment frontiers (minimal and maximal flow nodes)."""
+    and the attachment frontiers: the heads of the actions with no
+    reduced predecessor and the tails of those with no reduced successor."""
     ids = list(h.intervals)
     after = _precedence(h)
     # the transitive reduction: what follows a, but follows nothing after a
@@ -130,14 +131,8 @@ def _scenario_flow(h: HybridNetwork, markers: Sequence[RepetitionMarker],
 
     edges |= {(tail[a], head[b], "") for a in ids for b in succs[a]}
 
-    inner = {member for _, body in loops for member in body}
-    frontier = sorted({head[a] for a in ids} | {tail[a] for a in ids})
-    external = [(f, t) for f, t, style in edges
-                if style == "" and t not in inner]
-    flow_in = {t for _, t in external}
-    flow_out = {f for f, _ in external}
-    minimal = [n for n in frontier if n not in inner and n not in flow_in]
-    maximal = [n for n in frontier if n not in inner and n not in flow_out]
+    minimal = sorted({head[a] for a in ids if not preds[a]})
+    maximal = sorted({tail[a] for a in ids if not succs[a]})
     return nodes, edges, loops, minimal, maximal
 
 

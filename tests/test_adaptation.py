@@ -18,6 +18,7 @@ from chronotext.adaptation import (
     adapt_text_edits,
     format_edits,
     format_revision,
+    inject,
     parse_knowledge,
     revise,
     _network_from,
@@ -31,7 +32,7 @@ from chronotext.hybrid import (
     hybrid_close,
 )
 from chronotext.metric import STP, BoundWindow, ScaleBoundExceeded, end_of, start_of
-from chronotext.recipe import ActionNode, AlternativeBranch, Recipe, encode_recipe
+from chronotext.recipe import ActionNode, AlternativeBranch, Recipe, StateNode, encode_recipe
 
 import recipes
 from oracles import (
@@ -231,6 +232,19 @@ class TestParseKnowledge:
         assert k.relations == (("k0", R("{b}"), "k1"),
                                ("k1", R("{b}"), "combine"))
 
+    def test_until_link_to_an_unknown_state_rejected(self):
+        """Both ends of an until link are checked, as `Recipe` checks them:
+        the state is a knowledge node or an anchor."""
+        x = ActionNode("x", "do")
+        with pytest.raises(ValueError, match="until link to unknown id 'ghost'"):
+            DomainKnowledge("k", anchors=("a",), steps=(x,), until_links=(("x", "ghost"),))
+        for state in ("a", "x.until"):
+            k = DomainKnowledge("k", anchors=("a",), steps=(x,),
+                                states=(StateNode("x.until", "done"),),
+                                until_links=(("x", state),))
+            t = inject(["a"], [], k)
+            assert [(c.frm, c.to) for c in t.constraints] == [tuple(sorted(("x", state)))]
+
     def test_anchor_only_relation_rejected(self):
         with pytest.raises(ValueError, match="touches no knowledge node"):
             DomainKnowledge("k", anchors=("a", "b"),
@@ -285,6 +299,19 @@ class TestInject:
         flag = [e for e in edits if e.op == "flag-review"]
         assert [e.payload for e in flag] == ["bake.end~bake.start:soft"]
         assert source[flag[0].span[0]:flag[0].span[1]].startswith("step bake")
+
+    def test_two_windows_on_one_knowledge_node_are_merged(self):
+        """Knowledge windows go through the per-pair merge of recipe
+        windows: two on one node hold their intersection, and two apart
+        fail as they do on a recipe step."""
+        def k(*windows):
+            return DomainKnowledge("k", anchors=("a",), steps=(ActionNode("x", "do"),),
+                                   durations=tuple(("x", w) for w in windows))
+        t = inject(["a"], [], k(BoundWindow.closed(1, 2), BoundWindow.closed(1, 3)))
+        assert [(c.id, c.window) for c in t.constraints] \
+            == [("x.end~x.start:hard", BoundWindow.closed(-2, -1))]
+        with pytest.raises(ValueError, match="admits no value"):
+            inject(["a"], [], k(BoundWindow.closed(1, 2), BoundWindow.closed(5, 6)))
 
     def test_anchor_must_resolve(self):
         h = without(lutheran_network(), "drain_beans")
@@ -382,6 +409,16 @@ class TestRevise:
         result = revise(t)
         assert result.retained == ("x~y:soft",)
         assert result.relaxed == ("y~z:soft",)
+
+    def test_tie_break_holds_for_the_constructor(self):
+        """The constructor keeps the constraints in id order, so `revise`
+        breaks a tie toward the smaller id whatever order they came in."""
+        cs = [soft("a", "{b}", "b"), soft("a", "{bi}", "c"), hard("b", "{b}", "c")]
+        t = TaggedNetwork.build(["a", "b", "c"], cs)
+        for given in (t.constraints, t.constraints[::-1], cs[::-1]):
+            built = TaggedNetwork(t.network, tuple(given))
+            assert built.constraints == t.constraints == tuple(sorted(cs, key=lambda c: c.id))
+            assert revise(built).retained == ("a~b:soft",)
 
     def test_hard_self_contradiction(self):
         t = TaggedNetwork.build(
@@ -893,3 +930,41 @@ class TestAdaptAgainstRebuild:
         assert seen["relaxed"] >= 40 and seen["kept all"] >= 40, seen
         assert seen["ValueError"] >= 5 and seen["RecipeSyntaxError"] >= 1, seen
         assert min(features.values()) >= 20 and len(features) == 7, features
+
+
+class TestRevisionMetamorphic:
+    def test_implied_hard_constraint_keeps_the_retained_set(self):
+        """Adding, as hard knowledge, a cell or a window that the closed
+        revised network holds leaves the retained set as it was: every
+        realization of the revised network satisfies it, so it makes no
+        soft set consistent that was not, and keeps the retained one; the
+        new revised network closes to the same network.  A pair the
+        knowledge already constrains holds both."""
+        rng = random.Random(32)
+        seen = Counter()
+        while seen["relaxed"] < 15 or seen["kept all"] < 15:
+            rcp, know = random_substitution(rng)
+            try:
+                result, _ = adapt_recipe(parse_recipe_dsl(rcp), parse_knowledge(know))
+            except (KeyError, ValueError):
+                continue
+            t, closed = result.tagged, hybrid_close(result.revised)
+            assert not closed.inconsistent
+            a, b = rng.sample(closed.intervals, 2)
+            p, q = rng.sample(closed.stp.points, 2)
+            by_id = {c.id: c for c in t.constraints}
+            for extra in (TaggedConstraint.allen(a, closed.relation(a, b), b, "domain-hard"),
+                          TaggedConstraint.metric(p, q, closed.point_window(p, q), "domain-hard")):
+                stated = by_id.get(extra.id)
+                if stated is not None:
+                    extra = (extra.replace(cell=extra.cell & stated.cell) if extra.kind == "allen"
+                             else extra.replace(window=extra.window.intersect(stated.window)))
+                kept = [c for c in t.constraints if c.id != extra.id]
+                added = TaggedNetwork.build(t.network.intervals, kept + [extra],
+                                            t.network.anon_points, t.new_nodes, t.anchors)
+                revised = revise(added)
+                assert revised.retained == result.retained
+                assert hybrid_close(revised.revised) == closed
+                seen["stated" if stated else extra.kind] += 1
+            seen["relaxed" if result.relaxed else "kept all"] += 1
+        assert min(seen[k] for k in ("allen", "metric", "stated")) >= 5, seen

@@ -25,9 +25,10 @@ from chronotext.hybrid import (
 )
 from chronotext.annotation import parse_recipe_dsl
 from chronotext.metric import STP, BoundWindow, POSITIVE, end_of, start_of
-from chronotext.recipe import encode_recipe
+from chronotext.recipe import _scenario_builder, encode_recipe
 
 import oracles
+import recipes
 from oracles import (
     descend_hybrid_atomic_consistent,
     every_cell_hybrid_close,
@@ -698,6 +699,99 @@ def assert_times_60(closed, closed_in_hours):
         assert closed_in_hours.stp.points == points
         assert all(closed_in_hours.point_window(p, q) == times_60(closed.point_window(p, q))
                    for p in points for q in points)
+
+
+SIZES = (6, 6, 7, 8, 9, 10, 11, 12, 16, 20, 24, 28, 32, 40)
+
+
+def sized_recipes():
+    """A generated recipe text of each size in `SIZES`."""
+    rng = random.Random(41)
+    return [recipes.sized_recipe(rng, steps) for steps in SIZES]
+
+
+def sized_scenarios():
+    """Every scenario of `sized_recipes()`, as the lists `encode_recipe`
+    builds it from."""
+    for text in sized_recipes():
+        r = parse_recipe_dsl(text)
+        scenario = _scenario_builder(r)
+        for chosen in ((), *((br.id,) for br in r.branches)):
+            yield scenario(chosen)
+
+
+def point_pairs(h):
+    """Each pair of `h`'s points once: a window read the other way round
+    is the negation of the same two entries."""
+    points = h.stp.points
+    return [(p, q) for x, p in enumerate(points) for q in points[x + 1:]]
+
+
+class TestMetamorphicAtRecipeSizes:
+    """`TestMetamorphic`'s relations R2-R4 on every scenario of generated
+    recipes of 6 to 40 steps, beyond the reach of the semantic oracles."""
+
+    def test_unit_scaling(self):
+        """R2: writing every `min` as `hour` multiplies every window by 60
+        and leaves every cell and verdict as it was."""
+        verdicts = Counter()
+        for text in sized_recipes():
+            hours = re.sub(r"\bmin\b", "hour", text)
+            assert hours != text
+            scenarios = encode_recipe(parse_recipe_dsl(text))
+            in_hours = encode_recipe(parse_recipe_dsl(hours))
+            assert [label for label, _ in scenarios] == [label for label, _ in in_hours]
+            for (_, h), (_, h_hours) in zip(scenarios, in_hours):
+                closed, closed_in_hours = hybrid_close(h), hybrid_close(h_hours)
+                assert closed.inconsistent == closed_in_hours.inconsistent
+                if not closed.inconsistent:
+                    assert closed.qcn == closed_in_hours.qcn
+                    assert all(closed_in_hours.point_window(p, q) == times_60(closed.point_window(p, q))
+                               for p, q in point_pairs(closed))
+                verdicts[closed.inconsistent] += 1
+        assert verdicts[False] >= 15 and verdicts[True] >= 2, verdicts
+
+    def test_order_of_intervals_and_constraints(self):
+        """R3: the scenario's lists in another order close to the same
+        cells and windows; the search verdict is compared up to 14
+        intervals, where the search stays cheap."""
+        rng = random.Random(43)
+        searched = Counter()
+        for lists in sized_scenarios():
+            ids, h = lists[0], HybridNetwork.build(*lists)
+            closed = hybrid_close(h)
+            other = HybridNetwork.build(*[rng.sample(x, len(x)) for x in lists])
+            closed_other = hybrid_close(other)
+            assert closed.inconsistent == closed_other.inconsistent
+            if not closed.inconsistent:
+                assert all(closed.relation(a, b) == closed_other.relation(a, b)
+                           for a in ids for b in ids)
+                assert all(closed.point_window(p, q) == closed_other.point_window(p, q)
+                           for p, q in point_pairs(closed))
+            if len(ids) <= 14:
+                verdict = hybrid_atomic_consistent(h)[0]
+                assert hybrid_atomic_consistent(other)[0] == verdict
+                searched[verdict] += 1
+        assert searched[True] >= 8 and searched[False] >= 2, searched
+
+    def test_implied_addition(self):
+        """R4: conjoining the closed cells, or a closed window, into the
+        scenario's lists re-closes to the same network.  All the cells go
+        in at once, which also catches a closure that stops before its
+        fixpoint on these recipes, where most pairs need no second round."""
+        rng = random.Random(47)
+        sizes = []
+        for ids, allen, metric in sized_scenarios():
+            closed = hybrid_close(HybridNetwork.build(ids, allen, metric))
+            if closed.inconsistent:
+                continue
+            cells = [(a, closed.relation(a, b), b) for x, a in enumerate(ids) for b in ids[x + 1:]]
+            p, q = rng.sample(closed.stp.points, 2)
+            window = (p, q, closed.point_window(p, q))
+            assert hybrid_close(HybridNetwork.build(ids, allen + cells, metric)) == closed
+            assert hybrid_close(HybridNetwork.build(ids, allen, metric + [window])) == closed
+            sizes.append(len(ids))
+        assert len(sizes) >= 15 and max(sizes) >= 40, sizes
 
 
 def assert_layout(h):

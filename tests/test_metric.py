@@ -797,11 +797,11 @@ def random_minimal_stps(rng, count):
 
 class TestLegSets:
     def test_one_pass_of_fourteen_sums(self):
-        one = [legs for legs in metric._LEG_SETS if legs[1] is None]
-        assert (len(metric._LEG_SETS), len(one)) == (14, 10)
+        assert (len(metric._ONE_READS), len(metric._TWO_READS)) == (10, 4)
         # each of the 12 off-diagonal entries of the 4x4 sub-matrix is read
-        assert {p for p, q, _, _ in metric._LEG_SETS} | {q for _, q, _, _ in metric._LEG_SETS} \
-            == {4 * i + j for i in range(4) for j in range(4) if i != j} | {None}
+        read = {(r, c) for _, r, c, _, _ in metric._ONE_READS} \
+            | {entry for _, pr, pc, qr, qc, _, _ in metric._TWO_READS for entry in ((pr, pc), (qr, qc))}
+        assert read == {(i, j) for i in range(4) for j in range(4) if i != j}
 
     def test_atom_cycle_tests_have_k_at_most_three(self):
         ks = [k for tests in per_atom_cycle_tests() for _, k in tests]
@@ -854,9 +854,9 @@ class TestLegSets:
             assert metric_to_allen(s, "x", "y") == cycle_test_metric_to_allen(s, "x", "y")
             assert metric_to_allen(s, "x", "y", within) \
                 == cycle_test_metric_to_allen(s, "x", "y", within)
-            d = [v for row in e for v in row]
-            zeros += any(q is None and d[p] == 0 or q is not None and None not in (d[p], d[q])
-                         and d[p] + d[q] == 0 for p, q, _, _ in metric._LEG_SETS)
+            zeros += any(e[r][c] == 0 for _, r, c, _, _ in metric._ONE_READS) or any(
+                None not in (e[pr][pc], e[qr][qc]) and e[pr][pc] + e[qr][qc] == 0
+                for _, pr, pc, qr, qc, _, _ in metric._TWO_READS)
         assert zeros > 1000
 
 
@@ -1264,9 +1264,9 @@ class TestHullSearch:
         assert len(closed) == 1
 
     def test_rational_windows_keep_the_witness_scale(self, monkeypatch):
-        """No hull with a fractional bound enters the root, which stays at
-        scale 1 and unconstrained here; the witness has the scale and the
-        entries of the rebuilt search's."""
+        """No disjunctive hull with a fractional bound enters the root, so
+        the root holds only the one-window constraint, at its scale 5; the
+        witness has the scale and the entries of the rebuilt search's."""
         t = TCSP(("x", "y", "z"), (
             MetricConstraint("x", "y", (BoundWindow.closed(F(1, 2), 1),
                                         BoundWindow.closed(3, F(7, 2)))),
@@ -1276,8 +1276,9 @@ class TestHullSearch:
         closed = count_stp_closes(monkeypatch)
         ok, witness = tcsp_consistent(t)
         root = closed[0]
-        assert root._d == 1 and all(v is None for i, row in enumerate(root._e)
-                                    for j, v in enumerate(row) if i != j)
+        assert root._d == 5 and root.window("x", "z") == BoundWindow.closed(F(1, 5), F(37, 5))
+        assert all(v is None for i, row in enumerate(root._e) for j, v in enumerate(row)
+                   if i != j and {root.points[i], root.points[j]} != {"x", "z"})
         ref_ok, ref = rebuild_tcsp_consistent(t)
         assert ok and ref_ok
         assert (witness._e, witness._d) == (ref._e, ref._d)
@@ -1286,7 +1287,7 @@ class TestHullSearch:
 
     def test_fractional_one_window_constraints_are_not_levels(self, monkeypatch):
         """One window with fractional bounds on each of the 780 pairs of 40
-        points: each is conjoined into the root before the search, so the
+        points: each goes into the root, which one closure decides, so the
         search has no level to recurse through, and the witness is the
         chain's tightest closure."""
         points = [f"p{i}" for i in range(40)]
@@ -1296,10 +1297,52 @@ class TestHullSearch:
         closed = count_stp_closes(monkeypatch)
         ok, witness = tcsp_consistent(t)
         assert ok and witness.minimal and witness._d == 6
-        assert len(closed) == 1 + 780
+        assert len(closed) == 1
         assert witness.window("p0", "p39") == BoundWindow.closed(F(39, 2), F(1000000, 3))
         # the other 37 legs take at least 1/2 each of p39 - p0's upper bound
         assert witness.window("p3", "p5") == BoundWindow.closed(1, F(1000000, 3) - F(37, 2))
+
+    def test_mixed_windows_match_rebuilt_search(self):
+        """On random TCSPs that mix one-window constraints with fractional
+        bounds, disjunctive ones with fractional hulls and strict integer
+        windows, the search from the hull root gives the rebuilt search's
+        verdict and witness.  The rebuilt search keeps only the tighter of
+        two bounds on one pair, and so a scale the looser one needs; when
+        no two constraints share a pair, the entries and scale agree too."""
+        rng = random.Random(151)
+
+        def value(denominators):
+            return F(rng.randint(-12, 12), rng.choice(denominators))
+
+        def window(denominators, strict):
+            lo, hi = sorted((value(denominators), value(denominators)))
+            if lo == hi:
+                return BoundWindow(lo, hi)
+            return BoundWindow(lo, hi, strict and rng.random() < 0.5, strict and rng.random() < 0.5)
+
+        kinds, verdicts, exact = Counter(), set(), Counter()
+        for _ in range(400):
+            points = tuple(f"p{i}" for i in range(rng.randint(2, 5)))
+            cons = []
+            for _ in range(rng.randint(1, 5)):
+                kind = rng.choice(("fractional one", "fractional several", "strict"))
+                denominators = (1,) if kind == "strict" else (2, 3, 4, 5, 6)
+                count = 1 if kind == "fractional one" else rng.randint(1 + (kind != "strict"), 3)
+                cons.append(MetricConstraint(*rng.sample(points, 2), tuple(
+                    window(denominators, kind == "strict") for _ in range(count))))
+                kinds[kind] += 1
+            t = TCSP(points, tuple(cons))
+            ok, witness = tcsp_consistent(t)
+            ref_ok, ref = rebuild_tcsp_consistent(t)
+            assert ok == ref_ok
+            verdicts.add(ok)
+            if ok:
+                assert decoded(witness) == decoded(ref)
+                shared = len({frozenset((c.frm, c.to)) for c in cons}) < len(cons)
+                if not shared:
+                    assert (witness._e, witness._d) == (ref._e, ref._d)
+                exact[shared] += 1
+        assert verdicts == {True, False} and min(kinds.values()) > 300 and min(exact.values()) > 50
 
     def test_implied_window_shares_the_parent(self, monkeypatch):
         """A child whose window the parent already implies tightens no

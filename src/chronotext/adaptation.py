@@ -96,35 +96,32 @@ class TaggedConstraint(Value):
 
 
 class TaggedNetwork(Value):
-    """A hybrid network whose constraints are individually addressable.
+    """A hybrid network held as individually addressable constraints.
 
-    `new_nodes` lists injected action nodes as (id, label) pairs and
-    `anchors` the recipe nodes the knowledge attaches to; both exist so
-    revision outcomes can be mapped back onto the source text.
-    `network` is the network of `constraints`, as `build` makes it, and
-    `constraints` are kept in id order, the order `revise` walks them in.
+    `network` is the network of `intervals`, `anon_points` and
+    `constraints`, built on each read.  `constraints` are kept in id
+    order, the order `revise` walks them in.  `new_nodes` lists injected
+    action nodes as (id, label) pairs and `anchors` the recipe nodes the
+    knowledge attaches to; both exist so revision outcomes can be mapped
+    back onto the source text.
     """
 
-    __slots__ = ("network", "constraints", "new_nodes", "anchors")
+    __slots__ = ("intervals", "constraints", "anon_points", "new_nodes", "anchors")
 
-    def __init__(self, network: HybridNetwork, constraints: tuple[TaggedConstraint, ...],
-                 new_nodes: tuple[tuple[str, str], ...] = (), anchors: tuple[str, ...] = ()):
+    def __init__(self, intervals: Sequence[str], constraints: Iterable[TaggedConstraint],
+                 anon_points: Sequence[str] = (), new_nodes: Sequence[tuple[str, str]] = (),
+                 anchors: Sequence[str] = ()):
         constraints = tuple(sorted(constraints, key=lambda c: c.id))
         ids = [c.id for c in constraints]
         if len(set(ids)) != len(ids):
             dup = next(i for i in ids if ids.count(i) > 1)
             raise ValueError(f"duplicate constraint id {dup!r}")
-        self._set(network, constraints, new_nodes, anchors)
+        self._set(tuple(intervals), constraints, tuple(anon_points), tuple(new_nodes),
+                  tuple(anchors))
 
-    @classmethod
-    def build(cls, intervals: Sequence[str],
-              constraints: Iterable[TaggedConstraint],
-              anon_points: Sequence[str] = (),
-              new_nodes: Sequence[tuple[str, str]] = (),
-              anchors: Sequence[str] = ()) -> "TaggedNetwork":
-        constraints = tuple(constraints)
-        network = _network_from(intervals, anon_points, constraints)
-        return cls(network, constraints, tuple(new_nodes), tuple(anchors))
+    @property
+    def network(self) -> HybridNetwork:
+        return _network_from(self.intervals, self.anon_points, self.constraints)
 
 
 def _network_from(intervals: Sequence[str], anon_points: Sequence[str],
@@ -136,7 +133,7 @@ def _network_from(intervals: Sequence[str], anon_points: Sequence[str],
 
 def _merged(triples: Iterable[tuple[str, Relation, str]], provenance: str) -> list[TaggedConstraint]:
     """One Allen constraint per pair, as a network build makes its cell: a
-    pair stated twice holds both; the build checks any self-constraint."""
+    pair stated twice holds both; reading the network checks any self-constraint."""
     out: dict[str, TaggedConstraint] = {}
     for a, rel, b in triples:
         c = TaggedConstraint.allen(a, rel, b, provenance)
@@ -219,7 +216,8 @@ def inject(intervals: Sequence[str], soft: Iterable[TaggedConstraint], k: Domain
     """Graft the knowledge sub-network onto a recipe: its intervals and
     its recipe-soft constraints (a network with no recipe tags its own
     with `TaggedConstraint.allen` and `.metric`).  The knowledge
-    constraints are tagged domain-hard; consistency is revise's job."""
+    constraints are tagged domain-hard.  No network is built here: the
+    ids the constraints name and their consistency are revise's job."""
     existing = set(intervals)
     for a in k.anchors:
         if a not in existing:
@@ -236,8 +234,8 @@ def inject(intervals: Sequence[str], soft: Iterable[TaggedConstraint], k: Domain
                       for nid, w in list(k.durations) + [(t.id, t.window) for t in k.timers]],
                      "domain-hard")
     labels = tuple((s.id, " ".join((s.verb,) + s.objects)) for s in k.steps)
-    return TaggedNetwork.build(tuple(intervals) + new_ids, [*soft, *hard],
-                               anon_points, labels, k.anchors)
+    return TaggedNetwork(tuple(intervals) + new_ids, [*soft, *hard], anon_points, labels,
+                         k.anchors)
 
 
 # ---------------------------------------------------------------------------
@@ -280,12 +278,11 @@ def revise(t: TaggedNetwork) -> RevisionResult:
     conjoining metric windows and re-closing the STP from their entries.
     That reaches the closure of the hard constraints plus the candidate
     set, a unique greatest fixpoint, so verdicts and witnesses are those
-    of checking that set rebuilt.  When nothing is relaxed, the revised
-    network is `t.network` itself, the network of all the tagged
-    constraints.
+    of checking that set rebuilt.  `t.network` is read once, for the
+    first check; when nothing is relaxed, that network of all the tagged
+    constraints is the revised network.
     """
-    intervals = t.network.intervals
-    anon = t.network.anon_points
+    network, intervals, anon = t.network, t.intervals, t.anon_points
     hard = [c for c in t.constraints if c.provenance == "domain-hard"]
     soft = [c for c in t.constraints if c.provenance == "recipe-soft"]
 
@@ -295,9 +292,9 @@ def revise(t: TaggedNetwork) -> RevisionResult:
         return RevisionResult(_network_from(intervals, anon, hard + chosen),
                               retained, relaxed, witness, t)
 
-    ok, witness = hybrid_atomic_consistent(t.network)
+    ok, witness = hybrid_atomic_consistent(network)
     if ok:
-        return RevisionResult(t.network, tuple(c.id for c in soft), (), witness, t)
+        return RevisionResult(network, tuple(c.id for c in soft), (), witness, t)
 
     if len(soft) > MAX_REVISION_SOFT:
         raise ScaleBoundExceeded(
@@ -308,7 +305,7 @@ def revise(t: TaggedNetwork) -> RevisionResult:
     if not ok:
         raise ValueError("domain knowledge is self-contradictory")
 
-    cells = t.network.qcn._index
+    cells = network.qcn._index
 
     def check(closed: HybridNetwork, pending: list[TaggedConstraint]):
         qcn, stp, changed = closed.qcn, closed.stp, []

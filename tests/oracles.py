@@ -882,8 +882,7 @@ def rebuild_revise(t):
     """`revise` that rebuilds the network of hard plus candidate soft
     constraints from the tagged constraints at every check and closes it
     from scratch."""
-    intervals = t.network.intervals
-    anon = t.network.anon_points
+    intervals, anon = t.intervals, t.anon_points
     hard = [c for c in t.constraints if c.provenance == "domain-hard"]
     soft = [c for c in t.constraints if c.provenance == "recipe-soft"]
 

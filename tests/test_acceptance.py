@@ -673,9 +673,8 @@ def test_10_adaptation():
             by_id = {c.id: c for c in tagged.constraints}
 
             def consistent(chosen):
-                net = _network_from(
-                    tagged.network.intervals, tagged.network.anon_points,
-                    hards + [by_id[i] for i in chosen])
+                net = _network_from(tagged.intervals, tagged.anon_points,
+                                    hards + [by_id[i] for i in chosen])
                 return hybrid_atomic_consistent(net)[0]
 
             best = max(len(sub) for r in range(len(softs) + 1)
@@ -689,11 +688,11 @@ def test_10_adaptation():
                       for i in (1, 2, 3)]
         chain_hard = [TaggedConstraint.allen("s4", Relation.parse("{b}"),
                                              "s1", "domain-hard")]
-        res = check_maximal(TaggedNetwork.build(
+        res = check_maximal(TaggedNetwork(
             ["s1", "s2", "s3", "s4"], chain_soft + chain_hard))
         assert res.relaxed == ("s3~s4:soft",)  # ties break toward low ids
 
-        mixed = TaggedNetwork.build(["a", "b"], [
+        mixed = TaggedNetwork(["a", "b"], [
             TaggedConstraint.metric(start_of("a"), end_of("a"),
                                     BoundWindow.closed(10, 20), "recipe-soft"),
             TaggedConstraint.allen("a", Relation.parse("{b}"), "b", "recipe-soft"),

@@ -274,7 +274,7 @@ class TestInject:
             "combine~drain_lentils:hard",
             "cook_lentils.end~cook_lentils.start:hard",
         }
-        assert set(t.network.intervals) >= {"cook_lentils", "drain_lentils"}
+        assert set(t.intervals) >= {"cook_lentils", "drain_lentils"}
         assert t.anchors == ("combine",)
         assert t.new_nodes == (("cook_lentils", "cook lentils in water"),
                                ("drain_lentils", "drain the lentils"))
@@ -346,6 +346,39 @@ def exhaustive_best(intervals, hard_cs, soft_cs):
     raise AssertionError("hard constraints alone inconsistent")
 
 
+def counted_builds(monkeypatch):
+    """The networks `adaptation._network_from` builds from now on."""
+    built, build = [], adaptation._network_from
+
+    def counted(*args):
+        built.append(build(*args))
+        return built[-1]
+    monkeypatch.setattr(adaptation, "_network_from", counted)
+    return built
+
+
+class TestOneWayIn:
+    """A tagged network is read from its constraints, so `revise` decides
+    on what it is given.  Each of these, like `TestRevise::test_single_conflict`'s
+    clashing cell, kept the soft constraint when the constructor also took
+    a network and was given one of the intervals alone."""
+
+    def test_unknown_interval_raises(self):
+        t = TaggedNetwork(["a", "b"], [soft("a", "{b}", "ghost")])
+        with pytest.raises(KeyError) as err:
+            revise(t)
+        assert err.value.args == ("unknown interval 'ghost'",)
+
+    def test_clashing_soft_duration_is_relaxed(self):
+        def duration(lo, hi, provenance):
+            return TaggedConstraint.metric(start_of("a"), end_of("a"),
+                                           BoundWindow.closed(lo, hi), provenance)
+        t = TaggedNetwork(["a"], [duration(1, 2, "domain-hard"), duration(5, 6, "recipe-soft")])
+        result = revise(t)
+        assert result.relaxed == ("a.end~a.start:soft",)
+        assert result.revised.duration_window("a") == BoundWindow.closed(1, 2)
+
+
 class TestRevise:
     def test_lentil_case_no_conflict(self):
         h = without(lutheran_network(), "drain_beans")
@@ -359,17 +392,30 @@ class TestRevise:
         assert ok
 
     def test_nothing_relaxed_returns_the_tagged_network(self, monkeypatch):
-        """With every soft constraint kept, the revised network is the
-        tagged network itself, and revision builds no network."""
-        t = graft(without(lutheran_network(), "drain_beans"), lentil_knowledge())
-
-        def no_build(*args, **kwargs):
-            raise AssertionError("revise built a HybridNetwork")
-
-        monkeypatch.setattr(HybridNetwork, "build", no_build)
-        result = revise(t)
+        """With every soft constraint kept, `inject` and `revise` build one
+        network, the network of the tagged constraints, and it is the
+        revised network."""
+        h, k = without(lutheran_network(), "drain_beans"), lentil_knowledge()
+        built = counted_builds(monkeypatch)
+        result = revise(graft(h, k))
         assert result.relaxed == ()
-        assert result.revised is t.network
+        assert len(built) == 1 and result.revised is built[0]
+        assert result.revised == result.tagged.network
+
+    @pytest.mark.parametrize("rcp, know, builds", [
+        ("lutheran.rcp", "lentils.know", 1),
+        ("hot_relish.rcp", "slow_cooker.know", 3),
+    ])
+    def test_adapt_builds_pinned(self, monkeypatch, rcp, know, builds):
+        """`adapt_recipe` builds the tagged network alone when nothing is
+        relaxed, and with a conflict also the root of the hard constraints
+        and the revised network."""
+        r = parse_recipe_dsl((FIXTURES / rcp).read_text())
+        k = parse_knowledge((FIXTURES / know).read_text())
+        built = counted_builds(monkeypatch)
+        result, _ = adapt_recipe(r, k)
+        assert len(built) == builds
+        assert bool(result.relaxed) == (builds == 3)
 
     def test_hard_constraints_untouched(self):
         h = without(lutheran_network(), "drain_beans")
@@ -392,7 +438,7 @@ class TestRevise:
                 assert len(w.relation(a, b)) == 1
 
     def test_single_conflict(self):
-        t = TaggedNetwork.build(
+        t = TaggedNetwork(
             ["x", "y"], [hard("x", "{b}", "y"), soft("x", "{bi}", "y")])
         result = revise(t)
         assert result.relaxed == ("x~y:soft",)
@@ -402,7 +448,7 @@ class TestRevise:
     def test_pair_conflict_tie_break(self):
         # either soft alone is fine; together they close a cycle with
         # the hard constraint, so the lexicographically larger id goes
-        t = TaggedNetwork.build(
+        t = TaggedNetwork(
             ["x", "y", "z"],
             [hard("z", "{b}", "x"), soft("x", "{b}", "y"),
              soft("y", "{b}", "z")])
@@ -414,14 +460,14 @@ class TestRevise:
         """The constructor keeps the constraints in id order, so `revise`
         breaks a tie toward the smaller id whatever order they came in."""
         cs = [soft("a", "{b}", "b"), soft("a", "{bi}", "c"), hard("b", "{b}", "c")]
-        t = TaggedNetwork.build(["a", "b", "c"], cs)
+        t = TaggedNetwork(["a", "b", "c"], cs)
         for given in (t.constraints, t.constraints[::-1], cs[::-1]):
-            built = TaggedNetwork(t.network, tuple(given))
+            built = TaggedNetwork(t.intervals, tuple(given))
             assert built.constraints == t.constraints == tuple(sorted(cs, key=lambda c: c.id))
             assert revise(built).retained == ("a~b:soft",)
 
     def test_hard_self_contradiction(self):
-        t = TaggedNetwork.build(
+        t = TaggedNetwork(
             ["x", "y", "z"],
             [hard("x", "{b}", "y"), hard("y", "{b}", "z"),
              hard("x", "{bi}", "z")])
@@ -434,7 +480,7 @@ class TestRevise:
         cs = [soft(ids[i], "{b}", ids[i + 1]) for i in range(n - 1)]
         cs.append(hard(ids[-1], "{b}", ids[0]))
         with pytest.raises(ScaleBoundExceeded):
-            revise(TaggedNetwork.build(ids, cs))
+            revise(TaggedNetwork(ids, cs))
 
     def test_maximality_exhaustive(self):
         import random
@@ -448,7 +494,7 @@ class TestRevise:
             for a, b in pairs[:rng.randint(2, 5)]:
                 maker = hard if rng.random() < 0.4 else soft
                 cs.append(maker(a, rng.choice(atoms), b))
-            t = TaggedNetwork.build(names, cs)
+            t = TaggedNetwork(names, cs)
             hard_cs = [c for c in cs if c.provenance == "domain-hard"]
             soft_cs = [c for c in cs if c.provenance == "recipe-soft"]
             ok, _ = hybrid_atomic_consistent(
@@ -602,7 +648,7 @@ def random_tagged(rng):
         add(TaggedConstraint.metric(start_of(a), start_of(b),
                                     BoundWindow(lo, lo + rng.randint(1, 6), rng.random() < 0.3),
                                     rng.choice(("domain-hard", "recipe-soft"))))
-    return TaggedNetwork.build(names, cs.values())
+    return TaggedNetwork(names, cs.values())
 
 
 def revision_events(monkeypatch):
@@ -960,8 +1006,8 @@ class TestRevisionMetamorphic:
                     extra = (extra.replace(cell=extra.cell & stated.cell) if extra.kind == "allen"
                              else extra.replace(window=extra.window.intersect(stated.window)))
                 kept = [c for c in t.constraints if c.id != extra.id]
-                added = TaggedNetwork.build(t.network.intervals, kept + [extra],
-                                            t.network.anon_points, t.new_nodes, t.anchors)
+                added = TaggedNetwork(t.intervals, kept + [extra], t.anon_points, t.new_nodes,
+                                      t.anchors)
                 revised = revise(added)
                 assert revised.retained == result.retained
                 assert hybrid_close(revised.revised) == closed

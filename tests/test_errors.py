@@ -68,7 +68,7 @@ CASES = {
     "tagged-kind": (lambda: TaggedConstraint("x", "point", "a", "b"), ValueError,
                     "bad kind 'point'"),
     "tagged-network-duplicate": (
-        lambda: TaggedNetwork(HybridNetwork.build(["a", "b"]), (
+        lambda: TaggedNetwork(["a", "b"], (
             TaggedConstraint.allen("a", R("{b}"), "b", "recipe-soft"),
             TaggedConstraint.allen("a", R("{m}"), "b", "recipe-soft"))),
         ValueError, "duplicate constraint id 'a~b:soft'"),

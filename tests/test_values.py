@@ -60,8 +60,8 @@ SIGNATURES = {
                    ("instances", REQUIRED), ("signals", REQUIRED), ("tlinks", REQUIRED)),
     TaggedConstraint: (("id", REQUIRED), ("kind", REQUIRED), ("frm", REQUIRED), ("to", REQUIRED),
                        ("cell", None), ("window", None), ("provenance", "recipe-soft")),
-    TaggedNetwork: (("network", REQUIRED), ("constraints", REQUIRED), ("new_nodes", ()),
-                    ("anchors", ())),
+    TaggedNetwork: (("intervals", REQUIRED), ("constraints", REQUIRED), ("anon_points", ()),
+                    ("new_nodes", ()), ("anchors", ())),
     DomainKnowledge: (("name", REQUIRED), ("removals", ()), ("anchors", ()), ("steps", ()),
                       ("states", ()), ("timers", ()), ("relations", ()), ("durations", ()),
                       ("until_links", ()), ("lines", ())),
@@ -74,12 +74,12 @@ SIGNATURES = {
 
 W = BoundWindow.closed(1, Fraction(5, 2))
 W_REPR = "BoundWindow(lo=Fraction(1, 1), hi=Fraction(5, 2), lo_strict=False, hi_strict=False)"
-H = HybridNetwork.build(["a", "b"], [("a", R("{b}"), "b")])
+H = HybridNetwork.build(["a", "b"], [("b", R("{b}"), "a")])
 C = TaggedConstraint.allen("b", R("{b,m}"), "a", "domain-hard")
 C_REPR = ("TaggedConstraint(id='a~b:hard', kind='allen', frm='a', to='b',"
           " cell=Relation.parse('{bi,mi}'), window=None, provenance='domain-hard')")
-T = TaggedNetwork(H, (C,), (("b", "stir"),), ("a",))
-T_REPR = (f"TaggedNetwork(network=HybridNetwork(<2 intervals>), constraints=({C_REPR},),"
+T = TaggedNetwork(["a", "b"], (C,), ["o"], (("b", "stir"),), ("a",))
+T_REPR = (f"TaggedNetwork(intervals=('a', 'b'), constraints=({C_REPR},), anon_points=('o',),"
           " new_nodes=(('b', 'stir'),), anchors=('a',))")
 
 
@@ -143,8 +143,8 @@ SAMPLES = {
         " relations=(('z', Relation.parse('{b}'), 'a'),), durations=(), until_links=(),"
         " lines=())",
         {"anchors": ()}),
-    RevisionResult: (RevisionResult(H, ("a~b:hard",), (), H, T),
-                     "RevisionResult(revised=HybridNetwork(<2 intervals>), retained=('a~b:hard',),"
+    RevisionResult: (RevisionResult(T.network, (), (), H, T),
+                     "RevisionResult(revised=HybridNetwork(<2 intervals>), retained=(),"
                      f" relaxed=(), witness=HybridNetwork(<2 intervals>), tagged={T_REPR})",
                      None),
     Edit: (Edit((0, 4), "insert-after", "stir"),

@@ -498,15 +498,10 @@ class Network(Value):
             raise ValueError("cannot replace a diagonal cell")
         if rel.calculus is not self.relation.calculus:
             raise ValueError(f"{rel!r} is of another calculus than {self.relation.__name__}")
-        return self._with_mask(i, j, rel.mask)
-
-    def _with_mask(self, i: int, j: int, mask: int):
-        """This network with cell (i, j) set to `mask` and (j, i) to its
-        converse: those two rows are replaced, the others shared."""
-        rows = list(self._matrix)
+        rows = list(self._matrix)  # rows i and j are replaced, the others shared
         ri, rj = rows[i], rows[j]
-        rows[i] = ri[:j] + (mask,) + ri[j + 1:]
-        rows[j] = rj[:i] + (self.relation.calculus.converse(mask),) + rj[i + 1:]
+        rows[i] = ri[:j] + (rel.mask,) + ri[j + 1:]
+        rows[j] = rj[:i] + (rel.calculus.converse(rel.mask),) + rj[i + 1:]
         return self._raw(self.intervals, rows, self._index)
 
     def restricted(self, keep: Sequence[str]):
@@ -558,7 +553,8 @@ def close(net: Network, *, changed: Optional[Sequence[tuple[int, int]]] = None) 
     """Queue-driven path consistency (PC-2) over the network's calculus:
     the largest fixpoint of C[i][j] <- C[i][j] & compose(C[i][k], C[k][j])
     over all triples.  Output cells are subsets of input cells and the
-    operation is idempotent.
+    operation is idempotent.  It runs `_propagate`, the loop the scenario
+    search runs in place, on a copy of the matrix and freezes the result.
 
     The pairs (i, j), i < j, of `changed` start on a FIFO queue, or every
     pair when it is None.  Popping (i, j) revises (i, k) with
@@ -589,25 +585,35 @@ def close(net: Network, *, changed: Optional[Sequence[tuple[int, int]]] = None) 
     by left atom in ascending order, the entries at the right operand's
     nonzero chunks (INDU), stopping once the bound covers the cell, which
     the full mask always does.  Only a cell that really shrinks runs
-    `tighten`: its converse, its place on the queue and the empty-cell
-    test.
+    `tighten`: its trail entry, its converse, its place on the queue and
+    the empty-cell test.
     """
-    calc = net.relation.calculus
     n = len(net.intervals)
     if n < 3:
         return net  # no triangle, and no table to build
-    converse, full, halves = calc.converse, calc.full, calc._halves
     m = [list(row) for row in net._matrix]
     if changed is None:
         changed = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    _propagate(net.relation.calculus, m, changed)
+    return net._raw(net.intervals, m, net._index)
+
+
+def _propagate(calc: Calculus, m: list[list[int]], changed: Sequence[tuple[int, int]],
+               trail: Optional[list[tuple[int, int, int]]] = None) -> bool:
+    """`close`'s loop on the list-of-lists matrix `m`, in place; False at the
+    first cell it empties.  With a trail, (a, b, old mask) goes on it before
+    cell (a, b) is tightened, so popping it newest first undoes the run."""
+    n = len(m)
+    converse, full, halves = calc.converse, calc.full, calc._halves
     queue = deque(changed)
     waiting = bytearray(n * n)  # waiting[a·n + b] for a queued pair (a, b), a < b
     for i, j in changed:
         waiting[i * n + j] = 1
 
     def tighten(a: int, b: int, new: int) -> bool:
-        """Store C[a][b] = new, a strict subset of the cell; False when
-        it is empty."""
+        """Store C[a][b] = new, a strict subset of the cell; False when empty."""
+        if trail is not None:
+            trail.append((a, b, m[a][b]))
         m[a][b] = new
         m[b][a] = converse(new)
         if a > b:
@@ -638,13 +644,13 @@ def close(net: Network, *, changed: Optional[Sequence[tuple[int, int]]] = None) 
                     new = ik & (r0[x0] | r0[x1] | r1[x0] | r1[x1])
                     if new != ik:
                         if not tighten(i, k, new):
-                            return net._raw(net.intervals, m, net._index)
+                            return False
                         ik = new
                 if ik != full:
                     x0, x1 = ik & low, ik >> cut | high
                     new = jk & (c0[x0] | c0[x1] | c1[x0] | c1[x1])
                     if new != jk and not tighten(j, k, new):
-                        return net._raw(net.intervals, m, net._index)
+                        return False
         else:
             rows, crows = _atom_rows(calc, rel), _atom_rows(calc, mj[i])
             for k in range(n):
@@ -661,7 +667,7 @@ def close(net: Network, *, changed: Optional[Sequence[tuple[int, int]]] = None) 
                     new = ik & out
                     if new != ik:
                         if not tighten(i, k, new):
-                            return net._raw(net.intervals, m, net._index)
+                            return False
                         ik = new
                 if ik != full:
                     keys, out = _chunk_keys(ik), 0
@@ -672,8 +678,8 @@ def close(net: Network, *, changed: Optional[Sequence[tuple[int, int]]] = None) 
                             break
                     new = jk & out
                     if new != jk and not tighten(j, k, new):
-                        return net._raw(net.intervals, m, net._index)
-    return net._raw(net.intervals, m, net._index)
+                        return False
+    return True
 
 
 W = TypeVar("W")
@@ -683,45 +689,57 @@ def scenario_search(start: QCN, leaf: Callable[[QCN], Optional[W]]) -> Optional[
     """Depth-first search for an atomic refinement of a closed, consistent
     network.  The first pair (i < j) in interval order whose cell is not
     atomic is split into its atoms in canonical order; each choice is
-    closed by propagating from that pair alone, and one that empties a
-    cell is dropped.  Every closed atomic network is handed to `leaf`,
-    and the first witness it returns (not None) ends the search; None
-    when no leaf yields one.  The open levels are a stack of generators
-    that close each child when it is reached, so no recursion limit applies.
+    propagated from that pair alone, and one that empties a cell is
+    dropped.  Every closed atomic network is handed to `leaf`, and the
+    first witness it returns (not None) ends the search; None when no
+    leaf yields one.
+
+    One mutable matrix and an undo trail serve the whole search, not a
+    network per node (Schulte, ICLP 1999).  Trying an atom trails the
+    pair's cell, writes the atom and its converse and runs `_propagate`
+    from that pair; backtracking pops the trail back to the level's mark.
+    Cells only shrink, so the scan for the next open pair resumes after
+    the level's pair.  Each leaf gets a snapshot; `start` is not changed.
+    The open levels are a list, so no recursion limit applies.
     """
+    calc = start.relation.calculus
     n = len(start.intervals)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-    def children(current: QCN, i: int, j: int, mask: int):
-        while mask:
-            bit = mask & -mask
-            mask ^= bit
-            tightened = close(current._with_mask(i, j, bit), changed=[(i, j)])
-            if not tightened.inconsistent:
-                yield tightened
-
-    stack = [iter((start,))]
-    while stack:
-        current = next(stack[-1], None)
-        if current is None:
-            stack.pop()
-            continue
-        rows = current._matrix
-        for i, j in pairs:
-            mask = rows[i][j]
+    m = [list(row) for row in start._matrix]
+    trail, levels, p = [], [], 0  # a level: (pair position, atoms left, trail mark)
+    while True:
+        for p in range(p, len(pairs)):
+            i, j = pairs[p]
+            mask = m[i][j]
             if mask & (mask - 1):
-                stack.append(children(current, i, j, mask))
+                levels.append((p, mask, len(trail)))
                 break
         else:
-            found = leaf(current)
+            found = leaf(start._raw(start.intervals, m, start._index))
             if found is not None:
                 return found
-    return None
+        while levels:
+            p, mask, mark = levels.pop()
+            while len(trail) > mark:
+                a, b, old = trail.pop()
+                m[a][b], m[b][a] = old, calc.converse(old)
+            bit = mask & -mask
+            if mask != bit:  # done after its last atom: an outer level's undo covers it
+                levels.append((p, mask ^ bit, mark))
+            i, j = pairs[p]
+            trail.append((i, j, m[i][j]))
+            m[i][j], m[j][i] = bit, calc.converse(bit)
+            if n < 3 or _propagate(calc, m, [(i, j)], trail):  # n < 3: no triangle, no table
+                p += 1
+                break
+        else:
+            return None
 
 
 def atomic_consistent(net: QCN) -> tuple[bool, Optional[QCN]]:
     """Search for an atomic refinement (one atom per cell) that survives
-    closure, backtracking over atom choices in canonical order.
+    closure, backtracking over atom choices in canonical order: `close`
+    once at the root, then `scenario_search`.
 
     Path consistency alone is incomplete for general Allen networks, but
     it is complete for atomic ones, so a closed atomic network is

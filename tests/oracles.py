@@ -52,7 +52,7 @@ from chronotext.adaptation import (
     inject,
     revise,
 )
-from chronotext.allen import FULL_MASK, QCN, BaseRelation, Relation, close
+from chronotext.allen import FULL_MASK, BaseRelation, Relation, close
 from chronotext.annotation import (
     _REQUIRED,
     AnnotatedDoc,
@@ -622,21 +622,24 @@ def descend_hybrid_atomic_consistent(h):
 def full_queue_scenario_search(start, leaf):
     """`scenario_search` with every pair queued at every node: split the
     first non-atomic pair in interval order into its atoms in canonical
-    order, fix the atom in a validated network and close it from scratch."""
+    order, fix the atom in a validated network and close it from scratch.
+    Any calculus: Allen or INDU."""
     n = len(start.intervals)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    relation = start.relation
 
     def refine(current):
         rows = current._matrix
-        open_pair = next(((i, j) for i, j in pairs if len(Relation(rows[i][j])) != 1), None)
+        open_pair = next(((i, j) for i, j in pairs if len(relation(rows[i][j])) != 1), None)
         if open_pair is None:
             return leaf(current)
         i, j = open_pair
-        for atom in Relation(rows[i][j]).atoms:
+        for atom in relation(rows[i][j]).atoms:
+            one = relation.of(atom)
             m = [list(row) for row in rows]
-            m[i][j] = Relation.of(atom).mask
-            m[j][i] = Relation.of(atom.converse).mask
-            tightened = close(QCN._raw(current.intervals, m, current._index))
+            m[i][j] = one.mask
+            m[j][i] = one.converse().mask
+            tightened = close(type(current)._raw(current.intervals, m, current._index))
             if not tightened.inconsistent:
                 found = refine(tightened)
                 if found is not None:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from oracles import (
     composition_by_enumeration,
     converse_by_atoms,
     full_queue_atomic_consistent,
+    full_queue_scenario_search,
     object_format_qcn,
     per_entry_restricted,
     realizable_atom_triples,
@@ -550,18 +552,78 @@ class TestSearchAgainstFullQueue:
         # closure refutes some, the search refutes some that closure passes
         assert seen == {(True, False), (False, False), (False, True)}
 
+    @pytest.mark.parametrize("relation, network", [(Relation, QCN), (INDURelation, INDUNetwork)])
+    def test_leaf_sequence_after_rejected_leaves(self, relation, network):
+        """A leaf that rejects the first k leaves it is handed makes the
+        search backtrack through the undo trail: the leaves are the full
+        queue search's, in its order, each a snapshot that later nodes do
+        not change, and the start network is unchanged."""
+        rng = random.Random(89)
+        rejected = 0
+        for _ in range(60):
+            start = close(random_network_with_gaps(rng, rng.randint(4, 7), relation, network,
+                                                   size=rng.choice((2, 3, 4))))
+            if start.inconsistent:
+                continue
+            frozen = network._raw(start.intervals, start._matrix, start._index)
+            k = rng.choice((0, 1, 3, 8, 30))
+            logs = []
+            for search in (allen.scenario_search, full_queue_scenario_search):
+                log = []
+                witness = search(start, lambda net: log.append(net) or (net if len(log) > k else None))
+                assert witness is (log[-1] if len(log) > k else None)
+                logs.append(log)
+            got, expected = logs
+            assert [tuple(map(tuple, net._matrix)) for net in got] == [
+                net._matrix for net in expected]
+            assert got == expected
+            assert start == frozen
+            rejected += min(k, len(got))
+        assert rejected >= 100
+
 
 class TestWorkCounts:
+    """Search nodes propagate in place through `allen._propagate`, not
+    through `close`, so the bench tracer's `allen.atomic_consistent.nodes`
+    and `hybrid.hybrid_atomic_consistent.nodes` ratios, which count the
+    `close` calls made directly under those spans, now count only the root
+    and round closes: 1 per `atomic_consistent` call, and 0 under
+    `hybrid_atomic_consistent`, whose round closes sit under the traced
+    `hybrid_close`."""
+
     def test_close_calls_per_search(self, monkeypatch):
-        """`atomic_consistent` closes once at the root and once per search
-        node, each through `allen.close`; benchmark node counts read these
-        calls, so their number on a fixed network is pinned."""
+        """`atomic_consistent` runs the propagation core once for its root
+        `close` and once per search node; their number on a fixed network
+        is pinned: 1 root plus 13 nodes."""
+        calls = []
+        real = allen._propagate
+        monkeypatch.setattr(allen, "_propagate", lambda *a: calls.append(a[2]) or real(*a))
+        ok, scenario = allen.atomic_consistent(random_network(random.Random(7), 8, 6))
+        assert ok and scenario is not None
+        assert len(calls) == 14
+
+    def test_one_close_per_search(self, monkeypatch):
+        """`atomic_consistent` calls `close` exactly once, at the root."""
         calls = []
         real = allen.close
         monkeypatch.setattr(allen, "close", lambda net, **kw: calls.append(kw) or real(net, **kw))
         ok, scenario = allen.atomic_consistent(random_network(random.Random(7), 8, 6))
         assert ok and scenario is not None
-        assert len(calls) == 14
+        assert calls == [{}]
+
+    def test_unconstrained_search_memory(self):
+        """The 60-interval search of `test_unconstrained_beyond_the_recursion_limit`
+        keeps one matrix and a trail, not a network per open level (one per
+        level took a 56.9 MB peak)."""
+        net = QCN([f"x{i}" for i in range(60)])
+        tracemalloc.start()
+        try:
+            ok, _ = atomic_consistent(net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ok
+        assert peak < 4 << 20
 
 
 class TestAtomicConsistent:

@@ -208,7 +208,7 @@ def parse_knowledge(source: str) -> DomainKnowledge:
     `until` clauses.  Knowledge steps are not chained: only the stated
     relations hold."""
     name, f = parse_dsl(source, "knowledge")
-    return DomainKnowledge(name, **{n: f[n] for n in DomainKnowledge.__slots__[1:]})
+    return DomainKnowledge(name, **{n: f[n] for n in DomainKnowledge._fields[1:]})
 
 
 def inject(intervals: Sequence[str], soft: Iterable[TaggedConstraint], k: DomainKnowledge,

@@ -285,14 +285,22 @@ def _picker(keep: Sequence[int]) -> Callable[[Sequence], tuple]:
 
 
 class Value:
-    """Base of the package's immutable values.  A record's `__slots__` name
-    its fields in constructor order; `__init__` validates, then stores them
-    (`_set`, or `_put` per field in records built in bulk).  Records of one
-    class are equal, and hash alike, by their fields but those in `_uncompared`;
-    `replace` goes through the constructor.  Pickling restores every slot."""
+    """Base of the package's immutable values.  `_fields` is read once per
+    class, along its MRO: the parent's fields, then the class's own
+    `__slots__`, in constructor order (a subclass needs no `__slots__`).
+    `__init__` validates, then stores them.  Values of one class are equal,
+    and hash alike, by their fields but those in `_uncompared` (a network's
+    `_index`, derived from its `intervals`).  `replace` goes through the
+    constructor; pickling restores every field.  Values built in bulk (the
+    `_raw` networks of each closure and search leaf, relations, tagged
+    constraints) store one `_put` per field: `_set` costs over a third more."""
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
     _uncompared: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._fields = cls._fields + tuple(cls.__dict__.get("__slots__", ()))
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -301,10 +309,10 @@ class Value:
 
     def _set(self, *values) -> None:
         # `_put` returns None, so `any` stores every field
-        any(map(_put, repeat(self), self.__slots__, values))
+        any(map(_put, repeat(self), self._fields, values))
 
     def _compared(self) -> tuple:
-        return tuple([getattr(self, n) for n in self.__slots__ if n not in self._uncompared])
+        return tuple([getattr(self, n) for n in self._fields if n not in self._uncompared])
 
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and self._compared() == other._compared()
@@ -313,15 +321,14 @@ class Value:
         return hash(self._compared())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
         return f"{type(self).__name__}({fields})"
 
     def replace(self, **changes):
-        return type(self)(**{n: getattr(self, n) for n in self.__slots__} | changes)
+        return type(self)(**{n: getattr(self, n) for n in self._fields} | changes)
 
     def __reduce__(self):
-        slots = [n for c in type(self).__mro__ for n in c.__dict__.get("__slots__", ())]
-        return _restored, (type(self), {n: getattr(self, n) for n in slots})
+        return _restored, (type(self), {n: getattr(self, n) for n in self._fields})
 
 
 def _restored(cls, slots: dict):
@@ -399,12 +406,6 @@ class BitmaskRelation(Value):
     def __le__(self, other) -> bool:
         return self.mask & ~other.mask == 0
 
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self.mask == other.mask
-
-    def __hash__(self) -> int:
-        return hash(self.mask)
-
     def converse(self):
         return type(self)(self.calculus.converse(self.mask))
 
@@ -452,6 +453,7 @@ class Network(Value):
     """
 
     __slots__ = ("intervals", "_index", "_matrix")
+    _uncompared = ("_index",)
     relation: type[BitmaskRelation]
 
     def __init__(self, intervals: Sequence[str], constraints=()):
@@ -477,12 +479,7 @@ class Network(Value):
                 continue
             m[i][j] &= rel.mask
             m[j][i] = calc.converse(m[i][j])
-        self._init(intervals, tuple(map(tuple, m)), idx)
-
-    def _init(self, intervals, rows, index) -> None:
-        _put(self, "intervals", intervals)
-        _put(self, "_index", index)
-        _put(self, "_matrix", rows)
+        self._set(intervals, idx, tuple(map(tuple, m)))
 
     @classmethod
     def build(cls, intervals: Sequence[str], constraints=()):
@@ -521,13 +518,6 @@ class Network(Value):
     def __len__(self) -> int:
         return len(self.intervals)
 
-    def __eq__(self, other) -> bool:
-        return (type(other) is type(self) and self.intervals == other.intervals
-                and self._matrix == other._matrix)
-
-    def __hash__(self) -> int:
-        return hash((self.intervals, self._matrix))
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}({list(self.intervals)!r}, <{len(self)}x{len(self)}>)"
 
@@ -537,7 +527,9 @@ class Network(Value):
         # {name: position} map of `intervals`, shared with the network the
         # matrix was derived from
         self = object.__new__(cls)
-        self._init(intervals, tuple(map(tuple, matrix)), index)
+        _put(self, "intervals", intervals)
+        _put(self, "_index", index)
+        _put(self, "_matrix", tuple(map(tuple, matrix)))
         return self
 
 

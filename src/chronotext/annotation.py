@@ -535,7 +535,7 @@ def parse_recipe_dsl(source: str) -> Recipe:
     A `meanwhile` step that heads the text-order chain (`_chain_steps`),
     with no step before it to run alongside, is an error at its line."""
     title, f = parse_dsl(source, "recipe")
-    recipe = Recipe(title, **{name: f[name] for name in Recipe.__slots__[1:]})
+    recipe = Recipe(title, **{name: f[name] for name in Recipe._fields[1:]})
     head = _chain_steps(recipe)[:1]
     if head and head[0].meanwhile:
         raise RecipeSyntaxError(f"step {head[0].id!r} is marked meanwhile but has no "

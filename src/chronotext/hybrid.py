@@ -97,25 +97,20 @@ class HybridNetwork(Value):
         return f"HybridNetwork(<{len(self.intervals)} intervals>{flag})"
 
 
-def _forced_atom_edges(qcn: QCN) -> list[tuple[int, int, int]]:
-    """The encoded endpoint edges (`_ATOM_EDGES`) of every atomic cell,
-    upper triangle only, over the endpoint rows 2k, 2k + 1 of interval k."""
-    out = []
+def _export_close(qcn: QCN, stp: STP) -> STP:
+    """`stp` with the endpoint edges (`_ATOM_EDGES`) of each atomic cell of
+    `qcn`'s upper triangle, over rows 2k, 2k + 1 of interval k, closed: when
+    `stp` is minimal, from the entries the export tightened alone, and when
+    it is flagged inconsistent, still so."""
+    edges = []
     rows = qcn._matrix
     for a, row in enumerate(rows):
         for b in range(a + 1, len(rows)):
             mask = row[b]
             if not mask & (mask - 1):
                 pts = (2 * a, 2 * a + 1, 2 * b, 2 * b + 1)
-                out += [(pts[i], pts[j], w) for i, j, w in _ATOM_EDGES[mask.bit_length() - 1]]
-    return out
-
-
-def _export_close(qcn: QCN, stp: STP) -> STP:
-    """`stp` with the atomic cells of `qcn` exported, closed: when `stp`
-    is minimal, from the entries the export tightened alone, and when it
-    is flagged inconsistent, still so."""
-    exported, tightened = stp._with_edges(_forced_atom_edges(qcn))
+                edges += [(pts[i], pts[j], w) for i, j, w in _ATOM_EDGES[mask.bit_length() - 1]]
+    exported, tightened = stp._with_edges(edges)
     return stp_close(exported, changed=tightened if stp.minimal or stp.inconsistent else None)
 
 

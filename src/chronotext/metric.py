@@ -201,8 +201,6 @@ class STP(Value):
     @classmethod
     def _raw(cls, points, index, e, d, inconsistent=False, minimal=False) -> "STP":
         # from an encoded matrix that already holds the invariant
-        if len(index) != len(points):
-            raise ValueError("duplicate point ids")
         self = object.__new__(cls)
         _put(self, "points", points)
         _put(self, "_index", index)
@@ -274,8 +272,11 @@ class STP(Value):
         flagged inconsistent: the next closure decides it."""
         points = tuple(points)
         keep = [self._index[p] for p in points]
+        index = {p: i for i, p in enumerate(points)}
+        if len(index) != len(points):
+            raise ValueError("duplicate point ids")
         e = tuple(map(_picker(keep), map(self._e.__getitem__, keep)))
-        return STP._raw(points, {p: i for i, p in enumerate(points)}, e, self._d)
+        return STP._raw(points, index, e, self._d)
 
     def __eq__(self, other) -> bool:
         if not (isinstance(other, STP) and self.points == other.points

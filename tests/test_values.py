@@ -1,7 +1,9 @@
 """The value records: each of the package's 21 immutable records keeps the
 contract it had as a frozen dataclass (constructor signature, equality,
 hashing, immutability, `replace` and `repr`), and every value, records,
-relations and networks alike, survives pickling and deep copying."""
+relations and networks alike, survives pickling and deep copying.  A
+subclass that declares `__slots__ = ()` keeps all of that, by its
+parent's fields."""
 
 import copy
 import inspect
@@ -20,6 +22,7 @@ from chronotext.adaptation import (
 from chronotext.allen import QCN, Relation
 from chronotext.annotation import AnnotatedDoc, Event, Instance, Signal, TLink
 from chronotext.hybrid import HybridNetwork, hybrid_close
+from chronotext.indu import INDUNetwork, INDURelation
 from chronotext.metric import STP, TCSP, BoundWindow, MetricConstraint, stp_close
 from chronotext.recipe import (
     ActionNode,
@@ -272,3 +275,136 @@ class TestPrintedForms:
         broken = stp_close(STP(["p", "q"], [("p", "q", W), ("q", "p", W)]))
         assert broken.inconsistent
         assert broken != STP._raw(broken.points, broken._index, broken._e, broken._d)
+
+
+def slotless(cls: type) -> type:
+    """A subclass of `cls` that declares `__slots__ = ()`, bound at module
+    level under its own name so that pickle finds it."""
+    sub = type(f"Slotless{cls.__name__}", (cls,), {"__slots__": ()})
+    globals()[sub.__name__] = sub
+    return sub
+
+
+SLOTLESS = {cls: slotless(cls) for cls in [*RECORDS, Relation, INDURelation, QCN, INDUNetwork]}
+
+# Per record: a valid change of one compared field.
+CHANGES = {
+    BoundWindow: {"hi": Fraction(3)},
+    MetricConstraint: {"to": "c"},
+    TCSP: {"constraints": ()},
+    ActionNode: {"verb": "stir"},
+    StateNode: {"predicate": "hard"},
+    TimerNode: {"id": "u"},
+    RepetitionMarker: {"count": 4},
+    AlternativeBranch: {"guard": "if wet"},
+    Recipe: {"title": "U"},
+    Event: {"text": "stir"},
+    Instance: {"tense": "PAST"},
+    Signal: {"text": "after"},
+    TLink: {"rel_type": "AFTER"},
+    AnnotatedDoc: {"text": "stir"},
+    TaggedConstraint: {"frm": "c"},
+    TaggedNetwork: {"anchors": ()},
+    DomainKnowledge: {"name": "j"},
+    RevisionResult: {"retained": ("x",)},
+    Edit: {"payload": "fold"},
+    WorkflowNode: {"label": "stir"},
+    WorkflowGraph: {"loops": (("a", ("b",)),)},
+}
+
+ROUND_TRIPS = {
+    "pickle": lambda v: pickle.loads(pickle.dumps(v)),
+    "pickle-protocol-0": lambda v: pickle.loads(pickle.dumps(v, protocol=0)),
+    "deepcopy": copy.deepcopy,
+}
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=IDS)
+class TestSlotlessRecordSubclass:
+    """A record's subclass with `__slots__ = ()` stores, compares, hashes,
+    prints, replaces and pickles by the record's own fields."""
+
+    def twin(self, cls):
+        value = SAMPLES[cls][0]
+        return value, SLOTLESS[cls](**fields_of(value))
+
+    def test_stores_the_parent_fields(self, cls):
+        value, twin = self.twin(cls)
+        assert SLOTLESS[cls]._fields == cls.__slots__
+        assert {n: getattr(twin, n) for n in cls.__slots__} == fields_of(value)
+
+    def test_compares_and_hashes_by_the_fields(self, cls):
+        value, twin = self.twin(cls)
+        again = SLOTLESS[cls](**fields_of(value))
+        assert twin == again and hash(twin) == hash(again)
+        assert twin != value and value != twin
+        changed = twin.replace(**CHANGES[cls])
+        assert type(changed) is SLOTLESS[cls]
+        assert {n: getattr(changed, n) for n in cls.__slots__} == fields_of(value) | CHANGES[cls]
+        assert changed != twin and twin != changed
+
+    def test_repr_shows_the_fields_under_its_own_name(self, cls):
+        value, twin = self.twin(cls)
+        assert repr(twin) == f"Slotless{repr(value)}"
+
+    def test_replace_goes_through_the_constructor(self, cls):
+        value, twin = self.twin(cls)
+        assert twin.replace() == twin
+        with pytest.raises(TypeError):
+            twin.replace(no_such_field=1)
+        invalid = SAMPLES[cls][2]
+        if invalid is not None:
+            with pytest.raises(ValueError):
+                twin.replace(**invalid)
+
+    @pytest.mark.parametrize("roundtrip", ROUND_TRIPS.values(), ids=ROUND_TRIPS.keys())
+    def test_round_trip_keeps_the_value(self, cls, roundtrip):
+        value, twin = self.twin(cls)
+        back = roundtrip(twin)
+        assert type(back) is SLOTLESS[cls]
+        assert back == twin and hash(back) == hash(twin)
+        assert back != twin.replace(**CHANGES[cls])
+        assert {n: getattr(back, n) for n in cls.__slots__} == fields_of(value)
+
+
+PAIRS = [("a", R("{b,m}"), "b"), ("b", R("{o}"), "c")]
+INDU_PAIRS = [("a", INDURelation.parse("{b^<,m^=}"), "b")]
+# Per relation and network class: a value and another of that class.
+SLOTLESS_OTHERS = {
+    Relation: (lambda c: c(R("{b,oi,e}").mask), lambda c: c(R("{b}").mask)),
+    INDURelation: (lambda c: c.parse("{b^<,m^=}"), lambda c: c.parse("{b^<}")),
+    QCN: (lambda c: c(["a", "b", "c"], PAIRS), lambda c: c(["a", "b", "c"], PAIRS[:1])),
+    INDUNetwork: (lambda c: c(["a", "b"], INDU_PAIRS), lambda c: c(["a", "b"])),
+}
+
+
+@pytest.mark.parametrize("cls", SLOTLESS_OTHERS, ids=[c.__name__ for c in SLOTLESS_OTHERS])
+class TestSlotlessRelationAndNetworkSubclass:
+    """Relations and networks take equality, hashing and pickling from
+    `Value`, so a subclass with `__slots__ = ()` keeps them too."""
+
+    def test_compares_and_hashes_by_the_fields(self, cls):
+        sub = SLOTLESS[cls]
+        build, build_other = SLOTLESS_OTHERS[cls]
+        value, twin, again = build(cls), build(sub), build(sub)
+        assert type(twin) is sub
+        assert twin == again and hash(twin) == hash(again)
+        assert twin != value and value != twin
+        assert twin != build_other(sub)
+
+    @pytest.mark.parametrize("roundtrip", ROUND_TRIPS.values(), ids=ROUND_TRIPS.keys())
+    def test_round_trip_keeps_the_value(self, cls, roundtrip):
+        sub = SLOTLESS[cls]
+        twin = SLOTLESS_OTHERS[cls][0](sub)
+        back = roundtrip(twin)
+        assert type(back) is sub
+        assert back == twin and hash(back) == hash(twin)
+
+
+def test_calculi_never_compare_equal_over_the_same_masks():
+    qcn = QCN(["a", "b"], [("a", R("{b,m}"), "b")])
+    indu = INDUNetwork._raw(qcn.intervals, qcn._matrix, qcn._index)
+    assert indu._matrix == qcn._matrix
+    assert qcn != indu and indu != qcn
+    mask = R("{b,m}").mask
+    assert Relation(mask) != INDURelation(mask) and INDURelation(mask) != Relation(mask)

@@ -331,9 +331,9 @@ class Value:
         return _restored, (type(self), {n: getattr(self, n) for n in self._fields})
 
 
-def _restored(cls, slots: dict):
+def _restored(cls, fields: dict):
     self = object.__new__(cls)
-    any(map(_put, repeat(self), slots, slots.values()))
+    any(map(_put, repeat(self), fields, fields.values()))
     return self
 
 
